@@ -1,0 +1,17 @@
+//! Bakes the compiler version into the binary, so every result names
+//! the toolchain that built it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=GATHERBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
