@@ -76,6 +76,7 @@ fn step_safe(view: &View<'_, ()>, step: V2) -> bool {
 
 impl Controller for GoToCenter {
     type State = ();
+    type Plan = ();
 
     fn radius(&self) -> i32 {
         self.radius

@@ -44,7 +44,9 @@
 //! (default 2.5×) is deliberately generous: robot-rounds/s is roughly
 //! n-independent but CI runners are noisy and slower than the baseline
 //! box, so only a real cliff — an accidental O(area) scan, a lost
-//! parallel path — should trip it.
+//! parallel path — should trip it. When the baseline row ran the same
+//! scheduler, population and round count, the gate also requires the
+//! same post-run digest, so a faster run whose results drifted fails.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -121,15 +123,26 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// One baseline results row: the identity keys a gate run matches on
-/// (scheduler, threads, population) plus the throughput it defends.
-/// Rows written before the `scheduler`/`n` columns existed carry
-/// neither key and match as FSYNC at any population.
+/// (scheduler, threads, population) plus the throughput it defends and
+/// the digest its run ended on. Rows written before the `scheduler`/`n`
+/// columns existed carry neither key and match as FSYNC at any
+/// population.
 #[derive(Clone, Debug, PartialEq)]
 struct BaselineRow {
     threads: usize,
     scheduler: String,
     n: Option<u64>,
+    rounds: Option<u64>,
+    digest: Option<u64>,
     robot_rounds_per_s: f64,
+}
+
+/// One measured thread config, as the gate compares it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Measured {
+    threads: usize,
+    robot_rounds_per_s: f64,
+    digest: u64,
 }
 
 /// Extract the result rows from a baseline file previously written by
@@ -158,10 +171,21 @@ fn baseline_rows(json: &str) -> Result<Vec<BaselineRow>, String> {
         let scheduler =
             map.get("scheduler").and_then(|v| v.as_str()).unwrap_or("fsync").to_string();
         let n = map.get("n").and_then(|v| v.as_u64());
+        let rounds = map.get("rounds").and_then(|v| v.as_u64());
+        let digest = match map.get("digest").and_then(|v| v.as_str()) {
+            Some(hex) => Some(
+                hex.strip_prefix("0x")
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("baseline digest {hex:?} is not 0x-prefixed hex"))?,
+            ),
+            None => None,
+        };
         out.push(BaselineRow {
             threads: threads as usize,
             scheduler,
             n,
+            rounds,
+            digest,
             robot_rounds_per_s: throughput,
         });
         rest = &rest[end + 1..];
@@ -218,21 +242,36 @@ fn profile_json(threads: usize, scheduler: &str, n: usize, totals: &ProfileTotal
 }
 
 /// Compare measured throughputs against the baseline; `Err` lists every
-/// thread config that fell below `baseline / tolerance`.
+/// thread config that fell below `baseline / tolerance`, and every one
+/// whose digest differs from a baseline row of the same scheduler,
+/// population and round count.
 fn gate_against(
     baseline: &[BaselineRow],
-    measured: &[(usize, f64)],
+    measured: &[Measured],
     scheduler: &str,
     n: u64,
+    rounds: u64,
     tolerance: f64,
 ) -> Result<(), String> {
     let mut regressions = Vec::new();
-    for &(threads, throughput) in measured {
+    for m in measured {
+        let (threads, throughput) = (m.threads, m.robot_rounds_per_s);
         let Some(row) = baseline_reference(baseline, scheduler, threads, n) else {
             return Err(format!(
                 "baseline has no scheduler={scheduler} threads={threads} entry to gate against"
             ));
         };
+        if let Some(expected) =
+            row.digest.filter(|_| row.n == Some(n) && row.rounds == Some(rounds))
+        {
+            if m.digest != expected {
+                regressions.push(format!(
+                    "{scheduler} threads={threads}: digest {:#018x} != baseline {expected:#018x} \
+                     (n={n}, {rounds} rounds): results drifted",
+                    m.digest
+                ));
+            }
+        }
         let reference = row.robot_rounds_per_s;
         let floor = reference / tolerance;
         if throughput < floor {
@@ -266,7 +305,7 @@ fn main() {
     let sched_name = args.scheduler.name();
     let mut results: Vec<String> = Vec::new();
     let mut profiles: Vec<String> = Vec::new();
-    let mut measured: Vec<(usize, f64)> = Vec::new();
+    let mut measured: Vec<Measured> = Vec::new();
     let mut digests: Vec<u64> = Vec::new();
     let mut shape: Option<(u128, usize)> = None;
     for &threads in &args.threads {
@@ -318,8 +357,8 @@ fn main() {
         }
         let dt = start.elapsed().as_secs_f64();
         let throughput = robot_rounds as f64 / dt;
-        measured.push((threads, throughput));
         let digest = engine.swarm.position_digest();
+        measured.push(Measured { threads, robot_rounds_per_s: throughput, digest });
         digests.push(digest);
         eprintln!(
             "{sched_name} threads={threads}: {} rounds, {robot_rounds} robot-rounds in {dt:.2}s \
@@ -383,7 +422,14 @@ fn main() {
         };
         let verdict =
             baseline_rows(&baseline).map_err(|e| format!("{gate}: {e}")).and_then(|baseline| {
-                gate_against(&baseline, &measured, &sched_name, points.len() as u64, args.tolerance)
+                gate_against(
+                    &baseline,
+                    &measured,
+                    &sched_name,
+                    points.len() as u64,
+                    args.rounds,
+                    args.tolerance,
+                )
             });
         if let Err(e) = verdict {
             eprintln!("error: {e}");
@@ -489,23 +535,61 @@ mod tests {
         assert!(!map.contains_key("allocs"), "allocs only when counted");
     }
 
+    /// A measured config with a digest no baseline row carries.
+    fn at(threads: usize, robot_rounds_per_s: f64) -> Measured {
+        Measured { threads, robot_rounds_per_s, digest: 0xdead }
+    }
+
     #[test]
     fn gate_passes_within_tolerance_and_fails_on_cliffs() {
         let baseline = baseline_rows(BASELINE).unwrap();
         // 2x slower than baseline is inside the 2.5x floor.
-        assert!(gate_against(&baseline, &[(1, 125_000.0)], "fsync", 200_000, 2.5).is_ok());
+        assert!(gate_against(&baseline, &[at(1, 125_000.0)], "fsync", 200_000, 3, 2.5).is_ok());
         // 5x slower is a cliff.
-        let err = gate_against(&baseline, &[(1, 50_000.0)], "fsync", 200_000, 2.5).unwrap_err();
+        let err =
+            gate_against(&baseline, &[at(1, 50_000.0)], "fsync", 200_000, 3, 2.5).unwrap_err();
         assert!(err.contains("REGRESSION"), "{err}");
         assert!(err.contains("threads=1"), "{err}");
         // One good config does not excuse a regressed one.
-        let m = [(1, 240_000.0), (8, 10_000.0)];
-        assert!(gate_against(&baseline, &m, "fsync", 200_000, 2.5).is_err());
+        let m = [at(1, 240_000.0), at(8, 10_000.0)];
+        assert!(gate_against(&baseline, &m, "fsync", 200_000, 3, 2.5).is_err());
         // A thread count absent from the baseline cannot be gated.
-        let err = gate_against(&baseline, &[(4, 500_000.0)], "fsync", 200_000, 2.5).unwrap_err();
+        let err =
+            gate_against(&baseline, &[at(4, 500_000.0)], "fsync", 200_000, 3, 2.5).unwrap_err();
         assert!(err.contains("threads=4"), "{err}");
         // Neither can a scheduler absent from the baseline.
-        let err = gate_against(&baseline, &[(1, 500_000.0)], "rr4", 200_000, 2.5).unwrap_err();
+        let err = gate_against(&baseline, &[at(1, 500_000.0)], "rr4", 200_000, 3, 2.5).unwrap_err();
         assert!(err.contains("scheduler=rr4"), "{err}");
+    }
+
+    #[test]
+    fn gate_requires_the_baseline_digest_for_the_same_run() {
+        let rows = baseline_rows(
+            r#"{"results": [
+              {"threads": 1, "scheduler": "rr4", "n": 1000000, "rounds": 50,
+               "robot_rounds_per_s": 2000000.0, "digest": "0x68db190e4e0cc8d6"}
+            ]}"#,
+        )
+        .unwrap();
+        assert_eq!(rows[0].rounds, Some(50));
+        assert_eq!(rows[0].digest, Some(0x68db_190e_4e0c_c8d6));
+        let run = |digest| Measured { threads: 1, robot_rounds_per_s: 9e9, digest };
+        // Same scheduler, population and rounds: the digest must match,
+        // however fast the run.
+        assert!(
+            gate_against(&rows, &[run(0x68db_190e_4e0c_c8d6)], "rr4", 1_000_000, 50, 25.0).is_ok()
+        );
+        let err = gate_against(&rows, &[run(0x1234)], "rr4", 1_000_000, 50, 25.0).unwrap_err();
+        assert!(err.contains("drifted"), "{err}");
+        assert!(err.contains("0x68db190e4e0cc8d6"), "{err}");
+        // A different population or round count ran a different
+        // simulation: throughput only.
+        assert!(gate_against(&rows, &[run(0x1234)], "rr4", 200_000, 50, 25.0).is_ok());
+        assert!(gate_against(&rows, &[run(0x1234)], "rr4", 1_000_000, 3, 25.0).is_ok());
+        // A malformed digest in the baseline is an error, not a wildcard.
+        assert!(baseline_rows(
+            r#"{"results": [{"threads": 1, "robot_rounds_per_s": 1.0, "digest": "abc"}]}"#
+        )
+        .is_err());
     }
 }

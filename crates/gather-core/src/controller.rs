@@ -1,11 +1,37 @@
 //! The complete per-robot algorithm (Fig. 11): merge first, then runner
 //! operations, then run starts every L-th round.
+//!
+//! Runs move between robots without messages (§3.2): the holder drops a
+//! run and the boundary neighbour it passes the run to adopts it, each
+//! deciding from its own view. The engine's two-phase compute step
+//! ([`grid_engine::plan`]) makes that cheap. In phase 1 every robot that
+//! holds runs — every robot, in a start round — evaluates its runner
+//! [`Plan`] once, in its own frame. In phase 2 each robot reads its own
+//! plan and its Chebyshev neighbours' from the engine's table, maps them
+//! into its own frame, and adopts the runs passed to it.
+//! [`Controller::decide`] keeps the single-phase form, in which a robot
+//! replays every neighbour's plan on its own view, as the reference the
+//! shared plans are tested against.
 
 use crate::config::GatherConfig;
 use crate::merge::merge_step;
-use crate::runner;
+use crate::runner::{self, Plan};
 use crate::state::{GatherState, Run};
-use grid_engine::{Action, Controller, RoundCtx, View, V2};
+use grid_engine::{Action, Controller, Plans, RoundCtx, View, V2};
+
+/// The 8 Chebyshev neighbour offsets in scanline order (the order in
+/// which a robot adopts passed runs; it decides which of two runs in the
+/// same direction survives).
+const NEIGHBOURS: [V2; 8] = [
+    V2::new(-1, -1),
+    V2::new(0, -1),
+    V2::new(1, -1),
+    V2::new(-1, 0),
+    V2::new(1, 0),
+    V2::new(-1, 1),
+    V2::new(0, 1),
+    V2::new(1, 1),
+];
 
 /// The paper's gathering strategy as a [`Controller`] for the FSYNC
 /// engine. Stateless apart from its constants; all per-robot memory
@@ -30,57 +56,93 @@ impl GatherController {
     pub fn config(&self) -> &GatherConfig {
         &self.cfg
     }
+
+    /// Is this a run-start round (the synchronous L-clock)?
+    fn starting(&self, ctx: RoundCtx) -> bool {
+        ctx.round.is_multiple_of(self.cfg.period)
+    }
+
+    /// Fig. 11 after the merge check, given the robot's own runner plan
+    /// (`hop` and the runs it keeps) and the runs its neighbours pass to
+    /// it, all in its own frame. `adopted` is only consumed when the
+    /// robot does not merge.
+    fn act(
+        &self,
+        view: &View<'_, GatherState>,
+        hop: V2,
+        kept: impl Iterator<Item = Run>,
+        adopted: impl Iterator<Item = Run>,
+    ) -> Action<GatherState> {
+        if hop != V2::ZERO && view.occupied(hop) {
+            // OP-A onto an occupied cell: merge; every run I hold or
+            // would adopt this round dies with me (cond. 6 + 3).
+            return Action { step: hop, state: GatherState::default() };
+        }
+        Action { step: hop, state: GatherState::from_runs(kept.chain(adopted)) }
+    }
 }
 
 impl Controller for GatherController {
     type State = GatherState;
+    type Plan = Plan;
 
     fn radius(&self) -> i32 {
         self.cfg.radius
     }
 
     fn decide(&self, view: &View<'_, GatherState>, ctx: RoundCtx) -> Action<GatherState> {
-        let k_max = self.cfg.k_max();
-
         // 1. Merge (Fig. 11 step 1): members of executing merge runs
         //    hop; their runs terminate (Table 1, cond. 3).
-        if let Some(step) = merge_step(view, V2::ZERO, k_max) {
+        if let Some(step) = merge_step(view, V2::ZERO, self.cfg.k_max()) {
             return Action { step, state: GatherState::default() };
         }
 
         // 2./3. Run operations (Fig. 11 steps 2 and 3): resolve my own
         //    runs, including any started this round (OP-C acts in the
-        //    start round itself).
-        let starting = ctx.round.is_multiple_of(self.cfg.period);
-        let my_plan = runner::plan(view, V2::ZERO, starting, &self.cfg);
-        if my_plan.hop != V2::ZERO && view.occupied(my_plan.hop) {
-            // OP-A onto an occupied cell: merge; every run I hold or
-            // would adopt this round dies with me (cond. 6 + 3).
-            return Action { step: my_plan.hop, state: GatherState::default() };
-        }
-        let mut next: Vec<Run> = my_plan.kept;
+        //    start round itself)...
+        let starting = self.starting(ctx);
+        let mine = runner::plan(view, V2::ZERO, starting, &self.cfg);
 
         // ...and adopt runs my boundary neighbours hand to me. The
         //    recipient of a pass is always within Chebyshev distance 1
         //    of the holder, so scanning the 8 neighbours is complete.
-        for dy in -1..=1 {
-            for dx in -1..=1 {
-                let d = V2::new(dx, dy);
-                if d == V2::ZERO || view.empty(d) {
-                    continue;
-                }
-                let their = runner::plan(view, d, starting, &self.cfg);
-                for (to, run) in their.passes {
-                    // Pass targets are expressed in the observer's own
-                    // frame already; the run is ours if it lands here.
-                    if to == V2::ZERO {
-                        next.push(run);
-                    }
-                }
-            }
-        }
+        //    Replayed on my view, pass targets are in my frame already;
+        //    a run is mine if it lands here.
+        let adopted = NEIGHBOURS.into_iter().filter(|&d| view.occupied(d)).flat_map(|d| {
+            let theirs = runner::plan(view, d, starting, &self.cfg);
+            theirs.passes.into_iter().filter(|&(to, _)| to == V2::ZERO).map(|(_, run)| run)
+        });
+        self.act(view, mine.hop, mine.kept.into_iter(), adopted)
+    }
 
-        Action { step: my_plan.hop, state: GatherState::from_runs(next) }
+    fn needs_plan(&self, state: &GatherState, ctx: RoundCtx) -> bool {
+        state.has_runs() || self.starting(ctx)
+    }
+
+    fn plan(&self, view: &View<'_, GatherState>, ctx: RoundCtx) -> Option<Plan> {
+        let plan = runner::plan(view, V2::ZERO, self.starting(ctx), &self.cfg);
+        (!plan.is_empty()).then_some(plan)
+    }
+
+    fn decide_with_plans(
+        &self,
+        view: &View<'_, GatherState>,
+        _ctx: RoundCtx,
+        plans: &Plans<'_, GatherState, Plan>,
+    ) -> Action<GatherState> {
+        if let Some(step) = merge_step(view, V2::ZERO, self.cfg.k_max()) {
+            return Action { step, state: GatherState::default() };
+        }
+        // My own plan is in my frame already; neighbours' plans are in
+        // theirs, with pass targets relative to the holder.
+        let (hop, kept) = match plans.get(V2::ZERO) {
+            Some((mine, _)) => (mine.hop, &mine.kept[..]),
+            None => (V2::ZERO, &[][..]),
+        };
+        let adopted = NEIGHBOURS.into_iter().flat_map(|d| {
+            plans.get(d).into_iter().flat_map(move |(theirs, m)| theirs.passes_to(d, m))
+        });
+        self.act(view, hop, kept.iter().copied(), adopted)
     }
 }
 

@@ -3,36 +3,65 @@
 //! conditions, all expressed as a *symmetric* plan function.
 //!
 //! [`plan`] answers "what does the robot at offset `at` do with its run
-//! states this round?" and is evaluated both by the holder itself and
-//! by its boundary neighbours (a run *moves* by observation: the
-//! recipient sees the holder's state and adopts the run while the
-//! holder drops it — both replay the same pure function on overlapping
-//! views, so their decisions agree; this implements the paper's "move
-//! runstate" without message passing, which the model does not have).
+//! states this round?". A run *moves* by observation: the holder drops
+//! it and the boundary neighbour it is passed to adopts it, which is the
+//! paper's "move runstate" without message passing (the model has
+//! none). Both sides must therefore reach the same decision. They do,
+//! because the plan is a pure, frame-equivariant function of the cells
+//! around the holder, and every cell it reads is visible to the holder
+//! and to each of its Chebyshev neighbours (`LEN_CAP`, `k_max` and
+//! `scan_depth` keep the off-centre probes within the viewing radius).
+//! The holder evaluates its plan once per round, at `at = 0` in its own
+//! frame, and its neighbours read that plan through the engine's shared
+//! plan table. The off-centre form `at ≠ 0` — a neighbour replaying the
+//! holder's plan on its own view — is the reference path
+//! ([`grid_engine::Controller::decide`]) and what the locality test
+//! checks the shared plans against.
 //!
-//! Deviations from the paper's presentation (recorded in DESIGN.md §3):
-//! the explicit run-passing counters of Fig. 9b are subsumed by a local
-//! conflict rule — a holder whose two runs demand different diagonal
-//! hops performs none and both runs keep moving, which makes head-on
-//! runs glide past each other exactly as in the passing operation.
+//! Deviation from the paper's presentation: the explicit run-passing
+//! counters of Fig. 9b are subsumed by a local conflict rule — a holder
+//! whose two runs demand different diagonal hops performs none and both
+//! runs keep moving, which makes head-on runs glide past each other
+//! exactly as in the passing operation.
 
 use crate::chain::{chain_next, Cursor, Turn};
 use crate::config::GatherConfig;
 use crate::merge::{merge_nearby, merge_step, GView};
 use crate::start;
 use crate::state::Run;
-use grid_engine::V2;
+use grid_engine::{D4, V2};
 
-/// A holder's resolved runner behaviour for one round.
+/// A holder's resolved runner behaviour for one round: what
+/// [`crate::GatherController`] shares with its neighbours through the
+/// engine's plan table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Plan {
+pub struct Plan {
     /// The holder's physical step (zero if it does not hop).
-    pub hop: V2,
+    pub(crate) hop: V2,
     /// Runs that stay with the holder (convex-corner rotation).
-    pub kept: Vec<Run>,
+    pub(crate) kept: Vec<Run>,
     /// Runs handed to a boundary neighbour: (recipient offset, run),
-    /// both in the observer's frame.
-    pub passes: Vec<(V2, Run)>,
+    /// both in the evaluating robot's frame.
+    pub(crate) passes: Vec<(V2, Run)>,
+}
+
+impl Plan {
+    /// Does the plan neither move the holder nor keep or pass a run?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.hop == V2::ZERO && self.kept.is_empty() && self.passes.is_empty()
+    }
+
+    /// The runs an observer adopts from this plan, evaluated by the
+    /// holder at `at = 0` in its own frame: the holder sits at offset
+    /// `d` from the observer, and `m` maps the holder's frame to the
+    /// observer's. Yields the runs in the observer's frame, in pass
+    /// order.
+    pub(crate) fn passes_to(&self, d: V2, m: D4) -> impl Iterator<Item = Run> + '_ {
+        self.passes
+            .iter()
+            .filter(move |(to, _)| m.apply(*to) == -d)
+            .map(move |(_, run)| run.transform(m))
+    }
 }
 
 /// Why a run ended (Table 1), exposed for the white-box tests.
@@ -397,7 +426,10 @@ pub(crate) fn plan(view: GView, at: V2, starting: bool, cfg: &GatherConfig) -> P
 mod tests {
     use super::*;
     use crate::state::GatherState;
-    use grid_engine::{OrientationMode, Point, Swarm, View};
+    use grid_engine::{
+        ConnectivityCheck, Engine, EngineConfig, OrientationMode, Point, Swarm, View,
+    };
+    use proptest::prelude::*;
 
     fn cfg() -> GatherConfig {
         GatherConfig::paper()
@@ -453,6 +485,108 @@ mod tests {
         let p = plan(&v, V2::W, false, &cfg());
         assert_eq!(p.hop, V2::new(1, -1));
         assert_eq!(p.passes, vec![(V2::ZERO, run.aged(V2::E, V2::N))]);
+    }
+
+    /// `plan`, evaluated by its holder (at `at = 0`, in the holder's own
+    /// frame), as a neighbour sees it: the holder sits at offset `d` from
+    /// the neighbour and `m` maps the holder's frame to the neighbour's.
+    /// Runs are sorted, so plans compare as sets.
+    fn seen_from(plan: &Plan, d: V2, m: D4) -> Plan {
+        sorted(Plan {
+            hop: m.apply(plan.hop),
+            kept: plan.kept.iter().map(|r| r.transform(m)).collect(),
+            passes: plan.passes.iter().map(|&(to, r)| (d + m.apply(to), r.transform(m))).collect(),
+        })
+    }
+
+    fn sorted(mut plan: Plan) -> Plan {
+        plan.kept.sort();
+        plan.passes.sort();
+        plan
+    }
+
+    /// Random blobs, hollow squares, staircases and Fig. 4 plateaus, with
+    /// an orientation seed and a number of rounds to run first.
+    fn arb_world() -> impl Strategy<Value = (Vec<Point>, u64, u64)> {
+        (0u8..4, 40usize..160, 8usize..20, 3usize..8, any::<u64>(), 0u64..16).prop_map(
+            |(kind, n, k, run, seed, warmup)| {
+                let pts = match kind {
+                    0 => gather_workloads::random_blob(n, seed),
+                    1 => gather_workloads::hollow_rectangle(k + 2, k + 2, 1),
+                    2 => gather_workloads::staircase(k, run),
+                    _ => gather_workloads::table(2 * k, 9 + run),
+                };
+                (pts, seed, warmup)
+            },
+        )
+    }
+
+    /// Hand about a third of the robots one or two seeded runs on top of
+    /// what the run produced, so holders are common: the plan function
+    /// must agree with its replay on any state, not only reachable ones.
+    fn sprinkle_runs(s: &mut Swarm<GatherState>, seed: u64) {
+        for i in 0..s.len() {
+            let r = grid_engine::splitmix64(seed ^ i as u64);
+            if !r.is_multiple_of(3) {
+                continue;
+            }
+            let run = |bits: u64| {
+                let travel = V2::axis_units()[(bits & 3) as usize];
+                let side = if bits & 4 == 0 { travel.rot_ccw() } else { travel.rot_cw() };
+                Run { age: ((bits >> 3) % 40) as u16, ..Run::new(travel, side) }
+            };
+            let own: Vec<Run> = s.states()[i].runs().collect();
+            let extra = [run(r >> 8), run(r >> 24)];
+            let count = 1 + (r >> 40) as usize % 2;
+            s.states_mut()[i] =
+                GatherState::from_runs(own.into_iter().chain(extra).take(count + 1));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The locality argument behind shared plans: every occupied
+        /// Chebyshev neighbour's replay of a robot's plan equals the
+        /// robot's own plan mapped into the neighbour's frame, in start
+        /// rounds and in other rounds, under scrambled orientations.
+        #[test]
+        fn neighbours_replay_the_holders_own_plan((pts, seed, warmup) in arb_world()) {
+            let cfg = cfg();
+            let mut engine = Engine::from_positions(
+                &pts,
+                OrientationMode::Scrambled(seed),
+                crate::GatherController::paper(),
+                EngineConfig { threads: 1, connectivity: ConnectivityCheck::Never, ..Default::default() },
+            );
+            for _ in 0..warmup {
+                if engine.swarm.is_gathered() {
+                    break;
+                }
+                engine.step().expect("unchecked steps cannot fail");
+            }
+            sprinkle_runs(&mut engine.swarm, seed);
+            let s = &engine.swarm;
+            for starting in [false, true] {
+                for h in 0..s.len() {
+                    let own = plan(&View::new(s, h, cfg.radius), V2::ZERO, starting, &cfg);
+                    for p in s.positions()[h].neighbors8() {
+                        let Some(o) = s.robot_at(p) else { continue };
+                        let inv = s.orients()[o].inverse();
+                        let d = inv.apply(s.positions()[h] - p);
+                        let replay = plan(&View::new(s, o, cfg.radius), d, starting, &cfg);
+                        prop_assert_eq!(
+                            sorted(replay),
+                            seen_from(&own, d, s.orients()[h].then(inv)),
+                            "holder {:?} replayed by {:?} (starting {})",
+                            s.positions()[h],
+                            p,
+                            starting
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,8 +57,22 @@ impl Run {
         self.travel - self.side
     }
 
-    fn transform(&self, m: D4) -> Run {
+    pub(crate) fn transform(&self, m: D4) -> Run {
         Run { travel: m.apply(self.travel), side: m.apply(self.side), age: self.age }
+    }
+
+    /// Which of the 8 `(travel, side)` directions this run has: the 4
+    /// axis travels, each with its exterior side counter-clockwise or
+    /// clockwise of it.
+    fn direction_index(&self) -> usize {
+        debug_assert!(self.travel.is_axis_unit() && self.side.is_axis_unit());
+        let travel = match (self.travel.x, self.travel.y) {
+            (1, 0) => 0,
+            (0, 1) => 1,
+            (-1, 0) => 2,
+            _ => 3,
+        };
+        2 * travel + usize::from(self.side != self.travel.rot_ccw())
     }
 }
 
@@ -94,17 +108,24 @@ impl GatherState {
     /// cap is the model's constant-memory constraint; overflow means
     /// colliding runs, and dropping a run is always safe (liveness is
     /// restored by the next start wave).
+    ///
+    /// Runs every round for every robot, so it never allocates: a run's
+    /// `(travel, side)` pair is one of 8 directions, and each direction
+    /// keeps its first candidate in a fixed slot.
     pub fn from_runs(candidates: impl IntoIterator<Item = Run>) -> Self {
-        let mut list: Vec<Run> = Vec::with_capacity(4);
+        let mut first: [Option<Run>; 8] = [None; 8];
         for r in candidates {
-            if !list.iter().any(|q| q.same_direction(&r)) {
-                list.push(r);
-            }
+            first[r.direction_index()].get_or_insert(r);
         }
-        list.sort();
-        let mut runs = [None; 2];
-        for (slot, run) in runs.iter_mut().zip(list) {
-            *slot = Some(run);
+        let mut runs: [Option<Run>; 2] = [None; 2];
+        for r in first.into_iter().flatten() {
+            // Insert into the sorted pair, dropping the largest.
+            match runs {
+                [Some(a), _] if r < a => runs = [Some(r), runs[0]],
+                [Some(_), Some(b)] if r >= b => {}
+                [Some(_), _] => runs[1] = Some(r),
+                [None, _] => runs[0] = Some(r),
+            }
         }
         GatherState { runs }
     }
@@ -119,6 +140,48 @@ impl RobotState for GatherState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocating `from_runs` the fixed-buffer version replaced, kept
+    /// as its reference: first run per direction, then the two smallest.
+    fn from_runs_reference(candidates: impl IntoIterator<Item = Run>) -> GatherState {
+        let mut list: Vec<Run> = Vec::with_capacity(4);
+        for r in candidates {
+            if !list.iter().any(|q| q.same_direction(&r)) {
+                list.push(r);
+            }
+        }
+        list.sort();
+        let mut runs = [None; 2];
+        for (slot, run) in runs.iter_mut().zip(list) {
+            *slot = Some(run);
+        }
+        GatherState { runs }
+    }
+
+    /// Any valid run, with ages from a small range so same-direction
+    /// candidates of different ages are common.
+    fn arb_run() -> impl Strategy<Value = Run> {
+        (0usize..4, prop::bool::ANY, 0u16..4).prop_map(|(t, cw, age)| {
+            let travel = V2::axis_units()[t];
+            let side = if cw { travel.rot_cw() } else { travel.rot_ccw() };
+            Run { age, ..Run::new(travel, side) }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn from_runs_matches_the_vec_reference(
+            runs in prop::collection::vec(arb_run(), 0..=12usize),
+        ) {
+            prop_assert_eq!(
+                GatherState::from_runs(runs.iter().copied()),
+                from_runs_reference(runs.iter().copied())
+            );
+        }
+    }
 
     #[test]
     fn hop_step_is_forward_diagonal() {

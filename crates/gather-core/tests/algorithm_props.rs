@@ -1,16 +1,121 @@
 //! Property tests on the algorithm's local rules, independent of full
 //! gathering runs: every decision is a legal king step, merge rounds
-//! strictly reduce the population, and single reshapement hops
-//! certified by the window check never disconnect when applied alone.
+//! strictly reduce the population, single reshapement hops certified by
+//! the window check never disconnect when applied alone, and the
+//! engine's shared plans decide exactly what each robot's standalone
+//! replay decides.
 
 use gather_core::{GatherConfig, GatherController, GatherState};
 use grid_engine::connectivity::is_connected;
-use grid_engine::{Action, Controller, OrientationMode, Point, RoundCtx, Swarm, View};
+use grid_engine::{
+    Action, ConnectivityCheck, Controller, Engine, EngineConfig, OrientationMode, Point, RoundCtx,
+    Scheduler, Swarm, View,
+};
 use proptest::prelude::*;
 
 fn arb_swarm() -> impl Strategy<Value = (Vec<Point>, u64)> {
     (10usize..100, any::<u64>())
         .prop_map(|(n, seed)| (gather_workloads::random_blob(n, seed), seed))
+}
+
+/// [`arb_swarm`]'s blobs plus hollow squares and staircases: thin
+/// boundaries where runs start at every corner and travel far.
+fn arb_shape() -> impl Strategy<Value = (Vec<Point>, u64)> {
+    (0u8..3, arb_swarm(), 3usize..14, 1usize..6).prop_map(|(kind, (blob, seed), k, run)| {
+        let pts = match kind {
+            0 => blob,
+            1 => gather_workloads::hollow_rectangle(k + 2, k + 2, 1),
+            _ => gather_workloads::staircase(k, run),
+        };
+        (pts, seed)
+    })
+}
+
+/// `C` computing through its single-phase reference
+/// [`Controller::decide`]: with `Plan = ()` the engine shares no plans,
+/// so every robot replays its neighbours' plans on its own view.
+struct Standalone<C>(C);
+
+impl<C: Controller> Controller for Standalone<C> {
+    type State = C::State;
+    type Plan = ();
+
+    fn radius(&self) -> i32 {
+        self.0.radius()
+    }
+
+    fn decide(&self, view: &View<'_, C::State>, ctx: RoundCtx) -> Action<C::State> {
+        self.0.decide(view, ctx)
+    }
+}
+
+/// fsync, ssync-p50, rr4, crash-f10 and async-s2, seeded like a campaign.
+fn schedulers(seed: u64, n: usize) -> [Scheduler; 5] {
+    [
+        Scheduler::Fsync,
+        Scheduler::Ssync { seed, p: 50 },
+        Scheduler::RoundRobin { k: 4 },
+        Scheduler::Crash { seed, f: 10, n0: n as u32 },
+        Scheduler::Async { seed, staleness: 2 },
+    ]
+}
+
+/// Run the paper controller through shared plans on each thread count
+/// and through standalone `decide` on one thread, for `rounds` rounds (2
+/// start periods at 44) or until gathered, asserting the same round
+/// statistics, positions, states and digest after every round.
+fn assert_shared_plans_match_standalone(
+    pts: &[Point],
+    seed: u64,
+    scheduler: Scheduler,
+    threads: &[usize],
+    rounds: u64,
+) -> Result<(), TestCaseError> {
+    let config = |threads| EngineConfig {
+        threads,
+        scheduler,
+        connectivity: ConnectivityCheck::Never,
+        ..EngineConfig::default()
+    };
+    let orientation = OrientationMode::Scrambled(seed);
+    let mut reference =
+        Engine::from_positions(pts, orientation, Standalone(GatherController::paper()), config(1));
+    let mut shared: Vec<Engine<GatherController>> = threads
+        .iter()
+        .map(|&t| Engine::from_positions(pts, orientation, GatherController::paper(), config(t)))
+        .collect();
+    for round in 0..rounds {
+        if reference.swarm.is_gathered() {
+            break;
+        }
+        let expected = reference.step().expect("unchecked steps cannot fail");
+        for (engine, &t) in shared.iter_mut().zip(threads) {
+            let got = engine.step().expect("unchecked steps cannot fail");
+            let at = format!("{scheduler:?}, threads {t}, round {round}");
+            prop_assert_eq!(got, expected, "round stats differ: {}", at);
+            prop_assert_eq!(engine.swarm.positions(), reference.swarm.positions(), "{}", at);
+            prop_assert_eq!(engine.swarm.states(), reference.swarm.states(), "{}", at);
+            prop_assert_eq!(
+                engine.swarm.position_digest(),
+                reference.swarm.position_digest(),
+                "{}",
+                at
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Shared plans on a swarm above the engine's parallel threshold, so
+/// the compute map and the round-apply really split across threads.
+#[test]
+fn shared_plans_match_standalone_decide_across_threads() {
+    let pts = gather_workloads::hollow_rectangle(300, 300, 1);
+    assert!(pts.len() >= grid_engine::parallel::PARALLEL_THRESHOLD);
+    for scheduler in [Scheduler::Fsync, Scheduler::Async { seed: 3, staleness: 2 }] {
+        assert_shared_plans_match_standalone(&pts, 3, scheduler, &[1, 2, 3, 8], 24)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 proptest! {
@@ -60,6 +165,17 @@ proptest! {
                 prop_assert_eq!(a.step, step);
                 prop_assert_eq!(a.state.run_count(), 0, "cond. 3: runs die on merge");
             }
+        }
+    }
+
+    /// The engine's two-phase compute (each robot's runner plan
+    /// evaluated once and shared) decides exactly what each robot's
+    /// standalone replay decides, under every scheduler kind and thread
+    /// count, with scrambled orientations.
+    #[test]
+    fn shared_plans_match_standalone_decide((pts, seed) in arb_shape()) {
+        for scheduler in schedulers(seed, pts.len()) {
+            assert_shared_plans_match_standalone(&pts, seed, scheduler, &[1, 2, 3, 8], 44)?;
         }
     }
 

@@ -6,7 +6,7 @@ use crate::connectivity::is_connected;
 use crate::geom::{Bounds, V2};
 use crate::metrics::{Metrics, RoundStats};
 use crate::observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
-use crate::parallel::parallel_map;
+use crate::plan::{PlanTable, Plans};
 use crate::profile::{self, timed, BoxedProfileSink, Phase, RoundProfile};
 use crate::scheduler::{async_delay, Activation, Scheduler};
 use crate::swarm::{Action, OrientationMode, RobotState, Swarm};
@@ -25,15 +25,55 @@ pub struct RoundCtx {
 /// A distributed robot strategy: a pure function from a local view (and
 /// the synchronous round counter) to an action. Implementations must be
 /// `Sync` — the engine evaluates all robots in parallel.
+///
+/// The engine computes in two phases ([`crate::plan`]): robots first
+/// evaluate a [`Controller::Plan`] to share with their Chebyshev
+/// neighbours, then decide with those plans at hand. A strategy whose
+/// robots share nothing sets `type Plan = ()` and implements only
+/// [`Controller::decide`]; the defaults route phase 2 to it.
 pub trait Controller: Sync {
     type State: RobotState;
+
+    /// What a robot shares with its neighbours each round, in its own
+    /// frame. `()` for strategies that read nothing but the view.
+    type Plan: Send + Sync;
 
     /// The constant L1 viewing radius this strategy requires.
     fn radius(&self) -> i32;
 
-    /// The *compute* step. Must only probe the view (locality is
-    /// enforced by the view itself in debug builds).
+    /// The single-phase *compute* step: the action from the view alone.
+    /// Must only probe the view (locality is enforced by the view itself
+    /// in debug builds). The engine calls it only through the default
+    /// [`Controller::decide_with_plans`]; it is the reference that
+    /// method must agree with, and what per-robot probes and tests call.
     fn decide(&self, view: &View<'_, Self::State>, ctx: RoundCtx) -> Action<Self::State>;
+
+    /// Phase-1 pre-check on a robot's own state: `false` promises that
+    /// [`Controller::plan`] would return `None` this round, so the
+    /// engine builds no view for the robot.
+    fn needs_plan(&self, _state: &Self::State, _ctx: RoundCtx) -> bool {
+        false
+    }
+
+    /// Phase 1: the plan the robot shares this round, in its own frame;
+    /// `None` when it has nothing to share. Evaluated at most once per
+    /// robot per round.
+    fn plan(&self, _view: &View<'_, Self::State>, _ctx: RoundCtx) -> Option<Self::Plan> {
+        None
+    }
+
+    /// Phase 2: the action, given the view and the round's plans of the
+    /// robot itself and its Chebyshev neighbours. Must equal
+    /// [`Controller::decide`] on the same view: plans only save the
+    /// recomputation.
+    fn decide_with_plans(
+        &self,
+        view: &View<'_, Self::State>,
+        ctx: RoundCtx,
+        _plans: &Plans<'_, Self::State, Self::Plan>,
+    ) -> Action<Self::State> {
+        self.decide(view, ctx)
+    }
 }
 
 /// How strictly the engine checks swarm connectivity after each round.
@@ -124,6 +164,7 @@ pub struct Engine<C: Controller> {
     metrics: Metrics,
     observer: Option<BoxedRoundObserver>,
     profiler: Option<BoxedProfileSink>,
+    plans: PlanTable<C::Plan>,
 }
 
 impl<C: Controller> std::fmt::Debug for Engine<C> {
@@ -141,7 +182,16 @@ impl<C: Controller> std::fmt::Debug for Engine<C> {
 impl<C: Controller> Engine<C> {
     pub fn new(swarm: Swarm<C::State>, controller: C, config: EngineConfig) -> Self {
         let metrics = Metrics::new(config.keep_history);
-        Engine { swarm, controller, config, round: 0, metrics, observer: None, profiler: None }
+        Engine {
+            swarm,
+            controller,
+            config,
+            round: 0,
+            metrics,
+            observer: None,
+            profiler: None,
+            plans: PlanTable::default(),
+        }
     }
 
     /// Convenience constructor from bare positions.
@@ -223,7 +273,6 @@ impl<C: Controller> Engine<C> {
 
         let n = self.swarm.len();
         let ctx = RoundCtx { round: self.round };
-        let radius = self.controller.radius();
         // Observation is pay-as-you-go: the activation clone, the
         // world-frame move list and the pending-move list are only
         // materialised when an observer is attached.
@@ -235,35 +284,18 @@ impl<C: Controller> Engine<C> {
             staleness,
         } = self.config.scheduler
         {
-            self.step_async(
-                seed,
-                staleness,
-                ctx,
-                radius,
-                tracing,
-                &mut moves,
-                &mut pending,
-                &mut prof,
-            )
+            self.step_async(seed, staleness, ctx, tracing, &mut moves, &mut pending, &mut prof)
         } else {
             let activation =
                 timed(&mut prof, Phase::Activate, || self.config.scheduler.activate(self.round, n));
             let activated = activation.len(n);
-            let swarm = &self.swarm;
-            let controller = &self.controller;
-            let decide = |i: usize| {
-                let view = View::new(swarm, i, radius);
-                controller.decide(&view, ctx)
-            };
             let recorded_activation = tracing.then(|| activation.clone());
             let outcome = match activation {
                 Activation::All => {
-                    let actions: Vec<Action<C::State>> = timed(&mut prof, Phase::Compute, || {
-                        parallel_map(n, self.config.threads, decide)
-                    });
+                    let actions = timed(&mut prof, Phase::Compute, || self.compute(None, ctx));
                     if tracing {
                         moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(swarm, actions.iter().enumerate())
+                            world_moves(&self.swarm, actions.iter().enumerate())
                         });
                     }
                     self.swarm.apply_threads_profiled(
@@ -273,12 +305,11 @@ impl<C: Controller> Engine<C> {
                     )
                 }
                 Activation::Subset(active) => {
-                    let computed: Vec<Action<C::State>> = timed(&mut prof, Phase::Compute, || {
-                        parallel_map(active.len(), self.config.threads, |j| decide(active[j]))
-                    });
+                    let computed =
+                        timed(&mut prof, Phase::Compute, || self.compute(Some(&active), ctx));
                     if tracing {
                         moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(swarm, active.iter().copied().zip(computed.iter()))
+                            world_moves(&self.swarm, active.iter().copied().zip(computed.iter()))
                         });
                     }
                     // Sparse apply: O(activated ∪ moved), never the O(n)
@@ -377,7 +408,6 @@ impl<C: Controller> Engine<C> {
         seed: u64,
         staleness: u32,
         ctx: RoundCtx,
-        radius: i32,
         tracing: bool,
         moves: &mut Vec<RobotMove>,
         pending: &mut Vec<PendingMove>,
@@ -398,14 +428,7 @@ impl<C: Controller> Engine<C> {
                 Activation::Subset(look.clone())
             }
         });
-        let swarm = &self.swarm;
-        let controller = &self.controller;
-        let computed: Vec<Action<C::State>> = timed(prof, Phase::Compute, || {
-            parallel_map(look.len(), self.config.threads, |j| {
-                let view = View::new(swarm, look[j], radius);
-                controller.decide(&view, ctx)
-            })
-        });
+        let computed = timed(prof, Phase::Compute, || self.compute(Some(&look), ctx));
         // Split this round's looks by their seeded delay, then merge the
         // delay-0 ones with the earlier looks falling due now. Both
         // lists are slot-sorted and disjoint (a due robot was in flight,
@@ -466,6 +489,13 @@ impl<C: Controller> Engine<C> {
         (recorded_activation, activated, outcome)
     }
 
+    /// The compute step of one round through the two-phase plan path
+    /// ([`crate::plan`]): the actions of `active` (every robot when
+    /// `None`), in slot order.
+    fn compute(&mut self, active: Option<&[usize]>, ctx: RoundCtx) -> Vec<Action<C::State>> {
+        self.plans.compute(&self.swarm, &self.controller, active, ctx, self.config.threads)
+    }
+
     /// Run until gathered or until `max_rounds` have elapsed.
     pub fn run_until_gathered(&mut self, max_rounds: u64) -> Result<RunOutcome, EngineError> {
         let initial_robots = self.swarm.len();
@@ -514,6 +544,7 @@ mod tests {
     struct MarchEast;
     impl Controller for MarchEast {
         type State = ();
+        type Plan = ();
         fn radius(&self) -> i32 {
             2
         }
@@ -549,6 +580,7 @@ mod tests {
         struct Idle;
         impl Controller for Idle {
             type State = ();
+            type Plan = ();
             fn radius(&self) -> i32 {
                 1
             }
@@ -568,6 +600,7 @@ mod tests {
         struct Idle;
         impl Controller for Idle {
             type State = ();
+            type Plan = ();
             fn radius(&self) -> i32 {
                 1
             }
@@ -757,6 +790,7 @@ mod tests {
         struct Idle;
         impl Controller for Idle {
             type State = ();
+            type Plan = ();
             fn radius(&self) -> i32 {
                 1
             }
@@ -903,6 +937,7 @@ mod tests {
         struct Flee;
         impl Controller for Flee {
             type State = ();
+            type Plan = ();
             fn radius(&self) -> i32 {
                 2
             }

@@ -206,36 +206,33 @@ impl D4 {
         D4 { rot: i & 3, flip: (i & 4) != 0 }
     }
 
+    #[inline]
     pub fn apply(self, v: V2) -> V2 {
-        let mut v = if self.flip { V2::new(-v.x, v.y) } else { v };
-        for _ in 0..self.rot {
-            v = v.rot_ccw();
+        let x = if self.flip { -v.x } else { v.x };
+        match self.rot & 3 {
+            0 => V2::new(x, v.y),
+            1 => V2::new(-v.y, x),
+            2 => V2::new(-x, -v.y),
+            _ => V2::new(v.y, -x),
         }
-        v
     }
 
-    /// The transform `g` with `g.apply(self.apply(v)) == v`.
+    /// The transform `g` with `g.apply(self.apply(v)) == v`. Closed form
+    /// of `(rot^r ∘ flip^f)⁻¹ = flip^f ∘ rot^-r`: a reflection is its own
+    /// inverse, and `flip ∘ rot^-r = rot^r ∘ flip`.
+    #[inline]
     pub fn inverse(self) -> D4 {
-        // Search is fine: the group has 8 elements and this is not hot.
-        for g in D4::all() {
-            if g.then(self) == D4::IDENTITY {
-                return g;
-            }
-        }
-        unreachable!("every group element has an inverse")
+        let rot = self.rot & 3;
+        D4 { rot: if self.flip { rot } else { (4 - rot) & 3 }, flip: self.flip }
     }
 
-    /// Composition: `self.then(g)` applies `self` first, then `g`.
+    /// Composition: `self.then(g)` applies `self` first, then `g`. Closed
+    /// form: `flip ∘ rot^r = rot^-r ∘ flip`, so a reflecting `g` negates
+    /// `self`'s rotation before adding its own.
+    #[inline]
     pub fn then(self, g: D4) -> D4 {
-        // Normalise by probing two independent vectors.
-        let e = g.apply(self.apply(V2::E));
-        let n = g.apply(self.apply(V2::N));
-        for h in D4::all() {
-            if h.apply(V2::E) == e && h.apply(V2::N) == n {
-                return h;
-            }
-        }
-        unreachable!("composition stays in the group")
+        let r = self.rot & 3;
+        D4 { rot: ((g.rot & 3) + if g.flip { 4 - r } else { r }) & 3, flip: self.flip ^ g.flip }
     }
 }
 
@@ -322,6 +319,18 @@ mod tests {
         for g in D4::all() {
             assert_eq!(g.apply(v).l1(), v.l1());
             assert_eq!(g.apply(v).linf(), v.linf());
+        }
+    }
+
+    #[test]
+    fn d4_apply_matches_flip_then_repeated_rotation() {
+        let v = V2::new(2, -5);
+        for g in D4::all() {
+            let mut w = if g.flip { V2::new(-v.x, v.y) } else { v };
+            for _ in 0..g.rot {
+                w = w.rot_ccw();
+            }
+            assert_eq!(g.apply(v), w, "g = {g:?}");
         }
     }
 

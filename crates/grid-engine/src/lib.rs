@@ -24,6 +24,9 @@
 //!   seeded pseudo-random SSYNC subsets, or a round-robin k-of-n
 //!   adversary; the compute step is evaluated as a deterministic
 //!   parallel map either way ([`Engine`], [`Scheduler`], [`parallel`]).
+//! * **Shared plans** — the compute step runs in two phases: robots
+//!   first evaluate, once each, what they share with their Chebyshev
+//!   neighbours, then decide with those plans at hand ([`plan`]).
 //!
 //! Strategies implement [`Controller`]; the paper's algorithm lives in
 //! the `gather-core` crate, comparators in `gather-baselines`.
@@ -36,6 +39,7 @@ pub mod grid;
 pub mod metrics;
 pub mod observe;
 pub mod parallel;
+pub mod plan;
 pub mod profile;
 pub mod scheduler;
 pub mod swarm;
@@ -48,6 +52,7 @@ pub use engine::{
 pub use geom::{Bounds, Point, D4, V2};
 pub use metrics::{Metrics, RoundStats};
 pub use observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
+pub use plan::Plans;
 pub use profile::{
     allocation_count, BoxedProfileSink, Phase, ProfileTotals, RoundProfile, PHASE_COUNT,
 };

@@ -96,12 +96,23 @@ impl<'a, S: RobotState> View<'a, S> {
     /// The state of the robot at offset `v`, re-expressed in the
     /// observing robot's frame. `None` if the cell is empty.
     pub fn state(&self, v: V2) -> Option<S> {
-        let p = self.world(v);
+        let j = self.slot_at(v)?;
+        Some(self.swarm.states()[j].transform(self.frame_of(j)))
+    }
+
+    /// Dense slot of the robot at offset `v`, if any. Engine-internal:
+    /// slots identify robots, which the model keeps anonymous.
+    #[inline]
+    pub(crate) fn slot_at(&self, v: V2) -> Option<usize> {
         // Tile cells store stable handles; translate to the dense slot.
-        let j = self.swarm.slot(self.win.get(p)?);
-        // other frame -> world -> my frame.
-        let m = self.swarm.orients()[j].then(self.inv);
-        Some(self.swarm.states()[j].transform(m))
+        Some(self.swarm.slot(self.win.get(self.world(v))?))
+    }
+
+    /// The transform from robot `j`'s frame to this observer's: other
+    /// frame -> world -> my frame.
+    #[inline]
+    pub(crate) fn frame_of(&self, j: usize) -> D4 {
+        self.swarm.orients()[j].then(self.inv)
     }
 
     /// Offsets (robot frame) of all robots within L1 distance `r` of the

@@ -222,6 +222,7 @@ fn async_engine_rounds_match_dense_oracle_across_threads() {
     struct MarchEast;
     impl Controller for MarchEast {
         type State = ();
+        type Plan = ();
         fn radius(&self) -> i32 {
             2
         }
