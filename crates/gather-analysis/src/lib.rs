@@ -2,9 +2,9 @@
 //!
 //! Statistics and table emission for the experiment suite: least-squares
 //! fits that discriminate linear from quadratic round growth (E1/E8),
-//! log–log slope estimation, Markdown/CSV table rendering for
-//! EXPERIMENTS.md, and ingestion of the streamed JSONL records that
-//! campaign runs produce ([`ingest`]).
+//! log–log slope estimation, Markdown/CSV table rendering for the
+//! `report` binary and `campaign summarize`, and ingestion of the
+//! streamed JSONL records that campaign runs produce ([`ingest`]).
 
 mod fit;
 pub mod ingest;

@@ -1,4 +1,5 @@
-//! Criterion benches, one group per measured experiment (DESIGN.md §4).
+//! Criterion benches, one group per measured experiment (the E-numbered
+//! tables of the `report` binary).
 //! Shapes, not absolute numbers, are the reproduction target; the
 //! heavyweight sweeps live in the `report` binary.
 

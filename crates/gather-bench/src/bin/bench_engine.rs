@@ -1,10 +1,10 @@
 //! Engine-throughput measurement: robots·rounds per second of the FSYNC
-//! round loop (look + compute + sharded apply) at large n, emitted as
+//! round loop (look + compute + apply) at large n, emitted as
 //! `BENCH_engine.json`.
 //!
 //! Unlike the criterion benches (which time small controller kernels)
 //! this drives the *whole* engine — tiled occupancy probes through view
-//! windows, the parallel compute map, and the sharded round-apply — on
+//! windows, the parallel compute map, and the sparse round-apply — on
 //! swarms up to 10⁶ robots, including the sparse `clusters` family whose
 //! bounding box a dense O(area) occupancy index cannot allocate.
 //!
@@ -18,9 +18,9 @@
 //!           --seed 1 --scheduler fsync --out BENCH_engine.json
 //!
 //! `--scheduler` takes any registry name (`fsync`, `ssync-p50`, `rr4`,
-//! `crash-f10`, …) so the weak-scheduler round path — a k-robot
-//! activation applied through the sparse apply — is benchable and
-//! gateable like the FSYNC path. Throughput is still robot-rounds/s
+//! `crash-f10`, …) so the weak-scheduler rounds — a k-robot activation
+//! through the same sparse apply FSYNC rounds use — are benchable and
+//! gateable like FSYNC. Throughput is still robot-rounds/s
 //! (live population summed per round): under `rrK` it measures how
 //! cheaply the engine turns a round over relative to the swarm size,
 //! which is exactly the O(active)-vs-O(n) axis.
@@ -34,7 +34,7 @@
 //!
 //! The post-run position digest is asserted identical across all
 //! measured thread counts — every bench run doubles as a determinism
-//! check of the parallel apply.
+//! check of the parallel compute map.
 //!
 //! `--gate BASELINE.json` turns the run into a CI regression gate: each
 //! measured thread count is compared against the same-thread-count
@@ -44,7 +44,7 @@
 //! (default 2.5×) is deliberately generous: robot-rounds/s is roughly
 //! n-independent but CI runners are noisy and slower than the baseline
 //! box, so only a real cliff — an accidental O(area) scan, a lost
-//! parallel path — should trip it. When the baseline row ran the same
+//! parallel compute map — should trip it. When the baseline row ran the same
 //! scheduler, population and round count, the gate also requires the
 //! same post-run digest, so a faster run whose results drifted fails.
 
@@ -232,8 +232,6 @@ fn profile_json(threads: usize, scheduler: &str, n: usize, totals: &ProfileTotal
     for phase in Phase::ALL {
         s.push_str(&format!(", \"{}_ns\": {}", phase.name(), totals.phase_ns[phase as usize]));
     }
-    s.push_str(&format!(", \"shard_gap_ns\": {}", totals.shard_imbalance_ns));
-    s.push_str(&format!(", \"compact_gap_ns\": {}", totals.compact_imbalance_ns));
     if totals.allocs_counted {
         s.push_str(&format!(", \"allocs\": {}", totals.allocs));
     }
@@ -521,14 +519,12 @@ mod tests {
     fn profile_rows_are_flat_json_with_every_phase() {
         let mut totals = ProfileTotals { rounds: 3, wall_ns: 1_000, ..Default::default() };
         totals.phase_ns[Phase::Compute as usize] = 600;
-        totals.shard_imbalance_ns = 42;
         let row = profile_json(8, "fsync", 1_000_000, &totals);
         let map = gather_analysis::parse_flat_json(&row).expect("profile row parses flat");
         assert_eq!(map.get("threads").and_then(|v| v.as_u64()), Some(8));
         assert_eq!(map.get("scheduler").and_then(|v| v.as_str()), Some("fsync"));
         assert_eq!(map.get("n").and_then(|v| v.as_u64()), Some(1_000_000));
         assert_eq!(map.get("compute_ns").and_then(|v| v.as_u64()), Some(600));
-        assert_eq!(map.get("shard_gap_ns").and_then(|v| v.as_u64()), Some(42));
         for phase in Phase::ALL {
             assert!(map.contains_key(&format!("{}_ns", phase.name())), "{row}");
         }

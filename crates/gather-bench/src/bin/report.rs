@@ -1,10 +1,9 @@
-//! Regenerate every experiment table from EXPERIMENTS.md.
+//! Regenerate every experiment table (E1–E10).
 //!
 //! Usage: `report [e1|e2|...|e10|all] [--quick]`
 //!
-//! `--quick` shrinks the sweeps (used in CI); the full run matches the
-//! numbers recorded in EXPERIMENTS.md up to simulation determinism
-//! (everything is seeded, so re-runs are bit-identical).
+//! `--quick` shrinks the sweeps (used in CI). Everything is seeded, so
+//! re-runs are bit-identical.
 
 use gather_analysis::{linear_fit, loglog_slope, quadratic_fit, render_markdown, Table};
 use gather_bench::{budget_for, run_center, run_greedy, run_paper};
@@ -65,7 +64,7 @@ fn e1_scaling(quick: bool) {
         let mut series = String::new();
         for &n in sizes {
             if f == Family::HollowSquare && n > 512 {
-                continue; // documented limitation, see EXPERIMENTS.md
+                continue; // known stall, see ROADMAP.md's Theorem 1 item
             }
             let cells = family(f, n, 3);
             let m = run_paper(&cells, 3, GatherConfig::paper(), budget_for(cells.len()));

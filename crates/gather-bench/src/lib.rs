@@ -1,8 +1,8 @@
 //! # gather-bench
 //!
-//! Shared experiment harness for the criterion benches and the `report`
-//! binary that regenerates every table in EXPERIMENTS.md. Each function
-//! corresponds to an experiment ID from DESIGN.md §4.
+//! Shared experiment harness for the criterion benches, the `report`
+//! binary that regenerates the experiment tables E1–E10 (README,
+//! "Experiments and benches"), and campaigns.
 
 use gather_baselines::{AsyncGreedy, GoToCenter};
 use gather_core::{GatherConfig, GatherController};

@@ -212,7 +212,6 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
         secs: f64,
         robot_rounds: f64,
         phase_s: [f64; PHASE_COUNT],
-        shard_gap_s: f64,
         allocs: Option<u64>,
     }
 
@@ -227,7 +226,6 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
                 secs: 0.0,
                 robot_rounds: 0.0,
                 phase_s: [0.0; PHASE_COUNT],
-                shard_gap_s: 0.0,
                 allocs: None,
             });
         cell.runs += 1;
@@ -237,7 +235,6 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
         for (sum, s) in cell.phase_s.iter_mut().zip(&perf.phase_s) {
             *sum += s;
         }
-        cell.shard_gap_s += perf.shard_gap_s;
         if let Some(a) = perf.allocs {
             cell.allocs = Some(cell.allocs.unwrap_or(0) + a);
         }
@@ -250,7 +247,7 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
 
     let mut headers: Vec<&str> = vec!["family", "n", "scheduler", "runs", "wall s"];
     headers.extend(Phase::ALL.iter().map(|p| p.name()));
-    headers.extend(["shard gap", "coverage", "robot·rounds/s"]);
+    headers.extend(["coverage", "robot·rounds/s"]);
     let counted_allocs = groups.values().any(|c| c.allocs.is_some());
     if counted_allocs {
         headers.push("allocs");
@@ -275,7 +272,6 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
             format!("{:.3}", cell.wall_s),
         ];
         row.extend(Phase::ALL.iter().map(|&p| share(cell.phase_s[p as usize])));
-        row.push(share(cell.shard_gap_s));
         row.push(share(cell.phase_s.iter().sum()));
         row.push(if cell.secs > 0.0 {
             format!("{:.0}", cell.robot_rounds / cell.secs)
@@ -477,13 +473,8 @@ mod tests {
 
         let mut with_perf = rec(Family::Line, 32, 0, 64, true);
         with_perf.secs = 2.0;
-        let mut perf = PerfSummary {
-            wall_s: 1.0,
-            rounds: 64,
-            phase_s: [0.0; PHASE_COUNT],
-            shard_gap_s: 0.05,
-            allocs: None,
-        };
+        let mut perf =
+            PerfSummary { wall_s: 1.0, rounds: 64, phase_s: [0.0; PHASE_COUNT], allocs: None };
         perf.phase_s[Phase::Compute as usize] = 0.6;
         perf.phase_s[Phase::MergeDetect as usize] = 0.3;
         with_perf.perf = Some(perf);

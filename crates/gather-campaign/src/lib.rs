@@ -40,7 +40,7 @@
 //! * [`smoke`] — the large-n determinism smoke: record a bounded-round
 //!   trace at two engine thread counts, replay it through
 //!   digest-verified playback, and require byte-identical files — CI's
-//!   guard on the sharded parallel round-apply.
+//!   guard on the sparse round-apply and the parallel compute map.
 //! * The `campaign` binary — `run` / `resume` / `record` / `replay` /
 //!   `diff` / `render` / `smoke` / `summarize` subcommands over all of
 //!   the above, with `--spec FILE` loading a scenario matrix from a

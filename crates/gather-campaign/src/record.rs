@@ -16,9 +16,6 @@ pub struct PerfSummary {
     pub rounds: u64,
     /// Per-phase attributed time, indexed by `Phase as usize`.
     pub phase_s: [f64; PHASE_COUNT],
-    /// Accumulated slowest-minus-fastest shard gap in the sharded
-    /// merge-detect section (parallel imbalance).
-    pub shard_gap_s: f64,
     /// Allocation events over the run; `Some` only when the engine was
     /// built with the `count-alloc` feature.
     pub allocs: Option<u64>,
@@ -36,7 +33,6 @@ impl PerfSummary {
             wall_s: t.wall_ns as f64 / 1e9,
             rounds: t.rounds,
             phase_s,
-            shard_gap_s: t.shard_imbalance_ns as f64 / 1e9,
             allocs: t.allocs_counted.then_some(t.allocs),
         }
     }
@@ -162,7 +158,6 @@ impl ScenarioRecord {
             for phase in Phase::ALL {
                 w = w.field_f64(&format!("perf_{}_s", phase.name()), perf.phase_s[phase as usize]);
             }
-            w = w.field_f64("perf_shard_gap_s", perf.shard_gap_s);
             if let Some(allocs) = perf.allocs {
                 w = w.field_u64("perf_allocs", allocs);
             }
@@ -202,7 +197,6 @@ impl ScenarioRecord {
                 wall_s,
                 rounds: map.get("perf_rounds").and_then(|v| v.as_u64()).unwrap_or(0),
                 phase_s,
-                shard_gap_s: f64_field("perf_shard_gap_s").unwrap_or(0.0),
                 allocs: map.get("perf_allocs").and_then(|v| v.as_u64()),
             }
         });
@@ -308,7 +302,6 @@ mod tests {
             wall_s: 1.2,
             rounds: 412,
             phase_s: [0.0; PHASE_COUNT],
-            shard_gap_s: 0.03,
             allocs: Some(1234),
         };
         for (i, slot) in perf.phase_s.iter_mut().enumerate() {
@@ -332,12 +325,10 @@ mod tests {
     fn perf_summary_from_totals_converts_ns_to_seconds() {
         let mut totals = ProfileTotals { rounds: 10, wall_ns: 2_000_000_000, ..Default::default() };
         totals.phase_ns[Phase::Compute as usize] = 1_500_000_000;
-        totals.shard_imbalance_ns = 40_000_000;
         let perf = PerfSummary::from_totals(&totals);
         assert_eq!(perf.rounds, 10);
         assert!((perf.wall_s - 2.0).abs() < 1e-9);
         assert!((perf.phase_s[Phase::Compute as usize] - 1.5).abs() < 1e-9);
-        assert!((perf.shard_gap_s - 0.04).abs() < 1e-9);
         assert_eq!(perf.allocs, None, "allocs not counted");
         assert!((perf.coverage() - 0.75).abs() < 1e-9);
     }

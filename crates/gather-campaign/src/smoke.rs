@@ -1,16 +1,17 @@
 //! Large-n determinism smoke: record one bounded-round trace of the
 //! engine at two thread counts, replay it through digest-verified
 //! playback, and diff the two recordings — the CI guard that the
-//! sharded parallel round-apply stays bit-identical on every push.
+//! engine's sparse round-apply agrees with the dense replay, and that
+//! the parallel compute map stays bit-identical, on every push.
 //!
 //! `campaign record`/`replay` re-execute whole scenarios to completion,
 //! which at 10⁵+ robots means ~n rounds of work; the smoke instead
 //! drives the engine directly for a fixed number of rounds, so a
 //! 100 000-robot determinism check fits in a CI minute. Playback
 //! re-derives the evolution from the recorded moves through
-//! `Swarm::apply_partial` and verifies every round's population and
-//! position digest, so a clean replay certifies the engine's apply —
-//! not just that the file round-trips.
+//! the dense `Swarm::apply_partial` and verifies every round's
+//! population and position digest, so a clean replay certifies the
+//! engine's sparse apply — not just that the file round-trips.
 
 use std::cell::RefCell;
 use std::fs::{self, File};
@@ -40,11 +41,11 @@ pub struct SmokeArgs {
     /// byte-identical.
     pub threads_a: usize,
     pub threads_b: usize,
-    /// Activation policy for the recorded rounds. Partial schedulers
-    /// (`rr4`, `ssync-p50`, ...) drive the engine's sparse round path,
-    /// while playback re-derives every round through the dense
-    /// `Swarm::apply_partial` — so a non-FSYNC smoke cross-checks the
-    /// sparse apply against the dense one on every run.
+    /// Activation policy for the recorded rounds. Every scheduler
+    /// (`fsync`, `rr4`, `ssync-p50`, ...) drives the engine's sparse
+    /// round path, while playback re-derives every round through the
+    /// dense `Swarm::apply_partial` — so every smoke cross-checks the
+    /// sparse apply against the dense one.
     pub scheduler: SchedulerKind,
     /// Where the two `.gtrc` files land.
     pub dir: PathBuf,
@@ -232,8 +233,8 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
 mod tests {
     use super::*;
 
-    /// End-to-end at a size that engages the sharded apply (n above the
-    /// parallel threshold) but stays debug-build fast.
+    /// End-to-end FSYNC at a size above the compute map's parallel
+    /// threshold that stays debug-build fast.
     #[test]
     fn smoke_passes_on_a_sharded_size() {
         let dir = std::env::temp_dir().join(format!("gather-smoke-{}", std::process::id()));

@@ -102,9 +102,10 @@ pub(crate) fn starts(view: GView, at: V2, _cfg: &GatherConfig) -> Vec<Run> {
         // locally symmetric junction, or two segments both longer than
         // the cap) suppresses both, which is always safe. Very large
         // thin rings whose mesa steps all exceed the cap can stay
-        // suppressed for a long time — a measured limitation recorded
-        // in EXPERIMENTS.md (the paper's Fig. 7 patterns embed the
-        // asymmetry in richer start contexts).
+        // suppressed for a long time — a measured limitation (README,
+        // "Schedulers: probing the claim beyond FSYNC"; ROADMAP.md's
+        // Theorem 1 item). The paper's Fig. 7 patterns embed the
+        // asymmetry in richer start contexts.
         if score(c, &theirs) >= my_score {
             return Vec::new();
         }

@@ -27,8 +27,8 @@ pub struct Run {
     /// and accumulated stale runs suppress each other's reshapement
     /// (run passing) until the swarm deadlocks. A bounded age keeps the
     /// run population proportional to the start rate, which is all the
-    /// paper's pipelining argument needs. (Deviation recorded in
-    /// DESIGN.md §3.)
+    /// paper's pipelining argument needs. (The expiry is this
+    /// reproduction's addition; the paper has no run age.)
     pub age: u16,
 }
 

@@ -107,7 +107,7 @@ fn assert_shared_plans_match_standalone(
 }
 
 /// Shared plans on a swarm above the engine's parallel threshold, so
-/// the compute map and the round-apply really split across threads.
+/// the compute map really splits across threads.
 #[test]
 fn shared_plans_match_standalone_decide_across_threads() {
     let pts = gather_workloads::hollow_rectangle(300, 300, 1);

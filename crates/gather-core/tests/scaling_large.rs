@@ -8,7 +8,7 @@ use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode};
 fn all_families_gather_large() {
     for f in all_families() {
         for n in [512usize, 2048] {
-            // Known limitation (EXPERIMENTS.md §limitations): very large
+            // Known limitation (ROADMAP.md, Theorem 1 item): very large
             // 1-thick rings develop all-tied mesa junctions and stall;
             // the hollow family is validated up to ~500 robots.
             if f == gather_workloads::Family::HollowSquare && n > 512 {

@@ -1,10 +1,10 @@
 //! # gather-workloads
 //!
 //! Deterministic, seeded swarm generators for every configuration family
-//! used by the paper's discussion and by our experiment suite
-//! (EXPERIMENTS.md): worst-case diameter chains, quasi-line plateaus
-//! (Fig. 4), hollow shapes with inner boundaries (Fig. 1), stairways
-//! (Fig. 16), and random connected blobs.
+//! used by the paper's discussion and by the experiment suite (README,
+//! "Experiments and benches"): worst-case diameter chains, quasi-line
+//! plateaus (Fig. 4), hollow shapes with inner boundaries (Fig. 1),
+//! stairways (Fig. 16), and random connected blobs.
 //!
 //! All generators return a duplicate-free, 4-connected `Vec<Point>` and
 //! are pure functions of their parameters (random families take an

@@ -165,6 +165,9 @@ pub struct Engine<C: Controller> {
     observer: Option<BoxedRoundObserver>,
     profiler: Option<BoxedProfileSink>,
     plans: PlanTable<C::Plan>,
+    /// `0, 1, 2, …`: an FSYNC round's activation list, sliced to the
+    /// live population. Grows only when a larger swarm is swapped in.
+    all_slots: Vec<usize>,
 }
 
 impl<C: Controller> std::fmt::Debug for Engine<C> {
@@ -183,6 +186,7 @@ impl<C: Controller> Engine<C> {
     pub fn new(swarm: Swarm<C::State>, controller: C, config: EngineConfig) -> Self {
         let metrics = Metrics::new(config.keep_history);
         Engine {
+            all_slots: (0..swarm.len()).collect(),
             swarm,
             controller,
             config,
@@ -234,11 +238,11 @@ impl<C: Controller> Engine<C> {
 
     /// Attach a per-round profile sink: called once after every round
     /// (failing rounds included) with the round's [`RoundProfile`] —
-    /// wall time attributed to named phases, shard imbalance in the
-    /// parallel apply, and the allocation delta when the `count-alloc`
-    /// feature is on. Profiling observes the round *after* its work, so
-    /// results are bit-identical with and without a sink; with no sink
-    /// attached the round loop reads no clocks at all.
+    /// wall time attributed to named phases, and the allocation delta
+    /// when the `count-alloc` feature is on. Profiling observes the
+    /// round *after* its work, so results are bit-identical with and
+    /// without a sink; with no sink attached the round loop reads no
+    /// clocks at all.
     pub fn set_profiler(&mut self, profiler: BoxedProfileSink) {
         self.profiler = Some(profiler);
     }
@@ -250,11 +254,10 @@ impl<C: Controller> Engine<C> {
 
     /// Execute one scheduler round: activate the scheduler's subset,
     /// compute their actions in parallel, and apply them simultaneously
-    /// (inactive robots keep position and state). The apply itself also
-    /// uses the configured worker threads — merge detection and the
-    /// occupancy rebuild shard by tile, bit-identically to the
-    /// sequential path. Under
-    /// [`Scheduler::Fsync`] this is exactly the paper's FSYNC round.
+    /// (inactive robots keep position and state). Every scheduler
+    /// applies through the one sparse round-apply
+    /// ([`Swarm::apply_sparse`]) on the calling thread; an FSYNC round
+    /// activates every slot, which is exactly the paper's FSYNC round.
     /// Activated robots all observe the engine's global round counter —
     /// the weaker schedulers relax *who* acts, not the common clock.
     /// Returns the round's statistics.
@@ -279,53 +282,32 @@ impl<C: Controller> Engine<C> {
         let tracing = self.observer.is_some();
         let mut moves: Vec<RobotMove> = Vec::new();
         let mut pending: Vec<PendingMove> = Vec::new();
-        let (recorded_activation, activated, outcome) = if let Scheduler::Async {
-            seed,
-            staleness,
-        } = self.config.scheduler
-        {
-            self.step_async(seed, staleness, ctx, tracing, &mut moves, &mut pending, &mut prof)
-        } else {
-            let activation =
-                timed(&mut prof, Phase::Activate, || self.config.scheduler.activate(self.round, n));
-            let activated = activation.len(n);
-            let recorded_activation = tracing.then(|| activation.clone());
-            let outcome = match activation {
-                Activation::All => {
-                    let actions = timed(&mut prof, Phase::Compute, || self.compute(None, ctx));
-                    if tracing {
-                        moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(&self.swarm, actions.iter().enumerate())
-                        });
-                    }
-                    self.swarm.apply_threads_profiled(
-                        actions,
-                        self.config.threads,
-                        prof.as_deref_mut(),
-                    )
+        let (recorded_activation, activated, outcome) =
+            if let Scheduler::Async { seed, staleness } = self.config.scheduler {
+                self.step_async(seed, staleness, ctx, tracing, &mut moves, &mut pending, &mut prof)
+            } else {
+                let activation = timed(&mut prof, Phase::Activate, || {
+                    self.config.scheduler.activate(self.round, n)
+                });
+                let activated = activation.len(n);
+                let recorded_activation = tracing.then(|| activation.clone());
+                let subset = match &activation {
+                    Activation::All => None,
+                    Activation::Subset(active) => Some(active.as_slice()),
+                };
+                let computed = timed(&mut prof, Phase::Compute, || self.compute(subset, ctx));
+                if self.all_slots.len() < n {
+                    self.all_slots.extend(self.all_slots.len()..n);
                 }
-                Activation::Subset(active) => {
-                    let computed =
-                        timed(&mut prof, Phase::Compute, || self.compute(Some(&active), ctx));
-                    if tracing {
-                        moves = timed(&mut prof, Phase::Observe, || {
-                            world_moves(&self.swarm, active.iter().copied().zip(computed.iter()))
-                        });
-                    }
-                    // Sparse apply: O(activated ∪ moved), never the O(n)
-                    // scatter into a full Option vector. Bit-identical to
-                    // the dense partial apply (the equivalence proptests and
-                    // the trace replay oracle both pin this).
-                    self.swarm.apply_sparse_threads_profiled(
-                        &active,
-                        computed,
-                        self.config.threads,
-                        prof.as_deref_mut(),
-                    )
+                let active = subset.unwrap_or(&self.all_slots[..n]);
+                if tracing {
+                    moves = timed(&mut prof, Phase::Observe, || {
+                        world_moves(&self.swarm, active.iter().copied().zip(computed.iter()))
+                    });
                 }
+                let outcome = self.swarm.apply_sparse(active, computed, prof.as_deref_mut());
+                (recorded_activation, activated, outcome)
             };
-            (recorded_activation, activated, outcome)
-        };
         let stats = RoundStats {
             round: self.round,
             merged: outcome.merged,
@@ -480,12 +462,7 @@ impl<C: Controller> Engine<C> {
                 world_moves(&self.swarm, commit_slots.iter().copied().zip(commit_actions.iter()))
             });
         }
-        let outcome = self.swarm.apply_sparse_threads_profiled(
-            &commit_slots,
-            commit_actions,
-            self.config.threads,
-            prof.as_deref_mut(),
-        );
+        let outcome = self.swarm.apply_sparse(&commit_slots, commit_actions, prof.as_deref_mut());
         (recorded_activation, activated, outcome)
     }
 
@@ -758,7 +735,6 @@ mod tests {
             for (i, p) in profiles.iter().enumerate() {
                 assert_eq!(p.round, i as u64);
                 assert!(p.phases_total_ns() <= p.wall_ns, "phases exceed wall time");
-                assert!(p.shard_min_ns <= p.shard_max_ns);
                 totals.add(p);
             }
             // The named phases must explain the overwhelming share of
@@ -769,14 +745,6 @@ mod tests {
                 totals.coverage() * 100.0,
                 totals.render(),
             );
-            // This swarm is above PARALLEL_THRESHOLD, so the parallel
-            // path ran and clocked its merge shards.
-            if threads > 1 {
-                assert!(
-                    profiles.iter().any(|p| p.shard_max_ns > 0),
-                    "threads={threads}: sharded section never clocked"
-                );
-            }
             assert_eq!(
                 profiles.iter().all(|p| p.allocs.is_some()),
                 cfg!(feature = "count-alloc"),

@@ -11,8 +11,9 @@
 //!   neighbouring cells per round, and *merge* when co-located
 //!   ([`Swarm::apply`]). Occupancy is a tiled index ([`tile`]): 64×64
 //!   dense tiles in sharded hash maps, so memory scales with occupied
-//!   tiles (not the bounding rectangle) and the round-apply itself
-//!   shards across worker threads bit-identically.
+//!   tiles (not the bounding rectangle). Every round applies through
+//!   one sparse path whose cost is O(activated ∪ moved)
+//!   ([`Swarm::apply_sparse`]).
 //! * **Connectivity** — two robots are connected when they are
 //!   horizontal or vertical neighbours; the swarm must stay connected
 //!   ([`connectivity`]).

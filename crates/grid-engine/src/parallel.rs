@@ -11,10 +11,8 @@
 
 use std::num::NonZeroUsize;
 
-/// Below this many items the spawn overhead dominates; run sequentially.
-/// Shared with the swarm's round-apply, which uses the same cutover to
-/// decide when sharded parallel merge resolution is worth the grouping
-/// pass.
+/// Below this many items the spawn overhead dominates, so
+/// [`parallel_map`] runs on the calling thread.
 pub const PARALLEL_THRESHOLD: usize = 1024;
 
 /// Resolve a thread-count request: `0` means "use available parallelism".
@@ -68,229 +66,6 @@ where
         flat.extend(chunk);
     }
     flat
-}
-
-/// [`parallel_map`] for a *small number of coarse work items* (per-shard
-/// jobs rather than per-robot ones): parallelises whenever more than one
-/// thread is requested instead of gating on [`PARALLEL_THRESHOLD`],
-/// because each item is assumed to carry a thread's worth of work.
-/// Results are collected in index order, so the output is independent of
-/// the thread count. Worker count is `min(threads, n) - 1`: chunking is
-/// sized to the items actually dispatched (not the thread budget), and
-/// the first chunk runs on the calling thread.
-pub fn parallel_map_coarse<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let bounds = chunk_bounds(n, threads);
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len().saturating_sub(1));
-        for &(lo, hi) in &bounds[1..] {
-            let f = &f;
-            handles.push(scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()));
-        }
-        let (lo, hi) = bounds[0];
-        out.push((lo..hi).map(&f).collect::<Vec<T>>());
-        for h in handles {
-            out.push(h.join().expect("shard worker panicked"));
-        }
-    });
-    let mut flat = Vec::with_capacity(n);
-    for chunk in out {
-        flat.extend(chunk);
-    }
-    flat
-}
-
-/// [`parallel_map_coarse`] that additionally clocks each work item when
-/// `clocked` is set, returning `(result, elapsed_ns)` pairs (`0` ns when
-/// not clocked — no clock is read at all). The round profiler uses this
-/// to measure per-shard imbalance in the round-apply's parallel merge
-/// resolution without the swarm layer owning timing code; timing wraps
-/// each item from outside, so results are unaffected.
-pub fn parallel_map_coarse_clocked<T, F>(
-    n: usize,
-    threads: usize,
-    clocked: bool,
-    f: F,
-) -> Vec<(T, u64)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_coarse(n, threads, move |i| {
-        // audit: allow(wall-clock) worker timing is profiler-gated and
-        // observational only — the mapped values are clock-independent
-        let start = clocked.then(std::time::Instant::now);
-        let out = f(i);
-        (out, start.map_or(0, |t| t.elapsed().as_nanos() as u64))
-    })
-}
-
-/// Assign each index in `0..n` to one of `shards` buckets via `shard_of`
-/// and return the per-shard index lists. Chunks of the index range are
-/// scanned on scoped threads and their per-shard lists concatenated in
-/// chunk order, so every shard's list is ascending and the result is
-/// identical to a sequential scan regardless of thread count.
-///
-/// This is the grouping half of the sharded-map primitive the parallel
-/// round-apply is built on: downstream per-shard work (merge resolution,
-/// occupancy rebuild) touches disjoint key sets by construction, because
-/// an index appears in exactly one shard's list.
-pub fn shard_indices<F>(n: usize, shards: usize, threads: usize, shard_of: F) -> Vec<Vec<u32>>
-where
-    F: Fn(usize) -> usize + Sync,
-{
-    let threads = resolve_threads(threads);
-    let scan = |lo: usize, hi: usize| {
-        let mut local: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for i in lo..hi {
-            local[shard_of(i)].push(i as u32);
-        }
-        local
-    };
-    if threads <= 1 || n < PARALLEL_THRESHOLD {
-        return scan(0, n);
-    }
-    let bounds = chunk_bounds(n, threads);
-    let mut partials: Vec<Vec<Vec<u32>>> = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        for &(lo, hi) in &bounds {
-            let scan = &scan;
-            handles.push(scope.spawn(move || scan(lo, hi)));
-        }
-        for h in handles {
-            partials.push(h.join().expect("shard-scan worker panicked"));
-        }
-    });
-    let mut merged: Vec<Vec<u32>> = vec![Vec::new(); shards];
-    for (s, out) in merged.iter_mut().enumerate() {
-        out.reserve(partials.iter().map(|p| p[s].len()).sum());
-        for partial in &mut partials {
-            out.append(&mut partial[s]);
-        }
-    }
-    merged
-}
-
-/// Run `f(shard_index, &mut shard)` for every shard, splitting the shard
-/// slice into contiguous per-worker ranges on scoped threads. Each shard
-/// is visited exactly once with exclusive access, so workers can mutate
-/// disjoint map shards without locks; because the assignment of shards
-/// to workers only affects *who* runs a shard, never its input, the
-/// outcome is independent of the thread count.
-pub fn for_each_shard_mut<T, F>(shards: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || shards.len() <= 1 {
-        for (i, shard) in shards.iter_mut().enumerate() {
-            f(i, shard);
-        }
-        return;
-    }
-    let bounds = chunk_bounds(shards.len(), threads);
-    std::thread::scope(|scope| {
-        let mut rest = shards;
-        let mut offset = 0usize;
-        let mut first: Option<(usize, &mut [T])> = None;
-        for &(lo, hi) in &bounds {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let base = offset;
-            offset += chunk.len();
-            // The first chunk is deferred to the calling thread so the
-            // dispatch spawns one fewer worker than it has chunks.
-            if first.is_none() {
-                first = Some((base, chunk));
-                continue;
-            }
-            let f = &f;
-            scope.spawn(move || {
-                for (j, shard) in chunk.iter_mut().enumerate() {
-                    f(base + j, shard);
-                }
-            });
-        }
-        if let Some((base, chunk)) = first {
-            for (j, shard) in chunk.iter_mut().enumerate() {
-                f(base + j, shard);
-            }
-        }
-    });
-}
-
-/// [`for_each_shard_mut`] restricted to `selected` shard indices
-/// (strictly ascending): only the selected shards are visited, and the
-/// chunking is sized to the *selection*, so a sparse round whose robots
-/// touch two shards dispatches two closures instead of sixty-four — the
-/// degenerate case where chunk math sized for the full shard array
-/// spawned workers with nothing to do. Each selected shard is carved
-/// out of the slice exactly once, so workers get exclusive access
-/// without locks, and the visit order per worker is ascending — the
-/// outcome is independent of the thread count for the same reason as
-/// the full variant.
-pub fn for_each_selected_shard_mut<T, F>(shards: &mut [T], selected: &[usize], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    debug_assert!(
-        selected.windows(2).all(|w| w[0] < w[1]),
-        "shard selection must be strictly ascending"
-    );
-    let threads = resolve_threads(threads);
-    if threads <= 1 || selected.len() <= 1 {
-        for &s in selected {
-            f(s, &mut shards[s]);
-        }
-        return;
-    }
-    // Carve one exclusive reference per selected shard; ascending order
-    // means each split consumes a disjoint prefix of the remainder.
-    let mut refs: Vec<(usize, &mut T)> = Vec::with_capacity(selected.len());
-    let mut rest = shards;
-    let mut base = 0usize;
-    for &s in selected {
-        let (_, tail) = rest.split_at_mut(s - base);
-        let (item, tail) = tail.split_first_mut().expect("selected shard index out of range");
-        refs.push((s, item));
-        rest = tail;
-        base = s + 1;
-    }
-    let bounds = chunk_bounds(refs.len(), threads);
-    std::thread::scope(|scope| {
-        let mut rest = refs.as_mut_slice();
-        let mut first: Option<&mut [(usize, &mut T)]> = None;
-        for &(lo, hi) in &bounds {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            if first.is_none() {
-                first = Some(chunk);
-                continue;
-            }
-            let f = &f;
-            scope.spawn(move || {
-                for (s, shard) in chunk.iter_mut() {
-                    f(*s, &mut **shard);
-                }
-            });
-        }
-        if let Some(chunk) = first {
-            for (s, shard) in chunk.iter_mut() {
-                f(*s, &mut **shard);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -356,143 +131,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_indices_partition_and_order() {
-        let shard_of = |i: usize| i % 7;
-        for n in [0usize, 5, PARALLEL_THRESHOLD + 13] {
-            let seq = shard_indices(n, 7, 1, shard_of);
-            for threads in [2usize, 3, 8] {
-                assert_eq!(shard_indices(n, 7, threads, shard_of), seq, "n={n} threads={threads}");
-            }
-            // Every index appears exactly once, in its shard, ascending.
-            let mut seen = vec![false; n];
-            for (s, list) in seq.iter().enumerate() {
-                assert!(list.windows(2).all(|w| w[0] < w[1]), "shard {s} not ascending");
-                for &i in list {
-                    assert_eq!(shard_of(i as usize), s);
-                    assert!(!std::mem::replace(&mut seen[i as usize], true));
-                }
-            }
-            assert!(seen.iter().all(|&v| v), "n={n}: some index missing");
-        }
-    }
-
-    #[test]
-    fn for_each_shard_mut_visits_every_shard_once() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut shards: Vec<(usize, u32)> = (0..13).map(|i| (i, 0)).collect();
-            for_each_shard_mut(&mut shards, threads, |i, shard| {
-                assert_eq!(shard.0, i, "shard index mismatch");
-                shard.1 += 1;
-            });
-            assert!(shards.iter().all(|&(_, visits)| visits == 1), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn clocked_coarse_map_matches_unclocked_results() {
-        let seq: Vec<usize> = (0..64).map(|i| i * 3).collect();
-        for threads in [1usize, 2, 8] {
-            for clocked in [false, true] {
-                let out = parallel_map_coarse_clocked(64, threads, clocked, |i| i * 3);
-                let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
-                assert_eq!(values, seq, "threads={threads} clocked={clocked}");
-                if !clocked {
-                    assert!(out.iter().all(|&(_, ns)| ns == 0), "unclocked items read a clock");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_coarse_ignores_the_item_threshold() {
-        // 64 items is far below PARALLEL_THRESHOLD; the coarse variant
-        // must still produce index-ordered results on every thread count.
-        let seq: Vec<usize> = (0..64).map(|i| i * 3).collect();
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(parallel_map_coarse(64, threads, |i| i * 3), seq, "threads={threads}");
-        }
-        let empty: Vec<u8> = parallel_map_coarse(0, 8, |_| 0u8);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn for_each_selected_shard_mut_visits_only_the_selection() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut shards: Vec<(usize, u32)> = (0..13).map(|i| (i, 0)).collect();
-            let selected = [1usize, 4, 5, 11];
-            for_each_selected_shard_mut(&mut shards, &selected, threads, |i, shard| {
-                assert_eq!(shard.0, i, "shard index mismatch");
-                shard.1 += 1;
-            });
-            for (i, &(_, visits)) in shards.iter().enumerate() {
-                let expected = u32::from(selected.contains(&i));
-                assert_eq!(visits, expected, "threads={threads} shard={i}");
-            }
-        }
-        // Empty and full selections are fine too.
-        let mut shards: Vec<(usize, u32)> = (0..5).map(|i| (i, 0)).collect();
-        for_each_selected_shard_mut(&mut shards, &[], 8, |_, _| panic!("empty selection ran"));
-        let all: Vec<usize> = (0..5).collect();
-        for_each_selected_shard_mut(&mut shards, &all, 8, |_, shard| shard.1 += 1);
-        assert!(shards.iter().all(|&(_, v)| v == 1));
-    }
-
-    /// Regression for the degenerate dispatch: a round with fewer work
-    /// items than worker threads must not spawn idle scoped threads.
-    /// The caller runs the first chunk itself, so a k-item coarse map
-    /// uses at most k threads total (caller included), a 1-item map
-    /// spawns nothing, and a sub-threshold fine-grained map never
-    /// leaves the calling thread.
+    /// Regression for the degenerate dispatch: a sub-threshold map must
+    /// never leave the calling thread, and a threaded one runs its first
+    /// chunk on the caller, so it uses at most `threads` threads in all.
     #[test]
     fn small_dispatch_does_not_spawn_idle_workers() {
         use std::collections::HashSet;
         use std::sync::Mutex;
         use std::thread::ThreadId;
 
-        let track = || Mutex::<HashSet<ThreadId>>::default();
         let caller = std::thread::current().id();
-
-        let ids = track();
-        let out = parallel_map_coarse(2, 8, |i| {
-            ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
-            i * 3
-        });
-        assert_eq!(out, vec![0, 3]);
-        let ids = ids.into_inner().expect("tracker poisoned");
-        assert!(ids.len() <= 2, "{} distinct threads for 2 coarse items", ids.len());
-        assert!(ids.contains(&caller), "caller thread must run the first chunk");
-
-        let ids = track();
-        parallel_map_coarse(1, 8, |_| {
-            ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
-        });
+        let threads_used = |n: usize, threads: usize| {
+            let ids = Mutex::<HashSet<ThreadId>>::default();
+            parallel_map(n, threads, |i| {
+                ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
+                i
+            });
+            ids.into_inner().expect("tracker poisoned")
+        };
         assert_eq!(
-            ids.into_inner().expect("tracker poisoned").into_iter().collect::<Vec<_>>(),
-            vec![caller],
-            "a single coarse item must run inline"
-        );
-
-        let ids = track();
-        parallel_map(3, 8, |i| {
-            ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
-            i
-        });
-        assert_eq!(
-            ids.into_inner().expect("tracker poisoned").into_iter().collect::<Vec<_>>(),
+            threads_used(3, 8).into_iter().collect::<Vec<_>>(),
             vec![caller],
             "a sub-threshold map must run inline"
         );
-
-        let ids = track();
-        let mut shards: Vec<u32> = vec![0; 64];
-        for_each_selected_shard_mut(&mut shards, &[7, 40], 8, |_, shard| {
-            ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
-            *shard += 1;
-        });
-        let ids = ids.into_inner().expect("tracker poisoned");
-        assert!(ids.len() <= 2, "{} distinct threads for 2 selected shards", ids.len());
-        assert!(ids.contains(&caller), "caller thread must run the first selected chunk");
+        let ids = threads_used(PARALLEL_THRESHOLD, 2);
+        assert!(ids.len() <= 2, "{} distinct threads for a 2-thread map", ids.len());
+        assert!(ids.contains(&caller), "caller thread must run the first chunk");
     }
 
     /// Determinism across thread counts, pinned at a size just above the

@@ -1,6 +1,6 @@
 //! Round phase profiler: attributes each engine round's wall time to
 //! named phases (compute, merge detection, occupancy rebuild, survivor
-//! compaction, …) plus per-shard imbalance in the parallel sections.
+//! compaction, …).
 //!
 //! The design generalises the observer hook's zero-cost-when-unset
 //! pattern: the engine holds an `Option<BoxedProfileSink>`, and every
@@ -33,23 +33,26 @@ pub enum Phase {
     Activate = 0,
     /// The look/compute parallel map (controller decisions).
     Compute = 1,
-    /// Target-cell computation and move counting in the round-apply.
+    /// Target-cell computation, move counting and mover stamping in
+    /// the round-apply.
     ApplyTargets = 2,
-    /// Merge detection: grouping robots by target cell and resolving
-    /// survivors (sharded by tile on the parallel path).
+    /// Merge detection: grouping movers by target cell and resolving
+    /// survivors.
     MergeDetect = 3,
     /// Occupancy-index rebuild: clearing old cells, setting survivors.
     OccupancyRebuild = 4,
-    /// Survivor compaction: draining the robot vector in index order.
+    /// Survivor commit and compaction: writing the activated robots'
+    /// new positions and states, then removing merge losers in slot
+    /// order.
     Compact = 5,
     /// Observer record materialisation and emission.
     Observe = 6,
     /// Post-round invariant checks (connectivity, stall detection).
     Invariants = 7,
-    /// Sparse-path active-list maintenance: stamping the round's movers
-    /// and grouping the activation set into per-shard active lists so
-    /// merge detection and the occupancy update touch only affected
-    /// tiles.
+    /// A reserved slot that reads 0: no engine work is charged to it
+    /// (the sparse apply stamps its movers under
+    /// [`Phase::ApplyTargets`]). It keeps the 9-phase report and record
+    /// schemas stable.
     ActiveList = 8,
 }
 
@@ -96,16 +99,6 @@ pub struct RoundProfile {
     pub wall_ns: u64,
     /// Per-phase wall time, indexed by `Phase as usize`.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Fastest worked shard in the sharded merge-detect section, ns
-    /// (0 when the round took the sequential path).
-    pub shard_min_ns: u64,
-    /// Slowest worked shard in the sharded merge-detect section, ns.
-    pub shard_max_ns: u64,
-    /// Fastest worked chunk in the parallel prefix-sum compaction, ns
-    /// (0 when the round compacted sequentially or had no merges).
-    pub compact_min_ns: u64,
-    /// Slowest worked chunk in the parallel prefix-sum compaction, ns.
-    pub compact_max_ns: u64,
     /// Allocations during the round (process-global delta); `None`
     /// unless the `count-alloc` feature is enabled.
     pub allocs: Option<u64>,
@@ -146,18 +139,20 @@ pub fn timed<T>(prof: &mut Option<&mut RoundProfile>, phase: Phase, f: impl FnOn
     }
 }
 
-/// Accumulated profile over a run: per-phase sums, wall time, shard
-/// imbalance extremes, and the allocation total — the shape the bench
-/// and campaign layers aggregate into their reports.
+/// Accumulated profile over a run: per-phase sums, wall time and the
+/// allocation total — the shape the bench and campaign layers aggregate
+/// into their reports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileTotals {
     pub rounds: u64,
     pub wall_ns: u64,
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Sum of per-round slowest-shard minus fastest-shard gaps, ns.
+    /// Always 0: the round-apply runs on one thread, so there is no
+    /// shard imbalance to measure. Kept because the `gatherbench` probe
+    /// reads it.
     pub shard_imbalance_ns: u64,
-    /// Sum of per-round slowest-chunk minus fastest-chunk gaps in the
-    /// parallel prefix-sum compaction, ns.
+    /// Always 0, like [`ProfileTotals::shard_imbalance_ns`]: compaction
+    /// is sequential.
     pub compact_imbalance_ns: u64,
     /// Total allocations over profiled rounds; meaningful only when
     /// `allocs_counted` (the `count-alloc` feature was on).
@@ -173,8 +168,6 @@ impl ProfileTotals {
         for (sum, &ns) in self.phase_ns.iter_mut().zip(&p.phase_ns) {
             *sum += ns;
         }
-        self.shard_imbalance_ns += p.shard_max_ns.saturating_sub(p.shard_min_ns);
-        self.compact_imbalance_ns += p.compact_max_ns.saturating_sub(p.compact_min_ns);
         if let Some(a) = p.allocs {
             self.allocs += a;
             self.allocs_counted = true;
@@ -222,16 +215,6 @@ impl ProfileTotals {
                 self.share(phase) * 100.0,
             ));
         }
-        out.push_str(&format!(
-            "  {:<12} {:>10.3}s\n",
-            "shard_gap",
-            self.shard_imbalance_ns as f64 / 1e9,
-        ));
-        out.push_str(&format!(
-            "  {:<12} {:>10.3}s\n",
-            "compact_gap",
-            self.compact_imbalance_ns as f64 / 1e9,
-        ));
         if self.allocs_counted {
             out.push_str(&format!(
                 "  allocs {} total, {:.1}/round\n",
@@ -356,10 +339,6 @@ mod tests {
         let mut p = RoundProfile { round: 0, wall_ns: 100, ..Default::default() };
         p.phase_ns[Phase::Compute as usize] = 60;
         p.phase_ns[Phase::MergeDetect as usize] = 30;
-        p.shard_min_ns = 5;
-        p.shard_max_ns = 9;
-        p.compact_min_ns = 2;
-        p.compact_max_ns = 5;
         totals.add(&p);
         totals.add(&p);
         assert_eq!(totals.rounds, 2);
@@ -367,12 +346,9 @@ mod tests {
         assert_eq!(totals.phases_total_ns(), 180);
         assert!((totals.coverage() - 0.9).abs() < 1e-9);
         assert!((totals.share(Phase::Compute) - 0.6).abs() < 1e-9);
-        assert_eq!(totals.shard_imbalance_ns, 8);
-        assert_eq!(totals.compact_imbalance_ns, 6);
         assert!(!totals.allocs_counted);
         let rendered = totals.render();
         assert!(rendered.contains("merge_detect"), "{rendered}");
-        assert!(rendered.contains("compact_gap"), "{rendered}");
     }
 
     #[test]

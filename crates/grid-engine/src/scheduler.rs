@@ -120,8 +120,8 @@ pub enum Scheduler {
 /// The activation set for one round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Activation {
-    /// Every robot is active (the FSYNC fast path: no subset allocation,
-    /// the engine runs the exact pre-policy code path).
+    /// Every robot is active (FSYNC: no subset allocation; the engine
+    /// passes its identity slot list to the one sparse apply).
     All,
     /// The sorted, non-empty list of active robot indices.
     Subset(Vec<usize>),

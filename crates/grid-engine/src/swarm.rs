@@ -23,31 +23,25 @@
 //!   win their cell by the survivor rule), so the two phases never
 //!   collide with a live handle.
 //!
-//! # Parallel and sparse round paths
+//! # One round-apply path
 //!
-//! The round-apply is thread-scalable: a target cell belongs to exactly
-//! one tile, and a tile to exactly one shard of the
-//! [`TileIndex`](crate::tile::TileIndex), so merge detection and the
-//! occupancy update partition perfectly by shard and run on scoped
-//! worker threads ([`Swarm::apply_partial_threads`]). Partial
-//! activations additionally have a sparse path ([`Swarm::apply_sparse`])
-//! whose cost is O(activated ∪ moved) instead of O(n): merge candidates
-//! are only the robots that actually move (stationary incumbents are
-//! found by probing the index), and per-shard active lists
-//! ([`crate::tile::ShardLists`]) confine the occupancy phases to the
-//! shards an active robot touches. The per-cell survivor rule is a
-//! *minimum* over an order-free key, so the sharded and sparse paths are
-//! bit-identical to the sequential dense one on every thread count — the
-//! property the trace subsystem's replay oracle checks.
+//! The engine applies every round through [`Swarm::apply_sparse`], whose
+//! cost is O(activated ∪ moved) instead of O(n): merge candidates are
+//! only the robots that actually move (stationary incumbents are found
+//! by probing the index), and the occupancy update rewrites only the
+//! movers' cells. An FSYNC round is the case where every slot is
+//! activated. The apply runs on the calling thread; the engine's worker
+//! threads go to the compute step, which dominates round time.
+//! [`Swarm::apply`] and [`Swarm::apply_partial`] are the dense O(n)
+//! scan, kept as the oracle that trace playback, the greedy baseline
+//! and the proptests use. The per-cell survivor rule is a *minimum* over
+//! an order-free key, so the two paths are bit-identical — the property
+//! the trace subsystem's replay oracle checks.
 
 use crate::geom::{Bounds, Point, D4, V2};
-use crate::parallel::{
-    chunk_bounds, for_each_selected_shard_mut, for_each_shard_mut, parallel_map,
-    parallel_map_coarse_clocked, resolve_threads, shard_indices, PARALLEL_THRESHOLD,
-};
 use crate::profile::{timed, Phase, RoundProfile};
 use crate::scheduler::splitmix64;
-use crate::tile::{shard_of, ShardLists, TileIndex, NUM_SHARDS};
+use crate::tile::TileIndex;
 
 /// Per-robot algorithm state carried between rounds.
 ///
@@ -109,33 +103,23 @@ pub struct ApplyOutcome {
 /// round: a slot is "marked" iff its stamp equals the current epoch, so
 /// clearing the marks is a single counter increment, not an O(n) sweep.
 #[derive(Clone, Default)]
-struct RoundScratch<S> {
+struct RoundScratch {
     /// Current round stamp; bumped once per apply.
     epoch: u32,
     /// `mover_stamp[i] == epoch` ⇔ dense slot `i` moves this round
     /// (maintained by the sparse path for incumbent classification).
     mover_stamp: Vec<u32>,
     /// `loser_stamp[i] == epoch` ⇔ dense slot `i` lost its merge this
-    /// round (shared by every apply path; drives compaction).
+    /// round (shared by both apply paths; drives compaction).
     loser_stamp: Vec<u32>,
-    /// Sparse path: target cell per active robot (indexed like `active`).
+    /// Target cell per robot: indexed by slot on the dense path, like
+    /// `active` on the sparse one.
     targets: Vec<Point>,
-    /// Sparse path: merge-detect owner map, keyed by target cell.
+    /// Merge-detect owner map, keyed by target cell.
     owner: crate::fxhash::FxHashMap<Point, u32>,
-    /// Sparse path: active movers grouped by the shard of their old cell.
-    old_cells: ShardLists,
-    /// Sparse path: surviving movers grouped by their target cell shard.
-    new_cells: ShardLists,
-    /// Touched-shard index buffer for the selected-shard dispatches.
-    touched: Vec<usize>,
-    /// Parallel-compaction gather buffers (double-buffered survivors).
-    pos_buf: Vec<Point>,
-    state_buf: Vec<S>,
-    orient_buf: Vec<D4>,
-    handle_buf: Vec<u32>,
 }
 
-impl<S> RoundScratch<S> {
+impl RoundScratch {
     /// Start a new round: size the stamp arrays (dense slots never exceed
     /// the initial population) and advance the epoch, resetting the
     /// stamps on the (once per 2³²-round) wraparound so a stale stamp can
@@ -177,7 +161,7 @@ pub struct Swarm<S: RobotState> {
     /// set [`Swarm::take_due`] scans, instead of all handles).
     in_flight: Vec<u32>,
     index: TileIndex,
-    scratch: RoundScratch<S>,
+    scratch: RoundScratch,
 }
 
 // Manual so states without Debug still get a printable swarm summary.
@@ -432,343 +416,116 @@ impl<S: RobotState> Swarm<S> {
     /// it keeps its position *and* its state (an inactive robot can
     /// still be merged into when an active robot lands on its cell, and
     /// the stationary-wins survivor rule then favours it).
+    ///
+    /// This is the dense O(n) oracle: target computation, merge
+    /// detection over the full population, movers-only occupancy update,
+    /// in-place survivor commit plus array compaction.
     pub fn apply_partial(&mut self, actions: Vec<Option<Action<S>>>) -> ApplyOutcome {
-        self.apply_partial_threads(actions, 1)
-    }
-
-    /// [`Swarm::apply`] with a worker-thread budget for the round-apply
-    /// itself (merge detection and the occupancy update shard by tile).
-    pub fn apply_threads(&mut self, actions: Vec<Action<S>>, threads: usize) -> ApplyOutcome {
-        self.apply_threads_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_threads`] that additionally attributes the apply's
-    /// sub-phases (targets, merge detect, occupancy, compaction) to
-    /// `prof` when one is given. Timing observes the phases from
-    /// outside, so the outcome is bit-identical with and without a
-    /// profile.
-    pub fn apply_threads_profiled(
-        &mut self,
-        actions: Vec<Action<S>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        assert_eq!(actions.len(), self.positions.len());
-        self.apply_partial_threads_profiled(actions.into_iter().map(Some).collect(), threads, prof)
-    }
-
-    /// [`Swarm::apply_partial`] with a worker-thread budget. The outcome
-    /// — survivors, their compacted order, every digest — is
-    /// bit-identical for every `threads` value: the per-cell survivor
-    /// rule is a minimum over the order-free key `(moved, previous
-    /// position)`, so shard-local resolution cannot disagree with the
-    /// sequential scan.
-    pub fn apply_partial_threads(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-    ) -> ApplyOutcome {
-        self.apply_partial_threads_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_partial_threads`] with optional phase attribution
-    /// into `prof` (see [`Swarm::apply_threads_profiled`]).
-    pub fn apply_partial_threads_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        assert_eq!(actions.len(), self.positions.len());
-        let threads = resolve_threads(threads);
-        if threads <= 1 || self.positions.len() < PARALLEL_THRESHOLD {
-            self.apply_partial_seq_profiled(actions, prof)
-        } else {
-            self.apply_partial_sharded_profiled(actions, threads, prof)
-        }
-    }
-
-    /// The sequential dense round-apply (exactly the historical
-    /// semantics). Phases: target computation, merge detection over the
-    /// full population, movers-only occupancy update, in-place survivor
-    /// commit plus array compaction.
-    fn apply_partial_seq_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        let mut prof = prof;
         let n = self.positions.len();
+        assert_eq!(actions.len(), n);
         let epoch = self.scratch.next_epoch(self.slot_of.len());
 
         let mut targets = std::mem::take(&mut self.scratch.targets);
-        let moved = timed(&mut prof, Phase::ApplyTargets, || {
-            targets.clear();
-            targets.reserve(n);
-            let mut moved = 0usize;
-            for (i, action) in actions.iter().enumerate() {
-                let target = match action {
-                    Some(action) => {
-                        debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
-                        self.positions[i] + self.orients[i].apply(action.step)
-                    }
-                    None => self.positions[i],
-                };
-                moved += usize::from(target != self.positions[i]);
-                targets.push(target);
-            }
-            moved
-        });
+        targets.clear();
+        targets.reserve(n);
+        let mut moved = 0usize;
+        for (i, action) in actions.iter().enumerate() {
+            let target = match action {
+                Some(action) => {
+                    debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
+                    self.positions[i] + self.orients[i].apply(action.step)
+                }
+                None => self.positions[i],
+            };
+            moved += usize::from(target != self.positions[i]);
+            targets.push(target);
+        }
 
         // Group robots by target cell to find merges. The common case is
         // "no merge anywhere", so detect duplicates with a map from cell
         // to the currently-winning robot index.
         let mut owner = std::mem::take(&mut self.scratch.owner);
-        let (merged, first_loser) = timed(&mut prof, Phase::MergeDetect, || {
-            owner.clear();
-            owner.reserve(n);
-            let mut merged = 0usize;
-            let mut first_loser = usize::MAX;
-            for i in 0..n {
-                match owner.entry(targets[i]) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
+        owner.clear();
+        owner.reserve(n);
+        let mut merged = 0usize;
+        let mut first_loser = usize::MAX;
+        for i in 0..n {
+            match owner.entry(targets[i]) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(i as u32);
+                }
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let j = *e.get() as usize;
+                    let loser = if beats(&self.positions, &targets, i, j) {
                         e.insert(i as u32);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let j = *e.get() as usize;
-                        let loser = if beats(&self.positions, &targets, i, j) {
-                            e.insert(i as u32);
-                            j
-                        } else {
-                            i
-                        };
-                        self.scratch.loser_stamp[loser] = epoch;
-                        first_loser = first_loser.min(loser);
-                        merged += 1;
-                    }
+                        j
+                    } else {
+                        i
+                    };
+                    self.scratch.loser_stamp[loser] = epoch;
+                    first_loser = first_loser.min(loser);
+                    merged += 1;
                 }
             }
-            (merged, first_loser)
-        });
+        }
         self.scratch.owner = owner;
 
         // Movers-only occupancy update: every mover vacates its old cell
         // (losers are always movers), then each surviving mover claims
         // its target. Stationary cells are never rewritten — their
         // handles stay valid across the round.
-        timed(&mut prof, Phase::OccupancyRebuild, || {
-            for (i, &target) in targets.iter().enumerate() {
-                if target != self.positions[i] {
-                    self.index.clear(self.positions[i]);
-                }
+        for (i, &target) in targets.iter().enumerate() {
+            if target != self.positions[i] {
+                self.index.clear(self.positions[i]);
             }
-            for (i, &target) in targets.iter().enumerate() {
-                if target != self.positions[i] && self.scratch.loser_stamp[i] != epoch {
-                    let prev = self.index.set(target, self.handles[i]);
-                    debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
-                }
+        }
+        for (i, &target) in targets.iter().enumerate() {
+            if target != self.positions[i] && self.scratch.loser_stamp[i] != epoch {
+                let prev = self.index.set(target, self.handles[i]);
+                debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
             }
-        });
+        }
 
         // Commit in place (losers are overwritten too — they are about
         // to be compacted away), then compact the arrays.
-        timed(&mut prof, Phase::Compact, || {
-            for (i, action) in actions.into_iter().enumerate() {
-                self.positions[i] = targets[i];
-                if let Some(action) = action {
-                    self.states[i] = action.state;
-                }
+        for (i, action) in actions.into_iter().enumerate() {
+            self.positions[i] = targets[i];
+            if let Some(action) = action {
+                self.states[i] = action.state;
             }
-        });
+        }
         self.scratch.targets = targets;
         if merged > 0 {
-            self.compact_tail(first_loser, 1, &mut prof);
+            self.compact_tail(first_loser);
         }
         ApplyOutcome { merged, moved }
     }
 
-    /// The sharded dense round-apply: merge detection partitions by the
-    /// tile shard of the target cell and runs on scoped worker threads,
-    /// the occupancy update is movers-only and sharded the same way, and
-    /// survivor compaction is a parallel prefix-sum over array chunks.
-    /// Exposed (doc-hidden) so the equivalence proptests can force this
-    /// path on swarms below the parallel threshold.
-    #[doc(hidden)]
-    pub fn apply_partial_sharded(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-    ) -> ApplyOutcome {
-        self.apply_partial_sharded_profiled(actions, threads, None)
-    }
-
-    /// [`Swarm::apply_partial_sharded`] with optional phase attribution.
-    /// When profiling, the merge-resolve workers additionally clock each
-    /// shard so the profile carries the min/max time over shards that
-    /// had any targets — the imbalance figure for the parallel section.
-    fn apply_partial_sharded_profiled(
-        &mut self,
-        actions: Vec<Option<Action<S>>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        let mut prof = prof;
-        let timing = prof.is_some();
-        let n = self.positions.len();
-        assert_eq!(actions.len(), n);
-        let epoch = self.scratch.next_epoch(self.slot_of.len());
-        let positions = &self.positions;
-        let orients = &self.orients;
-        let (targets, moved) = timed(&mut prof, Phase::ApplyTargets, || {
-            let targets: Vec<Point> = parallel_map(n, threads, |i| match &actions[i] {
-                Some(action) => {
-                    debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
-                    positions[i] + orients[i].apply(action.step)
-                }
-                None => positions[i],
-            });
-            let moved = targets.iter().zip(positions).filter(|(t, p)| *t != *p).count();
-            (targets, moved)
-        });
-
-        // Merge detection, sharded by target tile: each target cell
-        // lives in exactly one shard, so per-shard resolution sees every
-        // contender for its cells and no others.
-        let target_groups = timed(&mut prof, Phase::MergeDetect, || {
-            shard_indices(n, NUM_SHARDS, threads, |i| shard_of(targets[i]))
-        });
-        let mut merged = 0usize;
-        let mut first_loser = usize::MAX;
-        let mut worked_shard_ns: Vec<u64> = Vec::new();
-        timed(&mut prof, Phase::MergeDetect, || {
-            let shard_outcomes: Vec<((Vec<u32>, usize), u64)> =
-                parallel_map_coarse_clocked(NUM_SHARDS, threads, timing, |s| {
-                    let mut owner: crate::fxhash::FxHashMap<Point, u32> =
-                        crate::fxhash::FxHashMap::default();
-                    owner.reserve(target_groups[s].len());
-                    let mut losers: Vec<u32> = Vec::new();
-                    let mut shard_merged = 0usize;
-                    for &i in &target_groups[s] {
-                        match owner.entry(targets[i as usize]) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(i);
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                let j = *e.get();
-                                if beats(positions, &targets, i as usize, j as usize) {
-                                    losers.push(j);
-                                    e.insert(i);
-                                } else {
-                                    losers.push(i);
-                                }
-                                shard_merged += 1;
-                            }
-                        }
-                    }
-                    (losers, shard_merged)
-                });
-            for (s, ((losers, shard_merged), ns)) in shard_outcomes.into_iter().enumerate() {
-                merged += shard_merged;
-                for i in losers {
-                    self.scratch.loser_stamp[i as usize] = epoch;
-                    first_loser = first_loser.min(i as usize);
-                }
-                if timing && !target_groups[s].is_empty() {
-                    worked_shard_ns.push(ns);
-                }
-            }
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            p.shard_min_ns = worked_shard_ns.iter().copied().min().unwrap_or(0);
-            p.shard_max_ns = worked_shard_ns.iter().copied().max().unwrap_or(0);
-        }
-
-        // Movers-only occupancy update in two sharded phases: clear every
-        // mover's old cell (grouped by old-position shard), then set
-        // every surviving mover's target (grouped by target shard). Each
-        // phase gives workers exclusive access to disjoint shards;
-        // within a shard, the cells of a phase are distinct, so order is
-        // irrelevant.
-        timed(&mut prof, Phase::OccupancyRebuild, || {
-            let Swarm { positions, handles, index, scratch, .. } = &mut *self;
-            let positions = &*positions;
-            let old_groups = shard_indices(n, NUM_SHARDS, threads, |i| shard_of(positions[i]));
-            let loser_stamp = &scratch.loser_stamp;
-            for_each_shard_mut(index.shards_mut(), threads, |s, shard| {
-                for &i in &old_groups[s] {
-                    let i = i as usize;
-                    if targets[i] != positions[i] {
-                        shard.clear(positions[i]);
-                    }
-                }
-            });
-            for_each_shard_mut(index.shards_mut(), threads, |s, shard| {
-                for &i in &target_groups[s] {
-                    let i = i as usize;
-                    if targets[i] != positions[i] && loser_stamp[i] != epoch {
-                        let prev = shard.set(targets[i], handles[i]);
-                        debug_assert!(prev.is_none(), "survivor collision at {:?}", targets[i]);
-                    }
-                }
-            });
-        });
-
-        // Commit in place, then compact the arrays past the first loser.
-        timed(&mut prof, Phase::Compact, || {
-            self.positions.copy_from_slice(&targets);
-            for (i, action) in actions.into_iter().enumerate() {
-                if let Some(action) = action {
-                    self.states[i] = action.state;
-                }
-            }
-        });
-        if merged > 0 {
-            self.compact_tail(first_loser, threads, &mut prof);
-        }
-        ApplyOutcome { merged, moved }
-    }
-
-    /// Sparse partial apply: cost O(activated ∪ moved) instead of O(n).
+    /// The engine's round-apply, for every scheduler: cost
+    /// O(activated ∪ moved) instead of O(n).
     ///
     /// `active` lists the activated robots (sorted, distinct — the
-    /// [`crate::scheduler::Activation::Subset`] contract) and `actions`
-    /// their chosen actions, index-parallel to `active`. Inactive robots
-    /// keep position and state; they participate in merges only as
-    /// stationary incumbents, which this path discovers by probing the
-    /// occupancy index at each mover's target instead of scanning the
-    /// population. Bit-identical to routing the same round through
-    /// [`Swarm::apply_partial`] with a scattered `Option` vector, on
-    /// every thread count — the sparse/dense equivalence proptests pin
-    /// exactly this.
-    pub fn apply_sparse(&mut self, active: &[usize], actions: Vec<Action<S>>) -> ApplyOutcome {
-        self.apply_sparse_threads(active, actions, 1)
-    }
-
-    /// [`Swarm::apply_sparse`] with a worker-thread budget (the sharded
-    /// occupancy phases and the compaction use it; everything else is
-    /// O(active) and runs on the calling thread).
-    pub fn apply_sparse_threads(
+    /// [`crate::scheduler::Activation::Subset`] contract; an FSYNC round
+    /// passes every slot) and `actions` their chosen actions,
+    /// index-parallel to `active`. Inactive robots keep position and
+    /// state; they participate in merges only as stationary incumbents,
+    /// which this path discovers by probing the occupancy index at each
+    /// mover's target instead of scanning the population. Bit-identical
+    /// to routing the same round through [`Swarm::apply_partial`] with a
+    /// scattered `Option` vector — the sparse/dense equivalence
+    /// proptests pin exactly this.
+    ///
+    /// Runs on the calling thread. When `prof` is given, the apply's
+    /// sub-phases (targets, merge detect, occupancy, compaction) are
+    /// attributed to it; timing observes the phases from outside, so the
+    /// outcome is bit-identical with and without a profile.
+    pub fn apply_sparse(
         &mut self,
         active: &[usize],
         actions: Vec<Action<S>>,
-        threads: usize,
+        mut prof: Option<&mut RoundProfile>,
     ) -> ApplyOutcome {
-        self.apply_sparse_threads_profiled(active, actions, threads, None)
-    }
-
-    /// [`Swarm::apply_sparse_threads`] with optional phase attribution
-    /// (active-list maintenance is charged to [`Phase::ActiveList`]).
-    pub fn apply_sparse_threads_profiled(
-        &mut self,
-        active: &[usize],
-        actions: Vec<Action<S>>,
-        threads: usize,
-        prof: Option<&mut RoundProfile>,
-    ) -> ApplyOutcome {
-        let mut prof = prof;
-        let k = active.len();
-        assert_eq!(actions.len(), k);
-        let threads = resolve_threads(threads);
+        assert_eq!(actions.len(), active.len());
         let epoch = self.scratch.next_epoch(self.slot_of.len());
         debug_assert!(
             active.iter().all(|&i| i < self.positions.len()),
@@ -776,22 +533,18 @@ impl<S: RobotState> Swarm<S> {
         );
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "activation set must be sorted");
 
-        // Stamp the round's movers and group them into per-shard active
-        // lists keyed by their *old* cell's shard — the working set of
-        // the occupancy clear phase.
-        let moved = timed(&mut prof, Phase::ActiveList, || {
+        // Compute the targets and stamp the round's movers.
+        let moved = timed(&mut prof, Phase::ApplyTargets, || {
             let Swarm { positions, orients, scratch, .. } = &mut *self;
             scratch.targets.clear();
-            scratch.old_cells.clear();
             let mut moved = 0usize;
-            for (ki, (&i, action)) in active.iter().zip(&actions).enumerate() {
+            for (&i, action) in active.iter().zip(&actions) {
                 debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
                 let target = positions[i] + orients[i].apply(action.step);
                 scratch.targets.push(target);
                 if target != positions[i] {
                     moved += 1;
                     scratch.mover_stamp[i] = epoch;
-                    scratch.old_cells.push(shard_of(positions[i]), ki as u32);
                 }
             }
             moved
@@ -857,35 +610,23 @@ impl<S: RobotState> Swarm<S> {
             (merged, first_loser)
         });
 
-        // Movers-only occupancy update over the touched shards only:
-        // every mover vacates its old cell, each surviving mover claims
-        // its target. A sparse round touches O(active) shards, and the
-        // selected-shard dispatch sizes its chunking to that selection.
+        // Movers-only occupancy update: every mover vacates its old cell
+        // (losers are always movers), then each surviving mover claims
+        // its target.
         timed(&mut prof, Phase::OccupancyRebuild, || {
             let Swarm { positions, handles, index, scratch, .. } = &mut *self;
-            let RoundScratch { old_cells, new_cells, targets, loser_stamp, touched, .. } = scratch;
-            new_cells.clear();
-            for (ki, &i) in active.iter().enumerate() {
-                if targets[ki] != positions[i] && loser_stamp[i] != epoch {
-                    new_cells.push(shard_of(targets[ki]), ki as u32);
+            let RoundScratch { targets, loser_stamp, .. } = scratch;
+            for (&i, &target) in active.iter().zip(targets.iter()) {
+                if target != positions[i] {
+                    index.clear(positions[i]);
                 }
             }
-            touched.clear();
-            touched.extend(old_cells.touched_shards());
-            for_each_selected_shard_mut(index.shards_mut(), touched, threads, |s, shard| {
-                for &ki in old_cells.list(s) {
-                    shard.clear(positions[active[ki as usize]]);
+            for (&i, &target) in active.iter().zip(targets.iter()) {
+                if target != positions[i] && loser_stamp[i] != epoch {
+                    let prev = index.set(target, handles[i]);
+                    debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
                 }
-            });
-            touched.clear();
-            touched.extend(new_cells.touched_shards());
-            for_each_selected_shard_mut(index.shards_mut(), touched, threads, |s, shard| {
-                for &ki in new_cells.list(s) {
-                    let ki = ki as usize;
-                    let prev = shard.set(targets[ki], handles[active[ki]]);
-                    debug_assert!(prev.is_none(), "survivor collision at {:?}", targets[ki]);
-                }
-            });
+            }
         });
 
         // Commit the surviving activated robots in place, then compact
@@ -902,193 +643,39 @@ impl<S: RobotState> Swarm<S> {
             }
         });
         if merged > 0 {
-            self.compact_tail(first_loser, threads, &mut prof);
+            timed(&mut prof, Phase::Compact, || self.compact_tail(first_loser));
         }
         ApplyOutcome { merged, moved }
     }
 
     /// Remove this round's merge losers from the dense arrays, starting
-    /// at the first loser slot. Stable (survivor order is preserved), so
-    /// the result is identical on every thread count; only `slot_of`
-    /// entries are rewritten — tile cells key by handle and stay valid.
-    ///
-    /// Sequential below [`PARALLEL_THRESHOLD`] tail lengths; above it, a
-    /// prefix-sum over per-thread chunks: each chunk counts its
-    /// survivors, a serial exclusive prefix assigns output offsets, and
-    /// the chunks gather their survivors into double buffers in
-    /// parallel before a flat copy-back. When profiling, each gather
-    /// chunk is clocked into `compact_min_ns`/`compact_max_ns`.
-    fn compact_tail(&mut self, first: usize, threads: usize, prof: &mut Option<&mut RoundProfile>) {
-        let n = self.positions.len();
-        let epoch = self.scratch.epoch;
+    /// at the first loser slot. Stable (survivor order is preserved);
+    /// only `slot_of` entries are rewritten — tile cells key by handle
+    /// and stay valid.
+    fn compact_tail(&mut self, first: usize) {
+        let Swarm { positions, states, orients, handles, slot_of, scratch, .. } = self;
+        let n = positions.len();
+        let epoch = scratch.epoch;
         debug_assert!(first < n, "compact_tail called without a loser");
-        let tail = n - first;
-        if threads <= 1 || tail < PARALLEL_THRESHOLD {
-            timed(prof, Phase::Compact, || {
-                let Swarm { positions, states, orients, handles, slot_of, scratch, .. } =
-                    &mut *self;
-                let loser_stamp = &scratch.loser_stamp;
-                let mut w = first;
-                for r in first..n {
-                    if loser_stamp[r] == epoch {
-                        slot_of[handles[r] as usize] = u32::MAX;
-                        continue;
-                    }
-                    if w != r {
-                        positions.swap(w, r);
-                        states.swap(w, r);
-                        orients.swap(w, r);
-                        handles.swap(w, r);
-                        slot_of[handles[w] as usize] = w as u32;
-                    }
-                    w += 1;
-                }
-                positions.truncate(w);
-                states.truncate(w);
-                orients.truncate(w);
-                handles.truncate(w);
-            });
-            return;
+        let mut w = first;
+        for r in first..n {
+            if scratch.loser_stamp[r] == epoch {
+                slot_of[handles[r] as usize] = u32::MAX;
+                continue;
+            }
+            if w != r {
+                positions.swap(w, r);
+                states.swap(w, r);
+                orients.swap(w, r);
+                handles.swap(w, r);
+                slot_of[handles[w] as usize] = w as u32;
+            }
+            w += 1;
         }
-        let timing = prof.is_some();
-        let (chunk_min_ns, chunk_max_ns) = timed(prof, Phase::Compact, || {
-            let Swarm { positions, states, orients, handles, slot_of, scratch, .. } = &mut *self;
-            let RoundScratch { loser_stamp, pos_buf, state_buf, orient_buf, handle_buf, .. } =
-                scratch;
-            let loser_stamp = &*loser_stamp;
-            let bounds = chunk_bounds(tail, threads);
-            // Per-chunk survivor counts and their exclusive prefix sum:
-            // chunk c's survivors land at out[offsets[c]..offsets[c+1]].
-            let counts: Vec<usize> = bounds
-                .iter()
-                .map(|&(lo, hi)| (lo..hi).filter(|&i| loser_stamp[first + i] != epoch).count())
-                .collect();
-            let mut offsets: Vec<usize> = Vec::with_capacity(bounds.len() + 1);
-            offsets.push(0);
-            for &c in &counts {
-                offsets.push(offsets.last().expect("non-empty") + c);
-            }
-            let alive_tail = *offsets.last().expect("non-empty");
-            // Retire the losers' handles while the arrays still hold them.
-            for r in first..n {
-                if loser_stamp[r] == epoch {
-                    slot_of[handles[r] as usize] = u32::MAX;
-                }
-            }
-            pos_buf.resize(alive_tail, Point::new(0, 0));
-            orient_buf.resize(alive_tail, D4::IDENTITY);
-            handle_buf.resize(alive_tail, 0);
-            state_buf.clear();
-            state_buf.resize_with(alive_tail, S::default);
-
-            // Parallel gather: chunk c reads tail indices [lo..hi) and
-            // writes its survivors to buffer range [offsets[c]..); the
-            // source and destination chunk slices are disjoint, so the
-            // workers share nothing mutable.
-            struct GatherJob<'a, S> {
-                lo: usize,
-                hi: usize,
-                state_src: &'a mut [S],
-                pos_out: &'a mut [Point],
-                state_out: &'a mut [S],
-                orient_out: &'a mut [D4],
-                handle_out: &'a mut [u32],
-            }
-            let mut jobs: Vec<GatherJob<'_, S>> = Vec::with_capacity(bounds.len());
-            {
-                let mut state_rest = &mut states[first..];
-                let mut pos_rest = pos_buf.as_mut_slice();
-                let mut state_out_rest = state_buf.as_mut_slice();
-                let mut orient_rest = orient_buf.as_mut_slice();
-                let mut handle_rest = handle_buf.as_mut_slice();
-                for (c, &(lo, hi)) in bounds.iter().enumerate() {
-                    let (state_src, tail) = state_rest.split_at_mut(hi - lo);
-                    state_rest = tail;
-                    let (pos_out, tail) = pos_rest.split_at_mut(counts[c]);
-                    pos_rest = tail;
-                    let (state_out, tail) = state_out_rest.split_at_mut(counts[c]);
-                    state_out_rest = tail;
-                    let (orient_out, tail) = orient_rest.split_at_mut(counts[c]);
-                    orient_rest = tail;
-                    let (handle_out, tail) = handle_rest.split_at_mut(counts[c]);
-                    handle_rest = tail;
-                    jobs.push(GatherJob {
-                        lo,
-                        hi,
-                        state_src,
-                        pos_out,
-                        state_out,
-                        orient_out,
-                        handle_out,
-                    });
-                }
-            }
-            let pos_src = &positions[first..];
-            let orient_src = &orients[first..];
-            let handle_src = &handles[first..];
-            let run_job = |job: &mut GatherJob<'_, S>| -> u64 {
-                // audit: allow(wall-clock) gather timing is profiler-gated
-                // and observational only — the compacted arrays are
-                // clock-independent
-                let start = timing.then(std::time::Instant::now);
-                let mut w = 0usize;
-                for r in job.lo..job.hi {
-                    if loser_stamp[first + r] == epoch {
-                        continue;
-                    }
-                    job.pos_out[w] = pos_src[r];
-                    job.orient_out[w] = orient_src[r];
-                    job.handle_out[w] = handle_src[r];
-                    job.state_out[w] = std::mem::take(&mut job.state_src[r - job.lo]);
-                    w += 1;
-                }
-                debug_assert_eq!(w, job.pos_out.len(), "chunk survivor count drifted");
-                start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-            };
-            let mut chunk_ns: Vec<u64> = Vec::with_capacity(jobs.len());
-            std::thread::scope(|scope| {
-                let mut spawned = Vec::with_capacity(jobs.len().saturating_sub(1));
-                let mut jobs_iter = jobs.iter_mut();
-                let head = jobs_iter.next().expect("at least one chunk");
-                for job in jobs_iter {
-                    let run_job = &run_job;
-                    spawned.push(scope.spawn(move || run_job(job)));
-                }
-                chunk_ns.push(run_job(head));
-                for h in spawned {
-                    chunk_ns.push(h.join().expect("compaction worker panicked"));
-                }
-            });
-
-            // Flat copy-back and slot rewrite, then truncate. The slot
-            // rewrite is a sequential pass over the moved tail — cheap
-            // contiguous writes against a scattered parallel alternative.
-            positions[first..first + alive_tail].copy_from_slice(&pos_buf[..alive_tail]);
-            orients[first..first + alive_tail].copy_from_slice(&orient_buf[..alive_tail]);
-            handles[first..first + alive_tail].copy_from_slice(&handle_buf[..alive_tail]);
-            for (i, s) in state_buf.iter_mut().enumerate() {
-                states[first + i] = std::mem::take(s);
-            }
-            for i in first..first + alive_tail {
-                slot_of[handles[i] as usize] = i as u32;
-            }
-            positions.truncate(first + alive_tail);
-            states.truncate(first + alive_tail);
-            orients.truncate(first + alive_tail);
-            handles.truncate(first + alive_tail);
-            if timing {
-                (
-                    chunk_ns.iter().copied().min().unwrap_or(0),
-                    chunk_ns.iter().copied().max().unwrap_or(0),
-                )
-            } else {
-                (0, 0)
-            }
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            p.compact_min_ns = chunk_min_ns;
-            p.compact_max_ns = chunk_max_ns;
-        }
+        positions.truncate(w);
+        states.truncate(w);
+        orients.truncate(w);
+        handles.truncate(w);
     }
 }
 
@@ -1242,25 +829,29 @@ mod tests {
         assert_eq!(s.len(), 2);
     }
 
+    /// Both swarms hold the same robots in the same slot order, and
+    /// `sparse`'s occupancy index agrees with its compacted arrays.
+    fn assert_matches_dense(sparse: &Swarm<()>, dense: &Swarm<()>) {
+        assert_eq!(sparse.positions(), dense.positions());
+        assert_eq!(sparse.position_digest(), dense.position_digest());
+        for (i, &p) in sparse.positions().iter().enumerate() {
+            assert_eq!(sparse.robot_at(p), Some(i));
+        }
+    }
+
     #[test]
     fn sharded_apply_matches_sequential_on_a_merge_heavy_round() {
-        // Everyone marches east: a cascade of pairwise decisions that
-        // exercises winner replacement inside a shard.
+        // Everyone marches east in one all-active (FSYNC) sparse round: a
+        // cascade of pairwise decisions that exercises winner
+        // replacement in the owner map.
         let pts = line(40);
-        let acts = || (0..40).map(|_| Some(Action { step: V2::E, state: () })).collect::<Vec<_>>();
-        let mut seq: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let out_seq = seq.apply_partial(acts());
-        for threads in [1usize, 2, 3, 8] {
-            let mut par: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out_par = par.apply_partial_sharded(acts(), threads);
-            assert_eq!(out_par, out_seq, "threads={threads}");
-            assert_eq!(par.position_digest(), seq.position_digest(), "threads={threads}");
-            assert_eq!(par.positions(), seq.positions(), "threads={threads}");
-            // The occupancy index agrees with the compacted arrays.
-            for (i, &p) in par.positions().iter().enumerate() {
-                assert_eq!(par.robot_at(p), Some(i), "threads={threads}");
-            }
-        }
+        let all: Vec<usize> = (0..40).collect();
+        let acts = || (0..40).map(|_| Action { step: V2::E, state: () }).collect::<Vec<_>>();
+        let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        let out_dense = dense.apply(acts());
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        assert_eq!(sparse.apply_sparse(&all, acts(), None), out_dense);
+        assert_matches_dense(&sparse, &dense);
     }
 
     /// The sparse path must match the dense path exactly: same outcome,
@@ -1289,26 +880,16 @@ mod tests {
                 Action::stay(()),
             ]
         };
-        let dense_actions = || {
-            let mut all: Vec<Option<Action<()>>> = (0..pts.len()).map(|_| None).collect();
-            for (&i, a) in active.iter().zip(acts()) {
-                all[i] = Some(a);
-            }
-            all
-        };
-        let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let out_dense = dense.apply_partial(dense_actions());
-        assert_eq!(out_dense, ApplyOutcome { merged: 2, moved: 3 });
-        for threads in [1usize, 2, 3, 8] {
-            let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out = sparse.apply_sparse_threads(&active, acts(), threads);
-            assert_eq!(out, out_dense, "threads={threads}");
-            assert_eq!(sparse.positions(), dense.positions(), "threads={threads}");
-            assert_eq!(sparse.position_digest(), dense.position_digest(), "threads={threads}");
-            for (i, &p) in sparse.positions().iter().enumerate() {
-                assert_eq!(sparse.robot_at(p), Some(i), "threads={threads}");
-            }
+        let mut all: Vec<Option<Action<()>>> = (0..pts.len()).map(|_| None).collect();
+        for (&i, a) in active.iter().zip(acts()) {
+            all[i] = Some(a);
         }
+        let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        let out_dense = dense.apply_partial(all);
+        assert_eq!(out_dense, ApplyOutcome { merged: 2, moved: 3 });
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        assert_eq!(sparse.apply_sparse(&active, acts(), None), out_dense);
+        assert_matches_dense(&sparse, &dense);
     }
 
     /// Repeated sparse rounds keep handles and the index coherent across
@@ -1329,7 +910,7 @@ mod tests {
             let a = (round as usize) % (n - 1);
             let active = vec![a, a + 1];
             let acts = active.iter().map(|_| Action { step: V2::E, state: () }).collect();
-            merged_total += s.apply_sparse(&active, acts).merged;
+            merged_total += s.apply_sparse(&active, acts, None).merged;
             for (i, &p) in s.positions().iter().enumerate() {
                 assert_eq!(s.robot_at(p), Some(i), "round {round}");
             }
@@ -1343,7 +924,7 @@ mod tests {
     fn sparse_empty_activation_is_identity() {
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         let before = s.position_digest();
-        let out = s.apply_sparse(&[], Vec::new());
+        let out = s.apply_sparse(&[], Vec::new(), None);
         assert_eq!(out, ApplyOutcome::default());
         assert_eq!(s.position_digest(), before);
     }
@@ -1399,7 +980,7 @@ mod tests {
         // handle, so it must still resolve to robot 3's new slot.
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         s.park(3, 5, Action { step: V2::W, state: () });
-        let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }]);
+        let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }], None);
         assert_eq!(out.merged, 1);
         assert_eq!(s.len(), 3);
         let slot3 = s.robot_at(Point::new(3, 0)).expect("robot 3 still present");
@@ -1409,36 +990,31 @@ mod tests {
         assert_eq!(due[0].0, slot3);
     }
 
-    /// The parallel prefix-sum compaction must agree with the serial
-    /// swap-shift on every thread count, including survivor order and
-    /// `slot_of` coherence, on a tail long enough to actually chunk.
+    /// Compaction over a long tail: 1000 losers scattered through 3000
+    /// slots, removed by one all-active sparse round, must leave the same
+    /// survivor order and `slot_of` coherence as the dense oracle.
     #[test]
     fn parallel_compaction_is_bit_identical_to_serial() {
         let n = 3000i32;
         let pts: Vec<Point> = (0..n).map(|x| Point::new(x, 0)).collect();
-        let acts = || -> Vec<Option<Action<()>>> {
-            (0..n)
-                .map(|i| {
-                    if i % 3 == 1 {
-                        Some(Action { step: V2::W, state: () })
-                    } else {
-                        Some(Action::stay(()))
-                    }
-                })
-                .collect()
-        };
-        let mut seq: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let out_seq = seq.apply_partial_threads(acts(), 1);
-        assert!(out_seq.merged > 0);
-        for threads in [2usize, 3, 8] {
-            let mut par: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-            let out = par.apply_partial_sharded(acts(), threads);
-            assert_eq!(out, out_seq, "threads={threads}");
-            assert_eq!(par.positions(), seq.positions(), "threads={threads}");
-            assert_eq!(par.position_digest(), seq.position_digest(), "threads={threads}");
-            for (i, &p) in par.positions().iter().enumerate() {
-                assert_eq!(par.robot_at(p), Some(i), "threads={threads}");
-            }
-        }
+        let all: Vec<usize> = (0..n as usize).collect();
+        let acts =
+            || -> Vec<Action<()>> {
+                (0..n)
+                    .map(|i| {
+                        if i % 3 == 1 {
+                            Action { step: V2::W, state: () }
+                        } else {
+                            Action::stay(())
+                        }
+                    })
+                    .collect()
+            };
+        let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        let out_dense = dense.apply(acts());
+        assert_eq!(out_dense.merged, 1000);
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        assert_eq!(sparse.apply_sparse(&all, acts(), None), out_dense);
+        assert_matches_dense(&sparse, &dense);
     }
 }

@@ -18,11 +18,11 @@
 //!   plus two compares each instead of a hash lookup — this is what
 //!   keeps the tiled index competitive with the dense grid on the hot
 //!   look path.
-//! * The tile maps are split into [`NUM_SHARDS`] independent shards
-//!   keyed by tile coordinate (a cell belongs to exactly one tile, a
-//!   tile to exactly one shard), so the round-apply can resolve merges
-//!   and rebuild occupancy on scoped worker threads with exclusive,
-//!   lock-free access to disjoint shards (`shards_mut`).
+//! * The tile maps are split into [`NUM_SHARDS`] shards keyed by tile
+//!   coordinate (a cell belongs to exactly one tile, a tile to exactly
+//!   one shard), so each hash map stays small;
+//!   [`TileIndex::shard_tile_counts`] reports how evenly the occupied
+//!   tiles spread over them.
 
 use crate::fxhash::FxHashMap;
 use crate::geom::{Bounds, Point};
@@ -36,8 +36,8 @@ pub const TILE_BITS: i32 = 6;
 pub const TILE_SIZE: i32 = 1 << TILE_BITS;
 /// Cells per tile.
 pub const TILE_CELLS: usize = (TILE_SIZE * TILE_SIZE) as usize;
-/// Number of independent tile-map shards (a power of two; shard choice
-/// is a cheap bit-mix of the tile coordinate).
+/// Number of tile-map shards (a power of two; shard choice is a cheap
+/// bit-mix of the tile coordinate).
 pub const NUM_SHARDS: usize = 64;
 
 /// Coordinate of a tile: the cell coordinates arithmetically shifted by
@@ -57,7 +57,7 @@ impl TileKey {
     /// Which shard owns this tile. `& 7` keeps the low three bits of
     /// each axis (well-defined for negatives in two's complement), so
     /// neighbouring tiles land in different shards and a spatially
-    /// clustered swarm still spreads across workers.
+    /// clustered swarm still spreads across the maps.
     #[inline]
     pub fn shard(self) -> usize {
         ((self.x & 7) | ((self.y & 7) << 3)) as usize
@@ -121,9 +121,9 @@ impl Tile {
     }
 }
 
-/// One independently-mutable shard of the tile map.
+/// One shard of the tile map.
 #[derive(Clone, Default, Debug)]
-pub struct Shard {
+struct Shard {
     tiles: FxHashMap<TileKey, Tile>,
 }
 
@@ -132,9 +132,9 @@ impl Shard {
     /// the id previously stored at `p`.
     ///
     /// The caller must only hand this shard cells it owns
-    /// (`shard_of(p)` must equal this shard's index) — the sharded
-    /// round-apply guarantees that by grouping cells per shard.
-    pub fn set(&mut self, p: Point, id: u32) -> Option<u32> {
+    /// (`shard_of(p)` must equal this shard's index) — [`TileIndex`]
+    /// routes every cell that way.
+    fn set(&mut self, p: Point, id: u32) -> Option<u32> {
         let tile = self.tiles.entry(TileKey::of(p)).or_insert_with(Tile::new);
         let cell = &mut tile.cells[Tile::idx(p)];
         let old = std::mem::replace(cell, id);
@@ -148,7 +148,7 @@ impl Shard {
 
     /// Mark `p` empty, dropping its tile when it empties out. Returns
     /// the id previously stored at `p`.
-    pub fn clear(&mut self, p: Point) -> Option<u32> {
+    fn clear(&mut self, p: Point) -> Option<u32> {
         let key = TileKey::of(p);
         let tile = self.tiles.get_mut(&key)?;
         let cell = &mut tile.cells[Tile::idx(p)];
@@ -210,23 +210,13 @@ impl TileIndex {
         self.shards[shard_of(p)].clear(p)
     }
 
-    /// The shard slice, for the parallel round-apply: workers take
-    /// exclusive ownership of disjoint shards
-    /// ([`crate::parallel::for_each_shard_mut`]) and may only touch
-    /// cells whose [`shard_of`] matches their shard index.
-    pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
-    }
-
     /// Live (non-empty) tiles currently allocated.
     pub fn tile_count(&self) -> usize {
         self.shards.iter().map(|s| s.tiles.len()).sum()
     }
 
     /// Live tiles per shard (diagnostic): how evenly the occupied tiles
-    /// spread over the [`NUM_SHARDS`] round-apply shards. A skewed
-    /// distribution is the static cause behind a large min/max shard gap
-    /// in the round profiler's parallel-section timings.
+    /// spread over the [`NUM_SHARDS`] tile maps.
     pub fn shard_tile_counts(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.tiles.len()).collect()
     }
@@ -310,82 +300,6 @@ impl TileIndex {
             }
         }
         win
-    }
-}
-
-/// Per-shard active lists: the sparse round path's working sets, grouped
-/// by the shard that owns each robot's cell so shard-scoped phases
-/// (merge detection, occupancy updates) touch only the shards an active
-/// robot actually lives in.
-///
-/// Allocation-flat by design: [`ShardLists::clear`] empties only the
-/// lists touched since the last clear (tracked in a 64-bit mask — one
-/// bit per shard, which is why [`NUM_SHARDS`] must stay ≤ 64) and every
-/// list retains its capacity, so steady-state rounds do no heap work
-/// here. Iteration over touched shards is in ascending shard order and
-/// each list preserves push order, so any fold over a `ShardLists` is
-/// deterministic.
-#[derive(Clone, Debug)]
-pub struct ShardLists {
-    lists: Vec<Vec<u32>>,
-    touched: u64,
-}
-
-const _: () = assert!(NUM_SHARDS <= 64, "ShardLists tracks touched shards in a u64 mask");
-
-impl Default for ShardLists {
-    fn default() -> Self {
-        ShardLists::new()
-    }
-}
-
-impl ShardLists {
-    pub fn new() -> ShardLists {
-        ShardLists { lists: (0..NUM_SHARDS).map(|_| Vec::new()).collect(), touched: 0 }
-    }
-
-    /// Empty every touched list, retaining capacity. O(touched shards).
-    pub fn clear(&mut self) {
-        let mut mask = self.touched;
-        while mask != 0 {
-            let shard = mask.trailing_zeros() as usize;
-            self.lists[shard].clear();
-            mask &= mask - 1;
-        }
-        self.touched = 0;
-    }
-
-    #[inline]
-    pub fn push(&mut self, shard: usize, v: u32) {
-        self.lists[shard].push(v);
-        self.touched |= 1 << shard;
-    }
-
-    #[inline]
-    pub fn list(&self, shard: usize) -> &[u32] {
-        &self.lists[shard]
-    }
-
-    /// Indices of the shards touched since the last clear, ascending.
-    pub fn touched_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut mask = self.touched;
-        std::iter::from_fn(move || {
-            if mask == 0 {
-                return None;
-            }
-            let shard = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(shard)
-        })
-    }
-
-    /// Total entries across all touched lists.
-    pub fn len(&self) -> usize {
-        self.touched_shards().map(|s| self.lists[s].len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.touched == 0
     }
 }
 
@@ -521,28 +435,6 @@ mod tests {
         let counts = idx.shard_tile_counts();
         assert_eq!(counts.len(), NUM_SHARDS);
         assert_eq!(counts.iter().sum::<usize>(), idx.tile_count());
-    }
-
-    #[test]
-    fn shard_lists_group_clear_and_iterate_in_order() {
-        let mut lists = ShardLists::new();
-        assert!(lists.is_empty());
-        assert_eq!(lists.touched_shards().count(), 0);
-        lists.push(5, 10);
-        lists.push(0, 11);
-        lists.push(5, 12);
-        lists.push(63, 13);
-        assert!(!lists.is_empty());
-        assert_eq!(lists.len(), 4);
-        assert_eq!(lists.touched_shards().collect::<Vec<_>>(), vec![0, 5, 63]);
-        assert_eq!(lists.list(5), &[10, 12], "push order is preserved per shard");
-        assert_eq!(lists.list(0), &[11]);
-        assert_eq!(lists.list(7), &[] as &[u32], "untouched shards read empty");
-        let cap_before = lists.lists[5].capacity();
-        lists.clear();
-        assert!(lists.is_empty());
-        assert_eq!(lists.list(5), &[] as &[u32]);
-        assert!(lists.lists[5].capacity() >= cap_before, "clear retains capacity");
     }
 
     #[test]

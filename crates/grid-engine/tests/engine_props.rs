@@ -1,7 +1,7 @@
 //! Property tests on the substrate: simultaneous-move semantics, the
 //! occupancy index (tiled vs. dense equivalence), view/frame coherence
-//! under random actions, and cross-thread bit-identity of the sharded
-//! round-apply.
+//! under random actions, and bit-identity of the engine's sparse
+//! round-apply with the dense oracle under partial and full activation.
 
 use grid_engine::grid::OccupancyGrid;
 use grid_engine::tile::TileIndex;
@@ -16,6 +16,16 @@ fn arb_positions() -> impl Strategy<Value = Vec<Point>> {
 
 fn arb_steps(n: usize) -> impl Strategy<Value = Vec<(i8, i8)>> {
     proptest::collection::vec((-1i8..=1, -1i8..=1), n..=n)
+}
+
+/// A sparse round as the dense oracle's input: `(slot, action)` pairs
+/// scattered into a full `Option` vector over `n` slots.
+fn scatter(n: usize, round: &[(usize, Action<()>)]) -> Vec<Option<Action<()>>> {
+    let mut all: Vec<Option<Action<()>>> = (0..n).map(|_| None).collect();
+    for (i, action) in round {
+        all[*i] = Some(action.clone());
+    }
+    all
 }
 
 proptest! {
@@ -97,10 +107,9 @@ proptest! {
         prop_assert!(tiled.tile_count() <= 16);
     }
 
-    /// The sharded parallel round-apply is bit-identical to the
-    /// sequential path for every thread count: same survivor positions,
-    /// digest, merge and move counts — under full and partial
-    /// activation.
+    /// The sparse round-apply is bit-identical to the dense oracle on a
+    /// round activating ~3/4 of the robots: same survivor positions,
+    /// digest, merge and move counts, and a coherent index.
     #[test]
     fn sharded_apply_is_bit_identical_across_threads(
         (pts, steps, active_mask, seed) in arb_positions().prop_flat_map(|p| {
@@ -108,90 +117,70 @@ proptest! {
             (Just(p), arb_steps(n), proptest::collection::vec(0u8..4, n..=n), any::<u64>())
         })
     ) {
-        let actions = |_: ()| -> Vec<Option<Action<()>>> {
-            steps
-                .iter()
-                .zip(&active_mask)
-                .map(|(&(dx, dy), &a)| {
-                    // ~3/4 of robots activated; inactive ones exercise the
-                    // stationary-wins rule inside shards.
-                    (a != 0).then(|| Action { step: V2::new(dx as i32, dy as i32), state: () })
-                })
-                .collect()
-        };
+        // Inactive robots exercise the stationary-wins rule.
+        let round: Vec<(usize, Action<()>)> = steps
+            .iter()
+            .zip(&active_mask)
+            .enumerate()
+            .filter(|&(_, (_, &a))| a != 0)
+            .map(|(i, (&(dx, dy), _))| {
+                (i, Action { step: V2::new(dx as i32, dy as i32), state: () })
+            })
+            .collect();
         let mut reference: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-        let ref_out = reference.apply_partial(actions(()));
-        let ref_positions: Vec<Point> = reference.positions().to_vec();
-        for threads in [1usize, 2, 3, 8] {
-            let mut sharded: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-            let out = sharded.apply_partial_sharded(actions(()), threads);
-            prop_assert_eq!(out, ref_out, "outcome, threads={}", threads);
-            prop_assert_eq!(
-                sharded.position_digest(),
-                reference.position_digest(),
-                "digest, threads={}", threads
-            );
-            let positions: Vec<Point> = sharded.positions().to_vec();
-            prop_assert_eq!(&positions, &ref_positions, "positions, threads={}", threads);
-            for (i, &p) in sharded.positions().iter().enumerate() {
-                prop_assert_eq!(sharded.robot_at(p), Some(i), "index, threads={}", threads);
-            }
+        let ref_out = reference.apply_partial(scatter(reference.len(), &round));
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
+        let (active, actions): (Vec<usize>, Vec<Action<()>>) = round.into_iter().unzip();
+        let out = sparse.apply_sparse(&active, actions, None);
+        prop_assert_eq!(out, ref_out, "outcome");
+        prop_assert_eq!(sparse.position_digest(), reference.position_digest(), "digest");
+        prop_assert_eq!(sparse.positions(), reference.positions(), "positions");
+        for (i, &p) in sparse.positions().iter().enumerate() {
+            prop_assert_eq!(sparse.robot_at(p), Some(i), "index");
         }
     }
 
     /// The sparse O(active) apply is bit-identical to the dense partial
-    /// apply — same outcome, survivor order, digest and index — for
-    /// every thread count, over several consecutive rounds so
-    /// compactions and handle retirement interleave with the sparse
-    /// incumbent probes.
+    /// apply — same outcome, survivor order, digest and index — over
+    /// consecutive rounds, so compactions and handle retirement
+    /// interleave with the sparse incumbent probes. Rounds 0–3 activate
+    /// about half the robots; rounds 4–7 activate all of them, the FSYNC
+    /// round the engine sends through the same path.
     #[test]
     fn sparse_apply_is_bit_identical_to_dense(
         (pts, seed) in (arb_positions(), any::<u64>())
     ) {
-        let round_plan = |round: u64, n: usize| -> Vec<(usize, V2)> {
+        let round_plan = |round: u64, n: usize| -> Vec<(usize, Action<()>)> {
             (0..n)
                 .filter_map(|i| {
                     let h = splitmix64(seed ^ round.wrapping_mul(31) ^ (i as u64).wrapping_mul(0x9e37_79b9));
-                    // ~half the robots activated, random king steps
-                    // (zero steps included: active stayers are the
-                    // incumbent-classification edge case).
-                    (h & 1 == 0).then(|| {
+                    // Random king steps (zero steps included: active
+                    // stayers are the incumbent-classification edge case).
+                    (h & 1 == 0 || round >= 4).then(|| {
                         let dx = ((h >> 1) % 3) as i32 - 1;
                         let dy = ((h >> 3) % 3) as i32 - 1;
-                        (i, V2::new(dx, dy))
+                        (i, Action { step: V2::new(dx, dy), state: () })
                     })
                 })
                 .collect()
         };
         let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-        let mut dense_rounds: Vec<(ApplyOutcome, u64)> = Vec::new();
-        for round in 0..4u64 {
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
+        for round in 0..8u64 {
             let plan = round_plan(round, dense.len());
-            let mut all: Vec<Option<Action<()>>> = (0..dense.len()).map(|_| None).collect();
-            for &(i, step) in &plan {
-                all[i] = Some(Action { step, state: () });
-            }
-            let out = dense.apply_partial(all);
-            dense_rounds.push((out, dense.position_digest()));
+            let dense_out = dense.apply_partial(scatter(dense.len(), &plan));
+            let (active, actions): (Vec<usize>, Vec<Action<()>>) =
+                round_plan(round, sparse.len()).into_iter().unzip();
+            let out = sparse.apply_sparse(&active, actions, None);
+            prop_assert_eq!(
+                (out, sparse.position_digest()),
+                (dense_out, dense.position_digest()),
+                "round {}", round
+            );
         }
-        for threads in [1usize, 2, 3, 8] {
-            let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-            for round in 0..4u64 {
-                let plan = round_plan(round, sparse.len());
-                let active: Vec<usize> = plan.iter().map(|&(i, _)| i).collect();
-                let actions: Vec<Action<()>> =
-                    plan.iter().map(|&(_, step)| Action { step, state: () }).collect();
-                let out = sparse.apply_sparse_threads(&active, actions, threads);
-                prop_assert_eq!(
-                    (out, sparse.position_digest()),
-                    dense_rounds[round as usize],
-                    "round {}, threads={}", round, threads
-                );
-            }
-            prop_assert_eq!(sparse.positions(), dense.positions(), "threads={}", threads);
-            for (i, &p) in sparse.positions().iter().enumerate() {
-                prop_assert_eq!(sparse.robot_at(p), Some(i), "index, threads={}", threads);
-            }
+        prop_assert_eq!(sparse.positions(), dense.positions());
+        for (i, &p) in sparse.positions().iter().enumerate() {
+            prop_assert_eq!(sparse.robot_at(p), Some(i), "index");
         }
     }
 
@@ -209,12 +198,14 @@ proptest! {
     }
 }
 
-/// An ASYNC engine round must be explainable by the dense oracle:
+/// Every engine round must be explainable by the dense oracle:
 /// scattering each round's *committed* world-frame moves into a full
 /// `Option` vector and pushing it through the dense partial apply
-/// reproduces the engine's per-round digests and populations — for
-/// every thread count, so the sparse in-flight path and the dense
-/// reference stay bit-identical under staleness.
+/// reproduces the engine's per-round digests and populations. FSYNC,
+/// SSYNC and ASYNC cover every arm of `Engine::step`, each at several
+/// thread counts, so the sparse apply and the dense reference stay
+/// bit-identical under full activation, partial activation and
+/// staleness.
 #[test]
 fn async_engine_rounds_match_dense_oracle_across_threads() {
     use std::cell::RefCell;
@@ -235,78 +226,88 @@ fn async_engine_rounds_match_dense_oracle_across_threads() {
         }
     }
     let pts: Vec<Point> = (0..48).map(|x| Point::new(x, 0)).collect();
-    for threads in [1usize, 2, 3, 8] {
-        let records: Rc<RefCell<Vec<RoundRecord>>> = Rc::default();
-        let mut engine = Engine::from_positions(
-            &pts,
-            OrientationMode::Scrambled(5),
-            MarchEast,
-            EngineConfig {
-                threads,
-                scheduler: Scheduler::Async { seed: 23, staleness: 4 },
-                connectivity: ConnectivityCheck::Never,
-                ..Default::default()
-            },
-        );
-        let sink = records.clone();
-        engine.set_observer(Box::new(move |rec| sink.borrow_mut().push(rec.clone())));
-        for _ in 0..40 {
-            engine.step().expect("unchecked steps cannot fail");
-        }
-        drop(engine);
-        let mut oracle: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        for rec in records.borrow().iter() {
-            let mut all: Vec<Option<Action<()>>> = (0..oracle.len()).map(|_| None).collect();
-            for m in &rec.moves {
-                all[m.robot as usize] =
-                    Some(Action { step: V2::new(m.dx.into(), m.dy.into()), state: () });
-            }
-            oracle.apply_partial(all);
-            assert_eq!(
-                (oracle.position_digest(), oracle.len() as u32),
-                (rec.digest, rec.population),
-                "round {} diverged from the dense oracle, threads={threads}",
-                rec.round,
+    let schedulers = [
+        Scheduler::Async { seed: 23, staleness: 4 },
+        Scheduler::Fsync,
+        Scheduler::Ssync { seed: 23, p: 50 },
+    ];
+    for scheduler in schedulers {
+        for threads in [1usize, 2, 3, 8] {
+            let records: Rc<RefCell<Vec<RoundRecord>>> = Rc::default();
+            let mut engine = Engine::from_positions(
+                &pts,
+                OrientationMode::Scrambled(5),
+                MarchEast,
+                EngineConfig {
+                    threads,
+                    scheduler,
+                    connectivity: ConnectivityCheck::Never,
+                    ..Default::default()
+                },
             );
+            let sink = records.clone();
+            engine.set_observer(Box::new(move |rec| sink.borrow_mut().push(rec.clone())));
+            for _ in 0..40 {
+                engine.step().expect("unchecked steps cannot fail");
+            }
+            drop(engine);
+            let mut oracle: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+            let mut merged = 0u32;
+            for rec in records.borrow().iter() {
+                let mut all: Vec<Option<Action<()>>> = (0..oracle.len()).map(|_| None).collect();
+                for m in &rec.moves {
+                    all[m.robot as usize] =
+                        Some(Action { step: V2::new(m.dx.into(), m.dy.into()), state: () });
+                }
+                oracle.apply_partial(all);
+                merged += rec.merged;
+                assert_eq!(
+                    (oracle.position_digest(), oracle.len() as u32),
+                    (rec.digest, rec.population),
+                    "{scheduler:?}: round {} diverged from the dense oracle, threads={threads}",
+                    rec.round,
+                );
+            }
+            assert!(merged > 0, "{scheduler:?}: 40 rounds never merged anyone");
         }
     }
 }
 
-/// Above the parallel threshold, the *public* apply engages the sharded
-/// path on its own — this pins the integrated behaviour (not just the
-/// doc-hidden test hook) to the sequential reference across thread
-/// counts, over several merge-heavy rounds.
+/// A merge-heavy run at n = 2048 (six rounds, a quarter of the robots
+/// inactive each round): the sparse apply matches the dense oracle
+/// round by round, at a size above the compute map's parallel
+/// threshold.
 #[test]
 fn large_swarm_apply_threads_is_bit_identical() {
     let n = 2048usize;
     let pts: Vec<Point> = (0..n as i32).map(|x| Point::new(x, 0)).collect();
-    let round_actions = |round: u64, len: usize| -> Vec<Option<Action<()>>> {
+    let round_actions = |round: u64, len: usize| -> Vec<(usize, Action<()>)> {
         (0..len)
-            .map(|i| {
+            .filter_map(|i| {
                 let h = splitmix64(round ^ (i as u64).wrapping_mul(0x9e37_79b9));
-                match h % 4 {
-                    0 => Some(Action { step: V2::E, state: () }),
-                    1 => Some(Action { step: V2::W, state: () }),
-                    2 => Some(Action::stay(())),
-                    _ => None,
-                }
+                let step = match h % 4 {
+                    0 => V2::E,
+                    1 => V2::W,
+                    2 => V2::ZERO,
+                    _ => return None,
+                };
+                Some((i, Action { step, state: () }))
             })
             .collect()
     };
-    let run = |threads: usize| {
-        let mut swarm: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        let mut digests = Vec::new();
-        let mut merged = 0usize;
-        for round in 0..6u64 {
-            let out = swarm.apply_partial_threads(round_actions(round, swarm.len()), threads);
-            merged += out.merged;
-            digests.push(swarm.position_digest());
-        }
-        (digests, merged, swarm.positions().to_vec())
-    };
-    let reference = run(1);
-    assert!(reference.1 > 0, "rounds must actually merge robots");
-    for threads in [2usize, 3, 8] {
-        assert_eq!(run(threads), reference, "threads={threads}");
+    let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+    let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+    let mut merged = 0usize;
+    for round in 0..6u64 {
+        let dense_out =
+            dense.apply_partial(scatter(dense.len(), &round_actions(round, dense.len())));
+        let (active, actions): (Vec<usize>, Vec<Action<()>>) =
+            round_actions(round, sparse.len()).into_iter().unzip();
+        let out = sparse.apply_sparse(&active, actions, None);
+        assert_eq!(out, dense_out, "round {round}");
+        assert_eq!(sparse.position_digest(), dense.position_digest(), "round {round}");
+        merged += out.merged;
     }
+    assert!(merged > 0, "rounds must actually merge robots");
+    assert_eq!(sparse.positions(), dense.positions());
 }

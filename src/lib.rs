@@ -18,7 +18,8 @@
 //!   experiments (lines, blocks, hollow shapes, staircases, random
 //!   blobs).
 //! * [`viz`] — ASCII and SVG rendering of swarm traces.
-//! * [`analysis`] — scaling fits and table emission for EXPERIMENTS.md.
+//! * [`analysis`] — scaling fits and table emission for the `report`
+//!   binary and campaign summaries.
 //! * [`campaign`] — the parallel scenario-campaign engine: declarative
 //!   sweeps over (family × size × seed × controller × scheduler),
 //!   streamed JSONL results with resume, scaling-table aggregation,

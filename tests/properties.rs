@@ -1,5 +1,7 @@
-//! Property-based tests (proptest) on the core invariants from
-//! DESIGN.md §7.
+//! Property-based tests (proptest) on the core invariants of the
+//! paper's model: connectivity every round, a population that never
+//! grows, gathering within c·n rounds, movement only by merges and
+//! runners, and run-to-run determinism.
 
 use grid_gathering::engine::connectivity::is_connected;
 use grid_gathering::prelude::*;
@@ -19,8 +21,8 @@ fn arb_swarm() -> impl Strategy<Value = Vec<grid_gathering::engine::Point>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Invariants 1, 2, 4: connectivity holds every round, population
-    /// never grows, and gathering finishes within c·n rounds.
+    /// Connectivity holds every round, population never grows, and
+    /// gathering finishes within c·n rounds.
     #[test]
     fn gathers_connected_and_monotone(pts in arb_swarm(), seed in any::<u64>()) {
         let n = pts.len();
@@ -42,7 +44,7 @@ proptest! {
         prop_assert!(e.swarm.len() <= 4);
     }
 
-    /// Invariant 7: the same seed gives the identical trace.
+    /// The same seed gives the identical trace.
     #[test]
     fn determinism(pts in arb_swarm(), seed in any::<u64>()) {
         let run = || {
@@ -64,7 +66,7 @@ proptest! {
     }
 
     /// A merge-free round never moves a robot that holds no run state
-    /// (invariant 6: only merges and runners move robots).
+    /// (only merges and runners move robots).
     #[test]
     fn only_mergers_and_runners_move(pts in arb_swarm(), seed in any::<u64>()) {
         let mut e = Engine::from_positions(
