@@ -1,11 +1,11 @@
 //! Least-squares fits on (n, rounds) series.
 
-/// Result of a one-parameter-family regression.
+/// Result of a linear regression.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FitResult {
-    /// Leading coefficient (slope for linear, `a` for `a·x²` term).
+    /// Slope.
     pub coefficient: f64,
-    /// Intercept / constant term.
+    /// Intercept.
     pub intercept: f64,
     /// Coefficient of determination in `[0, 1]` (1 = perfect fit).
     pub r2: f64,
@@ -23,9 +23,8 @@ fn r_squared(ys: &[f64], predicted: impl Fn(usize) -> f64) -> f64 {
             0.0
         }
     } else {
-        // `1 - ss_res/ss_tot` can dip below 0 for a model that predicts
-        // worse than the mean (and float error can push a perfect fit a
-        // hair past 1); [`FitResult::r2`] documents `[0, 1]`, so clamp.
+        // Float error can push `1 - ss_res/ss_tot` a hair outside
+        // `[0, 1]`, which [`FitResult::r2`] documents, so clamp.
         (1.0 - ss_res / ss_tot).clamp(0.0, 1.0)
     }
 }
@@ -47,18 +46,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> FitResult {
     let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
     let r2 = r_squared(&ys, |i| a * points[i].0 + b);
     FitResult { coefficient: a, intercept: b, r2 }
-}
-
-/// Least squares on `y = a·x² + b` (no linear term: discriminates pure
-/// quadratic growth from linear growth when compared with
-/// [`linear_fit`]'s r²).
-pub fn quadratic_fit(points: &[(f64, f64)]) -> FitResult {
-    assert!(points.len() >= 2, "need at least two points");
-    let transformed: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x * x, y)).collect();
-    let fit = linear_fit(&transformed);
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-    let r2 = r_squared(&ys, |i| fit.coefficient * points[i].0 * points[i].0 + fit.intercept);
-    FitResult { coefficient: fit.coefficient, intercept: fit.intercept, r2 }
 }
 
 /// Slope of the log–log regression: the empirical scaling exponent
@@ -90,15 +77,10 @@ mod tests {
     #[test]
     fn discriminates_linear_from_quadratic() {
         let quad: Vec<(f64, f64)> = (1..=20).map(|i| (i as f64, 0.5 * (i * i) as f64)).collect();
-        let lin_fit = linear_fit(&quad);
-        let quad_fit = quadratic_fit(&quad);
-        assert!(quad_fit.r2 > lin_fit.r2);
-        assert!((quad_fit.coefficient - 0.5).abs() < 1e-9);
         assert!((loglog_slope(&quad) - 2.0).abs() < 0.01);
 
         let lin: Vec<(f64, f64)> = (1..=20).map(|i| (i as f64, 7.0 * i as f64)).collect();
         assert!((loglog_slope(&lin) - 1.0).abs() < 0.01);
-        assert!(linear_fit(&lin).r2 > quadratic_fit(&lin).r2);
     }
 
     #[test]
@@ -117,20 +99,17 @@ mod tests {
 
     #[test]
     fn r2_stays_in_unit_interval_even_for_bad_models() {
-        // Regression: quadratic_fit forces y = a·x² + b, which can model
-        // awkward series (decreasing, sign-flipping, degenerate x²)
+        // A line can model awkward series (decreasing, sign-flipping)
         // arbitrarily badly; the documented contract is r2 ∈ [0, 1].
         let awkward: Vec<Vec<(f64, f64)>> = vec![
             (1..=20).map(|i| (i as f64, 100.0 - 5.0 * i as f64)).collect(),
             (1..=10).map(|i| (i as f64, if i % 2 == 0 { 50.0 } else { -50.0 })).collect(),
-            // x = ±1 collapses the transformed x² axis entirely.
             vec![(-1.0, 0.0), (1.0, 10.0)],
             vec![(-2.0, 3.0), (-1.0, -4.0), (1.0, 4.0), (2.0, -3.0)],
         ];
         for pts in &awkward {
-            for fit in [linear_fit(pts), quadratic_fit(pts)] {
-                assert!((0.0..=1.0).contains(&fit.r2), "r2 = {} out of [0, 1] for {pts:?}", fit.r2);
-            }
+            let fit = linear_fit(pts);
+            assert!((0.0..=1.0).contains(&fit.r2), "r2 = {} out of [0, 1] for {pts:?}", fit.r2);
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Tiny table model with Markdown and CSV renderers (hand-rolled; both
-//! formats are trivial and this keeps the dependency footprint at the
+//! Tiny table model with a Markdown renderer (hand-rolled; the format
+//! is trivial and this keeps the dependency footprint at the
 //! pre-approved set).
 
 #[derive(Clone, Debug, Default)]
@@ -38,25 +38,6 @@ pub fn render_markdown(t: &Table) -> String {
     out
 }
 
-/// RFC-4180-ish CSV (quotes fields containing commas or quotes).
-pub fn render_csv(t: &Table) -> String {
-    fn field(s: &str) -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&t.headers.iter().map(|h| field(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
-    for row in &t.rows {
-        out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,15 +56,6 @@ mod tests {
         assert!(md.contains("| n | rounds |"));
         assert!(md.contains("| 32 | 17 |"));
         assert_eq!(md.lines().count(), 6);
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.push(vec!["x,y".into(), "he said \"hi\"".into()]);
-        let csv = render_csv(&t);
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

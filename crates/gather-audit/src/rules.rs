@@ -46,15 +46,14 @@ const PANIC_FREE_CRATES: [&str; 1] = ["grid-engine"];
 /// service's clock module (lease expiry and heartbeat pacing need real
 /// elapsed time; the rest of gather-serve takes `now_ms` as an argument
 /// so expiry logic stays pure and nothing time-derived can reach a
-/// content-addressed cache key), and the bench harness stand-in.
-/// Everything else library-side must be replayable with profiling off.
+/// content-addressed cache key). Everything else library-side must be
+/// replayable with profiling off.
 const WALL_CLOCK_ALLOWLIST: [&str; 4] = [
     "crates/grid-engine/src/profile.rs",
     "crates/gather-campaign/src/executor.rs",
     "crates/gather-campaign/src/progress.rs",
     "crates/gather-serve/src/clock.rs",
 ];
-const WALL_CLOCK_ALLOWLISTED_CRATES: [&str; 1] = ["criterion"];
 
 const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 const ITER_METHODS: [&str; 11] = [
@@ -256,7 +255,6 @@ fn diag(file: &SourceFile<'_>, line: u32, rule: &'static str, message: String) -
 fn rule_wall_clock(file: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
     if file.non_library
         || WALL_CLOCK_ALLOWLIST.iter().any(|p| file.path.ends_with(p) || file.path == *p)
-        || WALL_CLOCK_ALLOWLISTED_CRATES.contains(&file.crate_name)
     {
         return;
     }

@@ -2,11 +2,12 @@
 //! round loop (look + compute + apply) at large n, emitted as
 //! `BENCH_engine.json`.
 //!
-//! Unlike the criterion benches (which time small controller kernels)
-//! this drives the *whole* engine — tiled occupancy probes through view
+//! It drives the *whole* engine — tiled occupancy probes through view
 //! windows, the parallel compute map, and the sparse round-apply — on
 //! swarms up to 10⁶ robots, including the sparse `clusters` family whose
-//! bounding box a dense O(area) occupancy index cannot allocate.
+//! bounding box a dense O(area) occupancy index cannot allocate. With
+//! `--family random-blob --n 16384 --rounds 100 --threads 1,2,4,0` it is
+//! the thread-scaling table E10 (README, "Paper tables").
 //!
 //! Usage:
 //!   bench_engine [--n N] [--rounds R] [--threads T1,T2,..] \

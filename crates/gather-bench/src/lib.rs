@@ -1,11 +1,14 @@
 //! # gather-bench
 //!
-//! Shared experiment harness for the criterion benches, the `report`
-//! binary that regenerates the experiment tables E1–E10 (README,
-//! "Experiments and benches"), and campaigns.
+//! The measured-run harness. [`RunSpec`] is the crate's one run
+//! function: campaigns (and with them the paper tables, README "Paper
+//! tables"), the trace recorder, the smoke harness and the benchmark all
+//! go through it. [`ControllerKind`] and [`SchedulerKind`] are the
+//! registries their axes name. The `bench_engine` binary times the
+//! engine's round loop at large n.
 
 use gather_baselines::{AsyncGreedy, GoToCenter};
-use gather_core::{GatherConfig, GatherController};
+use gather_core::GatherController;
 use grid_engine::connectivity::is_connected;
 use grid_engine::{
     BoxedProfileSink, BoxedRoundObserver, ConnectivityCheck, Engine, EngineConfig, EngineError,
@@ -23,7 +26,7 @@ pub struct Measurement {
     /// measured on the actual final swarm on every path, success or
     /// failure. The paper's algorithm never disconnects; the GoToCenter
     /// baseline can (its continuous-motion safety argument does not
-    /// transfer to the grid), which E8 reports.
+    /// transfer to the grid), which the E8 baseline table reports.
     pub connected: bool,
     /// Total robot activations across the run — the scheduler-honest
     /// work measure (`rounds · n`-ish under FSYNC, less under SSYNC and
@@ -31,8 +34,8 @@ pub struct Measurement {
     pub activations: u64,
 }
 
-/// The strategies a measured run can execute — the shared registry used
-/// by the campaign engine, the report binary, and the benches.
+/// The strategies a measured run can execute — the shared registry that
+/// campaign specs, trace headers and service wire fields name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ControllerKind {
     /// The paper's O(n) algorithm with the §5 constants.
@@ -191,11 +194,9 @@ fn engine_config(threads: usize, scheduler: Scheduler) -> EngineConfig {
     EngineConfig { threads, connectivity, keep_history: false, stall_limit: 200_000, scheduler }
 }
 
-/// Builder for a measured run — the one job-execution entry point the
-/// campaign executor, the trace recorder, the smoke harness, and the
-/// benches all go through (it replaced the old three-deep
-/// `run_measured` / `run_measured_observed` / `run_measured_instrumented`
-/// delegation chain).
+/// Builder for a measured run — the crate's only run function, which the
+/// campaign executor, the trace recorder, the smoke harness and the
+/// benchmark all go through.
 ///
 /// Mandatory inputs are the constructor's; everything else defaults:
 /// FSYNC scheduling, seed 0, [`budget_for`] the population, one engine
@@ -285,26 +286,16 @@ impl<'a> RunSpec<'a> {
 
     /// Execute the run until gathered or the budget dies.
     pub fn run(self) -> Measurement {
-        let RunSpec { controller, points, scheduler, seed, budget, threads, observer, profiler } =
-            self;
-        let budget = budget.unwrap_or_else(|| budget_for(points.len()));
-        let policy = scheduler.to_policy(seed, points.len());
-        match controller {
-            ControllerKind::Paper => run_paper_configured(
-                points,
-                seed,
-                GatherConfig::paper(),
-                budget,
-                threads,
-                policy,
-                observer,
-                profiler,
-            ),
-            ControllerKind::Center => {
-                run_center_configured(points, seed, budget, threads, policy, observer, profiler)
-            }
-            ControllerKind::Greedy => run_greedy(points, budget),
+        match self.controller {
+            ControllerKind::Paper => run_engine(GatherController::paper(), self),
+            ControllerKind::Center => run_engine(GoToCenter::paper_radius(), self),
+            ControllerKind::Greedy => run_greedy(self.points, self.round_budget()),
         }
+    }
+
+    /// The round budget: the one set, else [`budget_for`] the population.
+    fn round_budget(&self) -> u64 {
+        self.budget.unwrap_or_else(|| budget_for(self.points.len()))
     }
 }
 
@@ -323,24 +314,17 @@ impl std::fmt::Debug for RunSpec<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_paper_configured(
-    points: &[Point],
-    seed: u64,
-    cfg: GatherConfig,
-    budget: u64,
-    threads: usize,
-    scheduler: Scheduler,
-    observer: Option<BoxedRoundObserver>,
-    profiler: Option<BoxedProfileSink>,
-) -> Measurement {
-    let controller = GatherController::with_config(cfg).expect("valid config");
-    let mut engine = Engine::from_positions(
-        points,
-        OrientationMode::Scrambled(seed),
-        controller,
-        engine_config(threads, scheduler),
-    );
+/// Drive `controller` through the engine on `spec`'s points until
+/// gathered or the budget dies. Connectivity is *observed*, not enforced
+/// (beyond [`engine_config`]'s weak-scheduler probe): the GoToCenter
+/// baseline is allowed to break the model's invariant so the
+/// measurement can report how often it does.
+fn run_engine<C: grid_engine::Controller>(controller: C, spec: RunSpec<'_>) -> Measurement {
+    let budget = spec.round_budget();
+    let RunSpec { points, scheduler, seed, threads, observer, profiler, .. } = spec;
+    let config = engine_config(threads, scheduler.to_policy(seed, points.len()));
+    let mut engine =
+        Engine::from_positions(points, OrientationMode::Scrambled(seed), controller, config);
     if let Some(observer) = observer {
         engine.set_observer(observer);
     }
@@ -350,67 +334,11 @@ fn run_paper_configured(
     finish(points.len(), engine.run_until_gathered(budget), &mut engine)
 }
 
-/// Run the paper's algorithm on `points` until gathered (or the budget
-/// dies). `seed` scrambles per-robot orientations (no-compass model).
-pub fn run_paper(points: &[Point], seed: u64, cfg: GatherConfig, budget: u64) -> Measurement {
-    run_paper_configured(points, seed, cfg, budget, 0, Scheduler::Fsync, None, None)
-}
-
-/// Same, pinned to a given worker-thread count (E10).
-pub fn run_paper_threads(points: &[Point], seed: u64, threads: usize, budget: u64) -> Measurement {
-    run_paper_configured(
-        points,
-        seed,
-        GatherConfig::paper(),
-        budget,
-        threads,
-        Scheduler::Fsync,
-        None,
-        None,
-    )
-}
-
-/// Run the GoToCenter baseline (E8). Connectivity is *observed*, not
-/// enforced: the baseline is allowed to break the model's invariant so
-/// the experiment can report how often it does.
-pub fn run_center(points: &[Point], seed: u64, budget: u64) -> Measurement {
-    run_center_configured(points, seed, budget, 0, Scheduler::Fsync, None, None)
-}
-
-/// [`run_center`] pinned to a given engine worker-thread count.
-pub fn run_center_threads(points: &[Point], seed: u64, budget: u64, threads: usize) -> Measurement {
-    run_center_configured(points, seed, budget, threads, Scheduler::Fsync, None, None)
-}
-
-fn run_center_configured(
-    points: &[Point],
-    seed: u64,
-    budget: u64,
-    threads: usize,
-    scheduler: Scheduler,
-    observer: Option<BoxedRoundObserver>,
-    profiler: Option<BoxedProfileSink>,
-) -> Measurement {
-    let mut engine = Engine::from_positions(
-        points,
-        OrientationMode::Scrambled(seed),
-        GoToCenter::paper_radius(),
-        engine_config(threads, scheduler),
-    );
-    if let Some(observer) = observer {
-        engine.set_observer(observer);
-    }
-    if let Some(profiler) = profiler {
-        engine.set_profiler(profiler);
-    }
-    finish(points.len(), engine.run_until_gathered(budget), &mut engine)
-}
-
-/// Run the sequential greedy baseline (E8/E9 reference). A failed run
-/// (budget exhausted, no progress) reports the rounds, merges and
-/// activations it actually achieved — not zeros — and connectivity is
-/// measured on the final swarm, like every other runner.
-pub fn run_greedy(points: &[Point], budget: u64) -> Measurement {
+/// Run the sequential greedy baseline. A failed run (budget exhausted,
+/// no progress) reports the rounds, merges and activations it actually
+/// achieved — not zeros — and connectivity is measured on the final
+/// swarm, like every other runner.
+fn run_greedy(points: &[Point], budget: u64) -> Measurement {
     let n = points.len();
     let mut greedy = AsyncGreedy::new(points);
     let gathered = greedy.run(budget).is_ok();
@@ -460,7 +388,10 @@ mod tests {
 
     #[test]
     fn harness_runs_paper_algorithm() {
-        let m = run_paper(&gather_workloads::line(32), 1, GatherConfig::paper(), 1000);
+        let m = RunSpec::new(ControllerKind::Paper, &gather_workloads::line(32))
+            .seed(1)
+            .budget(1000)
+            .run();
         assert!(m.gathered);
         assert!(m.rounds <= 32);
         assert_eq!(m.n, 32);
@@ -470,8 +401,8 @@ mod tests {
     #[test]
     fn harness_runs_baselines() {
         let pts = gather_workloads::random_blob(64, 5);
-        assert!(run_center(&pts, 1, 5000).gathered);
-        assert!(run_greedy(&pts, 500).gathered);
+        assert!(RunSpec::new(ControllerKind::Center, &pts).seed(1).budget(5000).run().gathered);
+        assert!(RunSpec::new(ControllerKind::Greedy, &pts).budget(500).run().gathered);
     }
 
     #[test]
@@ -608,13 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn run_measured_matches_dedicated_runners() {
+    fn every_controller_gathers_a_short_line() {
         let pts = gather_workloads::line(48);
-        let direct = run_paper(&pts, 9, GatherConfig::paper(), 5_000);
-        let shared = RunSpec::new(ControllerKind::Paper, &pts).seed(9).budget(5_000).run();
-        assert_eq!(direct.rounds, shared.rounds);
-        assert_eq!(direct.merges, shared.merges);
-        assert_eq!(direct.activations, shared.activations);
         for kind in ControllerKind::ALL {
             let m = RunSpec::new(kind, &pts).seed(9).budget(25_000).run();
             assert_eq!(m.n, 48, "{kind}");
@@ -639,7 +565,7 @@ mod tests {
         // The greedy cascade eats a line in one pass, so starve it on a
         // blob that needs several: the partial pass must stay recorded.
         let blob = gather_workloads::random_blob(150, 7);
-        let m = run_greedy(&blob, 1);
+        let m = RunSpec::new(ControllerKind::Greedy, &blob).budget(1).run();
         assert!(!m.gathered);
         assert_eq!(m.rounds, 1, "greedy failure must keep its real pass count");
         assert!(m.merges > 0, "greedy failure must keep its real merge count");

@@ -1,5 +1,5 @@
 //! Hand-rolled argument parsing for the `campaign` binary (no external
-//! dependencies, same policy as `gather-bench/src/bin/report.rs`).
+//! dependencies, same policy as `gather-bench/src/bin/bench_engine.rs`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

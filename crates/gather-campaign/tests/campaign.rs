@@ -126,14 +126,31 @@ fn resume_of_a_finished_campaign_runs_nothing() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The shipped weak-synchrony sweep spec stays loadable: larger sizes
-/// than the standard sweep, ssync-p / rr-k / crash-f ratio axes, and
-/// the sparse clusters family.
+/// Every shipped spec under `examples/sweeps/` stays loadable: it
+/// parses, validates and expands to at least one scenario. The
+/// weak-synchrony sweep also keeps its shape: larger sizes than the
+/// standard sweep, ssync-p / rr-k / crash-f ratio axes, and the sparse
+/// clusters family.
 #[test]
-fn shipped_weak_sync_spec_parses_and_expands() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweeps/weak_sync.json");
-    let text = std::fs::read_to_string(path).expect("examples/sweeps/weak_sync.json exists");
-    let spec = gather_campaign::cli::spec_from_flat_json(&text).expect("spec parses");
+fn shipped_specs_parse_validate_and_expand() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweeps");
+    let mut specs = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("examples/sweeps exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = gather_campaign::cli::spec_from_flat_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(spec.validate().is_ok(), "{}", path.display());
+            assert!(!spec.is_empty(), "{} expands to no scenarios", path.display());
+            specs.insert(path.file_stem().unwrap().to_string_lossy().into_owned(), spec);
+        }
+    }
+    for name in ["weak_sync", "theorem1", "theorem1_hollow", "baselines"] {
+        assert!(specs.contains_key(name), "examples/sweeps/{name}.json missing");
+    }
+
+    let spec = &specs["weak_sync"];
     assert_eq!(spec.name, "weak-sync");
     assert!(spec.families.contains(&Family::Clusters));
     assert!(spec.sizes.iter().all(|&n| n >= 256), "larger n than the standard sweep");
@@ -143,8 +160,44 @@ fn shipped_weak_sync_spec_parses_and_expands() {
         spec.schedulers.iter().filter(|s| matches!(s, SchedulerKind::RoundRobin { .. })).count();
     let crash = spec.schedulers.iter().filter(|s| matches!(s, SchedulerKind::Crash { .. })).count();
     assert!(ssync >= 3 && rr >= 3 && crash >= 3, "each ratio axis needs >= 3 points");
-    assert!(spec.validate().is_ok());
     assert!(spec.len() > 1000, "a sweep worth a spec file: {} scenarios", spec.len());
+}
+
+/// The shipped paper-tables script names only shipped specs, and the
+/// `campaign run` it performs for each — with the quick pass's
+/// `--sizes 64,128` appended — parses through the real CLI.
+#[test]
+fn shipped_tables_script_runs_only_shipped_specs() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let script = std::fs::read_to_string(format!("{root}/examples/sweeps/tables.sh"))
+        .expect("tables.sh exists");
+    assert!(script.starts_with("#!"), "script needs a shebang");
+    assert!(script.contains("summarize --in"), "script must render tables");
+    let list = script.lines().find_map(|l| l.trim().strip_prefix("for spec in "));
+    let names: Vec<&str> = list
+        .and_then(|l| l.strip_suffix("; do"))
+        .expect("script loops over its specs")
+        .split_whitespace()
+        .collect();
+    assert_eq!(names, ["theorem1", "theorem1_hollow", "baselines"]);
+    for name in names {
+        let spec_path = format!("{root}/examples/sweeps/{name}.json");
+        let text = std::fs::read_to_string(&spec_path).expect("tables.sh names a shipped spec");
+        let shipped = gather_campaign::cli::spec_from_flat_json(&text).unwrap();
+        let args: Vec<String> =
+            ["run", "--spec", &spec_path, "--out", "t.jsonl", "--sizes", "64,128"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+        let gather_campaign::cli::Command::Run(run) = gather_campaign::cli::parse(&args).unwrap()
+        else {
+            panic!("{name}: not a run");
+        };
+        assert_eq!(run.spec.name, shipped.name);
+        assert_eq!(run.spec.sizes, [64, 128], "{name}: --sizes must override the spec");
+        assert_eq!(run.spec.schedulers, [SchedulerKind::Fsync], "{name}: the paper's model");
+        assert_eq!(run.spec.seeds, [3], "{name}: the tables run seed 3");
+    }
 }
 
 /// The n-scaling axis reaches 10⁶: a million-robot clusters scenario

@@ -163,7 +163,7 @@ pub fn legs(swarm: &Swarm<GatherState>) -> Vec<Leg> {
     out
 }
 
-/// Aggregate leg statistics for an E6 report row.
+/// Aggregate leg statistics: the boundary decomposition of Lemma 1 (E6).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BoundaryStats {
     pub legs: usize,
@@ -192,30 +192,28 @@ mod tests {
         Swarm::new(&pts, OrientationMode::Aligned)
     }
 
-    fn square(side: i32) -> Swarm<GatherState> {
-        let mut cells = Vec::new();
-        for y in 0..side {
-            for x in 0..side {
-                cells.push((x, y));
-            }
-        }
-        swarm(&cells)
+    fn rectangle(w: usize, h: usize) -> Swarm<GatherState> {
+        Swarm::new(&gather_workloads::rectangle(w, h), OrientationMode::Aligned)
     }
 
     #[test]
     fn big_square_is_mergeless_with_four_long_legs() {
-        let s = square(12);
-        assert!(is_mergeless(&s, &GatherConfig::paper()));
-        let stats = boundary_stats(&s);
-        assert_eq!(stats.quasi_segments, 4);
-        assert_eq!(stats.bumps, 0);
-        assert_eq!(stats.stairs, 0);
+        // Lemma 1 (E6): a block whose sides all exceed k_max is mergeless
+        // and its boundary is four quasi lines, with no bumps.
+        for (w, h) in [(12, 12), (16, 16), (24, 24), (30, 12)] {
+            let s = rectangle(w, h);
+            assert!(is_mergeless(&s, &GatherConfig::paper()), "{w}x{h}");
+            let stats = boundary_stats(&s);
+            assert_eq!(stats.quasi_segments, 4, "{w}x{h}");
+            assert_eq!(stats.bumps, 0, "{w}x{h}");
+            assert_eq!(stats.stairs, 0, "{w}x{h}");
+        }
     }
 
     #[test]
     fn small_square_is_not_mergeless() {
         // Sides within k_max: whole edges drop.
-        let s = square(5);
+        let s = rectangle(5, 5);
         assert!(!is_mergeless(&s, &GatherConfig::paper()));
     }
 
@@ -271,19 +269,12 @@ mod tests {
         // A hollow square with 2-thick walls and long sides: no free
         // tips, no bumps, every wall longer than k_max — the canonical
         // Mergeless Swarm with an inner boundary (Fig. 1).
-        let mut cells = Vec::new();
-        let (side, t) = (16, 2);
-        for y in 0..side {
-            for x in 0..side {
-                let inside = x >= t && x < side - t && y >= t && y < side - t;
-                if !inside {
-                    cells.push((x, y));
-                }
-            }
+        for side in [16, 20] {
+            let ring = gather_workloads::hollow_rectangle(side, side, 2);
+            let s: Swarm<GatherState> = Swarm::new(&ring, OrientationMode::Aligned);
+            assert!(is_mergeless(&s, &GatherConfig::paper()), "ring {side}/2");
+            let stats = boundary_stats(&s);
+            assert_eq!(stats.bumps, 0, "ring {side}/2: {stats:?}");
         }
-        let s = swarm(&cells);
-        assert!(is_mergeless(&s, &GatherConfig::paper()));
-        let stats = boundary_stats(&s);
-        assert_eq!(stats.bumps, 0, "{stats:?}");
     }
 }

@@ -5,7 +5,9 @@
 /// The paper proves correctness with the *unoptimised* constants
 /// `radius = 20` and `L = 22` (§5.3) and notes that `radius = 11` /
 /// `L = 13` suffice when all interacting runs live on a single quasi
-/// line. Experiment E7 sweeps both constants.
+/// line. Experiment E7 sweeps both constants: the
+/// `constant_sweep_stays_local_and_gathers` test in
+/// `tests/algorithm_props.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GatherConfig {
     /// L1 viewing radius of every robot.
@@ -39,6 +41,17 @@ impl GatherConfig {
         (self.radius - 4).max(2)
     }
 
+    /// Cap on the quasi-line segment length that breaks start-pattern
+    /// ties between 4-adjacent starters. The scan runs from robots up to
+    /// five cells off-centre (a Chebyshev neighbour replaying a plan
+    /// checks start candidates two cells from it, and their
+    /// 4-neighbours) and probes `cap - 1` cells along the segment, so
+    /// `radius - 6` keeps it inside the view. At the paper's radius and
+    /// above the cap is 14.
+    pub fn start_scan_cap(&self) -> i32 {
+        (self.radius - 6).min(14)
+    }
+
     /// Maximum run lifetime in rounds: two start periods, so at most
     /// two pipelined waves coexist on a chain (Fig. 15) while stale
     /// runs cannot accumulate on closed boundaries and deadlock the
@@ -49,8 +62,13 @@ impl GatherConfig {
 
     /// Sanity-check the constants; called by the controller constructor.
     pub fn validate(&self) -> Result<(), String> {
-        if self.radius < 6 {
-            return Err(format!("radius {} < 6 cannot express any merge pattern", self.radius));
+        // A merge check costs `2·k_max + 6` cells of vision and `k_max`
+        // is at least 1, so smaller radii probe past what they see.
+        if self.radius < 8 {
+            return Err(format!(
+                "radius {} < 8 cannot see a whole merge check (2·k_max + 6 cells)",
+                self.radius
+            ));
         }
         if self.period == 0 {
             return Err("period L must be positive".into());
@@ -76,12 +94,16 @@ mod tests {
         assert_eq!(c.period, 22);
         assert_eq!(c.k_max(), 7);
         assert_eq!(c.scan_depth(), 16);
+        assert_eq!(c.start_scan_cap(), 14);
         assert!(c.validate().is_ok());
     }
 
     #[test]
     fn validation_rejects_tiny_radius() {
-        assert!(GatherConfig { radius: 4, period: 22 }.validate().is_err());
+        for radius in [4, 6, 7] {
+            assert!(GatherConfig { radius, period: 22 }.validate().is_err(), "radius {radius}");
+        }
+        assert!(GatherConfig { radius: 8, period: 22 }.validate().is_ok());
         assert!(GatherConfig { radius: 20, period: 0 }.validate().is_err());
     }
 

@@ -204,13 +204,16 @@ mod tests {
 
     #[test]
     fn plateau_gathers_via_runners() {
-        // Mergeless Fig. 4 shape: requires run reshapement.
-        let mut cells: Vec<(i32, i32)> = (0..20).map(|x| (x, 0)).collect();
-        for y in 1..=9 {
-            cells.push((0, -y));
-            cells.push((19, -y));
+        // Mergeless Fig. 4 shape: requires run reshapement. The 24-wide
+        // plateau is the runner life cycle of E3 (Fig. 7/8).
+        for width in [20, 24] {
+            let mut cells: Vec<(i32, i32)> = (0..width).map(|x| (x, 0)).collect();
+            for y in 1..=9 {
+                cells.push((0, -y));
+                cells.push((width - 1, -y));
+            }
+            let rounds = gathers(&cells, 10_000);
+            assert!(rounds > 0, "width {width}");
         }
-        let rounds = gathers(&cells, 10_000);
-        assert!(rounds > 0);
     }
 }

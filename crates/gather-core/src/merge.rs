@@ -197,6 +197,9 @@ mod tests {
         }
         // Ends still erode.
         assert_eq!(step_at(&s, (0, 0)), Some(V2::E));
+        // The centre of a 3×3 block is interior too, and stays put.
+        let block: Vec<(i32, i32)> = (0..9).map(|i| (i % 3, i / 3)).collect();
+        assert_eq!(step_at(&swarm(&block), (1, 1)), None);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! none). Both sides must therefore reach the same decision. They do,
 //! because the plan is a pure, frame-equivariant function of the cells
 //! around the holder, and every cell it reads is visible to the holder
-//! and to each of its Chebyshev neighbours (`LEN_CAP`, `k_max` and
-//! `scan_depth` keep the off-centre probes within the viewing radius).
+//! and to each of its Chebyshev neighbours (`GatherConfig`'s derived
+//! limits `k_max`, `scan_depth` and `start_scan_cap`, together with
+//! `validate`'s radius floor of 8, keep the off-centre probes within the
+//! viewing radius).
 //! The holder evaluates its plan once per round, at `at = 0` in its own
 //! frame, and its neighbours read that plan through the engine's shared
 //! plan table. The off-centre form `at ≠ 0` — a neighbour replaying the

@@ -40,16 +40,13 @@ pub(crate) fn start_matches(view: GView, at: V2, travel: V2, side: V2) -> bool {
         && view.occupied(at - s)
 }
 
-/// Length cap for the segment-length comparison below. Probes reach
-/// `|at| + cap + 1` cells, which must stay within the viewing radius
-/// when evaluated for a neighbour of a neighbour.
-const LEN_CAP: i32 = 14;
-
 /// Number of robots on the straight segment starting at `base` in
-/// direction `t` (including `base`), capped at [`LEN_CAP`].
-fn segment_len(view: GView, base: V2, t: V2) -> i32 {
+/// direction `t` (including `base`), capped at `cap`
+/// ([`GatherConfig::start_scan_cap`], which keeps the probes, up to
+/// `|base| + cap - 1` cells out, within the viewing radius).
+fn segment_len(view: GView, base: V2, t: V2, cap: i32) -> i32 {
     let mut len = 1;
-    while len < LEN_CAP && view.occupied(base + t * len) {
+    while len < cap && view.occupied(base + t * len) {
         len += 1;
     }
     len
@@ -80,13 +77,14 @@ fn raw_matches(view: GView, at: V2) -> Vec<Run> {
 /// the swarm would freeze. Exactly one of them must start: the one
 /// whose quasi-line segment is longer (a frame-invariant quantity both
 /// can compute); a length tie suppresses both, which is always safe.
-pub(crate) fn starts(view: GView, at: V2, _cfg: &GatherConfig) -> Vec<Run> {
+pub(crate) fn starts(view: GView, at: V2, cfg: &GatherConfig) -> Vec<Run> {
     let mine = raw_matches(view, at);
     if mine.is_empty() {
         return mine;
     }
+    let cap = cfg.start_scan_cap();
     let score = |base: V2, matches: &[Run]| -> i32 {
-        matches.iter().map(|r| segment_len(view, base, r.travel)).max().unwrap_or(1)
+        matches.iter().map(|r| segment_len(view, base, r.travel, cap)).max().unwrap_or(1)
     };
     let my_score = score(at, &mine);
     for d in V2::axis_units() {

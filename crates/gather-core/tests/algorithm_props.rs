@@ -1,9 +1,10 @@
 //! Property tests on the algorithm's local rules, independent of full
 //! gathering runs: every decision is a legal king step, merge rounds
 //! strictly reduce the population, single reshapement hops certified by
-//! the window check never disconnect when applied alone, and the
-//! engine's shared plans decide exactly what each robot's standalone
-//! replay decides.
+//! the window check never disconnect when applied alone, the engine's
+//! shared plans decide exactly what each robot's standalone replay
+//! decides, and every valid pair of constants stays within its viewing
+//! radius.
 
 use gather_core::{GatherConfig, GatherController, GatherState};
 use grid_engine::connectivity::is_connected;
@@ -115,6 +116,45 @@ fn shared_plans_match_standalone_decide_across_threads() {
     for scheduler in [Scheduler::Fsync, Scheduler::Async { seed: 3, staleness: 2 }] {
         assert_shared_plans_match_standalone(&pts, 3, scheduler, &[1, 2, 3, 8], 24)
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Run `controller` on `pts` (orientation seed 5) until gathered or
+/// `budget` rounds pass: the rounds it took, if it gathered, and the
+/// final position digest.
+fn run_to_gather<C: Controller>(controller: C, pts: &[Point], budget: u64) -> (Option<u64>, u64) {
+    let config = EngineConfig { connectivity: ConnectivityCheck::Never, ..EngineConfig::default() };
+    let mut engine = Engine::from_positions(pts, OrientationMode::Scrambled(5), controller, config);
+    let rounds = engine.run_until_gathered(budget).ok().map(|out| out.rounds);
+    (rounds, engine.swarm.position_digest())
+}
+
+/// Experiment E7, the §5 constants: the viewing radius from 8 to 24 at
+/// L = 22, L from 8 to 44 at radius 20, and radius 11 with L = 13 (the
+/// pair the paper says suffices on a single quasi line), each on a blob
+/// and the Fig. 4 plateau, through shared plans and through standalone
+/// `decide`. A debug build's `View` asserts that no probe leaves the
+/// viewing radius, so every config doubles as a locality check. From
+/// radius 10 up every config gathers; radius 8 and 9 stall on the blob,
+/// so they run for five start periods.
+#[test]
+fn constant_sweep_stays_local_and_gathers() {
+    let configs = (8..=24)
+        .map(|radius| GatherConfig { radius, period: 22 })
+        .chain([8, 13, 18, 30, 44].map(|period| GatherConfig { radius: 20, period }))
+        .chain([GatherConfig { radius: 11, period: 13 }]);
+    let inputs = [gather_workloads::random_blob(128, 5), gather_workloads::table(128, 9)];
+    for cfg in configs {
+        let controller = GatherController::with_config(cfg).expect("valid config");
+        let budget = if cfg.radius >= 10 { 4_000 } else { 5 * cfg.period };
+        for pts in &inputs {
+            let shared = run_to_gather(controller.clone(), pts, budget);
+            let standalone = run_to_gather(Standalone(controller.clone()), pts, budget);
+            assert_eq!(shared, standalone, "{cfg:?}: shared plans diverged from decide");
+            if cfg.radius >= 10 {
+                assert!(shared.0.is_some(), "{cfg:?} did not gather {} robots", pts.len());
+            }
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Deterministic, seeded swarm generators for every configuration family
 //! used by the paper's discussion and by the experiment suite (README,
-//! "Experiments and benches"): worst-case diameter chains, quasi-line
+//! "Paper tables"): worst-case diameter chains, quasi-line
 //! plateaus (Fig. 4), hollow shapes with inner boundaries (Fig. 1),
 //! stairways (Fig. 16), and random connected blobs.
 //!

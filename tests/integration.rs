@@ -33,6 +33,10 @@ fn rounds_grow_linearly_not_quadratically_on_lines() {
             EngineConfig::default(),
         );
         let out = e.run_until_gathered(10_000).expect("gathers");
+        // E9's Ω(diameter) lower bound: robots move at king speed, so
+        // closing a line of diameter n into a 2×2 box takes at least
+        // (n − 2)/4 rounds under any strategy.
+        assert!(out.rounds >= (n as u64 - 2) / 4, "line {n} beat the lower bound");
         pts.push((n as f64, out.rounds as f64));
     }
     let slope = analysis::loglog_slope(&pts);
