@@ -119,6 +119,11 @@ impl Controller for GoToCenter {
         }
         Action::stay(())
     }
+
+    /// One class: `decide` never reads `ctx`.
+    fn round_class(&self, _ctx: RoundCtx) -> Option<u8> {
+        Some(0)
+    }
 }
 
 #[cfg(test)]

@@ -21,10 +21,10 @@
 //! `--scheduler` takes any registry name (`fsync`, `ssync-p50`, `rr4`,
 //! `crash-f10`, …) so the weak-scheduler rounds — a k-robot activation
 //! through the same sparse apply FSYNC rounds use — are benchable and
-//! gateable like FSYNC. Throughput is still robot-rounds/s
-//! (live population summed per round): under `rrK` it measures how
-//! cheaply the engine turns a round over relative to the swarm size,
-//! which is exactly the O(active)-vs-O(n) axis.
+//! gateable like FSYNC. Throughput is robot-rounds/s counted as
+//! activations (`RoundStats::activated` summed over rounds): the live
+//! population under FSYNC, the activated subset under `rrK` and SSYNC,
+//! so idle robots are not counted as work.
 //!
 //! `--profile` installs the engine's phase profiler for each measured
 //! thread config: the per-phase breakdown is printed to stderr and
@@ -225,10 +225,11 @@ fn baseline_reference<'a>(
 fn profile_json(threads: usize, scheduler: &str, n: usize, totals: &ProfileTotals) -> String {
     let mut s = format!(
         "{{\"threads\": {threads}, \"scheduler\": \"{scheduler}\", \"n\": {n}, \
-         \"rounds\": {}, \"wall_ns\": {}, \"coverage\": {:.4}",
+         \"rounds\": {}, \"wall_ns\": {}, \"coverage\": {:.4}, \"computed\": {}",
         totals.rounds,
         totals.wall_ns,
         totals.coverage(),
+        totals.computed,
     );
     for phase in Phase::ALL {
         s.push_str(&format!(", \"{}_ns\": {}", phase.name(), totals.phase_ns[phase as usize]));
@@ -351,8 +352,8 @@ fn main() {
         let start = Instant::now();
         let mut robot_rounds = 0u64;
         for _ in 0..args.rounds {
-            robot_rounds += engine.swarm.len() as u64;
-            engine.step().expect("unchecked steps cannot fail");
+            let stats = engine.step().expect("unchecked steps cannot fail");
+            robot_rounds += stats.activated as u64;
         }
         let dt = start.elapsed().as_secs_f64();
         let throughput = robot_rounds as f64 / dt;
@@ -380,7 +381,7 @@ fn main() {
     }
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
-        "PARALLEL APPLY DIVERGED: digests differ across thread counts: {digests:#x?}"
+        "RESULTS DEPEND ON THREAD COUNT: digests differ across thread counts: {digests:#x?}"
     );
     eprintln!("digest identical across thread counts {:?}", args.threads);
 
@@ -518,7 +519,8 @@ mod tests {
 
     #[test]
     fn profile_rows_are_flat_json_with_every_phase() {
-        let mut totals = ProfileTotals { rounds: 3, wall_ns: 1_000, ..Default::default() };
+        let mut totals =
+            ProfileTotals { rounds: 3, wall_ns: 1_000, computed: 42, ..Default::default() };
         totals.phase_ns[Phase::Compute as usize] = 600;
         let row = profile_json(8, "fsync", 1_000_000, &totals);
         let map = gather_analysis::parse_flat_json(&row).expect("profile row parses flat");
@@ -526,6 +528,7 @@ mod tests {
         assert_eq!(map.get("scheduler").and_then(|v| v.as_str()), Some("fsync"));
         assert_eq!(map.get("n").and_then(|v| v.as_u64()), Some(1_000_000));
         assert_eq!(map.get("compute_ns").and_then(|v| v.as_u64()), Some(600));
+        assert_eq!(map.get("computed").and_then(|v| v.as_u64()), Some(42));
         for phase in Phase::ALL {
             assert!(map.contains_key(&format!("{}_ns", phase.name())), "{row}");
         }

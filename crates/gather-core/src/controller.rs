@@ -144,6 +144,12 @@ impl Controller for GatherController {
         });
         self.act(view, hop, kept.iter().copied(), adopted)
     }
+
+    /// Start rounds are class 1, all others class 0: the L-clock is the
+    /// only thing any method reads from `ctx`.
+    fn round_class(&self, ctx: RoundCtx) -> Option<u8> {
+        Some(u8::from(self.starting(ctx)))
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! gathering runs: every decision is a legal king step, merge rounds
 //! strictly reduce the population, single reshapement hops certified by
 //! the window check never disconnect when applied alone, the engine's
-//! shared plans decide exactly what each robot's standalone replay
-//! decides, and every valid pair of constants stays within its viewing
-//! radius.
+//! shared plans and quiet skipping decide exactly what each robot's
+//! standalone replay decides, and every valid pair of constants stays
+//! within its viewing radius.
 
 use gather_core::{GatherConfig, GatherController, GatherState};
 use grid_engine::connectivity::is_connected;
@@ -34,7 +34,8 @@ fn arb_shape() -> impl Strategy<Value = (Vec<Point>, u64)> {
 
 /// `C` computing through its single-phase reference
 /// [`Controller::decide`]: with `Plan = ()` the engine shares no plans,
-/// so every robot replays its neighbours' plans on its own view.
+/// so every robot replays its neighbours' plans on its own view, and
+/// with no round class every activated robot is computed every round.
 struct Standalone<C>(C);
 
 impl<C: Controller> Controller for Standalone<C> {
@@ -61,10 +62,12 @@ fn schedulers(seed: u64, n: usize) -> [Scheduler; 5] {
     ]
 }
 
-/// Run the paper controller through shared plans on each thread count
-/// and through standalone `decide` on one thread, for `rounds` rounds (2
-/// start periods at 44) or until gathered, asserting the same round
-/// statistics, positions, states and digest after every round.
+/// Run the paper controller through shared plans and quiet skipping on
+/// each thread count and through standalone `decide` on one thread, for
+/// `rounds` rounds or until gathered, asserting the same round
+/// statistics, positions, states and digest after every round. 67
+/// rounds reach the third start round (66), where a quiet bit set in a
+/// start round is reused after a whole period of other rounds.
 fn assert_shared_plans_match_standalone(
     pts: &[Point],
     seed: u64,
@@ -215,7 +218,7 @@ proptest! {
     #[test]
     fn shared_plans_match_standalone_decide((pts, seed) in arb_shape()) {
         for scheduler in schedulers(seed, pts.len()) {
-            assert_shared_plans_match_standalone(&pts, seed, scheduler, &[1, 2, 3, 8], 44)?;
+            assert_shared_plans_match_standalone(&pts, seed, scheduler, &[1, 2, 3, 8], 67)?;
         }
     }
 

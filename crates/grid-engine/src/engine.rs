@@ -8,8 +8,9 @@ use crate::metrics::{Metrics, RoundStats};
 use crate::observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
 use crate::plan::{PlanTable, Plans};
 use crate::profile::{self, timed, BoxedProfileSink, Phase, RoundProfile};
+use crate::quiet::QuietSet;
 use crate::scheduler::{async_delay, Activation, Scheduler};
-use crate::swarm::{Action, OrientationMode, RobotState, Swarm};
+use crate::swarm::{Action, ApplyOutcome, OrientationMode, RobotState, Swarm};
 use crate::view::View;
 use std::fmt;
 
@@ -31,6 +32,13 @@ pub struct RoundCtx {
 /// neighbours, then decide with those plans at hand. A strategy whose
 /// robots share nothing sets `type Plan = ()` and implements only
 /// [`Controller::decide`]; the defaults route phase 2 to it.
+///
+/// Every method is a pure function of its arguments: a decision depends
+/// only on the robot's view, the plans of its Chebyshev neighbours (each
+/// a pure function of that neighbour's view) and the round context — or,
+/// when [`Controller::round_class`] returns a class, the round's class
+/// alone. The engine relies on this to skip robots whose inputs have not
+/// changed ([`crate::quiet`]).
 pub trait Controller: Sync {
     type State: RobotState;
 
@@ -73,6 +81,18 @@ pub trait Controller: Sync {
         _plans: &Plans<'_, Self::State, Self::Plan>,
     ) -> Action<Self::State> {
         self.decide(view, ctx)
+    }
+
+    /// The round's class, below 8. `Some(c)` promises that
+    /// [`Controller::needs_plan`], [`Controller::plan`],
+    /// [`Controller::decide`] and [`Controller::decide_with_plans`] read
+    /// `ctx` only through `c`: two rounds of the same class give the
+    /// same robot, reading the same things, the same action. The engine
+    /// then skips robots quiet in the class ([`crate::quiet`]). `None`
+    /// (the default) promises nothing, and every activated robot is
+    /// computed every round.
+    fn round_class(&self, _ctx: RoundCtx) -> Option<u8> {
+        None
     }
 }
 
@@ -157,7 +177,12 @@ pub struct RunOutcome {
 }
 
 pub struct Engine<C: Controller> {
+    /// The robots. Edits between steps (`states_mut`, `orients_mut`,
+    /// assigning another swarm) are safe: the engine notices them
+    /// through the swarm's version and forgets which robots were quiet.
     pub swarm: Swarm<C::State>,
+    /// The strategy. Must not be replaced mid-run: which robots are
+    /// quiet is only known for the controller that computed them.
     pub controller: C,
     pub config: EngineConfig,
     round: u64,
@@ -165,9 +190,13 @@ pub struct Engine<C: Controller> {
     observer: Option<BoxedRoundObserver>,
     profiler: Option<BoxedProfileSink>,
     plans: PlanTable<C::Plan>,
+    /// Which robots are quiet; `None` until a round with a class.
+    quiet: Option<QuietSet>,
     /// `0, 1, 2, …`: an FSYNC round's activation list, sliced to the
     /// live population. Grows only when a larger swarm is swapped in.
     all_slots: Vec<usize>,
+    /// The round's robots to compute when the quiet set leaves some out.
+    selected: Vec<usize>,
 }
 
 impl<C: Controller> std::fmt::Debug for Engine<C> {
@@ -195,6 +224,8 @@ impl<C: Controller> Engine<C> {
             observer: None,
             profiler: None,
             plans: PlanTable::default(),
+            quiet: None,
+            selected: Vec::new(),
         }
     }
 
@@ -258,6 +289,8 @@ impl<C: Controller> Engine<C> {
     /// applies through the one sparse round-apply
     /// ([`Swarm::apply_sparse`]) on the calling thread; an FSYNC round
     /// activates every slot, which is exactly the paper's FSYNC round.
+    /// Outside ASYNC, activated robots that are quiet ([`crate::quiet`])
+    /// are not computed again; the round's results are the same.
     /// Activated robots all observe the engine's global round counter —
     /// the weaker schedulers relax *who* acts, not the common clock.
     /// Returns the round's statistics.
@@ -274,7 +307,6 @@ impl<C: Controller> Engine<C> {
             profiling.then(|| RoundProfile { round: self.round, ..Default::default() });
         let mut prof = profile_buf.as_mut();
 
-        let n = self.swarm.len();
         let ctx = RoundCtx { round: self.round };
         // Observation is pay-as-you-go: the activation clone, the
         // world-frame move list and the pending-move list are only
@@ -286,27 +318,7 @@ impl<C: Controller> Engine<C> {
             if let Scheduler::Async { seed, staleness } = self.config.scheduler {
                 self.step_async(seed, staleness, ctx, tracing, &mut moves, &mut pending, &mut prof)
             } else {
-                let activation = timed(&mut prof, Phase::Activate, || {
-                    self.config.scheduler.activate(self.round, n)
-                });
-                let activated = activation.len(n);
-                let recorded_activation = tracing.then(|| activation.clone());
-                let subset = match &activation {
-                    Activation::All => None,
-                    Activation::Subset(active) => Some(active.as_slice()),
-                };
-                let computed = timed(&mut prof, Phase::Compute, || self.compute(subset, ctx));
-                if self.all_slots.len() < n {
-                    self.all_slots.extend(self.all_slots.len()..n);
-                }
-                let active = subset.unwrap_or(&self.all_slots[..n]);
-                if tracing {
-                    moves = timed(&mut prof, Phase::Observe, || {
-                        world_moves(&self.swarm, active.iter().copied().zip(computed.iter()))
-                    });
-                }
-                let outcome = self.swarm.apply_sparse(active, computed, prof.as_deref_mut());
-                (recorded_activation, activated, outcome)
+                self.step_sync(ctx, tracing, &mut moves, &mut prof)
             };
         let stats = RoundStats {
             round: self.round,
@@ -373,6 +385,73 @@ impl<C: Controller> Engine<C> {
         Ok(stats)
     }
 
+    /// One round under a synchronous scheduler (FSYNC, SSYNC,
+    /// round-robin, crash): compute the activated robots that are not
+    /// quiet in the round's class ([`crate::quiet`]), then apply them;
+    /// skipped robots are applied as inactive, which is what their
+    /// "stay, keep state" would do. Returns the observer's activation
+    /// record, the activation count and the apply outcome.
+    fn step_sync(
+        &mut self,
+        ctx: RoundCtx,
+        tracing: bool,
+        moves: &mut Vec<RobotMove>,
+        prof: &mut Option<&mut RoundProfile>,
+    ) -> (Option<Activation>, usize, ApplyOutcome) {
+        let n = self.swarm.len();
+        let activation =
+            timed(prof, Phase::Activate, || self.config.scheduler.activate(self.round, n));
+        let activated = activation.len(n);
+        let recorded_activation = tracing.then(|| activation.clone());
+        if self.all_slots.len() < n {
+            self.all_slots.extend(self.all_slots.len()..n);
+        }
+        let (subset, active) = match &activation {
+            Activation::All => (None, &self.all_slots[..n]),
+            Activation::Subset(active) => (Some(active.as_slice()), active.as_slice()),
+        };
+        let mut quiet = match self.controller.round_class(ctx) {
+            Some(class) => {
+                assert!(class < 8, "round class {class} is not below 8");
+                Some((class, self.quiet.get_or_insert_with(QuietSet::default)))
+            }
+            None => {
+                self.quiet = None;
+                None
+            }
+        };
+        let skips = match &mut quiet {
+            Some((class, quiet)) => timed(prof, Phase::ActiveList, || {
+                quiet.select(&self.swarm, active, *class, &mut self.selected)
+            }),
+            None => false,
+        };
+        let (computed_slots, listed) =
+            if skips { (&self.selected[..], Some(&self.selected[..])) } else { (active, subset) };
+        let computed = timed(prof, Phase::Compute, || {
+            self.plans.compute(&self.swarm, &self.controller, listed, ctx, self.config.threads)
+        });
+        if let Some(p) = prof.as_deref_mut() {
+            p.computed = computed_slots.len() as u64;
+        }
+        if let Some((class, quiet)) = &mut quiet {
+            timed(prof, Phase::ActiveList, || {
+                quiet.record(&self.swarm, computed_slots, &computed, *class)
+            });
+        }
+        if tracing {
+            *moves = timed(prof, Phase::Observe, || {
+                world_moves(&self.swarm, computed_slots.iter().copied().zip(computed.iter()))
+            });
+        }
+        let outcome = self.swarm.apply_sparse(computed_slots, computed, prof.as_deref_mut());
+        if let Some((_, quiet)) = quiet {
+            let reach = self.controller.radius() + 2;
+            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, reach));
+        }
+        (recorded_activation, activated, outcome)
+    }
+
     /// One ASYNC round (the [`Scheduler::Async`] extension of the round
     /// loop). The look-compute-move cycle is decoupled: the robots not
     /// mid-flight *look* against the start-of-round swarm and draw a
@@ -394,7 +473,11 @@ impl<C: Controller> Engine<C> {
         moves: &mut Vec<RobotMove>,
         pending: &mut Vec<PendingMove>,
         prof: &mut Option<&mut RoundProfile>,
-    ) -> (Option<Activation>, usize, crate::swarm::ApplyOutcome) {
+    ) -> (Option<Activation>, usize, ApplyOutcome) {
+        // A robot that looks is parked even when it decides to stay, so
+        // skipping a quiet one would change the schedule: compute every
+        // look and forget which robots were quiet.
+        self.quiet = None;
         let n = self.swarm.len();
         // The look set: every robot not mid-flight, in slot order.
         // Legitimately empty when everyone is in flight — such a round
@@ -410,7 +493,12 @@ impl<C: Controller> Engine<C> {
                 Activation::Subset(look.clone())
             }
         });
-        let computed = timed(prof, Phase::Compute, || self.compute(Some(&look), ctx));
+        let computed = timed(prof, Phase::Compute, || {
+            self.plans.compute(&self.swarm, &self.controller, Some(&look), ctx, self.config.threads)
+        });
+        if let Some(p) = prof.as_deref_mut() {
+            p.computed = look.len() as u64;
+        }
         // Split this round's looks by their seeded delay, then merge the
         // delay-0 ones with the earlier looks falling due now. Both
         // lists are slot-sorted and disjoint (a due robot was in flight,
@@ -464,13 +552,6 @@ impl<C: Controller> Engine<C> {
         }
         let outcome = self.swarm.apply_sparse(&commit_slots, commit_actions, prof.as_deref_mut());
         (recorded_activation, activated, outcome)
-    }
-
-    /// The compute step of one round through the two-phase plan path
-    /// ([`crate::plan`]): the actions of `active` (every robot when
-    /// `None`), in slot order.
-    fn compute(&mut self, active: Option<&[usize]>, ctx: RoundCtx) -> Vec<Action<C::State>> {
-        self.plans.compute(&self.swarm, &self.controller, active, ctx, self.config.threads)
     }
 
     /// Run until gathered or until `max_rounds` have elapsed.
@@ -725,6 +806,7 @@ mod tests {
         fn engine_len_from(profiles: &[RoundProfile]) -> usize {
             profiles.len()
         }
+        let mut computed_per_thread_count = Vec::new();
         for threads in [1usize, 4] {
             let (plain_digest, _, profiles_off) = run(threads, false);
             let (profiled_digest, rounds, profiles) = run(threads, true);
@@ -750,7 +832,15 @@ mod tests {
                 cfg!(feature = "count-alloc"),
                 "alloc counting must track the count-alloc feature"
             );
+            computed_per_thread_count.push(totals.computed);
         }
+        // MarchEast declares no round class, so every robot is computed
+        // every round, whatever the thread count.
+        assert!(computed_per_thread_count[0] > 0, "no computed robots counted");
+        assert!(
+            computed_per_thread_count.windows(2).all(|w| w[0] == w[1]),
+            "computed counts differ across thread counts: {computed_per_thread_count:?}"
+        );
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! * **Shared plans** — the compute step runs in two phases: robots
 //!   first evaluate, once each, what they share with their Chebyshev
 //!   neighbours, then decide with those plans at hand ([`plan`]).
+//! * **Quiet robots** — a robot whose last action in the round's class
+//!   was "stay, keep state", and whose surroundings have not changed
+//!   since, is not computed again ([`quiet`]).
 //!
 //! Strategies implement [`Controller`]; the paper's algorithm lives in
 //! the `gather-core` crate, comparators in `gather-baselines`.
@@ -42,6 +45,7 @@ pub mod observe;
 pub mod parallel;
 pub mod plan;
 pub mod profile;
+pub mod quiet;
 pub mod scheduler;
 pub mod swarm;
 pub mod tile;

@@ -7,13 +7,14 @@
 //! more for each of its up to 8 neighbours. The engine instead computes
 //! every round in two phases:
 //!
-//! 1. **Plan.** Every robot an activated robot can read — the activated
+//! 1. **Plan.** Every robot a computed robot can read — the computed
 //!    robot itself and its occupied Chebyshev neighbours — that passes
 //!    the cheap [`Controller::needs_plan`] pre-check evaluates
-//!    [`Controller::plan`] once, on its own view, in its own frame. Under
-//!    FSYNC that is every robot passing the pre-check; under partial and
-//!    ASYNC schedulers only the activated set and its neighbours are
-//!    visited, so the phase stays O(activated).
+//!    [`Controller::plan`] once, on its own view, in its own frame. When
+//!    every robot is computed that is every robot passing the pre-check;
+//!    otherwise (partial and ASYNC schedulers, or robots left out by the
+//!    quiet set, [`crate::quiet`]) only the listed robots and their
+//!    neighbours are visited, so the phase stays O(computed).
 //! 2. **Decide.** Each activated robot computes its action with
 //!    [`Controller::decide_with_plans`], reading the plans through
 //!    [`Plans`]: a lookup by Chebyshev-1 offset that returns the plan
@@ -59,7 +60,7 @@ impl<P> Default for PlanTable<P> {
 
 impl<P: Send + Sync> PlanTable<P> {
     /// One round's compute step: phase 1 fills the table, phase 2 maps
-    /// every activated robot (`active`, or every robot when `None`) to
+    /// every robot to compute (`active`, or every robot when `None`) to
     /// its action, in slot order. Bit-identical across thread counts.
     pub(crate) fn compute<C: Controller<Plan = P>>(
         &mut self,

@@ -49,10 +49,9 @@ pub enum Phase {
     Observe = 6,
     /// Post-round invariant checks (connectivity, stall detection).
     Invariants = 7,
-    /// A reserved slot that reads 0: no engine work is charged to it
-    /// (the sparse apply stamps its movers under
-    /// [`Phase::ApplyTargets`]). It keeps the 9-phase report and record
-    /// schemas stable.
+    /// The quiet set's bookkeeping ([`crate::quiet`]): selecting the
+    /// robots to compute, marking quiet robots, and clearing the robots
+    /// near the round's changes.
     ActiveList = 8,
 }
 
@@ -102,6 +101,9 @@ pub struct RoundProfile {
     /// Allocations during the round (process-global delta); `None`
     /// unless the `count-alloc` feature is enabled.
     pub allocs: Option<u64>,
+    /// Robots whose compute ran: the activated robots less those the
+    /// quiet set skipped.
+    pub computed: u64,
 }
 
 impl RoundProfile {
@@ -158,6 +160,8 @@ pub struct ProfileTotals {
     /// `allocs_counted` (the `count-alloc` feature was on).
     pub allocs: u64,
     pub allocs_counted: bool,
+    /// Robots whose compute ran, summed over rounds.
+    pub computed: u64,
 }
 
 impl ProfileTotals {
@@ -165,6 +169,7 @@ impl ProfileTotals {
     pub fn add(&mut self, p: &RoundProfile) {
         self.rounds += 1;
         self.wall_ns += p.wall_ns;
+        self.computed += p.computed;
         for (sum, &ns) in self.phase_ns.iter_mut().zip(&p.phase_ns) {
             *sum += ns;
         }
@@ -206,6 +211,11 @@ impl ProfileTotals {
             self.rounds,
             self.wall_ns as f64 / 1e9,
             self.coverage() * 100.0,
+        ));
+        out.push_str(&format!(
+            "  computed {} robots, {:.1}/round\n",
+            self.computed,
+            self.computed as f64 / self.rounds.max(1) as f64,
         ));
         for phase in Phase::ALL {
             out.push_str(&format!(
@@ -336,7 +346,7 @@ mod tests {
     #[test]
     fn totals_fold_rounds_and_compute_shares() {
         let mut totals = ProfileTotals::default();
-        let mut p = RoundProfile { round: 0, wall_ns: 100, ..Default::default() };
+        let mut p = RoundProfile { round: 0, wall_ns: 100, computed: 7, ..Default::default() };
         p.phase_ns[Phase::Compute as usize] = 60;
         p.phase_ns[Phase::MergeDetect as usize] = 30;
         totals.add(&p);
@@ -347,8 +357,10 @@ mod tests {
         assert!((totals.coverage() - 0.9).abs() < 1e-9);
         assert!((totals.share(Phase::Compute) - 0.6).abs() < 1e-9);
         assert!(!totals.allocs_counted);
+        assert_eq!(totals.computed, 14);
         let rendered = totals.render();
         assert!(rendered.contains("merge_detect"), "{rendered}");
+        assert!(rendered.contains("computed 14 robots"), "{rendered}");
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! by probing the index), and the occupancy update rewrites only the
 //! movers' cells. An FSYNC round is the case where every slot is
 //! activated. The apply runs on the calling thread; the engine's worker
-//! threads go to the compute step, which dominates round time.
+//! threads go to the compute step, which dominates any round where many
+//! robots compute.
 //! [`Swarm::apply`] and [`Swarm::apply_partial`] are the dense O(n)
 //! scan, kept as the oracle that trace playback, the greedy baseline
 //! and the proptests use. The per-cell survivor rule is a *minimum* over
@@ -42,6 +43,7 @@ use crate::geom::{Bounds, Point, D4, V2};
 use crate::profile::{timed, Phase, RoundProfile};
 use crate::scheduler::splitmix64;
 use crate::tile::TileIndex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-robot algorithm state carried between rounds.
 ///
@@ -51,7 +53,10 @@ use crate::tile::TileIndex;
 /// stored in its owner's local frame and must be re-expressed when
 /// another robot observes it — that is what [`RobotState::transform`]
 /// implements.
-pub trait RobotState: Clone + Default + Send + Sync + 'static {
+///
+/// `PartialEq` lets the engine tell an action that keeps the robot's
+/// state from one that changes it ([`crate::quiet`]).
+pub trait RobotState: Clone + Default + PartialEq + Send + Sync + 'static {
     /// Return a copy with every direction vector `d` replaced by
     /// `m.apply(d)`.
     fn transform(&self, m: D4) -> Self;
@@ -139,6 +144,18 @@ impl RoundScratch {
     }
 }
 
+/// Source of [`Swarm::version`] stamps. One process-wide counter, so two
+/// swarms carry the same version only when one is an unedited clone of
+/// the other. Versions are only ever compared for equality; their values
+/// depend on what else the process runs and never reach a result.
+/// `Relaxed` suffices: a stamp publishes no other data, and `fetch_add`
+/// alone makes every stamp unique.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
 #[derive(Clone)]
 pub struct Swarm<S: RobotState> {
     positions: Vec<Point>,
@@ -162,6 +179,8 @@ pub struct Swarm<S: RobotState> {
     in_flight: Vec<u32>,
     index: TileIndex,
     scratch: RoundScratch,
+    /// Changes on every mutation ([`Swarm::version`]).
+    version: u64,
 }
 
 // Manual so states without Debug still get a printable swarm summary.
@@ -231,6 +250,7 @@ impl<S: RobotState> Swarm<S> {
             in_flight: Vec::new(),
             index,
             scratch: RoundScratch::default(),
+            version: fresh_version(),
         }
     }
 
@@ -257,6 +277,7 @@ impl<S: RobotState> Swarm<S> {
     /// Mutable access to robot states (tests and setup). States are not
     /// indexed, so mutating them cannot desynchronise the swarm.
     pub fn states_mut(&mut self) -> &mut [S] {
+        self.version = fresh_version();
         &mut self.states
     }
 
@@ -268,7 +289,23 @@ impl<S: RobotState> Swarm<S> {
 
     /// Mutable access to robot orientations (tests and setup).
     pub fn orients_mut(&mut self) -> &mut [D4] {
+        self.version = fresh_version();
         &mut self.orients
+    }
+
+    /// A stamp that changes whenever the swarm may have changed: every
+    /// method that mutates it (`states_mut`, `orients_mut`, the applies,
+    /// `park`, `take_due`) draws a fresh one. Clones keep the stamp, so
+    /// equal versions mean an unchanged swarm; the engine uses this to
+    /// notice edits made between its steps.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Number of stable handles ever issued (the initial population):
+    /// every handle is below it.
+    pub(crate) fn handle_count(&self) -> usize {
+        self.slot_of.len()
     }
 
     /// Current dense slot of a stable handle read from the occupancy
@@ -310,6 +347,7 @@ impl<S: RobotState> Swarm<S> {
     /// commutes with the frame transform). A robot can hold at most one
     /// pending move — it cannot look while in flight.
     pub fn park(&mut self, slot: usize, due: u64, action: Action<S>) {
+        self.version = fresh_version();
         let h = self.handles[slot] as usize;
         if self.pending.len() <= h {
             self.pending.resize_with(self.slot_of.len(), || None);
@@ -328,6 +366,7 @@ impl<S: RobotState> Swarm<S> {
     /// robots are stationary and stationary robots win merges, so this
     /// cannot happen under the engine's own scheduling).
     pub fn take_due(&mut self, round: u64) -> Vec<(usize, Action<S>)> {
+        self.version = fresh_version();
         let mut out: Vec<(usize, Action<S>)> = Vec::new();
         let mut w = 0usize;
         for k in 0..self.in_flight.len() {
@@ -421,6 +460,7 @@ impl<S: RobotState> Swarm<S> {
     /// detection over the full population, movers-only occupancy update,
     /// in-place survivor commit plus array compaction.
     pub fn apply_partial(&mut self, actions: Vec<Option<Action<S>>>) -> ApplyOutcome {
+        self.version = fresh_version();
         let n = self.positions.len();
         assert_eq!(actions.len(), n);
         let epoch = self.scratch.next_epoch(self.slot_of.len());
@@ -526,6 +566,7 @@ impl<S: RobotState> Swarm<S> {
         mut prof: Option<&mut RoundProfile>,
     ) -> ApplyOutcome {
         assert_eq!(actions.len(), active.len());
+        self.version = fresh_version();
         let epoch = self.scratch.next_epoch(self.slot_of.len());
         debug_assert!(
             active.iter().all(|&i| i < self.positions.len()),

@@ -346,6 +346,32 @@ impl TileWindow<'_> {
     pub fn occupied(&self, p: Point) -> bool {
         self.get(p).is_some()
     }
+
+    /// Call `f` with the id of every occupied cell of row `y` from `x0`
+    /// to `x1` inclusive, in x order: a scan of each tile's contiguous
+    /// row slice, much cheaper per cell than [`TileWindow::get`].
+    pub fn for_each_in_row(&self, y: i32, x0: i32, x1: i32, mut f: impl FnMut(u32)) {
+        let ky = y >> TILE_BITS;
+        let row = ((y & (TILE_SIZE - 1)) as usize) << TILE_BITS;
+        let mut x = x0;
+        while x <= x1 {
+            let kx = x >> TILE_BITS;
+            let end = x1.min((kx << TILE_BITS) + TILE_SIZE - 1);
+            let (dx, dy) = (kx - self.kx0, ky - self.ky0);
+            let tile = if dx >= 0 && dx < self.w && dy >= 0 && dy < self.h {
+                self.tiles[(dy * self.w + dx) as usize]
+            } else {
+                let key = TileKey { x: kx, y: ky };
+                self.index.shards[key.shard()].tiles.get(&key)
+            };
+            if let Some(tile) = tile {
+                let lx = (x & (TILE_SIZE - 1)) as usize;
+                let cells = &tile.cells[row + lx..=row + lx + (end - x) as usize];
+                cells.iter().filter(|&&id| id != EMPTY).for_each(|&id| f(id));
+            }
+            x = end + 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -424,6 +450,36 @@ mod tests {
             assert!(win.occupied(p));
         }
         assert!(!win.occupied(Point::new(7, 7)));
+    }
+
+    #[test]
+    fn row_scan_agrees_with_direct_probes() {
+        let mut idx = TileIndex::new();
+        let mut n = 0u32;
+        for y in -70i32..140 {
+            for x in -70i32..140 {
+                if (x * 7 + y * 13).rem_euclid(5) == 0 {
+                    idx.set(Point::new(x, y), n);
+                    n += 1;
+                }
+            }
+        }
+        // Rows inside the pinned block, across tile borders, and beyond
+        // the block (answered by the index).
+        for (center, radius) in
+            [(Point::new(0, 0), 22), (Point::new(63, -1), 22), (Point::new(5, 5), 100)]
+        {
+            let win = idx.window(center, radius);
+            for y in center.y - 110..=center.y + 110 {
+                for (x0, x1) in [(-75, 145), (center.x - 3, center.x + 60), (10, 9)] {
+                    let mut scanned = Vec::new();
+                    win.for_each_in_row(y, x0, x1, |id| scanned.push(id));
+                    let probed: Vec<u32> =
+                        (x0..=x1).filter_map(|x| idx.get(Point::new(x, y))).collect();
+                    assert_eq!(scanned, probed, "row {y} from {x0} to {x1}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -65,9 +65,11 @@ impl<'a, S: RobotState> View<'a, S> {
         self.radius
     }
 
-    /// Index of the observing robot (simulator bookkeeping, not visible
-    /// to the algorithm — robots are anonymous).
-    pub fn id(&self) -> usize {
+    /// Dense slot of the observing robot: engine bookkeeping, hidden from
+    /// controllers. Robots are anonymous, and a slot shifts when merges
+    /// compact the arrays, so an unchanged neighbourhood would otherwise
+    /// read differently from one round to the next.
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
