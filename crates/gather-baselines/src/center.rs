@@ -8,9 +8,19 @@
 //! centre of the *smallest enclosing circle*; on the grid we guard each
 //! step with the same local window certificate the runner hops use —
 //! a robot only moves if, within a 5×5 window, its departure provably
-//! keeps its neighbours connected to its destination. The guard keeps
-//! the comparison fair (no disconnections) at the cost of liveness on
-//! some shapes, which is part of what experiment E8 measures.
+//! keeps its neighbours connected to its destination. The guard costs
+//! liveness on some shapes, which is part of what experiment E8
+//! measures. It certifies one robot's step alone, so robots that step
+//! at once can still split the swarm: the seed-1 random blob of 256
+//! robots is in 3 pieces after its first FSYNC round (they merge back),
+//! and the seed-1 clusters swarm of 256 ends as 4 robots in 3 pieces.
+//!
+//! The look reads the whole viewing ball (the 840 cells around the
+//! robot at the paper's radius) in one row scan
+//! ([`View::for_each_within`]), folding the robot count and the offset
+//! sum as it goes. Both are integers that do not depend on the order
+//! robots are visited in, so the centroid, and every decision, is what
+//! probing the ball cell by cell would give.
 
 use grid_engine::{Action, Controller, RoundCtx, View, V2};
 
@@ -21,7 +31,7 @@ pub struct GoToCenter {
 
 impl GoToCenter {
     pub fn new(radius: i32) -> Self {
-        assert!(radius >= 2);
+        assert!(radius >= 4, "the 5×5 step guard reaches L1 distance 4, past radius {radius}");
         GoToCenter { radius }
     }
 
@@ -83,12 +93,14 @@ impl Controller for GoToCenter {
     }
 
     fn decide(&self, view: &View<'_, ()>, _ctx: RoundCtx) -> Action<()> {
-        let others = view.robots_within(self.radius);
-        if others.is_empty() {
+        let (mut n, mut sum) = (0, V2::ZERO);
+        view.for_each_within(self.radius, |v| {
+            n += 1;
+            sum = sum + v;
+        });
+        if n == 0 {
             return Action::stay(());
         }
-        let sum = others.iter().fold(V2::ZERO, |a, &b| a + b);
-        let n = others.len() as i32;
         // King-step toward the centroid: the sign of each component of
         // the (rational) centre, with a dead zone of half a cell so a
         // robot at the centre stays put.
@@ -129,7 +141,97 @@ impl Controller for GoToCenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode, Point};
+    use gather_workloads::{family, Family};
+    use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode, Point, Scheduler};
+
+    /// The look as it was before the ball scan, as the oracle: one probe
+    /// per cell of the viewing ball, collected into a list.
+    fn decide_by_probes(c: &GoToCenter, view: &View<'_, ()>) -> Action<()> {
+        let mut others = Vec::new();
+        for dy in -c.radius..=c.radius {
+            let w = c.radius - dy.abs();
+            for dx in -w..=w {
+                let v = V2::new(dx, dy);
+                if v != V2::ZERO && view.occupied(v) {
+                    others.push(v);
+                }
+            }
+        }
+        if others.is_empty() {
+            return Action::stay(());
+        }
+        let sum = others.iter().fold(V2::ZERO, |a, &b| a + b);
+        let n = others.len() as i32;
+        let sx = if 2 * sum.x > n {
+            1
+        } else if 2 * sum.x < -n {
+            -1
+        } else {
+            0
+        };
+        let sy = if 2 * sum.y > n {
+            1
+        } else if 2 * sum.y < -n {
+            -1
+        } else {
+            0
+        };
+        let mut step = V2::new(sx, sy);
+        if step == V2::ZERO {
+            return Action::stay(());
+        }
+        for cand in [step, V2::new(step.x, 0), V2::new(0, step.y)] {
+            if cand != V2::ZERO && step_safe(view, cand) {
+                step = cand;
+                return Action { step, state: () };
+            }
+        }
+        Action::stay(())
+    }
+
+    const FAMILIES: [Family; 5] =
+        [Family::Line, Family::Square, Family::HollowSquare, Family::RandomBlob, Family::Clusters];
+
+    fn engine(f: Family, n: usize, seed: u64, scheduler: Scheduler) -> Engine<GoToCenter> {
+        let config = EngineConfig {
+            scheduler,
+            connectivity: ConnectivityCheck::Never,
+            ..EngineConfig::default()
+        };
+        let pts = family(f, n, seed);
+        Engine::from_positions(
+            &pts,
+            OrientationMode::Scrambled(seed),
+            GoToCenter::paper_radius(),
+            config,
+        )
+    }
+
+    /// The ball scan decides what per-cell probes decide, for every
+    /// robot of seeded swarms at three points of an FSYNC run.
+    #[test]
+    fn ball_scan_decides_as_probes() {
+        for f in FAMILIES {
+            for n in [64, 256] {
+                for seed in 0..4 {
+                    let mut e = engine(f, n, seed, Scheduler::Fsync);
+                    for round in [0, 10, 40] {
+                        while e.round() < round {
+                            e.step().expect("unchecked steps cannot fail");
+                        }
+                        for i in 0..e.swarm.len() {
+                            let view = View::new(&e.swarm, i, e.controller.radius);
+                            assert_eq!(
+                                e.controller.decide(&view, RoundCtx { round }).step,
+                                decide_by_probes(&e.controller, &view).step,
+                                "{f} n {n} seed {seed} round {round} robot {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn line_contracts_and_gathers() {
@@ -166,5 +268,52 @@ mod tests {
         );
         let stats = e.step().unwrap();
         assert_eq!(stats.moved, 0);
+    }
+
+    /// GoToCenter end to end: population and position digest after
+    /// [`PINNED_ROUNDS`] rounds of seed-1 swarms, recorded before the look
+    /// became a ball scan. The random blobs gather; the clusters FSYNC run
+    /// is left as 4 robots in 3 pieces after round 55 and keeps stepping.
+    #[test]
+    fn pinned_runs_keep_their_digests() {
+        let ssync = Scheduler::Ssync { seed: 1, p: 50 };
+        let async_s2 = Scheduler::Async { seed: 1, staleness: 2 };
+        let runs = [
+            (Family::RandomBlob, Scheduler::Fsync, 2, 0x0c45_157b_27f0_8e10),
+            (Family::RandomBlob, ssync, 1, 0x793c_4448_6e68_d6e3),
+            (Family::RandomBlob, async_s2, 1, 0x3207_3142_a22c_1373),
+            (Family::Clusters, Scheduler::Fsync, 4, 0x5650_3ecc_5923_25c5),
+            (Family::Clusters, ssync, 99, 0xb92e_1e5a_027d_1aa9),
+            (Family::Clusters, async_s2, 94, 0xf5e3_374a_2c72_9914),
+        ];
+        for (f, scheduler, robots, digest) in runs {
+            let mut e = engine(f, 256, 1, scheduler);
+            for _ in 0..PINNED_ROUNDS {
+                e.step().expect("unchecked steps cannot fail");
+            }
+            let got = (e.swarm.len(), e.swarm.position_digest());
+            assert_eq!(got, (robots, digest), "{f} {scheduler:?}");
+        }
+    }
+
+    const PINNED_ROUNDS: u64 = 80;
+
+    #[test]
+    #[should_panic(expected = "5×5 step guard")]
+    fn radius_below_the_step_window_is_refused() {
+        GoToCenter::new(3);
+    }
+
+    #[test]
+    fn smallest_radius_steps_a_line() {
+        // In a debug build every probe asserts it stays within the view.
+        let pts: Vec<Point> = (0..6).map(|x| Point::new(x, 0)).collect();
+        let mut e = Engine::from_positions(
+            &pts,
+            OrientationMode::Aligned,
+            GoToCenter::new(4),
+            EngineConfig::default(),
+        );
+        assert!(e.step().expect("a line stays connected").moved > 0);
     }
 }

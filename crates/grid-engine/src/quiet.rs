@@ -36,14 +36,15 @@
 use crate::geom::{Point, V2};
 use crate::swarm::{Action, RobotState, Swarm};
 
-/// Marking probes worth one robot's compute. Marking costs one probe
-/// per cell of each changed cell's ball; skipping it (dropping every bit
-/// instead) costs at most one compute per robot next time. Measured on a
-/// 2-core Xeon at the paper's radius: a probe of a tile row costs about
-/// 2 ns in a dense swarm (1 ns in a sparse one), and a robot's compute
-/// about 400 ns for the paper controller (6 µs for GoToCenter, which
-/// reads its whole view). So marking pays while it probes fewer than
-/// ~200 cells per robot of the cheaper controller.
+/// Marking probes worth one robot's compute. Marking scans each changed
+/// cell's ball ([`crate::tile::TileWindow::for_each_in_ball`]); skipping
+/// it (dropping every bit instead) costs at most one compute per robot
+/// next time. Measured on a 2-core Xeon at the paper's radius: a cell of
+/// a tile-row scan costs about 2 ns in a dense swarm (1 ns in a sparse
+/// one, measured before the scan skipped empty 8-cell chunks), and a
+/// robot's compute about 400 ns for the paper controller (2–3 µs for
+/// GoToCenter, which scans its whole view). So marking pays while it
+/// probes fewer than ~200 cells per robot of the cheaper controller.
 const PROBES_PER_COMPUTE: usize = 200;
 
 /// Number of cells within L1 distance `r` of a cell.
@@ -129,10 +130,7 @@ impl QuietSet {
         let bits = &mut self.bits;
         for &cell in &self.changed {
             let win = swarm.index().window(cell, reach);
-            for dy in -reach..=reach {
-                let w = reach - dy.abs();
-                win.for_each_in_row(cell.y + dy, cell.x - w, cell.x + w, |h| bits[h as usize] = 0);
-            }
+            win.for_each_in_ball(cell, reach, |_, h| bits[h as usize] = 0);
         }
     }
 }

@@ -11,13 +11,18 @@
 //! reallocation, and `bounds()` derives from tile-key extremes plus a
 //! scan of the boundary tiles only — no O(n) rescan over robots.
 //!
-//! Two access paths keep probes cheap:
+//! Three access paths keep probes cheap:
 //!
 //! * [`TileIndex::window`] pins the ≤3×3 tile block around a viewing
 //!   robot, so the compute step's O(radius²) probes cost an array read
 //!   plus two compares each instead of a hash lookup — this is what
 //!   keeps the tiled index competitive with the dense grid on the hot
 //!   look path.
+//! * A window's ball scan (`TileWindow::for_each_in_ball`) visits every
+//!   occupied cell within an L1 radius by scanning each world row's
+//!   contiguous tile slice, skipping all-empty 8-cell chunks. Whole-ball
+//!   reads — GoToCenter's look, the quiet set's invalidation — take this
+//!   path instead of one probe per cell.
 //! * The tile maps are split into [`NUM_SHARDS`] shards keyed by tile
 //!   coordinate (a cell belongs to exactly one tile, a tile to exactly
 //!   one shard), so each hash map stays small;
@@ -330,6 +335,10 @@ impl std::fmt::Debug for TileWindow<'_> {
     }
 }
 
+/// Cells per chunk of a ball scan's row slice: a chunk whose cells all
+/// read [`EMPTY`] is skipped after one AND-fold.
+const SCAN_CHUNK: usize = 8;
+
 impl TileWindow<'_> {
     #[inline]
     pub fn get(&self, p: Point) -> Option<u32> {
@@ -347,10 +356,24 @@ impl TileWindow<'_> {
         self.get(p).is_some()
     }
 
-    /// Call `f` with the id of every occupied cell of row `y` from `x0`
-    /// to `x1` inclusive, in x order: a scan of each tile's contiguous
-    /// row slice, much cheaper per cell than [`TileWindow::get`].
-    pub fn for_each_in_row(&self, y: i32, x0: i32, x1: i32, mut f: impl FnMut(u32)) {
+    /// Call `f(cell, id)` for every occupied cell within L1 distance `r`
+    /// of `center`, in world scanline order (rows by ascending `y`, each
+    /// by ascending `x`): one row-slice scan per world row.
+    #[inline]
+    pub(crate) fn for_each_in_ball(&self, center: Point, r: i32, mut f: impl FnMut(Point, u32)) {
+        for dy in -r..=r {
+            let (y, w) = (center.y + dy, r - dy.abs());
+            self.for_each_in_row(y, center.x - w, center.x + w, |x, id| f(Point::new(x, y), id));
+        }
+    }
+
+    /// Call `f(x, id)` for every occupied cell of row `y` from `x0` to
+    /// `x1` inclusive, in x order: a scan of each tile's contiguous row
+    /// slice. An empty cell is all ones ([`EMPTY`]), so a chunk of cells
+    /// AND-folds to [`EMPTY`] exactly when every cell in it is empty,
+    /// and such a chunk is skipped without a per-cell test.
+    #[inline]
+    fn for_each_in_row(&self, y: i32, x0: i32, x1: i32, mut f: impl FnMut(i32, u32)) {
         let ky = y >> TILE_BITS;
         let row = ((y & (TILE_SIZE - 1)) as usize) << TILE_BITS;
         let mut x = x0;
@@ -365,9 +388,24 @@ impl TileWindow<'_> {
                 self.index.shards[key.shard()].tiles.get(&key)
             };
             if let Some(tile) = tile {
-                let lx = (x & (TILE_SIZE - 1)) as usize;
-                let cells = &tile.cells[row + lx..=row + lx + (end - x) as usize];
-                cells.iter().filter(|&&id| id != EMPTY).for_each(|&id| f(id));
+                let start = row + (x & (TILE_SIZE - 1)) as usize;
+                let cells = &tile.cells[start..=start + (end - x) as usize];
+                let mut scan = |cx: i32, chunk: &[u32]| {
+                    if chunk.iter().fold(EMPTY, |all, &id| all & id) != EMPTY {
+                        for (cx, &id) in (cx..).zip(chunk) {
+                            if id != EMPTY {
+                                f(cx, id);
+                            }
+                        }
+                    }
+                };
+                let mut chunks = cells.chunks_exact(SCAN_CHUNK);
+                let mut cx = x;
+                for chunk in &mut chunks {
+                    scan(cx, chunk);
+                    cx += SCAN_CHUNK as i32;
+                }
+                scan(cx, chunks.remainder());
             }
             x = end + 1;
         }
@@ -454,29 +492,55 @@ mod tests {
 
     #[test]
     fn row_scan_agrees_with_direct_probes() {
-        let mut idx = TileIndex::new();
-        let mut n = 0u32;
-        for y in -70i32..140 {
-            for x in -70i32..140 {
-                if (x * 7 + y * 13).rem_euclid(5) == 0 {
-                    idx.set(Point::new(x, y), n);
-                    n += 1;
+        // A 5-cell stripe, lone cells one in 9 (every chunk position holds
+        // the only robot of some chunk), and a solid block (every position
+        // of a chunk occupied), each over a box spanning negative tiles.
+        let patterns: [fn(i32, i32) -> bool; 3] = [
+            |x, y| (x * 7 + y * 13).rem_euclid(5) == 0,
+            |x, y| (x - 2 * y).rem_euclid(9) == 0,
+            |_, _| true,
+        ];
+        for (k, occupied) in patterns.into_iter().enumerate() {
+            let mut idx = TileIndex::new();
+            let mut n = 0u32;
+            for y in -100i32..100 {
+                for x in -100i32..100 {
+                    if occupied(x, y) {
+                        idx.set(Point::new(x, y), n);
+                        n += 1;
+                    }
                 }
             }
-        }
-        // Rows inside the pinned block, across tile borders, and beyond
-        // the block (answered by the index).
-        for (center, radius) in
-            [(Point::new(0, 0), 22), (Point::new(63, -1), 22), (Point::new(5, 5), 100)]
-        {
-            let win = idx.window(center, radius);
-            for y in center.y - 110..=center.y + 110 {
-                for (x0, x1) in [(-75, 145), (center.x - 3, center.x + 60), (10, 9)] {
-                    let mut scanned = Vec::new();
-                    win.for_each_in_row(y, x0, x1, |id| scanned.push(id));
-                    let probed: Vec<u32> =
-                        (x0..=x1).filter_map(|x| idx.get(Point::new(x, y))).collect();
-                    assert_eq!(scanned, probed, "row {y} from {x0} to {x1}");
+            let centers = [
+                Point::new(0, 0),
+                Point::new(-1, -1),
+                Point::new(63, -1),
+                Point::new(-64, 64),
+                Point::new(-70, 30),
+                Point::new(5, -45),
+            ];
+            for center in centers {
+                for r in [0i32, 1, 7, 20, 22] {
+                    let probed: Vec<(Point, u32)> = (-r..=r)
+                        .flat_map(|dy| {
+                            let w = r - dy.abs();
+                            (-w..=w).map(move |dx| Point::new(center.x + dx, center.y + dy))
+                        })
+                        .filter_map(|p| Some((p, idx.get(p)?)))
+                        .collect();
+                    // Pinned at the ball's radius, at a larger one, at 0
+                    // (rows beyond the pinned block fall back to the
+                    // index) and past the 3×3 block (all rows do).
+                    for pin in [r, r + 30, 0, 500] {
+                        let mut scanned = Vec::new();
+                        idx.window(center, pin).for_each_in_ball(center, r, |p, id| {
+                            scanned.push((p, id));
+                        });
+                        assert_eq!(
+                            scanned, probed,
+                            "pattern {k} center {center:?} r {r} pin {pin}"
+                        );
+                    }
                 }
             }
         }

@@ -15,7 +15,9 @@
 //! its viewing range at construction ([`crate::tile::TileWindow`]), so
 //! the O(radius²) probes of a compute step cost an array read plus two
 //! compares each — tile-map hash lookups are paid once per view, not
-//! once per probe.
+//! once per probe. Whole-ball queries ([`View::for_each_within`]) do not
+//! probe cell by cell: they scan the ball's world rows as contiguous
+//! tile slices, skipping empty stretches a chunk at a time.
 
 use crate::geom::{Point, D4, V2};
 use crate::swarm::{RobotState, Swarm};
@@ -117,22 +119,19 @@ impl<'a, S: RobotState> View<'a, S> {
         self.swarm.orients()[j].then(self.inv)
     }
 
-    /// Offsets (robot frame) of all robots within L1 distance `r` of the
-    /// observer, excluding the observer itself. `r` must not exceed the
-    /// viewing radius. Order is deterministic (scanline in robot frame).
-    pub fn robots_within(&self, r: i32) -> Vec<V2> {
-        assert!(r <= self.radius);
-        let mut out = Vec::new();
-        for dy in -r..=r {
-            let w = r - dy.abs();
-            for dx in -w..=w {
-                let v = V2::new(dx, dy);
-                if v != V2::ZERO && self.occupied(v) {
-                    out.push(v);
-                }
+    /// Call `f` with the offset (robot frame) of every robot within L1
+    /// distance `r` of the observer, excluding the observer itself. `r`
+    /// must not exceed the viewing radius. The L1 ball is the same set in
+    /// every frame, so this scans it by world rows; the visit order is
+    /// scanline in the *world* frame, not the robot's.
+    pub fn for_each_within(&self, r: i32, mut f: impl FnMut(V2)) {
+        assert!(r <= self.radius, "ball radius {r} exceeds viewing radius {}", self.radius);
+        let (center, inv) = (self.center, self.inv);
+        self.win.for_each_in_ball(center, r, |cell, _| {
+            if cell != center {
+                f(inv.apply(cell - center));
             }
-        }
-        out
+        });
     }
 }
 
@@ -151,7 +150,63 @@ mod tests {
         assert!(v.occupied(V2::new(1, 0)));
         assert!(v.occupied(V2::new(0, 2)));
         assert!(v.empty(V2::new(-1, 0)));
-        assert_eq!(v.robots_within(3), vec![V2::new(1, 0), V2::new(0, 2)]);
+        assert_eq!(within(&v, 3), vec![V2::new(1, 0), V2::new(0, 2)]);
+    }
+
+    /// Offsets from [`View::for_each_within`], sorted.
+    fn within<S: RobotState>(view: &View<'_, S>, r: i32) -> Vec<V2> {
+        let mut out = Vec::new();
+        view.for_each_within(r, |v| out.push(v));
+        out.sort_by_key(|v| (v.y, v.x));
+        out
+    }
+
+    /// The oracle: one probe per cell of the ball, in robot-frame
+    /// scanline order.
+    fn probed_within<S: RobotState>(view: &View<'_, S>, r: i32) -> Vec<V2> {
+        let mut out = Vec::new();
+        for dy in -r..=r {
+            let w = r - dy.abs();
+            for dx in -w..=w {
+                let v = V2::new(dx, dy);
+                if v != V2::ZERO && view.occupied(v) {
+                    out.push(v);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ball_scan_equals_per_cell_probes_in_every_frame() {
+        // A 50×50 box at 30 % fill around the origin spans four tiles.
+        const RADIUS: i32 = 20;
+        let observers = [Point::new(0, 0), Point::new(-1, 7), Point::new(12, -13)];
+        let pts: Vec<Point> = (0..2500)
+            .map(|i| Point::new(i % 50 - 25, i / 50 - 25))
+            .filter(|p| {
+                observers.contains(p)
+                    || crate::splitmix64(((p.x as u64) << 32) ^ p.y as u32 as u64) % 10 < 3
+            })
+            .collect();
+        let mut s: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        for orient in D4::all() {
+            s.orients_mut().iter_mut().for_each(|o| *o = orient);
+            for &at in &observers {
+                let id = s.positions().iter().position(|&p| p == at).expect("observer placed");
+                let v = View::new(&s, id, RADIUS);
+                for r in [0, 3, RADIUS] {
+                    assert_eq!(within(&v, r), probed_within(&v, r), "{orient:?} at {at:?} r {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds viewing radius")]
+    fn ball_beyond_viewing_radius_panics() {
+        let s: Swarm<()> = Swarm::new(&[Point::new(0, 0)], OrientationMode::Aligned);
+        View::new(&s, 0, 3).for_each_within(4, |_| {});
     }
 
     #[test]
