@@ -349,6 +349,7 @@ fn main() {
             );
             shape = Some((bounding_cells, tiles));
         }
+        #[expect(clippy::disallowed_methods, reason = "the benchmark times its rounds")]
         let start = Instant::now();
         let mut robot_rounds = 0u64;
         for _ in 0..args.rounds {

@@ -118,6 +118,7 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
         out.display(),
     );
 
+    #[expect(clippy::disallowed_methods, reason = "the closing summary line reports wall time")]
     let start = Instant::now();
     // The reporter owns both progress surfaces — stderr lines and the
     // optional `--events` NDJSON stream — so they can never disagree.
@@ -284,6 +285,7 @@ fn execute_record(args: RunArgs, trace_dir: &Path) -> Result<(), String> {
         out.display(),
         trace_dir.display(),
     );
+    #[expect(clippy::disallowed_methods, reason = "the closing summary line reports wall time")]
     let start = Instant::now();
     let mut reporter =
         ProgressReporter::start(&spec.name, jobs.len(), events.as_deref(), false, quiet)

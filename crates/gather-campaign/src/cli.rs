@@ -544,27 +544,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "submit" => {
             let mut socket = None;
+            let mut rest: Vec<&str> = rest.clone();
             let mut args = SubmitArgs {
                 socket: PathBuf::new(),
-                spec: CampaignSpec::standard(),
+                spec: take_spec_file(&mut rest)?,
                 out: PathBuf::from("campaign.jsonl"),
                 events: None,
                 quiet: false,
             };
-            // `--spec` first, so axis flags override spec-file fields —
-            // same contract as run/resume.
-            let mut rest: Vec<&str> = rest.clone();
-            if let Some(i) = rest.iter().position(|&a| a == "--spec") {
-                let path = *rest.get(i + 1).ok_or("--spec needs a value")?;
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-                args.spec =
-                    spec_from_flat_json(&text).map_err(|e| format!("spec {path:?}: {e}"))?;
-                rest.drain(i..=i + 1);
-                if rest.contains(&"--spec") {
-                    return Err("--spec given twice".into());
-                }
-            }
             let mut it = rest.iter();
             while let Some(&flag) = it.next() {
                 match flag {
@@ -574,23 +561,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         args.events = Some(PathBuf::from(value_of(flag, it.next().copied())?));
                     }
                     "--quiet" => args.quiet = true,
-                    "--name" => args.spec.name = value_of(flag, it.next().copied())?.to_string(),
-                    "--families" => {
-                        args.spec.families = parse_families(value_of(flag, it.next().copied())?)?;
-                    }
-                    "--sizes" => {
-                        args.spec.sizes = parse_sizes(value_of(flag, it.next().copied())?)?
-                    }
-                    "--seeds" => {
-                        args.spec.seeds = parse_seeds(value_of(flag, it.next().copied())?)?
-                    }
-                    "--controllers" => {
-                        args.spec.controllers =
-                            parse_controllers(value_of(flag, it.next().copied())?)?;
-                    }
-                    "--schedulers" => {
-                        args.spec.schedulers =
-                            parse_schedulers(value_of(flag, it.next().copied())?)?;
+                    axis if AXIS_FLAGS.contains(&axis) => {
+                        apply_spec_field(
+                            &mut args.spec,
+                            &axis[2..],
+                            value_of(axis, it.next().copied())?,
+                        )?;
                     }
                     "-h" | "--help" => return Ok(Command::Help),
                     other => return Err(format!("unknown submit flag {other:?}")),
@@ -650,26 +626,37 @@ fn default_trace_dir() -> PathBuf {
     PathBuf::from("traces")
 }
 
-/// Parse run/resume/record flags. `--spec` is resolved first regardless
-/// of its position, so axis flags always override spec-file fields.
-/// `--trace-dir` is only accepted when `accept_trace_dir` is set
-/// (`record`); `run`/`resume` reject it.
+/// Flags that set one spec axis: a spec-file field name behind `--`.
+const AXIS_FLAGS: [&str; 6] =
+    ["--name", "--families", "--sizes", "--seeds", "--controllers", "--schedulers"];
+
+/// Remove `--spec FILE` from `args` and load the file; the standard
+/// sweep without one. Taking it out before the flag loop lets axis
+/// flags override spec-file fields wherever they appear.
+fn take_spec_file(args: &mut Vec<&str>) -> Result<CampaignSpec, String> {
+    let Some(i) = args.iter().position(|&a| a == "--spec") else {
+        return Ok(CampaignSpec::standard());
+    };
+    let path = *args.get(i + 1).ok_or("--spec needs a value")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+    let spec = spec_from_flat_json(&text).map_err(|e| format!("spec {path:?}: {e}"))?;
+    args.drain(i..=i + 1);
+    if args.contains(&"--spec") {
+        return Err("--spec given twice".into());
+    }
+    Ok(spec)
+}
+
+/// Parse run/resume/record/plan flags; `--spec` goes through
+/// [`take_spec_file`]. `--trace-dir` is only accepted when
+/// `accept_trace_dir` is set (`record`); the others reject it.
 fn parse_run_args(
     args: &[&str],
     accept_trace_dir: bool,
 ) -> Result<(RunArgs, Option<PathBuf>), String> {
-    let mut out = RunArgs::default();
-    let mut trace_dir = None;
     let mut args: Vec<&str> = args.to_vec();
-    if let Some(i) = args.iter().position(|&a| a == "--spec") {
-        let path = *args.get(i + 1).ok_or("--spec needs a value")?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-        out.spec = spec_from_flat_json(&text).map_err(|e| format!("spec {path:?}: {e}"))?;
-        args.drain(i..=i + 1);
-        if args.contains(&"--spec") {
-            return Err("--spec given twice".into());
-        }
-    }
+    let mut out = RunArgs { spec: take_spec_file(&mut args)?, ..RunArgs::default() };
+    let mut trace_dir = None;
     let mut out_explicit = false;
     let mut it = args.iter();
     while let Some(&flag) = it.next() {
@@ -695,17 +682,8 @@ fn parse_run_args(
             "--trace-dir" if accept_trace_dir => {
                 trace_dir = Some(PathBuf::from(value_of(flag, it.next().copied())?));
             }
-            "--name" => out.spec.name = value_of(flag, it.next().copied())?.to_string(),
-            "--families" => {
-                out.spec.families = parse_families(value_of(flag, it.next().copied())?)?
-            }
-            "--sizes" => out.spec.sizes = parse_sizes(value_of(flag, it.next().copied())?)?,
-            "--seeds" => out.spec.seeds = parse_seeds(value_of(flag, it.next().copied())?)?,
-            "--controllers" => {
-                out.spec.controllers = parse_controllers(value_of(flag, it.next().copied())?)?;
-            }
-            "--schedulers" => {
-                out.spec.schedulers = parse_schedulers(value_of(flag, it.next().copied())?)?;
+            axis if AXIS_FLAGS.contains(&axis) => {
+                apply_spec_field(&mut out.spec, &axis[2..], value_of(axis, it.next().copied())?)?;
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
@@ -1261,6 +1239,23 @@ mod tests {
         assert_eq!(args.spec.name, "sweep");
         assert_eq!(args.spec.families, vec![Family::Line, Family::Table]);
         assert_eq!(args.spec.sizes, vec![32], "flags override spec fields regardless of order");
+        let cmd = parse(&strings(&[
+            "submit",
+            "--sizes",
+            "32",
+            "--spec",
+            path.to_str().unwrap(),
+            "--socket",
+            "s",
+        ]))
+        .unwrap();
+        let Command::Submit(args) = cmd else { panic!() };
+        assert_eq!(args.spec.name, "sweep");
+        assert_eq!(args.spec.families, vec![Family::Line, Family::Table]);
+        assert_eq!(args.spec.sizes, vec![32], "submit takes the same override rule");
+        assert_eq!(args.socket, PathBuf::from("s"));
+        let twice = ["submit", "--spec", path.to_str().unwrap(), "--spec", path.to_str().unwrap()];
+        assert!(parse(&strings(&twice)).is_err(), "--spec given twice");
         std::fs::remove_file(&path).unwrap();
 
         assert!(parse(&strings(&["run", "--spec", "/nonexistent/x.json"])).is_err());

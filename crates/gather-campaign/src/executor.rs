@@ -67,6 +67,10 @@ where
     let threads = resolve_threads(threads).min(jobs.len().max(1));
     let panics = AtomicUsize::new(0);
     let guarded = |job: &J| -> (R, f64) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a job's wall time goes to progress and the opt-in `secs` field, never into its result"
+        )]
         let start = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| run(job))) {
             Ok(result) => (result, start.elapsed().as_secs_f64()),

@@ -28,6 +28,20 @@ pub fn record_status(rec: &ScenarioRecord) -> Status {
     }
 }
 
+/// The `scenario_finished` event for `rec` after `secs` of wall time.
+/// Its `robot_rounds_per_s` counts the record's own activations, so
+/// robots merged away or idle under a partial scheduler add no work; it
+/// is 0 when no time elapsed.
+pub(crate) fn finished_event(rec: &ScenarioRecord, secs: f64) -> Event {
+    Event::ScenarioFinished {
+        id: rec.id.clone(),
+        status: record_status(rec),
+        rounds: rec.rounds,
+        secs,
+        robot_rounds_per_s: if secs > 0.0 { rec.activations as f64 / secs } else { 0.0 },
+    }
+}
+
 /// Emits the campaign lifecycle to an optional event file and renders
 /// progress lines to stderr (unless quiet). Event-file write failures
 /// surface as `Err` so the caller can abort the campaign — a requested
@@ -53,6 +67,10 @@ impl ProgressReporter {
         append: bool,
         quiet: bool,
     ) -> io::Result<ProgressReporter> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "elapsed time paces the progress display and event rates only"
+        )]
         let mut reporter = ProgressReporter {
             events: match events {
                 Some(path) if append => Some(EventWriter::append(path)?),
@@ -79,19 +97,10 @@ impl ProgressReporter {
     /// stderr line from those events' own values.
     pub fn scenario_finished(&mut self, rec: &ScenarioRecord, secs: f64) -> io::Result<()> {
         self.done += 1;
-        let status = record_status(rec);
-        if status == Status::Panicked {
+        if record_status(rec) == Status::Panicked {
             self.panicked += 1;
         }
-        let robot_rounds_per_s =
-            if secs > 0.0 { (rec.n as f64 * rec.rounds as f64) / secs } else { 0.0 };
-        let finished = Event::ScenarioFinished {
-            id: rec.id.clone(),
-            status,
-            rounds: rec.rounds,
-            secs,
-            robot_rounds_per_s,
-        };
+        let finished = finished_event(rec, secs);
         let heartbeat =
             Event::Heartbeat { done: self.done, total: self.total, eta_secs: self.eta_secs() };
         self.emit(&finished)?;
@@ -225,16 +234,26 @@ mod tests {
         let dir = std::env::temp_dir().join("gather-progress-test-zero");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.ndjson");
-        let mut reporter = ProgressReporter::start("demo", 1, Some(&path), false, true).unwrap();
+        let mut reporter = ProgressReporter::start("demo", 2, Some(&path), false, true).unwrap();
         reporter.scenario_started("a").unwrap();
         reporter.scenario_finished(&rec("a", true, true, false), 0.0).unwrap();
+        // Merges and partial schedulers leave activations below
+        // n × rounds = 144: the rate counts the activations.
+        let mut partial = rec("b", true, true, false);
+        partial.activations = 40;
+        reporter.scenario_started("b").unwrap();
+        reporter.scenario_finished(&partial, 0.5).unwrap();
         reporter.finish().unwrap();
         let stream = read_events(&path).unwrap();
-        let tput = stream.events.iter().find_map(|e| match e {
-            Event::ScenarioFinished { robot_rounds_per_s, .. } => Some(*robot_rounds_per_s),
-            _ => None,
-        });
-        assert_eq!(tput, Some(0.0));
+        let tput: Vec<f64> = stream
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ScenarioFinished { robot_rounds_per_s, .. } => Some(*robot_rounds_per_s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tput, [0.0, 80.0]);
         std::fs::remove_file(&path).ok();
     }
 }

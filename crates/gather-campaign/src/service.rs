@@ -25,9 +25,10 @@
 //! would produce.
 //!
 //! This module never reads a clock directly: the server's single time
-//! source is [`gather_serve::ServiceClock`] (allowlisted in
-//! `gather-audit`), passed into the pure lease/queue logic as plain
-//! milliseconds, and worker-side durations come from the executor.
+//! source is [`gather_serve::ServiceClock`], whose one sanctioned clock
+//! read carries an `#[expect]`. It passes into the pure lease/queue
+//! logic as plain milliseconds, and worker-side durations come from the
+//! executor.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
@@ -44,7 +45,7 @@ use gather_serve::{CacheKey, Conn, JobQueue, LeaseTable, ResultCache, ServiceClo
 
 use crate::cli::{spec_from_fields, spec_to_fields, ServeArgs, SubmitArgs, WorkArgs};
 use crate::executor::{execute_jobs_observed, JobEvent};
-use crate::progress::record_status;
+use crate::progress::finished_event;
 use crate::record::ScenarioRecord;
 use crate::shard::{ShardManifest, ShardSpec, ShardStrategy};
 use crate::sink::write_manifest;
@@ -281,16 +282,7 @@ fn handle_submitter(
             }
             job.announced.insert(i);
             feed.lines.push_back(Event::ScenarioStarted { id: rec.id.clone() }.to_json_line());
-            feed.lines.push_back(
-                Event::ScenarioFinished {
-                    id: rec.id.clone(),
-                    status: record_status(&rec),
-                    rounds: rec.rounds,
-                    secs: 0.0,
-                    robot_rounds_per_s: 0.0,
-                }
-                .to_json_line(),
-            );
+            feed.lines.push_back(finished_event(&rec, 0.0).to_json_line());
         }
         if hits > 0 {
             feed.lines
@@ -470,20 +462,7 @@ fn ingest_result(shared: &Shared, job_id: u64, lease: u64, index: usize, record:
     let done = job.results.len();
     let total = job.total();
     let submitted_ms = job.submitted_ms;
-    let robot_rounds_per_s =
-        if secs > 0.0 { (rec.n as u64 * rec.rounds) as f64 / secs } else { 0.0 };
-    push_feed(
-        &mut state,
-        job_id,
-        Event::ScenarioFinished {
-            id: rec.id.clone(),
-            status: record_status(&rec),
-            rounds: rec.rounds,
-            secs,
-            robot_rounds_per_s,
-        }
-        .to_json_line(),
-    );
+    push_feed(&mut state, job_id, finished_event(&rec, secs).to_json_line());
     let now = shared.clock.now_ms();
     let elapsed = now.saturating_sub(submitted_ms) as f64 / 1000.0;
     let eta_secs = if done > 0 { elapsed * (total - done) as f64 / done as f64 } else { 0.0 };

@@ -72,13 +72,17 @@ pub struct SmokeReport {
     pub rounds: u64,
     pub occupied_tiles: usize,
     pub bounding_cells: u128,
+    /// Robots the scheduler activated over the recorded rounds: the
+    /// whole swarm per FSYNC round, `k` robots per rrK round.
+    pub activations: u64,
+    /// Activations per wall second of the faster recording.
     pub robot_rounds_per_s: f64,
 }
 
-/// Record `rounds` FSYNC rounds of the paper controller on `points`
-/// into a trace file, returning the wall-clock robot-rounds/s. Uses
-/// [`TraceSink`] — the same latching observer sink `campaign record`
-/// streams through.
+/// Record `rounds` rounds of the paper controller on `points` into a
+/// trace file, returning the activations and the wall seconds they
+/// took. Uses [`TraceSink`] — the same latching observer sink
+/// `campaign record` streams through.
 fn record_bounded(
     points: &[grid_engine::Point],
     header: &TraceHeader,
@@ -87,7 +91,7 @@ fn record_bounded(
     seed: u64,
     scheduler: SchedulerKind,
     path: &Path,
-) -> Result<f64, String> {
+) -> Result<(u64, f64), String> {
     let file = File::create(path).map_err(|e| format!("creating {}: {e}", path.display()))?;
     let writer = TraceWriter::new(BufWriter::new(file), header)
         .map_err(|e| format!("writing header: {e}"))?;
@@ -108,13 +112,15 @@ fn record_bounded(
         },
     );
     engine.set_observer(observer);
-    // audit: allow(wall-clock) smoke throughput display only — the
-    // pass/fail verdict is clock-independent
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "smoke throughput display only: the pass/fail verdict is clock-independent"
+    )]
     let start = Instant::now();
-    let mut robot_rounds = 0u64;
+    let mut activations = 0u64;
     for _ in 0..rounds {
-        robot_rounds += engine.swarm.len() as u64;
-        engine.step().map_err(|e| format!("engine round failed: {e}"))?;
+        let stats = engine.step().map_err(|e| format!("engine round failed: {e}"))?;
+        activations += stats.activated as u64;
     }
     let elapsed = start.elapsed().as_secs_f64();
     drop(engine); // releases the observer's sink clone
@@ -127,7 +133,7 @@ fn record_bounded(
         .expect("writer live unless an error latched")
         .finish()
         .map_err(|e| e.to_string())?;
-    Ok(robot_rounds as f64 / elapsed.max(f64::EPSILON))
+    Ok((activations, elapsed))
 }
 
 /// Run the smoke: record at both thread counts, replay recording A
@@ -162,10 +168,12 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
     let sched = args.scheduler;
     let path_a = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_a));
     let path_b = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_b));
-    let tput_a =
+    let (activations, secs_a) =
         record_bounded(&points, &header, args.threads_a, args.rounds, args.seed, sched, &path_a)?;
-    let tput_b =
+    let (_, secs_b) =
         record_bounded(&points, &header, args.threads_b, args.rounds, args.seed, sched, &path_b)?;
+    let tput_a = activations as f64 / secs_a.max(f64::EPSILON);
+    let tput_b = activations as f64 / secs_b.max(f64::EPSILON);
     eprintln!(
         "recorded {} rounds x {} robots: {:.3e} robot-rounds/s ({} threads), {:.3e} ({} threads)",
         args.rounds,
@@ -225,6 +233,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
         rounds: replayed,
         occupied_tiles: final_swarm.index().tile_count(),
         bounding_cells: bounds.width() as u128 * bounds.height() as u128,
+        activations,
         robot_rounds_per_s: tput_a.max(tput_b),
     })
 }
@@ -281,6 +290,9 @@ mod tests {
             let report =
                 run_smoke(&args).unwrap_or_else(|e| panic!("{scheduler} smoke failed: {e}"));
             assert_eq!(report.rounds, 4, "{scheduler}");
+            if scheduler == (SchedulerKind::RoundRobin { k: 4 }) {
+                assert_eq!(report.activations, 16, "rr4 computes 4 robots a round");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

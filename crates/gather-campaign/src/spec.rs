@@ -308,9 +308,10 @@ impl Scenario {
         let budget = self.budget(points.len());
         let totals: Rc<RefCell<grid_engine::ProfileTotals>> = Rc::default();
         let sink = totals.clone();
-        // audit: allow(wall-clock) scenario wall-time fills the opt-in
-        // perf fields of the profiled report; gathered results and
-        // digests never depend on it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "scenario wall time fills the profiled report's opt-in perf fields; results and digests never depend on it"
+        )]
         let start = Instant::now();
         let m = gather_bench::RunSpec::new(self.controller, &points)
             .scheduler(self.scheduler)

@@ -177,8 +177,10 @@ pub fn record_scenario_profiled(sc: &Scenario, dir: &Path, perf: bool) -> TraceJ
         Box::new(move |profile: &grid_engine::RoundProfile| totals.borrow_mut().add(profile))
             as grid_engine::BoxedProfileSink
     });
-    // audit: allow(wall-clock) record-side wall-time is reported
-    // alongside the trace; the trace bytes themselves are clock-free
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "record-side wall time is reported alongside the trace; the trace bytes are clock-free"
+    )]
     let start = std::time::Instant::now();
     let mut spec = RunSpec::new(sc.controller, &points)
         .scheduler(sc.scheduler)

@@ -1,8 +1,8 @@
 //! Content-addressed result cache.
 //!
 //! A scenario's result record is pure data: the engine is deterministic
-//! (statically enforced by `gather-audit`), so a record is fully
-//! determined by *which* scenario ran (`scenario ID`), *how* it was
+//! (statically guarded by the workspace's clippy lints), so a record is
+//! fully determined by *which* scenario ran (`scenario ID`), *how* it was
 //! configured (`config digest`: seed, actual swarm size, round budget),
 //! and *what code* ran it (`engine version`). Those three form the
 //! [`CacheKey`]; the cache maps its 64-bit digest to the exact record

@@ -1,12 +1,12 @@
 //! The service's single wall-clock site.
 //!
 //! Lease expiry and heartbeat pacing need real elapsed time, but the
-//! determinism audit (rightly) refuses ad-hoc clock reads: a clock leak
-//! into anything content-addressed would poison the result cache. So
-//! every milliseconds-read in the service goes through [`ServiceClock`],
-//! this file is the one entry on the audit's wall-clock allowlist for
-//! the crate, and everything downstream (the lease table, the queue)
-//! takes `now_ms` as an argument — making expiry logic pure, and
+//! workspace's clippy configuration (rightly) refuses ad-hoc clock
+//! reads: a clock leak into anything content-addressed would poison the
+//! result cache. So every milliseconds-read in the service goes through
+//! [`ServiceClock`], whose constructor holds the crate's one sanctioned
+//! `Instant::now`, and everything downstream (the lease table, the
+//! queue) takes `now_ms` as an argument — making expiry logic pure, and
 //! testable with a hand-rolled timeline instead of real sleeps.
 
 use std::time::Instant;
@@ -18,6 +18,10 @@ pub struct ServiceClock {
 }
 
 impl ServiceClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lease expiry and heartbeat pacing need real elapsed time; nothing downstream reads a clock"
+    )]
     pub fn new() -> ServiceClock {
         ServiceClock { origin: Instant::now() }
     }

@@ -299,8 +299,10 @@ impl<C: Controller> Engine<C> {
         // attached, `timed` degenerates to a direct call and no clock is
         // read anywhere in the round.
         let profiling = self.profiler.is_some();
-        // audit: allow(wall-clock) only read when a profiler sink is
-        // attached, and phase timings never feed back into round results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "only read when a profiler sink is attached; phase timings never feed back into round results"
+        )]
         let round_start = profiling.then(std::time::Instant::now);
         let allocs_before = if profiling { profile::allocation_count() } else { None };
         let mut profile_buf =
@@ -463,7 +465,10 @@ impl<C: Controller> Engine<C> {
     /// and results stay bit-identical across thread counts. Returns the
     /// observer's activation record (the look set), the activation
     /// count, and the apply outcome.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`step` lends its per-round buffers and profile slot to both round kinds; a struct would only rename them"
+    )]
     fn step_async(
         &mut self,
         seed: u64,

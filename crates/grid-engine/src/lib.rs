@@ -35,6 +35,19 @@
 //! Strategies implement [`Controller`]; the paper's algorithm lives in
 //! the `gather-core` crate, comparators in `gather-baselines`.
 
+// Engine library code panics only on named invariants: `expect("…")`
+// says which one broke. Tests may unwrap.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod connectivity;
 pub mod engine;
 pub mod fxhash;

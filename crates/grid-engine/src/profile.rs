@@ -132,6 +132,10 @@ pub type BoxedProfileSink = Box<dyn FnMut(&RoundProfile)>;
 pub fn timed<T>(prof: &mut Option<&mut RoundProfile>, phase: Phase, f: impl FnOnce() -> T) -> T {
     match prof {
         Some(p) => {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the profiler's phase clock; timings never feed back into round results"
+            )]
             let start = Instant::now();
             let out = f();
             p.phase_ns[phase as usize] += start.elapsed().as_nanos() as u64;

@@ -240,8 +240,11 @@ impl TileIndex {
     pub fn bounds(&self) -> Option<Bounds> {
         let mut keys: Option<(i32, i32, i32, i32)> = None;
         for shard in &self.shards {
-            // audit: allow(unordered-iter) min/max fold over tile keys is
-            // commutative — the result is independent of visit order
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "min/max fold over tile keys is commutative: the result is independent of visit order"
+            )]
             for key in shard.tiles.keys() {
                 keys = Some(match keys {
                     None => (key.x, key.x, key.y, key.y),
@@ -257,8 +260,10 @@ impl TileIndex {
         // other three extremes.
         let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
         for shard in &self.shards {
-            // audit: allow(unordered-iter) min/max fold over boundary
-            // tiles — commutative, order cannot leak into the bounds
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "min/max fold over boundary tiles is commutative: order cannot leak into the bounds"
+            )]
             for (key, tile) in &shard.tiles {
                 if key.x != kx0 && key.x != kx1 && key.y != ky0 && key.y != ky1 {
                     continue;

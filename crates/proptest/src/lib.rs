@@ -468,7 +468,6 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
 
-            #[allow(unused)]
             fn always_fails(n in 0usize..2) {
                 prop_assert!(n > 100, "n too small: {n}");
             }
