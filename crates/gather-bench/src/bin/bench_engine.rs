@@ -234,9 +234,6 @@ fn profile_json(threads: usize, scheduler: &str, n: usize, totals: &ProfileTotal
     for phase in Phase::ALL {
         s.push_str(&format!(", \"{}_ns\": {}", phase.name(), totals.phase_ns[phase as usize]));
     }
-    if totals.allocs_counted {
-        s.push_str(&format!(", \"allocs\": {}", totals.allocs));
-    }
     s.push('}');
     s
 }
@@ -533,7 +530,6 @@ mod tests {
         for phase in Phase::ALL {
             assert!(map.contains_key(&format!("{}_ns", phase.name())), "{row}");
         }
-        assert!(!map.contains_key("allocs"), "allocs only when counted");
     }
 
     /// A measured config with a digest no baseline row carries.

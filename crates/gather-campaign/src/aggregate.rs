@@ -202,17 +202,17 @@ pub fn summarize(records: &[ScenarioRecord]) -> Vec<Table> {
 /// Engine phase-share table from records written by `campaign run
 /// --perf`: one row per (family, n, scheduler), columns are each
 /// phase's share of engine wall time plus attribution coverage and
-/// scenario throughput. `Err` when no record carries a perf block —
-/// summarizing a plain result file with `--perf` is a pipeline mistake
-/// that should be loud, not an empty table.
+/// scenario throughput in robot activations per second. `Err` when no
+/// record carries a perf block — summarizing a plain result file with
+/// `--perf` is a pipeline mistake that should be loud, not an empty
+/// table.
 pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> {
     struct PerfCell {
         runs: usize,
         wall_s: f64,
         secs: f64,
-        robot_rounds: f64,
+        activations: u64,
         phase_s: [f64; PHASE_COUNT],
-        allocs: Option<u64>,
     }
 
     // (family, n, scheduler) -> accumulated phase times.
@@ -224,19 +224,15 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
                 runs: 0,
                 wall_s: 0.0,
                 secs: 0.0,
-                robot_rounds: 0.0,
+                activations: 0,
                 phase_s: [0.0; PHASE_COUNT],
-                allocs: None,
             });
         cell.runs += 1;
         cell.wall_s += perf.wall_s;
         cell.secs += r.secs;
-        cell.robot_rounds += r.n as f64 * r.rounds as f64;
+        cell.activations += r.activations;
         for (sum, s) in cell.phase_s.iter_mut().zip(&perf.phase_s) {
             *sum += s;
-        }
-        if let Some(a) = perf.allocs {
-            cell.allocs = Some(cell.allocs.unwrap_or(0) + a);
         }
     }
     if groups.is_empty() {
@@ -247,11 +243,7 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
 
     let mut headers: Vec<&str> = vec!["family", "n", "scheduler", "runs", "wall s"];
     headers.extend(Phase::ALL.iter().map(|p| p.name()));
-    headers.extend(["coverage", "robot·rounds/s"]);
-    let counted_allocs = groups.values().any(|c| c.allocs.is_some());
-    if counted_allocs {
-        headers.push("allocs");
-    }
+    headers.extend(["coverage", "activations/s"]);
     let mut t = Table::new(
         "Engine phase shares — fraction of engine wall time per phase (run --perf)",
         &headers,
@@ -274,13 +266,10 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
         row.extend(Phase::ALL.iter().map(|&p| share(cell.phase_s[p as usize])));
         row.push(share(cell.phase_s.iter().sum()));
         row.push(if cell.secs > 0.0 {
-            format!("{:.0}", cell.robot_rounds / cell.secs)
+            format!("{:.0}", cell.activations as f64 / cell.secs)
         } else {
             "n/a".into()
         });
-        if counted_allocs {
-            row.push(cell.allocs.map_or_else(|| "n/a".into(), |a| a.to_string()));
-        }
         t.push(row);
     }
     Ok(vec![t])
@@ -473,8 +462,10 @@ mod tests {
 
         let mut with_perf = rec(Family::Line, 32, 0, 64, true);
         with_perf.secs = 2.0;
-        let mut perf =
-            PerfSummary { wall_s: 1.0, rounds: 64, phase_s: [0.0; PHASE_COUNT], allocs: None };
+        // Fewer activations than 32 robots × 64 rounds: merges shrink
+        // the swarm, and partial schedulers activate a subset.
+        with_perf.activations = 1000;
+        let mut perf = PerfSummary { wall_s: 1.0, rounds: 64, phase_s: [0.0; PHASE_COUNT] };
         perf.phase_s[Phase::Compute as usize] = 0.6;
         perf.phase_s[Phase::MergeDetect as usize] = 0.3;
         with_perf.perf = Some(perf);
@@ -489,9 +480,8 @@ mod tests {
         assert_eq!(t.rows[0][compute_col], "60.0%");
         let coverage_col = t.headers.iter().position(|h| h == "coverage").unwrap();
         assert_eq!(t.rows[0][coverage_col], "90.0%");
-        let tput_col = t.headers.iter().position(|h| h == "robot·rounds/s").unwrap();
-        assert_eq!(t.rows[0][tput_col], "1024", "32 robots · 64 rounds / 2 s");
-        assert!(!t.headers.iter().any(|h| h == "allocs"), "no alloc column without counts");
+        let tput_col = t.headers.iter().position(|h| h == "activations/s").unwrap();
+        assert_eq!(t.rows[0][tput_col], "500", "1000 activations / 2 s");
     }
 
     #[test]

@@ -13,8 +13,8 @@ use gather_campaign::cli::{self, Command, RenderArgs, RunArgs, USAGE};
 use gather_campaign::executor::JobEvent;
 use gather_campaign::{
     executor, load_completed, load_records, merge_shards, plan_lines, provenance_table, run_smoke,
-    summarize, summarize_perf, trace_ops, DiffStatus, JsonlSink, ProgressReporter, ReplayStatus,
-    Scenario, ScenarioRecord, ShardManifest, SmokeArgs, TraceJobOutcome,
+    summarize, summarize_perf, trace_ops, DiffStatus, JobOutcome, JsonlSink, ProgressReporter,
+    ReplayStatus, Scenario, ShardManifest, SmokeArgs,
 };
 
 fn main() -> ExitCode {
@@ -33,7 +33,6 @@ fn main() -> ExitCode {
         }
         Command::Run(run) => execute(run, false),
         Command::Resume(run) => execute(run, true),
-        Command::Record { run, trace_dir } => execute_record(run, &trace_dir),
         Command::Merge { inputs, out, out_explicit } => merge_files(&inputs, &out, out_explicit),
         Command::Plan { run, shards } => plan(&run, shards),
         Command::Replay { trace_dir } => replay_dir(&trace_dir),
@@ -61,16 +60,20 @@ fn main() -> ExitCode {
     }
 }
 
+/// `run`, `resume` and `record`: execute the spec's pending scenarios,
+/// streaming records to `--out`. A recording (`trace_dir` set) also
+/// leaves one `.gtrc` per engine scenario in a cleaned trace directory;
+/// a trace-file write failure aborts it (a recording campaign whose
+/// traces are silently incomplete is worse than a dead one).
 fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
-    let RunArgs { spec, threads, out, shard, strategy, events, quiet, perf } = args;
-    let jobs = spec.expand();
+    let RunArgs { spec, threads, out, shard, events, quiet, perf, trace_dir } = args;
     let completed = if resume {
         load_completed(&out).map_err(|e| format!("reading {}: {e}", out.display()))?
     } else {
         Default::default()
     };
-    let manifest = ShardManifest::for_shard(&spec, shard, strategy);
-    // A resume must be continuing the *same* shard of the *same* spec:
+    let manifest = ShardManifest::for_shard(&spec, shard);
+    // A resume must be continuing the *same* slice of the *same* spec:
     // appending another slice's records to this file would poison the
     // manifest proof that merge relies on.
     if resume {
@@ -82,7 +85,7 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
                     out.display(),
                 ));
             }
-            if prev.shard() != shard {
+            if prev.shard() != shard || prev.shard_coverage != manifest.shard_coverage {
                 return Err(format!(
                     "{} holds shard {} but this invocation asks for shard {shard}",
                     out.display(),
@@ -91,31 +94,53 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
             }
         }
     }
-    let pending = executor::select_pending(&jobs, shard, strategy, &completed);
+    // The trace set carries its own manifest (inside the directory,
+    // over the traced — non-greedy — scenarios), so sharded trace
+    // directories merge under the same coverage proof as result files.
+    let traced_manifest = match &trace_dir {
+        Some(dir) => {
+            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+            let swept = trace_ops::clean_trace_dir(dir)
+                .map_err(|e| format!("cleaning {}: {e}", dir.display()))?;
+            if swept > 0 {
+                eprintln!("removed {swept} trace file(s) left by an earlier recording");
+            }
+            Some(ShardManifest::for_traced_shard(&spec, shard))
+        }
+        None => None,
+    };
+    let pending = executor::select_pending(&spec.expand(), shard, &completed);
     // The manifest already counted this shard's scenarios from the same
     // ownership predicate — no second pass over the expansion.
-    let owned = manifest.shard_len;
-    let skipped = owned - pending.len();
+    let skipped = manifest.shard_len - pending.len();
 
+    // The result file's sidecar and, for a recording, the trace set's
+    // manifest: written first with the completion markers off, so a
+    // crash mid-run leaves sidecars that say so and merge refuses the
+    // files, and again with them on once every scenario is on disk.
+    let write_manifests = |complete: bool| -> Result<(), String> {
+        gather_campaign::write_manifest(&out, &ShardManifest { complete, ..manifest.clone() })
+            .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+        if let (Some(dir), Some(traced)) = (&trace_dir, &traced_manifest) {
+            let traced = ShardManifest { complete, ..traced.clone() };
+            gather_campaign::write_trace_manifest(dir, &traced)
+                .map_err(|e| format!("writing manifest for {}: {e}", dir.display()))?;
+        }
+        Ok(())
+    };
     let mut sink = if resume { JsonlSink::append(&out) } else { JsonlSink::create(&out) }
         .map_err(|e| format!("opening {}: {e}", out.display()))?;
-    // Manifest first, completion marker off: a crash mid-run leaves a
-    // sidecar that says so, and merge refuses the file.
-    gather_campaign::write_manifest(&out, &manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+    write_manifests(false)?;
 
+    let shard_label = if shard.is_full() { String::new() } else { format!(" shard {shard}") };
     eprintln!(
-        "campaign `{}`{}: {} scenarios ({} already done), {} threads -> {}",
+        "campaign `{}`{shard_label}: {} scenarios ({} already done), {} threads -> {}{}",
         spec.name,
-        if shard.is_full() {
-            String::new()
-        } else {
-            format!(" shard {shard} [{}]", strategy.name())
-        },
-        owned,
+        manifest.shard_len,
         skipped,
         if threads == 0 { "all".to_string() } else { threads.to_string() },
         out.display(),
+        trace_dir.as_ref().map(|d| format!(" + {}/", d.display())).unwrap_or_default(),
     );
 
     #[expect(clippy::disallowed_methods, reason = "the closing summary line reports wall time")]
@@ -127,21 +152,22 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
         ProgressReporter::start(&spec.name, pending.len(), events.as_deref(), resume, quiet)
             .map_err(|e| format!("opening event stream: {e}"))?;
     let mut failure: Option<String> = None;
-    // A failed result or event write aborts the whole campaign
+    let mut traced = 0usize;
+    // A failed result, trace or event write aborts the whole campaign
     // (ControlFlow::Break): results that cannot be persisted are not
-    // worth computing, and the file on disk is a valid checkpoint for
-    // `resume`. The aborted event stream correctly reads as incomplete
-    // (no `job_finished`).
+    // worth computing, and the result file on disk is a valid
+    // checkpoint for `resume`. The aborted event stream correctly reads
+    // as incomplete (no `job_finished`).
     executor::execute_jobs_observed(
         &pending,
         threads,
-        |sc: &Scenario| if perf { sc.run_profiled() } else { sc.run() },
+        |sc: &Scenario| sc.execute(trace_dir.as_deref(), perf),
         |sc, secs| {
-            let mut rec = ScenarioRecord::for_panic(sc);
+            let mut outcome = JobOutcome::for_panic(sc);
             if perf {
-                rec.secs = secs;
+                outcome.record.secs = secs;
             }
-            rec
+            outcome
         },
         |event| match event {
             JobEvent::Started(i) => {
@@ -151,12 +177,17 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
                 }
                 ControlFlow::Continue(())
             }
-            JobEvent::Finished(_i, rec, secs) => {
-                if let Err(e) = sink.write(&rec) {
+            JobEvent::Finished(_i, outcome, secs) => {
+                if let Some(e) = outcome.error {
+                    failure = Some(format!("recording {}: {e}", outcome.record.id));
+                    return ControlFlow::Break(());
+                }
+                if let Err(e) = sink.write(&outcome.record) {
                     failure = Some(format!("writing {}: {e}", out.display()));
                     return ControlFlow::Break(());
                 }
-                if let Err(e) = reporter.scenario_finished(&rec, secs) {
+                traced += usize::from(outcome.trace_path.is_some());
+                if let Err(e) = reporter.scenario_finished(&outcome.record, secs) {
                     failure = Some(format!("writing event stream: {e}"));
                     return ControlFlow::Break(());
                 }
@@ -165,21 +196,22 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
         },
     );
     if let Some(e) = failure {
-        return Err(format!("{e} (campaign aborted; completed scenarios are resumable)"));
+        // `resume` rejects --trace-dir, so only a plain run can resume.
+        return Err(if trace_dir.is_some() {
+            format!("{e} (recording aborted)")
+        } else {
+            format!("{e} (campaign aborted; completed scenarios are resumable)")
+        });
     }
     reporter.finish().map_err(|e| format!("writing event stream: {e}"))?;
-    // Every owned scenario is on disk: flip the completion marker that
-    // makes this shard mergeable.
-    let manifest = ShardManifest { complete: true, ..manifest };
-    gather_campaign::write_manifest(&out, &manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+    write_manifests(true)?;
     eprintln!(
-        "campaign `{}`{} complete: {} run, {} skipped, {} panicked in {:.1?}",
+        "campaign `{}`{shard_label} complete: {} run, {} skipped, {} panicked{} in {:.1?}",
         spec.name,
-        if shard.is_full() { String::new() } else { format!(" shard {shard}") },
         reporter.done(),
         skipped,
         reporter.panicked(),
+        if trace_dir.is_some() { format!(", {traced} traced") } else { String::new() },
         start.elapsed(),
     );
     Ok(())
@@ -233,121 +265,10 @@ fn merge_files(
 /// `plan`: print the per-shard command lines (and the final merge) that
 /// execute the spec as `shards` slices.
 fn plan(run: &RunArgs, shards: u32) -> Result<(), String> {
-    eprintln!(
-        "campaign `{}`: {} scenarios as {shards} shard(s) [{}]",
-        run.spec.name,
-        run.spec.len(),
-        run.strategy.name(),
-    );
-    for line in plan_lines(&run.spec, shards, run.strategy, &run.out, run.threads) {
+    eprintln!("campaign `{}`: {} scenarios as {shards} shard(s)", run.spec.name, run.spec.len());
+    for line in plan_lines(&run.spec, shards, &run.out, run.threads) {
         println!("{line}");
     }
-    Ok(())
-}
-
-/// `record`: run the sweep with per-round tracing on. Results stream to
-/// the JSONL sink exactly like `run`; each engine scenario additionally
-/// leaves one `.gtrc` trace in `trace_dir`. A trace-file write failure
-/// aborts the campaign (a recording campaign whose traces are silently
-/// incomplete is worse than a dead one).
-fn execute_record(args: RunArgs, trace_dir: &Path) -> Result<(), String> {
-    let RunArgs { spec, threads, out, shard, strategy, events, quiet, perf } = args;
-    std::fs::create_dir_all(trace_dir)
-        .map_err(|e| format!("creating {}: {e}", trace_dir.display()))?;
-    let swept = trace_ops::clean_trace_dir(trace_dir)
-        .map_err(|e| format!("cleaning {}: {e}", trace_dir.display()))?;
-    if swept > 0 {
-        eprintln!("removed {swept} trace file(s) left by an earlier recording");
-    }
-    let jobs = executor::select_pending(&spec.expand(), shard, strategy, &Default::default());
-    let manifest = ShardManifest::for_shard(&spec, shard, strategy);
-    // The trace set carries its own manifest (inside the directory,
-    // over the traced — non-greedy — scenarios), so sharded trace
-    // directories can be merged under the same coverage proof as the
-    // result files.
-    let traced_manifest = ShardManifest::for_traced_shard(&spec, shard, strategy);
-    let mut sink =
-        JsonlSink::create(&out).map_err(|e| format!("opening {}: {e}", out.display()))?;
-    gather_campaign::write_manifest(&out, &manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
-    gather_campaign::write_trace_manifest(trace_dir, &traced_manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", trace_dir.display()))?;
-    eprintln!(
-        "campaign `{}`{} (recording): {} scenarios, {} threads -> {} + {}/",
-        spec.name,
-        if shard.is_full() {
-            String::new()
-        } else {
-            format!(" shard {shard} [{}]", strategy.name())
-        },
-        jobs.len(),
-        if threads == 0 { "all".to_string() } else { threads.to_string() },
-        out.display(),
-        trace_dir.display(),
-    );
-    #[expect(clippy::disallowed_methods, reason = "the closing summary line reports wall time")]
-    let start = Instant::now();
-    let mut reporter =
-        ProgressReporter::start(&spec.name, jobs.len(), events.as_deref(), false, quiet)
-            .map_err(|e| format!("opening event stream: {e}"))?;
-    let mut failure: Option<String> = None;
-    let mut traced = 0usize;
-    executor::execute_jobs_observed(
-        &jobs,
-        threads,
-        |sc| trace_ops::record_scenario_profiled(sc, trace_dir, perf),
-        |sc, secs| {
-            let mut outcome = TraceJobOutcome::for_panic(sc);
-            if perf {
-                outcome.record.secs = secs;
-            }
-            outcome
-        },
-        |event| match event {
-            JobEvent::Started(i) => {
-                if let Err(e) = reporter.scenario_started(&jobs[i].id()) {
-                    failure = Some(format!("writing event stream: {e}"));
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            }
-            JobEvent::Finished(_i, outcome, secs) => {
-                if let Some(e) = outcome.error {
-                    failure = Some(format!("recording {}: {e}", outcome.record.id));
-                    return ControlFlow::Break(());
-                }
-                if let Err(e) = sink.write(&outcome.record) {
-                    failure = Some(format!("writing {}: {e}", out.display()));
-                    return ControlFlow::Break(());
-                }
-                if outcome.trace_path.is_some() {
-                    traced += 1;
-                }
-                if let Err(e) = reporter.scenario_finished(&outcome.record, secs) {
-                    failure = Some(format!("writing event stream: {e}"));
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            }
-        },
-    );
-    if let Some(e) = failure {
-        return Err(format!("{e} (recording aborted)"));
-    }
-    reporter.finish().map_err(|e| format!("writing event stream: {e}"))?;
-    let manifest = ShardManifest { complete: true, ..manifest };
-    gather_campaign::write_manifest(&out, &manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
-    let traced_manifest = ShardManifest { complete: true, ..traced_manifest };
-    gather_campaign::write_trace_manifest(trace_dir, &traced_manifest)
-        .map_err(|e| format!("writing manifest for {}: {e}", trace_dir.display()))?;
-    eprintln!(
-        "campaign `{}` recorded: {} run, {} traced in {:.1?}",
-        spec.name,
-        reporter.done(),
-        traced,
-        start.elapsed(),
-    );
     Ok(())
 }
 

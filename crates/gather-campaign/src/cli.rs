@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use gather_bench::{ControllerKind, SchedulerKind};
 use gather_workloads::Family;
 
-use crate::shard::{shard_out_path, ShardSpec, ShardStrategy};
+use crate::shard::{shard_out_path, ShardSpec};
 use crate::spec::CampaignSpec;
 
 pub const USAGE: &str = "\
@@ -15,11 +15,9 @@ campaign — parallel scenario sweeps for the grid-gathering reproduction
 
 USAGE:
     campaign run       [--threads N] [--out PATH] [--spec FILE] [--shard I/M]
-                       [--shard-strategy hash|stride] [--events FILE]
-                       [--quiet] [--perf] [axis flags]
+                       [--events FILE] [--quiet] [--perf] [axis flags]
     campaign resume    [--threads N] [--out PATH] [--spec FILE] [--shard I/M]
-                       [--shard-strategy hash|stride] [--events FILE]
-                       [--quiet] [--perf] [axis flags]
+                       [--events FILE] [--quiet] [--perf] [axis flags]
     campaign record    [run flags]   [--trace-dir DIR]
     campaign merge     [--out PATH] SHARD.jsonl [SHARD.jsonl ...]
     campaign merge     --out DIR SHARD_TRACE_DIR [SHARD_TRACE_DIR ...]
@@ -57,11 +55,12 @@ SUBCOMMANDS:
                unsharded recording); requires an explicit --out
     plan       Print the exact per-shard `campaign run` command lines
                (plus the final merge) that execute the spec as M shards
-    record     Run the sweep with per-round tracing on: results stream to
-               --out as usual (truncated, like run), plus one binary .gtrc
-               trace per engine scenario in --trace-dir, which is cleared
-               of earlier traces first so the set always matches --out
-               (the greedy strawman has no engine rounds and is not traced)
+    record     `run` with per-round tracing on: the same results stream to
+               --out (truncated, like run), plus one binary .gtrc trace
+               per engine scenario in --trace-dir, which is cleared of
+               earlier traces first so the set always matches --out (the
+               greedy strawman has no engine rounds and is not traced).
+               A recording cannot be resumed: re-run it
     replay     Re-execute every trace in --trace-dir and verify each round
                is bit-identical, reporting the first divergent round and
                robot; exits non-zero on any divergence, version mismatch,
@@ -129,12 +128,10 @@ OPTIONS:
     --shard I/M        Run only shard I of an M-way split of the spec (I in 0..M).
                        Every shard writes a <out>.manifest.json sidecar (spec digest,
                        shard coordinates, scenario coverage digest, completion marker)
-                       that `merge` uses to verify exact coverage. Resume works per
-                       shard: completed scenario IDs in --out are skipped
-    --shard-strategy S hash (default): assign scenarios by a stable FNV-1a hash of
-                       the scenario ID — any machine partitions any spec identically.
-                       stride: assign by expansion index round-robin, spreading the
-                       size gradient evenly across shards
+                       that `merge` uses to verify exact coverage. Scenarios are
+                       assigned by a stable FNV-1a hash of their ID, so any machine
+                       partitions any spec identically. Resume works per shard:
+                       completed scenario IDs in --out are skipped
     --shards M         (plan) Number of shards to plan for
     --spec FILE        Load the scenario matrix from a flat-JSON spec file;
                        fields absent from the file keep the standard-sweep
@@ -184,7 +181,6 @@ OPTIONS:
 pub enum Command {
     Run(RunArgs),
     Resume(RunArgs),
-    Record { run: RunArgs, trace_dir: PathBuf },
     Merge { inputs: Vec<PathBuf>, out: PathBuf, out_explicit: bool },
     Plan { run: RunArgs, shards: u32 },
     Replay { trace_dir: PathBuf },
@@ -254,13 +250,15 @@ pub struct RunArgs {
     pub out: PathBuf,
     /// Which slice of the spec this invocation executes (`0/1` = all).
     pub shard: ShardSpec,
-    pub strategy: ShardStrategy,
     /// Also emit the run as an NDJSON event stream to this file.
     pub events: Option<PathBuf>,
     /// Suppress the stderr progress lines.
     pub quiet: bool,
     /// Attach the engine phase profiler (records gain timing fields).
     pub perf: bool,
+    /// Also write one `.gtrc` per engine scenario here: set only by
+    /// `record`, which parses to [`Command::Run`] with it.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl Default for RunArgs {
@@ -270,10 +268,10 @@ impl Default for RunArgs {
             threads: 0,
             out: PathBuf::from("campaign.jsonl"),
             shard: ShardSpec::FULL,
-            strategy: ShardStrategy::Hash,
             events: None,
             quiet: false,
             perf: false,
+            trace_dir: None,
         }
     }
 }
@@ -287,12 +285,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     };
     let rest: Vec<&str> = it.collect();
     match sub {
-        "run" => Ok(Command::Run(parse_run_args(&rest, false)?.0)),
-        "resume" => Ok(Command::Resume(parse_run_args(&rest, false)?.0)),
-        "record" => {
-            let (run, trace_dir) = parse_run_args(&rest, true)?;
-            Ok(Command::Record { run, trace_dir: trace_dir.unwrap_or_else(default_trace_dir) })
-        }
+        "run" => Ok(Command::Run(parse_run_args(&rest, None)?)),
+        "resume" => Ok(Command::Resume(parse_run_args(&rest, None)?)),
+        "record" => Ok(Command::Run(parse_run_args(&rest, Some(default_trace_dir()))?)),
         "merge" => {
             let mut inputs = Vec::new();
             let mut out = PathBuf::from("campaign.jsonl");
@@ -335,7 +330,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("--shards must be >= 1".into());
             }
             rest.drain(i..=i + 1);
-            let (run, _) = parse_run_args(&rest, false)?;
+            let run = parse_run_args(&rest, None)?;
             if !run.shard.is_full() {
                 return Err("plan computes --shard for every slice itself; don't pass one".into());
             }
@@ -648,15 +643,12 @@ fn take_spec_file(args: &mut Vec<&str>) -> Result<CampaignSpec, String> {
 }
 
 /// Parse run/resume/record/plan flags; `--spec` goes through
-/// [`take_spec_file`]. `--trace-dir` is only accepted when
-/// `accept_trace_dir` is set (`record`); the others reject it.
-fn parse_run_args(
-    args: &[&str],
-    accept_trace_dir: bool,
-) -> Result<(RunArgs, Option<PathBuf>), String> {
+/// [`take_spec_file`]. `trace_dir` is `record`'s default trace
+/// directory: only with one does `--trace-dir` parse, so run, resume
+/// and plan reject it.
+fn parse_run_args(args: &[&str], trace_dir: Option<PathBuf>) -> Result<RunArgs, String> {
     let mut args: Vec<&str> = args.to_vec();
-    let mut out = RunArgs { spec: take_spec_file(&mut args)?, ..RunArgs::default() };
-    let mut trace_dir = None;
+    let mut out = RunArgs { spec: take_spec_file(&mut args)?, trace_dir, ..RunArgs::default() };
     let mut out_explicit = false;
     let mut it = args.iter();
     while let Some(&flag) = it.next() {
@@ -674,13 +666,8 @@ fn parse_run_args(
             "--events" => out.events = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
             "--quiet" => out.quiet = true,
             "--perf" => out.perf = true,
-            "--shard-strategy" => {
-                let v = value_of(flag, it.next().copied())?;
-                out.strategy = ShardStrategy::parse(v)
-                    .ok_or_else(|| format!("unknown shard strategy {v:?} (hash or stride)"))?;
-            }
-            "--trace-dir" if accept_trace_dir => {
-                trace_dir = Some(PathBuf::from(value_of(flag, it.next().copied())?));
+            "--trace-dir" if out.trace_dir.is_some() => {
+                out.trace_dir = Some(PathBuf::from(value_of(flag, it.next().copied())?));
             }
             axis if AXIS_FLAGS.contains(&axis) => {
                 apply_spec_field(&mut out.spec, &axis[2..], value_of(axis, it.next().copied())?)?;
@@ -695,7 +682,7 @@ fn parse_run_args(
     if !out.shard.is_full() && !out_explicit {
         out.out = shard_out_path(&out.out, out.shard);
     }
-    Ok((out, trace_dir))
+    Ok(out)
 }
 
 /// Build a [`CampaignSpec`] from a flat-JSON spec file. All fields are
@@ -929,12 +916,11 @@ mod tests {
             parse(&strings(&["resume", "--events", "e", "--quiet"])).unwrap(),
             Command::Resume(_)
         ));
-        let Command::Record { run, .. } =
-            parse(&strings(&["record", "--perf", "--events", "e"])).unwrap()
+        let Command::Run(run) = parse(&strings(&["record", "--perf", "--events", "e"])).unwrap()
         else {
             panic!()
         };
-        assert!(run.perf);
+        assert!(run.perf && run.trace_dir.is_some());
         assert_eq!(run.events, Some(PathBuf::from("e")));
 
         assert!(parse(&strings(&["run", "--events"])).is_err(), "--events needs a value");
@@ -998,7 +984,6 @@ mod tests {
             panic!()
         };
         assert_eq!(args.shard, ShardSpec { index: 2, count: 4 });
-        assert_eq!(args.strategy, ShardStrategy::Hash, "hash is the default strategy");
         assert_eq!(
             args.out,
             PathBuf::from("campaign.shard2of4.jsonl"),
@@ -1013,12 +998,10 @@ mod tests {
         };
         assert_eq!(args.out, PathBuf::from("x.jsonl"));
 
-        let Command::Resume(args) =
-            parse(&strings(&["resume", "--shard", "0/2", "--shard-strategy", "stride"])).unwrap()
-        else {
+        let Command::Resume(args) = parse(&strings(&["resume", "--shard", "0/2"])).unwrap() else {
             panic!()
         };
-        assert_eq!(args.strategy, ShardStrategy::Stride);
+        assert_eq!(args.out, PathBuf::from("campaign.shard0of2.jsonl"));
 
         // Unsharded runs keep the plain default path.
         let Command::Run(args) = parse(&strings(&["run"])).unwrap() else { panic!() };
@@ -1028,7 +1011,9 @@ mod tests {
         for bad in ["4/4", "x/4", "1/0", "3"] {
             assert!(parse(&strings(&["run", "--shard", bad])).is_err(), "{bad:?}");
         }
-        assert!(parse(&strings(&["run", "--shard-strategy", "mystery"])).is_err());
+        // Hash is the only partition: the strategy flag is gone.
+        let err = parse(&strings(&["run", "--shard-strategy", "hash"])).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
@@ -1080,8 +1065,7 @@ mod tests {
         // Every command line plan prints must parse back through this
         // very parser: the run lines as sharded runs covering all
         // slices, the final line as the merge.
-        let lines =
-            crate::shard::plan_lines(&run.spec, shards, run.strategy, &run.out, run.threads);
+        let lines = crate::shard::plan_lines(&run.spec, shards, &run.out, run.threads);
         assert_eq!(lines.len(), 5);
         for (i, line) in lines.iter().enumerate() {
             let args: Vec<String> = line.split_whitespace().skip(1).map(str::to_string).collect();
@@ -1110,19 +1094,21 @@ mod tests {
 
     #[test]
     fn record_replay_and_diff_parse() {
-        let Command::Record { run, trace_dir } =
+        // record is run with a trace directory.
+        let Command::Run(run) =
             parse(&strings(&["record", "--sizes", "16", "--trace-dir", "/tmp/t"])).unwrap()
         else {
             panic!()
         };
         assert_eq!(run.spec.sizes, vec![16]);
-        assert_eq!(trace_dir, PathBuf::from("/tmp/t"));
-        let Command::Record { trace_dir, .. } = parse(&strings(&["record"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(trace_dir, PathBuf::from("traces"), "default trace dir");
+        assert_eq!(run.trace_dir, Some(PathBuf::from("/tmp/t")));
+        let Command::Run(run) = parse(&strings(&["record"])).unwrap() else { panic!() };
+        assert_eq!(run.trace_dir, Some(PathBuf::from("traces")), "default trace dir");
+        let Command::Run(run) = parse(&strings(&["run"])).unwrap() else { panic!() };
+        assert_eq!(run.trace_dir, None, "run writes no traces");
         // run/resume reject --trace-dir: it only means something to record.
         assert!(parse(&strings(&["run", "--trace-dir", "x"])).is_err());
+        assert!(parse(&strings(&["resume", "--trace-dir", "x"])).is_err());
 
         let Command::Replay { trace_dir } =
             parse(&strings(&["replay", "--trace-dir", "td"])).unwrap()

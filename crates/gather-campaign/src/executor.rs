@@ -20,7 +20,7 @@ use std::time::Instant;
 use grid_engine::parallel::resolve_threads;
 
 use crate::record::ScenarioRecord;
-use crate::shard::{ShardSpec, ShardStrategy};
+use crate::shard::ShardSpec;
 use crate::spec::Scenario;
 
 /// One lifecycle notification from the executor, delivered to the
@@ -126,53 +126,21 @@ where
     panics.into_inner()
 }
 
-/// [`execute_jobs_observed`] for callers that only want completed
-/// results: start notifications and timings are dropped, `on_panic`
-/// sees just the job. The historical executor entry point.
-pub fn execute_jobs<J, R, F, P, C>(
-    jobs: &[J],
-    threads: usize,
-    run: F,
-    on_panic: P,
-    mut consume: C,
-) -> usize
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-    P: Fn(&J) -> R + Sync,
-    C: FnMut(usize, R) -> ControlFlow<()>,
-{
-    execute_jobs_observed(
-        jobs,
-        threads,
-        run,
-        |job: &J, _secs| on_panic(job),
-        |event| match event {
-            JobEvent::Started(_) => ControlFlow::Continue(()),
-            JobEvent::Finished(i, result, _secs) => consume(i, result),
-        },
-    )
-}
-
 /// The jobs a worker should actually execute: those its shard owns
-/// under `strategy` (job index taken in expansion order, as the
-/// partitioner requires) minus the `completed` resume set. This is the
-/// single filtering step shared by `run`, `resume` and `record`, so a
-/// sharded resume cannot accidentally pick up another shard's work.
+/// minus the `completed` resume set. This is the single filtering step
+/// shared by `run`, `resume` and `record`, so a sharded resume cannot
+/// accidentally pick up another shard's work.
 pub fn select_pending(
     jobs: &[Scenario],
     shard: ShardSpec,
-    strategy: ShardStrategy,
     completed: &HashSet<String>,
 ) -> Vec<Scenario> {
     jobs.iter()
-        .enumerate()
-        .filter(|(i, sc)| {
+        .filter(|sc| {
             let id = sc.id();
-            shard.owns(strategy, *i, &id) && !completed.contains(&id)
+            shard.owns(&id) && !completed.contains(&id)
         })
-        .map(|(_, &sc)| sc)
+        .copied()
         .collect()
 }
 
@@ -184,13 +152,19 @@ pub fn execute_scenarios(
     mut progress: impl FnMut(usize, usize, &ScenarioRecord),
 ) -> Vec<ScenarioRecord> {
     let mut records = Vec::with_capacity(jobs.len());
-    let mut done = 0usize;
-    execute_jobs(jobs, threads, Scenario::run, ScenarioRecord::for_panic, |_i, rec| {
-        done += 1;
-        progress(done, jobs.len(), &rec);
-        records.push(rec);
-        ControlFlow::Continue(())
-    });
+    execute_jobs_observed(
+        jobs,
+        threads,
+        Scenario::run,
+        |sc, _secs| ScenarioRecord::for_panic(sc),
+        |event| {
+            if let JobEvent::Finished(_i, rec, _secs) = event {
+                progress(records.len() + 1, jobs.len(), &rec);
+                records.push(rec);
+            }
+            ControlFlow::Continue(())
+        },
+    );
     records
 }
 
@@ -203,14 +177,16 @@ mod tests {
         let jobs: Vec<usize> = (0..200).collect();
         for threads in [1usize, 2, 8] {
             let mut seen = vec![0u32; jobs.len()];
-            let panics = execute_jobs(
+            let panics = execute_jobs_observed(
                 &jobs,
                 threads,
                 |&j| j * 3,
-                |_| usize::MAX,
-                |i, r| {
-                    assert_eq!(r, jobs[i] * 3);
-                    seen[i] += 1;
+                |_, _| usize::MAX,
+                |event| {
+                    if let JobEvent::Finished(i, r, _) = event {
+                        assert_eq!(r, jobs[i] * 3);
+                        seen[i] += 1;
+                    }
                     ControlFlow::Continue(())
                 },
             );
@@ -224,18 +200,19 @@ mod tests {
         let jobs: Vec<usize> = (0..10_000).collect();
         for threads in [1usize, 4] {
             let mut consumed = 0usize;
-            execute_jobs(
+            execute_jobs_observed(
                 &jobs,
                 threads,
                 |&j| j,
-                |_| 0,
-                |_i, _r| {
-                    consumed += 1;
-                    if consumed == 5 {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
+                |_, _| 0,
+                |event| {
+                    if let JobEvent::Finished(..) = event {
+                        consumed += 1;
+                        if consumed == 5 {
+                            return ControlFlow::Break(());
+                        }
                     }
+                    ControlFlow::Continue(())
                 },
             );
             assert_eq!(consumed, 5, "threads={threads}: consume ran after Break");
@@ -248,7 +225,7 @@ mod tests {
         for threads in [1usize, 4] {
             let mut ok = 0usize;
             let mut poisoned = 0usize;
-            let panics = execute_jobs(
+            let panics = execute_jobs_observed(
                 &jobs,
                 threads,
                 |&j| {
@@ -257,12 +234,12 @@ mod tests {
                     }
                     j
                 },
-                |_| usize::MAX,
-                |_i, r| {
-                    if r == usize::MAX {
-                        poisoned += 1;
-                    } else {
-                        ok += 1;
+                |_, _| usize::MAX,
+                |event| {
+                    match event {
+                        JobEvent::Finished(_, usize::MAX, _) => poisoned += 1,
+                        JobEvent::Finished(..) => ok += 1,
+                        JobEvent::Started(_) => {}
                     }
                     ControlFlow::Continue(())
                 },
@@ -284,24 +261,20 @@ mod tests {
         let mut union = 0usize;
         for index in 0..4u32 {
             let shard = ShardSpec { index, count: 4 };
-            union += select_pending(&jobs, shard, ShardStrategy::Hash, &none).len();
+            union += select_pending(&jobs, shard, &none).len();
         }
         assert_eq!(union, jobs.len());
         // Completed IDs drop out of exactly their own shard.
         let shard = ShardSpec { index: 0, count: 4 };
-        let owned = select_pending(&jobs, shard, ShardStrategy::Hash, &none);
+        let owned = select_pending(&jobs, shard, &none);
         let completed: HashSet<String> = owned.iter().take(3).map(Scenario::id).collect();
-        let pending = select_pending(&jobs, shard, ShardStrategy::Hash, &completed);
+        let pending = select_pending(&jobs, shard, &completed);
         assert_eq!(pending.len(), owned.len() - 3);
         assert!(pending.iter().all(|sc| !completed.contains(&sc.id())));
         // A completed ID from another shard changes nothing here.
-        let foreign =
-            select_pending(&jobs, ShardSpec { index: 1, count: 4 }, ShardStrategy::Hash, &none);
+        let foreign = select_pending(&jobs, ShardSpec { index: 1, count: 4 }, &none);
         let foreign_done: HashSet<String> = foreign.iter().take(1).map(Scenario::id).collect();
-        assert_eq!(
-            select_pending(&jobs, shard, ShardStrategy::Hash, &foreign_done).len(),
-            owned.len(),
-        );
+        assert_eq!(select_pending(&jobs, shard, &foreign_done).len(), owned.len());
     }
 
     #[test]
@@ -380,7 +353,7 @@ mod tests {
     #[test]
     fn empty_job_list_is_fine() {
         let jobs: Vec<usize> = Vec::new();
-        let panics = execute_jobs(&jobs, 8, |&j| j, |_| 0, |_, _| unreachable!());
+        let panics = execute_jobs_observed(&jobs, 8, |&j| j, |_, _| 0, |_| unreachable!());
         assert_eq!(panics, 0);
     }
 
@@ -390,13 +363,15 @@ mod tests {
         // magnitude — the cursor must not lose or duplicate work.
         let jobs: Vec<u64> = vec![1, 1000, 1, 500, 1, 1, 2000];
         let mut total = 0u64;
-        execute_jobs(
+        execute_jobs_observed(
             &jobs,
             16,
             |&j| (0..j).sum::<u64>(),
-            |_| 0,
-            |_i, r| {
-                total += r;
+            |_, _| 0,
+            |event| {
+                if let JobEvent::Finished(_, r, _) = event {
+                    total += r;
+                }
                 ControlFlow::Continue(())
             },
         );

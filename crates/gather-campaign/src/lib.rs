@@ -24,19 +24,19 @@
 //!   scaling tables via `gather-analysis`.
 //! * [`shard`] / [`merge`] — distributed campaigns: `--shard I/M`
 //!   splits any spec into M disjoint slices by a stable FNV-1a hash of
-//!   the scenario ID (identical on every machine; `stride` spreads the
-//!   size gradient instead), each shard run writes a digest-bearing
-//!   manifest next to its JSONL, and `campaign merge` proves a set of
-//!   shard outputs covers the spec exactly once — rejecting missing,
-//!   overlapping, mixed-spec, torn, or incomplete shards — before
-//!   emitting one merged result file. `campaign plan --shards M` prints
-//!   the per-shard command lines.
-//! * [`trace_ops`] — per-round trace recording, bit-exact replay, and
-//!   trace-set diffing over the `gather-trace` binary format: `record`
-//!   streams one compact `.gtrc` file per engine scenario, `replay`
-//!   re-executes a trace's scenario and verifies every round is
-//!   bit-identical (reporting the first divergent round and robot), and
-//!   `diff` compares two trace sets scenario by scenario.
+//!   the scenario ID (identical on every machine), each shard run
+//!   writes a digest-bearing manifest next to its JSONL, and
+//!   `campaign merge` proves a set of shard outputs covers the spec
+//!   exactly once — rejecting missing, overlapping, mixed-spec, torn,
+//!   or incomplete shards — before emitting one merged result file.
+//!   `campaign plan --shards M` prints the per-shard command lines.
+//! * [`trace_ops`] — per-round traces over the `gather-trace` binary
+//!   format: `record` is `run` with a trace directory, where
+//!   [`Scenario::execute`] streams one compact `.gtrc` file per engine
+//!   scenario; `replay` re-executes a trace's scenario and verifies
+//!   every round is bit-identical (reporting the first divergent round
+//!   and robot), and `diff` compares two trace sets scenario by
+//!   scenario.
 //! * [`smoke`] — the large-n determinism smoke: record a bounded-round
 //!   trace at two engine thread counts, replay it through
 //!   digest-verified playback, and require byte-identical files — CI's
@@ -44,7 +44,8 @@
 //! * The `campaign` binary — `run` / `resume` / `record` / `replay` /
 //!   `diff` / `render` / `smoke` / `summarize` subcommands over all of
 //!   the above, with `--spec FILE` loading a scenario matrix from a
-//!   flat-JSON spec.
+//!   flat-JSON spec. `run`, `resume` and `record` share one campaign
+//!   loop, and every scenario goes through [`Scenario::execute`].
 //!
 //! Results are pure functions of the scenario, so a campaign executed
 //! with 1 thread and with 8 threads produces the same result *set*
@@ -81,17 +82,16 @@ pub use aggregate::{provenance_table, summarize, summarize_perf};
 pub use merge::{merge_shards, merge_trace_dirs, MergeReport, ShardContribution};
 pub use progress::{record_status, ProgressReporter};
 pub use record::{PerfSummary, ScenarioRecord};
-pub use service::{serve, submit, work, SubmitReport, WorkReport};
-pub use shard::{fnv1a_64, plan_lines, shard_out_path, ShardManifest, ShardSpec, ShardStrategy};
+pub use service::{serve, submit, work, work_on, SubmitReport, WorkReport};
+pub use shard::{fnv1a_64, plan_lines, shard_out_path, ShardManifest, ShardSpec};
 pub use sink::{
     load_completed, load_records, manifest_path, read_manifest, write_manifest, JsonlSink,
 };
 pub use smoke::{run_smoke, SmokeArgs, SmokeReport};
-pub use spec::{coverage_xor, CampaignSpec, Scenario};
+pub use spec::{coverage_xor, CampaignSpec, JobOutcome, Scenario};
 pub use trace_ops::{
-    diff_trace_dirs, diff_trace_files, read_trace_manifest, record_scenario,
-    record_scenario_profiled, replay_trace, write_trace_manifest, DiffReport, DiffStatus,
-    ReplayReport, ReplayStatus, TraceJobOutcome,
+    diff_trace_dirs, diff_trace_files, read_trace_manifest, replay_trace, write_trace_manifest,
+    DiffReport, DiffStatus, ReplayReport, ReplayStatus,
 };
 
 // Axis types, re-exported so campaign callers need only this crate.

@@ -5,8 +5,8 @@
 //! it has *proved* the set covers the spec exactly once:
 //!
 //! 1. every input has a manifest, all manifests describe the same
-//!    partitioned spec (digest, length, coverage, shard count,
-//!    strategy), and every one carries the completion marker;
+//!    partitioned spec (digest, length, coverage, shard count), and
+//!    every one carries the completion marker;
 //! 2. the shard indexes are exactly `0..count` — a duplicated index is
 //!    an overlapping shard, a gap is a missing one;
 //! 3. the per-shard coverage digests XOR-fold to the spec coverage and
@@ -208,19 +208,7 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Strin
     for rec in merged.values() {
         sink_out.write(rec).map_err(|e| format!("writing {}: {e}", out.display()))?;
     }
-    let merged_manifest = ShardManifest {
-        name: reference.name.clone(),
-        strategy: reference.strategy,
-        shard_index: 0,
-        shard_count: 1,
-        spec_digest: reference.spec_digest,
-        spec_len: reference.spec_len,
-        spec_coverage: reference.spec_coverage,
-        shard_len: reference.spec_len,
-        shard_coverage: reference.spec_coverage,
-        complete: true,
-    };
-    sink::write_manifest(out, &merged_manifest)
+    sink::write_manifest(out, &reference.full_cover())
         .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
 
     Ok(MergeReport {
@@ -331,19 +319,7 @@ pub fn merge_trace_dirs(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, S
         std::fs::copy(src, out.join(name))
             .map_err(|e| format!("copying {} into {}: {e}", src.display(), out.display()))?;
     }
-    let merged_manifest = ShardManifest {
-        name: reference.name.clone(),
-        strategy: reference.strategy,
-        shard_index: 0,
-        shard_count: 1,
-        spec_digest: reference.spec_digest,
-        spec_len: reference.spec_len,
-        spec_coverage: reference.spec_coverage,
-        shard_len: reference.spec_len,
-        shard_coverage: reference.spec_coverage,
-        complete: true,
-    };
-    trace_ops::write_trace_manifest(out, &merged_manifest)
+    trace_ops::write_trace_manifest(out, &reference.full_cover())
         .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
 
     Ok(MergeReport {

@@ -16,9 +16,6 @@ pub struct PerfSummary {
     pub rounds: u64,
     /// Per-phase attributed time, indexed by `Phase as usize`.
     pub phase_s: [f64; PHASE_COUNT],
-    /// Allocation events over the run; `Some` only when the engine was
-    /// built with the `count-alloc` feature.
-    pub allocs: Option<u64>,
 }
 
 impl PerfSummary {
@@ -29,12 +26,7 @@ impl PerfSummary {
         for phase in Phase::ALL {
             phase_s[phase as usize] = t.phase_ns[phase as usize] as f64 / 1e9;
         }
-        PerfSummary {
-            wall_s: t.wall_ns as f64 / 1e9,
-            rounds: t.rounds,
-            phase_s,
-            allocs: t.allocs_counted.then_some(t.allocs),
-        }
+        PerfSummary { wall_s: t.wall_ns as f64 / 1e9, rounds: t.rounds, phase_s }
     }
 
     /// Fraction of engine wall time attributed to named phases.
@@ -158,9 +150,6 @@ impl ScenarioRecord {
             for phase in Phase::ALL {
                 w = w.field_f64(&format!("perf_{}_s", phase.name()), perf.phase_s[phase as usize]);
             }
-            if let Some(allocs) = perf.allocs {
-                w = w.field_u64("perf_allocs", allocs);
-            }
         }
         w.finish()
     }
@@ -197,7 +186,6 @@ impl ScenarioRecord {
                 wall_s,
                 rounds: map.get("perf_rounds").and_then(|v| v.as_u64()).unwrap_or(0),
                 phase_s,
-                allocs: map.get("perf_allocs").and_then(|v| v.as_u64()),
             }
         });
         Ok(ScenarioRecord {
@@ -298,12 +286,7 @@ mod tests {
     fn perf_fields_round_trip() {
         let mut rec = sample();
         rec.secs = 1.25;
-        let mut perf = PerfSummary {
-            wall_s: 1.2,
-            rounds: 412,
-            phase_s: [0.0; PHASE_COUNT],
-            allocs: Some(1234),
-        };
+        let mut perf = PerfSummary { wall_s: 1.2, rounds: 412, phase_s: [0.0; PHASE_COUNT] };
         for (i, slot) in perf.phase_s.iter_mut().enumerate() {
             *slot = 0.125 * (i as f64 + 1.0);
         }
@@ -311,13 +294,6 @@ mod tests {
         let line = rec.to_json_line();
         assert!(line.contains(r#""secs":1.25"#), "{line}");
         assert!(line.contains(r#""perf_compute_s":0.25"#), "{line}");
-        assert!(line.contains(r#""perf_allocs":1234"#), "{line}");
-        assert_eq!(ScenarioRecord::from_json_line(&line).unwrap(), rec);
-
-        // Without allocation counting the field is simply absent.
-        rec.perf.as_mut().unwrap().allocs = None;
-        let line = rec.to_json_line();
-        assert!(!line.contains("perf_allocs"), "{line}");
         assert_eq!(ScenarioRecord::from_json_line(&line).unwrap(), rec);
     }
 
@@ -329,7 +305,6 @@ mod tests {
         assert_eq!(perf.rounds, 10);
         assert!((perf.wall_s - 2.0).abs() < 1e-9);
         assert!((perf.phase_s[Phase::Compute as usize] - 1.5).abs() < 1e-9);
-        assert_eq!(perf.allocs, None, "allocs not counted");
         assert!((perf.coverage() - 0.75).abs() < 1e-9);
     }
 

@@ -47,7 +47,7 @@ use crate::cli::{spec_from_fields, spec_to_fields, ServeArgs, SubmitArgs, WorkAr
 use crate::executor::{execute_jobs_observed, JobEvent};
 use crate::progress::finished_event;
 use crate::record::ScenarioRecord;
-use crate::shard::{ShardManifest, ShardSpec, ShardStrategy};
+use crate::shard::{ShardManifest, ShardSpec};
 use crate::sink::write_manifest;
 use crate::spec::{coverage_xor, Scenario};
 
@@ -508,10 +508,7 @@ fn finalize_job(shared: &Shared, state: &mut ServerState, job_id: u64) {
         }
         out.flush().map_err(|e| format!("flushing output: {e}"))?;
         let spec = spec_from_fields(&job.spec)?;
-        let manifest = ShardManifest {
-            complete: true,
-            ..ShardManifest::for_shard(&spec, ShardSpec::FULL, ShardStrategy::Hash)
-        };
+        let manifest = ShardManifest::for_shard(&spec, ShardSpec::FULL).full_cover();
         write_manifest(&job.out, &manifest).map_err(|e| format!("writing manifest: {e}"))?;
         Ok(())
     })();
@@ -575,7 +572,14 @@ pub struct WorkReport {
 
 /// Run scenarios for a service until it drains or goes away.
 pub fn work(args: &WorkArgs) -> Result<WorkReport, String> {
-    let mut conn = connect_retry(&args.socket)?;
+    work_on(connect_retry(&args.socket)?, args)
+}
+
+/// [`work`] over a connection the caller already holds (`args.socket`
+/// is not used). Connecting first lets a caller that starts the
+/// service, its workers and a submission together be sure every worker
+/// is attached before the first job can finish and drain the service.
+pub fn work_on(mut conn: Conn, args: &WorkArgs) -> Result<WorkReport, String> {
     // One expansion per job id, shared by every lease of that job.
     let mut expansions: BTreeMap<u64, Vec<Scenario>> = BTreeMap::new();
     let mut report = WorkReport::default();

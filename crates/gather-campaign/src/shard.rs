@@ -1,13 +1,9 @@
 //! Deterministic sharding of a campaign across machines.
 //!
 //! A shard is `I/M`: one of `M` disjoint slices of a spec's expansion.
-//! The default `hash` strategy assigns each scenario by an FNV-1a hash
-//! of its stable ID, so *any* machine partitions *any* spec identically
-//! — no coordination, no shared state, just the spec file and a shard
-//! argument. The `stride` strategy assigns by expansion index instead
-//! (shard I gets jobs I, I+M, I+2M, …), an escape hatch for specs whose
-//! cost gradient along the expansion order (sizes grow outward) should
-//! be spread evenly across shards.
+//! Each scenario is assigned by an FNV-1a hash of its stable ID, so
+//! *any* machine partitions *any* spec identically — no coordination,
+//! no shared state, just the spec file and a shard argument.
 //!
 //! Every shard run writes a [`ShardManifest`] next to its result JSONL:
 //! the spec digest, the shard coordinates, an order-free coverage digest
@@ -36,35 +32,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// How scenarios are assigned to shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// FNV-1a of the scenario ID, mod shard count. Machine-independent
-    /// and insensitive to expansion order; the default.
-    #[default]
-    Hash,
-    /// Expansion index mod shard count: shard I gets jobs I, I+M, ….
-    /// Spreads the cost gradient of ordered axes evenly across shards.
-    Stride,
-}
-
-impl ShardStrategy {
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardStrategy::Hash => "hash",
-            ShardStrategy::Stride => "stride",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<ShardStrategy> {
-        match s {
-            "hash" => Some(ShardStrategy::Hash),
-            "stride" => Some(ShardStrategy::Stride),
-            _ => None,
-        }
-    }
 }
 
 /// One slice of a spec: shard `index` of `count`. The full (unsharded)
@@ -98,16 +65,11 @@ impl ShardSpec {
         Ok(ShardSpec { index, count })
     }
 
-    /// Does this shard own the job at `job_index` in the expansion,
-    /// whose stable ID is `id`? Exactly one shard of any `count`-way
-    /// split answers yes for a given job, under either strategy.
-    pub fn owns(self, strategy: ShardStrategy, job_index: usize, id: &str) -> bool {
-        match strategy {
-            ShardStrategy::Hash => {
-                fnv1a_64(id.as_bytes()) % u64::from(self.count) == u64::from(self.index)
-            }
-            ShardStrategy::Stride => job_index % self.count as usize == self.index as usize,
-        }
+    /// Does this shard own the scenario whose stable ID is `id`?
+    /// Exactly one shard of any `count`-way split answers yes: the
+    /// FNV-1a hash of the ID, mod the shard count.
+    pub fn owns(self, id: &str) -> bool {
+        fnv1a_64(id.as_bytes()) % u64::from(self.count) == u64::from(self.index)
     }
 }
 
@@ -134,7 +96,6 @@ impl fmt::Display for ShardSpec {
 pub struct ShardManifest {
     /// Campaign name, recorded for humans only (never compared).
     pub name: String,
-    pub strategy: ShardStrategy,
     pub shard_index: u32,
     pub shard_count: u32,
     /// Order-sensitive digest of the full expanded scenario-ID list.
@@ -152,14 +113,14 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// The manifest a fresh (not yet complete) run of `shard` under
-    /// `strategy` should write for `spec`. All five digest/length fields
-    /// come from a single expansion pass (every ID built and digested
-    /// once), matching [`CampaignSpec::spec_digest`] /
+    /// The manifest a fresh (not yet complete) run of `shard` should
+    /// write for `spec`. All five digest/length fields come from a
+    /// single expansion pass (every ID built and digested once),
+    /// matching [`CampaignSpec::spec_digest`] /
     /// [`CampaignSpec::coverage_digest`] bit for bit — a 2000-scenario
     /// spec is expanded once here, not once per field.
-    pub fn for_shard(spec: &CampaignSpec, shard: ShardSpec, strategy: ShardStrategy) -> Self {
-        Self::build(spec, shard, strategy, |_| true)
+    pub fn for_shard(spec: &CampaignSpec, shard: ShardSpec) -> Self {
+        Self::build(spec, shard, |_| true)
     }
 
     /// The manifest for a shard's *trace set* (`campaign record --shard`):
@@ -169,20 +130,13 @@ impl ShardManifest {
     /// therefore differs from [`ShardManifest::for_shard`]'s, which is
     /// exactly right: a result merge and a trace merge verify different
     /// artifact sets and must not accept each other's manifests.
-    pub fn for_traced_shard(
-        spec: &CampaignSpec,
-        shard: ShardSpec,
-        strategy: ShardStrategy,
-    ) -> Self {
-        Self::build(spec, shard, strategy, |sc| {
-            sc.controller != gather_bench::ControllerKind::Greedy
-        })
+    pub fn for_traced_shard(spec: &CampaignSpec, shard: ShardSpec) -> Self {
+        Self::build(spec, shard, |sc| sc.controller != gather_bench::ControllerKind::Greedy)
     }
 
     fn build(
         spec: &CampaignSpec,
         shard: ShardSpec,
-        strategy: ShardStrategy,
         counted: impl Fn(&crate::spec::Scenario) -> bool,
     ) -> Self {
         let mut joined = String::new();
@@ -190,7 +144,7 @@ impl ShardManifest {
         let mut spec_coverage = 0u64;
         let mut shard_len = 0usize;
         let mut shard_coverage = 0u64;
-        for (job_index, sc) in spec.expand().iter().enumerate() {
+        for sc in &spec.expand() {
             if !counted(sc) {
                 continue;
             }
@@ -200,14 +154,13 @@ impl ShardManifest {
             let digest = gather_trace::digest_bytes(id.as_bytes());
             spec_len += 1;
             spec_coverage ^= digest;
-            if shard.owns(strategy, job_index, &id) {
+            if shard.owns(&id) {
                 shard_len += 1;
                 shard_coverage ^= digest;
             }
         }
         ShardManifest {
             name: spec.name.clone(),
-            strategy,
             shard_index: shard.index,
             shard_count: shard.count,
             spec_digest: gather_trace::digest_bytes(joined.as_bytes()),
@@ -224,6 +177,20 @@ impl ShardManifest {
         ShardSpec { index: self.shard_index, count: self.shard_count }
     }
 
+    /// The manifest of a verified merge of this manifest's siblings: a
+    /// complete `0/1` shard of the same spec, so the merged output
+    /// verifies exactly like an unsharded run's would.
+    pub fn full_cover(&self) -> ShardManifest {
+        ShardManifest {
+            shard_index: 0,
+            shard_count: 1,
+            shard_len: self.spec_len,
+            shard_coverage: self.spec_coverage,
+            complete: true,
+            ..self.clone()
+        }
+    }
+
     /// One-line JSON (the manifest file's entire content, newline
     /// terminated by the writer). Digests are exact u64s — the flat-JSON
     /// parser keeps integers out of f64, so they round trip bit-exactly.
@@ -231,7 +198,6 @@ impl ShardManifest {
         JsonObjWriter::new()
             .field_str("kind", "shard-manifest")
             .field_str("name", &self.name)
-            .field_str("strategy", self.strategy.name())
             .field_u64("shard_index", u64::from(self.shard_index))
             .field_u64("shard_count", u64::from(self.shard_count))
             .field_u64("spec_digest", self.spec_digest)
@@ -243,6 +209,8 @@ impl ShardManifest {
             .finish()
     }
 
+    /// Parse a manifest. Older manifests also carry a `"strategy"`
+    /// field (always `hash` in practice), which is ignored.
     pub fn from_json(text: &str) -> Result<ShardManifest, String> {
         let map = parse_flat_json(text.trim())?;
         let str_field = |key: &str| -> Result<&str, String> {
@@ -258,9 +226,6 @@ impl ShardManifest {
         if str_field("kind")? != "shard-manifest" {
             return Err("not a shard manifest (kind mismatch)".into());
         }
-        let strategy = str_field("strategy")?;
-        let strategy = ShardStrategy::parse(strategy)
-            .ok_or_else(|| format!("unknown shard strategy {strategy:?}"))?;
         let shard_index = u32::try_from(u64_field("shard_index")?)
             .map_err(|_| "shard_index out of range".to_string())?;
         let shard_count = u32::try_from(u64_field("shard_count")?)
@@ -274,7 +239,6 @@ impl ShardManifest {
             .ok_or("manifest is missing bool field \"complete\"")?;
         Ok(ShardManifest {
             name: str_field("name")?.to_string(),
-            strategy,
             shard_index,
             shard_count,
             spec_digest: u64_field("spec_digest")?,
@@ -301,8 +265,6 @@ impl ShardManifest {
             Some("spec_coverage")
         } else if self.shard_count != other.shard_count {
             Some("shard_count")
-        } else if self.strategy != other.strategy {
-            Some("strategy")
         } else {
             None
         }
@@ -365,13 +327,7 @@ fn sh_word(s: &str) -> String {
 /// flags are emitted explicitly (never a `--spec` reference), so each
 /// line is self-contained and runs on a machine that has only the
 /// binary. The final line is the merge.
-pub fn plan_lines(
-    spec: &CampaignSpec,
-    count: u32,
-    strategy: ShardStrategy,
-    out: &Path,
-    threads: usize,
-) -> Vec<String> {
+pub fn plan_lines(spec: &CampaignSpec, count: u32, out: &Path, threads: usize) -> Vec<String> {
     let join = |items: Vec<String>| items.join(",");
     let mut axes = format!(
         "--families {} --sizes {} --seeds {} --controllers {} --schedulers {}",
@@ -395,10 +351,7 @@ pub fn plan_lines(
     for index in 0..count {
         let shard = ShardSpec { index, count };
         let shard_out = sh_word(&shard_out_path(out, shard).display().to_string());
-        lines.push(format!(
-            "campaign run --shard {shard} --shard-strategy {} --out {shard_out} {axes}",
-            strategy.name(),
-        ));
+        lines.push(format!("campaign run --shard {shard} --out {shard_out} {axes}"));
         shard_outs.push(shard_out);
     }
     lines.push(format!(
@@ -435,34 +388,34 @@ mod tests {
     #[test]
     fn every_job_is_owned_by_exactly_one_shard() {
         let ids = ["line/n64/s3/paper", "square/n16/s1/center/rr4", "clusters/n2048/s0/paper"];
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-            for count in 1..=8u32 {
-                for (job_index, id) in ids.iter().enumerate() {
-                    let owners = (0..count)
-                        .filter(|&index| ShardSpec { index, count }.owns(strategy, job_index, id))
-                        .count();
-                    assert_eq!(owners, 1, "{strategy:?} {count} shards, job {id}");
-                }
+        for count in 1..=8u32 {
+            for id in ids {
+                let owners =
+                    (0..count).filter(|&index| ShardSpec { index, count }.owns(id)).count();
+                assert_eq!(owners, 1, "{count} shards, job {id}");
             }
         }
     }
 
     #[test]
     fn the_full_shard_owns_everything() {
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-            assert!(ShardSpec::FULL.owns(strategy, 7, "line/n64/s3/paper"));
-        }
+        assert!(ShardSpec::FULL.owns("line/n64/s3/paper"));
     }
 
     #[test]
     fn manifest_json_round_trips() {
         let spec = CampaignSpec::standard();
         let shard = ShardSpec { index: 1, count: 4 };
-        let mut m = ShardManifest::for_shard(&spec, shard, ShardStrategy::Hash);
+        let mut m = ShardManifest::for_shard(&spec, shard);
         m.complete = true;
         let back = ShardManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.shard(), shard);
+        // Manifests written while a partition strategy was selectable
+        // name it; the field is ignored, so those shards still merge.
+        let legacy = m.to_json().replace(r#""shard_index""#, r#""strategy":"hash","shard_index""#);
+        assert!(legacy.contains(r#""strategy":"hash""#), "{legacy}");
+        assert_eq!(ShardManifest::from_json(&legacy).unwrap(), m);
         assert!(ShardManifest::from_json("{").is_err());
         assert!(ShardManifest::from_json(r#"{"kind":"something-else"}"#).is_err());
         assert!(
@@ -477,22 +430,15 @@ mod tests {
     #[test]
     fn sibling_manifests_agree_and_strangers_do_not() {
         let spec = CampaignSpec::standard();
-        let a =
-            ShardManifest::for_shard(&spec, ShardSpec { index: 0, count: 2 }, ShardStrategy::Hash);
-        let b =
-            ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 2 }, ShardStrategy::Hash);
+        let a = ShardManifest::for_shard(&spec, ShardSpec { index: 0, count: 2 });
+        let b = ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 2 });
         assert_eq!(a.mismatch_against(&b), None);
         let mut other = CampaignSpec::standard();
         other.sizes.push(256);
-        let c =
-            ShardManifest::for_shard(&other, ShardSpec { index: 1, count: 2 }, ShardStrategy::Hash);
+        let c = ShardManifest::for_shard(&other, ShardSpec { index: 1, count: 2 });
         assert_eq!(a.mismatch_against(&c), Some("spec_digest"));
-        let d = ShardManifest::for_shard(
-            &spec,
-            ShardSpec { index: 1, count: 2 },
-            ShardStrategy::Stride,
-        );
-        assert_eq!(a.mismatch_against(&d), Some("strategy"));
+        let d = ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 3 });
+        assert_eq!(a.mismatch_against(&d), Some("shard_count"));
         // The name is cosmetic: a renamed spec file (or shards planned
         // under a default name) must still merge.
         let renamed = ShardManifest { name: "renamed".into(), ..b.clone() };
@@ -546,16 +492,13 @@ mod tests {
         // expansion) CampaignSpec methods merge verification leans on.
         let spec = CampaignSpec::standard();
         let shard = ShardSpec { index: 1, count: 3 };
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-            let m = ShardManifest::for_shard(&spec, shard, strategy);
-            assert_eq!(m.spec_digest, spec.spec_digest());
-            assert_eq!(m.spec_len, spec.len());
-            assert_eq!(m.spec_coverage, spec.coverage_digest());
-            let ids: Vec<String> =
-                spec.expand_shard(shard, strategy).iter().map(|sc| sc.id()).collect();
-            assert_eq!(m.shard_len, ids.len());
-            assert_eq!(m.shard_coverage, crate::spec::coverage_xor(ids.iter().map(String::as_str)));
-        }
+        let m = ShardManifest::for_shard(&spec, shard);
+        assert_eq!(m.spec_digest, spec.spec_digest());
+        assert_eq!(m.spec_len, spec.len());
+        assert_eq!(m.spec_coverage, spec.coverage_digest());
+        let ids: Vec<String> = spec.expand_shard(shard).iter().map(|sc| sc.id()).collect();
+        assert_eq!(m.shard_len, ids.len());
+        assert_eq!(m.shard_coverage, crate::spec::coverage_xor(ids.iter().map(String::as_str)));
     }
 
     #[test]
@@ -566,13 +509,7 @@ mod tests {
         assert_eq!(sh_word("it's.jsonl"), r"'it'\''s.jsonl'");
         assert_eq!(sh_word(""), "''");
 
-        let lines = plan_lines(
-            &CampaignSpec::standard(),
-            2,
-            ShardStrategy::Hash,
-            Path::new("my results/w.jsonl"),
-            0,
-        );
+        let lines = plan_lines(&CampaignSpec::standard(), 2, Path::new("my results/w.jsonl"), 0);
         assert!(
             lines[0].contains("--out 'my results/w.shard0of2.jsonl'"),
             "spaced paths must survive copy-paste: {}",
@@ -585,7 +522,7 @@ mod tests {
     fn plan_covers_every_shard_and_ends_with_the_merge() {
         let mut spec = CampaignSpec::standard();
         spec.name = "mini".into();
-        let lines = plan_lines(&spec, 4, ShardStrategy::Hash, Path::new("out.jsonl"), 0);
+        let lines = plan_lines(&spec, 4, Path::new("out.jsonl"), 0);
         assert_eq!(lines.len(), 5);
         for (i, line) in lines[..4].iter().enumerate() {
             assert!(line.contains(&format!("--shard {i}/4")), "{line}");

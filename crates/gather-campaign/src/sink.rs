@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_next_to_the_result_file() {
-        use crate::shard::{ShardSpec, ShardStrategy};
+        use crate::shard::ShardSpec;
         use crate::spec::CampaignSpec;
 
         let out = tmp("manifest.jsonl");
@@ -230,8 +230,7 @@ mod tests {
         assert_eq!(read_manifest(&out).unwrap(), None, "absent sidecar reads as None");
 
         let spec = CampaignSpec::standard();
-        let mut m =
-            ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 4 }, ShardStrategy::Hash);
+        let mut m = ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 4 });
         write_manifest(&out, &m).unwrap();
         assert_eq!(read_manifest(&out).unwrap(), Some(m.clone()));
         // The completion flip overwrites in place.

@@ -13,20 +13,18 @@
 //! population and position digest, so a clean replay certifies the
 //! engine's sparse apply — not just that the file round-trips.
 
-use std::cell::RefCell;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::time::Instant;
 
 use gather_bench::SchedulerKind;
 use gather_core::GatherController;
-use gather_trace::{Playback, TraceHeader, TraceReader, TraceWriter};
+use gather_trace::{Playback, TraceHeader, TraceReader};
 use gather_workloads::Family;
-use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode, RoundRecord};
+use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode};
 
-use crate::trace_ops::{diff_trace_files, TraceSink};
+use crate::trace_ops::{diff_trace_files, TraceFile};
 use crate::DiffStatus;
 
 #[derive(Clone, Debug, PartialEq)]
@@ -81,8 +79,7 @@ pub struct SmokeReport {
 
 /// Record `rounds` rounds of the paper controller on `points` into a
 /// trace file, returning the activations and the wall seconds they
-/// took. Uses [`TraceSink`] — the same latching observer sink
-/// `campaign record` streams through.
+/// took. Streams through [`TraceFile`], like `campaign record`.
 fn record_bounded(
     points: &[grid_engine::Point],
     header: &TraceHeader,
@@ -92,14 +89,8 @@ fn record_bounded(
     scheduler: SchedulerKind,
     path: &Path,
 ) -> Result<(u64, f64), String> {
-    let file = File::create(path).map_err(|e| format!("creating {}: {e}", path.display()))?;
-    let writer = TraceWriter::new(BufWriter::new(file), header)
-        .map_err(|e| format!("writing header: {e}"))?;
-    let sink = Rc::new(RefCell::new(TraceSink { writer: Some(writer), error: None }));
-    let observer = {
-        let sink = sink.clone();
-        Box::new(move |rec: &RoundRecord| sink.borrow_mut().push(rec))
-    };
+    let trace = TraceFile::with_header(path.to_path_buf(), header)
+        .map_err(|e| format!("creating {}: {e}", path.display()))?;
     let mut engine = Engine::from_positions(
         points,
         OrientationMode::Scrambled(seed),
@@ -111,7 +102,7 @@ fn record_bounded(
             ..Default::default()
         },
     );
-    engine.set_observer(observer);
+    engine.set_observer(trace.observer());
     #[expect(
         clippy::disallowed_methods,
         reason = "smoke throughput display only: the pass/fail verdict is clock-independent"
@@ -123,16 +114,7 @@ fn record_bounded(
         activations += stats.activated as u64;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    drop(engine); // releases the observer's sink clone
-    let mut sink = Rc::try_unwrap(sink).ok().expect("engine dropped its observer").into_inner();
-    if let Some(e) = sink.error.take() {
-        return Err(format!("writing rounds: {e}"));
-    }
-    sink.writer
-        .take()
-        .expect("writer live unless an error latched")
-        .finish()
-        .map_err(|e| e.to_string())?;
+    trace.finish().map_err(|e| format!("writing {}: {e}", path.display()))?;
     Ok((activations, elapsed))
 }
 

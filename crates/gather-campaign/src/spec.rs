@@ -1,11 +1,17 @@
 //! Declarative campaign specification and its expansion into jobs.
 
+use std::cell::RefCell;
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use std::time::Instant;
+
 use gather_bench::{ControllerKind, SchedulerKind};
 use gather_workloads::Family;
-use grid_engine::Point;
+use grid_engine::{Point, ProfileTotals};
 
-use crate::record::ScenarioRecord;
-use crate::shard::{ShardSpec, ShardStrategy};
+use crate::record::{PerfSummary, ScenarioRecord};
+use crate::shard::ShardSpec;
+use crate::trace_ops::TraceFile;
 
 /// A declarative scenario matrix. Expansion order is the nested product
 /// family → size → seed → controller → scheduler, so the job list (and
@@ -137,15 +143,15 @@ impl CampaignSpec {
         out
     }
 
-    /// Expand only the scenarios `shard` owns under `strategy`, in
-    /// expansion order. The `count`-way partition is a disjoint exact
-    /// cover of [`CampaignSpec::expand`]: every job lands in exactly one
-    /// shard, and the `hash` strategy places it identically on any
-    /// machine (the ID hash is machine- and order-independent). This is
-    /// the executor's own filter with an empty resume set, so the
-    /// partition here cannot drift from the one runs actually execute.
-    pub fn expand_shard(&self, shard: ShardSpec, strategy: ShardStrategy) -> Vec<Scenario> {
-        crate::executor::select_pending(&self.expand(), shard, strategy, &Default::default())
+    /// Expand only the scenarios `shard` owns, in expansion order. The
+    /// `count`-way partition is a disjoint exact cover of
+    /// [`CampaignSpec::expand`]: every job lands in exactly one shard,
+    /// placed identically on any machine (the ID hash is machine- and
+    /// order-independent). This is the executor's own filter with an
+    /// empty resume set, so the partition here cannot drift from the
+    /// one runs actually execute.
+    pub fn expand_shard(&self, shard: ShardSpec) -> Vec<Scenario> {
+        crate::executor::select_pending(&self.expand(), shard, &Default::default())
     }
 
     /// Order-sensitive digest of the full expanded scenario-ID list:
@@ -284,49 +290,82 @@ impl Scenario {
     /// Execute the scenario on one engine thread (campaigns parallelise
     /// across scenarios, not within them) and record the outcome.
     pub fn run(&self) -> ScenarioRecord {
-        let points = self.points();
-        let budget = self.budget(points.len());
-        let m = gather_bench::RunSpec::new(self.controller, &points)
-            .scheduler(self.scheduler)
-            .seed(self.seed)
-            .budget(budget)
-            .run();
-        ScenarioRecord::from_measurement(self, &m)
+        self.execute(None, false).record
     }
 
-    /// [`Scenario::run`] with the engine's phase profiler attached: the
-    /// record carries its wall time and a [`crate::PerfSummary`]. The
-    /// profiler only reads clocks, so the measured result fields are
-    /// bit-identical with [`Scenario::run`]'s. The greedy baseline has
-    /// no engine rounds — its record gets `secs` but no perf block.
-    pub fn run_profiled(&self) -> ScenarioRecord {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        use std::time::Instant;
-
+    /// [`Scenario::run`] with the campaign's two opt-in observers.
+    ///
+    /// With `trace_dir`, an engine scenario streams every round into
+    /// `trace_dir/<trace_file_name(id)>` (the greedy strawman drives
+    /// itself and has no rounds to record). With `perf`, the engine
+    /// phase profiler is attached and the record carries its wall time
+    /// and a [`PerfSummary`]. Observers only read the run, so the
+    /// record's measured fields, and the trace bytes, are the same
+    /// either way. With neither, no clock is read and nothing is
+    /// attached.
+    pub fn execute(&self, trace_dir: Option<&Path>, perf: bool) -> JobOutcome {
         let points = self.points();
-        let budget = self.budget(points.len());
-        let totals: Rc<RefCell<grid_engine::ProfileTotals>> = Rc::default();
-        let sink = totals.clone();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "scenario wall time fills the profiled report's opt-in perf fields; results and digests never depend on it"
-        )]
-        let start = Instant::now();
-        let m = gather_bench::RunSpec::new(self.controller, &points)
+        let mut run_spec = gather_bench::RunSpec::new(self.controller, &points)
             .scheduler(self.scheduler)
             .seed(self.seed)
-            .budget(budget)
-            .profiler(Box::new(move |profile| sink.borrow_mut().add(profile)))
-            .run();
-        let secs = start.elapsed().as_secs_f64();
-        let mut rec = ScenarioRecord::from_measurement(self, &m);
-        rec.secs = secs;
-        let totals = totals.borrow();
-        if totals.rounds > 0 {
-            rec.perf = Some(crate::record::PerfSummary::from_totals(&totals));
+            .budget(self.budget(points.len()));
+        let traced = trace_dir.filter(|_| self.controller != ControllerKind::Greedy);
+        let trace = match traced.map(|dir| TraceFile::create(self, &points, dir)).transpose() {
+            Ok(trace) => trace,
+            // Fail fast: see [`JobOutcome::error`].
+            Err(e) => {
+                return JobOutcome { error: Some(e.to_string()), ..JobOutcome::for_panic(self) }
+            }
+        };
+        if let Some(trace) = &trace {
+            run_spec = run_spec.observer(trace.observer());
         }
-        rec
+        let totals = perf.then(Rc::<RefCell<ProfileTotals>>::default);
+        if let Some(totals) = &totals {
+            let sink = totals.clone();
+            run_spec = run_spec.profiler(Box::new(move |profile| sink.borrow_mut().add(profile)));
+        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "scenario wall time fills the profiled record's opt-in perf fields; results and traces never depend on it"
+        )]
+        let start = perf.then(Instant::now);
+        let m = run_spec.run();
+        let mut record = ScenarioRecord::from_measurement(self, &m);
+        if let (Some(start), Some(totals)) = (start, totals) {
+            record.secs = start.elapsed().as_secs_f64();
+            let totals = totals.borrow();
+            if totals.rounds > 0 {
+                record.perf = Some(PerfSummary::from_totals(&totals));
+            }
+        }
+        let finished = trace.map(TraceFile::finish).transpose();
+        let error = finished.as_ref().err().map(ToString::to_string);
+        JobOutcome { record, trace_path: finished.ok().flatten(), error }
+    }
+}
+
+/// What one campaign job produced: the record, and where its trace went.
+#[derive(Clone, Debug)]
+pub struct JobOutcome {
+    /// The scenario record, the same with or without a trace.
+    pub record: ScenarioRecord,
+    /// Where the trace landed; `None` when none was asked for, and for
+    /// the greedy baseline, which has no engine rounds to record.
+    pub trace_path: Option<PathBuf>,
+    /// A trace-file failure, if any. When set, `record` may be a
+    /// placeholder rather than a real measurement (an uncreatable
+    /// trace file fails fast *before* the scenario runs — executing a
+    /// whole round budget for a campaign the caller is about to abort
+    /// helps nobody), so callers must not persist `record` when
+    /// `error` is set. The CLI aborts the recording instead.
+    pub error: Option<String>,
+}
+
+impl JobOutcome {
+    /// Outcome for a job whose controller panicked (no trace survives).
+    pub fn for_panic(sc: &Scenario) -> Self {
+        JobOutcome { record: ScenarioRecord::for_panic(sc), trace_path: None, error: None }
     }
 }
 
@@ -380,24 +419,18 @@ mod tests {
     fn shard_expansion_is_a_disjoint_exact_cover() {
         let spec = CampaignSpec::standard();
         let all = spec.expand();
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-            for count in [1u32, 2, 3, 4, 7] {
-                let mut seen = std::collections::HashSet::new();
-                let mut union = 0usize;
-                for index in 0..count {
-                    let shard = spec.expand_shard(ShardSpec { index, count }, strategy);
-                    union += shard.len();
-                    for sc in &shard {
-                        assert!(seen.insert(sc.id()), "{strategy:?} {count}: {} twice", sc.id());
-                    }
+        for count in [1u32, 2, 3, 4, 7] {
+            let mut seen = std::collections::HashSet::new();
+            let mut union = 0usize;
+            for index in 0..count {
+                let shard = spec.expand_shard(ShardSpec { index, count });
+                union += shard.len();
+                for sc in &shard {
+                    assert!(seen.insert(sc.id()), "{count}: {} twice", sc.id());
                 }
-                assert_eq!(union, all.len(), "{strategy:?} {count}-way cover lost jobs");
             }
+            assert_eq!(union, all.len(), "{count}-way cover lost jobs");
         }
-        // Stride round-robins the expansion order exactly.
-        let s0 = spec.expand_shard(ShardSpec { index: 0, count: 3 }, ShardStrategy::Stride);
-        assert_eq!(s0[0], all[0]);
-        assert_eq!(s0[1], all[3]);
     }
 
     #[test]
@@ -423,21 +456,16 @@ mod tests {
     #[test]
     fn shard_coverage_digests_fold_to_the_spec_coverage() {
         let spec = CampaignSpec::standard();
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-            let mut folded = 0u64;
-            let mut total = 0usize;
-            for index in 0..4u32 {
-                let ids: Vec<String> = spec
-                    .expand_shard(ShardSpec { index, count: 4 }, strategy)
-                    .iter()
-                    .map(Scenario::id)
-                    .collect();
-                total += ids.len();
-                folded ^= coverage_xor(ids.iter().map(String::as_str));
-            }
-            assert_eq!(folded, spec.coverage_digest(), "{strategy:?}");
-            assert_eq!(total, spec.len());
+        let mut folded = 0u64;
+        let mut total = 0usize;
+        for index in 0..4u32 {
+            let ids: Vec<String> =
+                spec.expand_shard(ShardSpec { index, count: 4 }).iter().map(Scenario::id).collect();
+            total += ids.len();
+            folded ^= coverage_xor(ids.iter().map(String::as_str));
         }
+        assert_eq!(folded, spec.coverage_digest());
+        assert_eq!(total, spec.len());
         assert_eq!(coverage_xor(std::iter::empty()), 0, "empty shard folds to zero");
     }
 

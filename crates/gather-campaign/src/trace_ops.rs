@@ -1,5 +1,6 @@
-//! Campaign-level trace operations: record scenarios to trace files,
-//! replay a trace against a live re-execution, and diff trace sets.
+//! Campaign-level trace operations: the trace file a recorded scenario
+//! streams into ([`Scenario::execute`] with a trace directory), replay
+//! of a trace against a live re-execution, and trace-set diffing.
 //!
 //! One trace file per scenario (`<id with '/' → '__'>.gtrc`) keeps the
 //! writers contention-free under the work-stealing executor and makes a
@@ -12,13 +13,12 @@ use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use gather_bench::{ControllerKind, RunSpec};
+use gather_bench::RunSpec;
 use gather_trace::{
     divergence_between, RoundDivergence, TraceError, TraceHeader, TraceReader, TraceWriter,
 };
-use grid_engine::{Point, RoundRecord};
+use grid_engine::{BoxedRoundObserver, Point, RoundRecord};
 
-use crate::record::ScenarioRecord;
 use crate::spec::Scenario;
 
 /// File name a scenario's trace is stored under: the scenario ID with
@@ -74,146 +74,84 @@ pub fn read_trace_manifest(dir: &Path) -> Result<Option<crate::shard::ShardManif
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Outcome of one recorded campaign job.
-#[derive(Clone, Debug)]
-pub struct TraceJobOutcome {
-    /// The ordinary scenario record (written to the JSONL sink exactly
-    /// as a plain `run` would).
-    pub record: ScenarioRecord,
-    /// Where the trace landed; `None` for the greedy baseline, which
-    /// has no engine rounds to record.
-    pub trace_path: Option<PathBuf>,
-    /// A trace-file failure, if any. When set, `record` may be a
-    /// placeholder rather than a real measurement (an uncreatable
-    /// trace file fails fast *before* the scenario runs — executing a
-    /// whole round budget for a campaign the caller is about to abort
-    /// helps nobody), so callers must not persist `record` when
-    /// `error` is set. The CLI aborts the recording instead.
-    pub error: Option<String>,
+/// A `.gtrc` being written by a running engine: rounds stream from the
+/// engine's observer into a `.gtrc.tmp` name, and [`TraceFile::finish`]
+/// renames the file into place only after a clean finish. A panicking
+/// controller unwinds straight past `finish`, and the torn file it
+/// abandons must not read as a (corrupt) trace by `replay`/`diff`,
+/// which match on the `.gtrc` extension. Used by
+/// [`Scenario::execute`] and the [`crate::smoke`] recorder — one copy
+/// of this protocol, not two.
+pub(crate) struct TraceFile {
+    sink: Rc<RefCell<TraceSink>>,
+    tmp: PathBuf,
+    path: PathBuf,
 }
 
-impl TraceJobOutcome {
-    /// Outcome for a job whose controller panicked (no trace survives).
-    pub fn for_panic(sc: &Scenario) -> Self {
-        TraceJobOutcome { record: ScenarioRecord::for_panic(sc), trace_path: None, error: None }
+/// The observer's half of a [`TraceFile`]. The first write error
+/// latches: the writer is dropped and the error surfaces from
+/// [`TraceFile::finish`] (observers cannot return errors mid-round).
+struct TraceSink {
+    writer: Option<TraceWriter<BufWriter<File>>>,
+    error: Option<io::Error>,
+}
+
+impl TraceFile {
+    /// Start `sc`'s trace in `dir`; `points` is its generated swarm.
+    pub(crate) fn create(sc: &Scenario, points: &[Point], dir: &Path) -> io::Result<TraceFile> {
+        let header = TraceHeader {
+            scenario_id: sc.id(),
+            seed: sc.seed,
+            config_digest: sc.config_digest_with(points.len()),
+            initial: points.to_vec(),
+        };
+        Self::with_header(dir.join(trace_file_name(&header.scenario_id)), &header)
     }
-}
 
-/// Streaming trace sink shared with the engine's observer closure.
-/// The first write error latches: the writer is dropped and the error
-/// surfaces after the run (observers cannot return errors mid-round).
-/// Also used by the [`crate::smoke`] recorder — one copy of this
-/// subtle protocol, not two.
-pub(crate) struct TraceSink {
-    pub(crate) writer: Option<TraceWriter<BufWriter<File>>>,
-    pub(crate) error: Option<io::Error>,
-}
-
-impl TraceSink {
-    pub(crate) fn push(&mut self, rec: &RoundRecord) {
-        if let Some(writer) = self.writer.as_mut() {
-            if let Err(e) = writer.write_round(rec) {
-                self.error = Some(e);
-                self.writer = None;
+    /// Start a trace with `header` that lands at `path`.
+    pub(crate) fn with_header(path: PathBuf, header: &TraceHeader) -> io::Result<TraceFile> {
+        let tmp = path.with_extension("gtrc.tmp");
+        match File::create(&tmp).and_then(|f| TraceWriter::new(BufWriter::new(f), header)) {
+            Ok(writer) => {
+                let sink = TraceSink { writer: Some(writer), error: None };
+                Ok(TraceFile { sink: Rc::new(RefCell::new(sink)), tmp, path })
+            }
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                Err(e)
             }
         }
     }
-}
 
-/// Run one scenario with tracing on, streaming rounds into
-/// `dir/<trace_file_name(id)>`. The measurement is identical to an
-/// untraced [`Scenario::run`] — observation never perturbs the run.
-pub fn record_scenario(sc: &Scenario, dir: &Path) -> TraceJobOutcome {
-    record_scenario_profiled(sc, dir, false)
-}
+    /// The engine observer that streams each round into the file.
+    pub(crate) fn observer(&self) -> BoxedRoundObserver {
+        let sink = self.sink.clone();
+        Box::new(move |rec: &RoundRecord| {
+            let sink = &mut *sink.borrow_mut();
+            if let Some(writer) = sink.writer.as_mut() {
+                if let Err(e) = writer.write_round(rec) {
+                    sink.error = Some(e);
+                    sink.writer = None;
+                }
+            }
+        })
+    }
 
-/// [`record_scenario`] with the engine phase profiler optionally
-/// attached (`campaign record --perf`): the scenario record gains
-/// `secs` and a perf block, while the trace bytes stay identical to an
-/// unprofiled recording — the profiler only reads clocks, so the
-/// observer sees the same round stream either way.
-pub fn record_scenario_profiled(sc: &Scenario, dir: &Path, perf: bool) -> TraceJobOutcome {
-    if sc.controller == ControllerKind::Greedy {
-        // The sequential strawman drives itself; there is no engine
-        // round stream to record.
-        let record = if perf { sc.run_profiled() } else { sc.run() };
-        return TraceJobOutcome { record, trace_path: None, error: None };
-    }
-    let points = sc.points();
-    let budget = sc.budget(points.len());
-    let header = TraceHeader {
-        scenario_id: sc.id(),
-        seed: sc.seed,
-        config_digest: sc.config_digest_with(points.len()),
-        initial: points.clone(),
-    };
-    let path = dir.join(trace_file_name(&header.scenario_id));
-    // Stream into a `.tmp` name and rename only after a clean finish:
-    // a panicking controller unwinds straight past this function, and
-    // the torn file it abandons must not read as a (corrupt) trace by
-    // `replay`/`diff`, which match on the `.gtrc` extension.
-    let tmp = path.with_extension("gtrc.tmp");
-    let writer = match File::create(&tmp).and_then(|f| TraceWriter::new(BufWriter::new(f), &header))
-    {
-        Ok(w) => w,
-        Err(e) => {
-            // Fail fast: see [`TraceJobOutcome::error`].
-            let _ = fs::remove_file(&tmp);
-            return TraceJobOutcome {
-                record: ScenarioRecord::for_panic(sc),
-                trace_path: None,
-                error: Some(e.to_string()),
-            };
+    /// Close the trace and rename it into place, returning its path.
+    /// On any write error the partial file is removed instead.
+    pub(crate) fn finish(self) -> io::Result<PathBuf> {
+        let error = {
+            let sink = &mut *self.sink.borrow_mut();
+            sink.error.take().or_else(|| sink.writer.take().and_then(|w| w.finish().err()))
         }
-    };
-    let sink = Rc::new(RefCell::new(TraceSink { writer: Some(writer), error: None }));
-    let observer = {
-        let sink = sink.clone();
-        Box::new(move |rec: &RoundRecord| sink.borrow_mut().push(rec))
-    };
-    let totals: Rc<RefCell<grid_engine::ProfileTotals>> = Rc::default();
-    let profiler = perf.then(|| {
-        let totals = totals.clone();
-        Box::new(move |profile: &grid_engine::RoundProfile| totals.borrow_mut().add(profile))
-            as grid_engine::BoxedProfileSink
-    });
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "record-side wall time is reported alongside the trace; the trace bytes are clock-free"
-    )]
-    let start = std::time::Instant::now();
-    let mut spec = RunSpec::new(sc.controller, &points)
-        .scheduler(sc.scheduler)
-        .seed(sc.seed)
-        .budget(budget)
-        .observer(observer);
-    if let Some(profiler) = profiler {
-        spec = spec.profiler(profiler);
-    }
-    let m = spec.run();
-    let secs = start.elapsed().as_secs_f64();
-    let mut sink =
-        Rc::try_unwrap(sink).ok().expect("engine dropped its observer clone").into_inner();
-    let error = sink
-        .error
-        .take()
-        .or_else(|| sink.writer.take().and_then(|w| w.finish().err()))
-        .or_else(|| fs::rename(&tmp, &path).err());
-    if error.is_some() {
-        let _ = fs::remove_file(&tmp);
-    }
-    let mut record = ScenarioRecord::from_measurement(sc, &m);
-    if perf {
-        record.secs = secs;
-        let totals = totals.borrow();
-        if totals.rounds > 0 {
-            record.perf = Some(crate::record::PerfSummary::from_totals(&totals));
+        .or_else(|| fs::rename(&self.tmp, &self.path).err());
+        match error {
+            None => Ok(self.path),
+            Some(e) => {
+                let _ = fs::remove_file(&self.tmp);
+                Err(e)
+            }
         }
-    }
-    TraceJobOutcome {
-        record,
-        trace_path: error.is_none().then_some(path),
-        error: error.map(|e| e.to_string()),
     }
 }
 
@@ -463,8 +401,8 @@ pub fn diff_trace_dirs(a: &Path, b: &Path) -> io::Result<Vec<DiffReport>> {
 /// longer mentions them, and `replay`/`diff` would treat the stale
 /// files as part of the set. (`.gtrc.tmp` files are the torn leftovers
 /// of a panicking controller — the executor's panic isolation unwinds
-/// straight past [`record_scenario`]'s rename.) Returns how many files
-/// were removed.
+/// straight past [`TraceFile::finish`]'s rename.) Returns how many
+/// files were removed.
 pub fn clean_trace_dir(dir: &Path) -> io::Result<usize> {
     let mut removed = 0usize;
     for entry in fs::read_dir(dir)? {

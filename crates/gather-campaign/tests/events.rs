@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use gather_bench::{ControllerKind, SchedulerKind};
 use gather_campaign::executor::{self, JobEvent};
 use gather_campaign::{
-    load_records, trace_ops, CampaignSpec, JsonlSink, ProgressReporter, Scenario, ScenarioRecord,
+    load_records, CampaignSpec, JsonlSink, ProgressReporter, Scenario, ScenarioRecord,
 };
 use gather_obs::{read_events, validate, Event, Status};
 use gather_workloads::Family;
@@ -116,7 +116,7 @@ fn profiled_records_round_trip_with_sane_coverage() {
         controller: ControllerKind::Paper,
         scheduler: SchedulerKind::Fsync,
     };
-    let rec = sc.run_profiled();
+    let rec = sc.execute(None, true).record;
     assert!(rec.secs > 0.0, "profiled runs measure wall time");
     let perf = rec.perf.as_ref().expect("profiled engine runs carry a perf block");
     assert!(perf.rounds > 0);
@@ -154,8 +154,8 @@ fn profiling_never_perturbs_recorded_traces() {
     std::fs::create_dir_all(&plain_dir).unwrap();
     std::fs::create_dir_all(&perf_dir).unwrap();
 
-    let plain = trace_ops::record_scenario(&sc, &plain_dir);
-    let profiled = trace_ops::record_scenario_profiled(&sc, &perf_dir, true);
+    let plain = sc.execute(Some(&plain_dir), false);
+    let profiled = sc.execute(Some(&perf_dir), true);
     assert!(plain.error.is_none() && profiled.error.is_none());
     assert!(profiled.record.perf.is_some(), "perf recording carries the phase breakdown");
     assert_eq!(plain.record.rounds, profiled.record.rounds, "profiling changed the simulation");

@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use gather_campaign::cli::{ServeArgs, SubmitArgs, WorkArgs};
 use gather_campaign::{
-    read_manifest, serve, submit, work, CampaignSpec, ControllerKind, Family, SchedulerKind,
+    read_manifest, serve, submit, work, work_on, CampaignSpec, ControllerKind, Family,
+    SchedulerKind,
 };
 use gather_obs::Message;
 use gather_serve::{CacheKey, Conn, ResultCache};
@@ -79,8 +80,12 @@ fn loopback_service_run_is_byte_identical_and_second_submit_is_all_cache() {
         };
         thread::spawn(move || serve(&args))
     };
+    // Both workers connect before the first submission: a worker still
+    // retrying its connection could otherwise miss both jobs, and find
+    // the socket gone once the service drains.
     let workers: Vec<_> = (0..2)
         .map(|i| {
+            let conn = connect_retry(&socket);
             let args = WorkArgs {
                 socket: socket.clone(),
                 threads: 1,
@@ -88,7 +93,7 @@ fn loopback_service_run_is_byte_identical_and_second_submit_is_all_cache() {
                 lease: 1,
                 poll_ms: 10,
             };
-            thread::spawn(move || work(&args))
+            thread::spawn(move || work_on(conn, &args))
         })
         .collect();
 

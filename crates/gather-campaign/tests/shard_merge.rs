@@ -9,7 +9,7 @@ use gather_bench::{ControllerKind, SchedulerKind};
 use gather_campaign::{
     executor, load_records, merge_shards, merge_trace_dirs, read_manifest, read_trace_manifest,
     summarize, trace_ops, write_manifest, write_trace_manifest, CampaignSpec, JsonlSink,
-    ReplayStatus, ShardManifest, ShardSpec, ShardStrategy,
+    ReplayStatus, ShardManifest, ShardSpec,
 };
 use gather_workloads::Family;
 use proptest::prelude::*;
@@ -39,15 +39,10 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// Execute one shard the way `campaign run --shard` does: partitioned
 /// pending set, manifest without the marker first, records streamed,
 /// marker flipped at the end.
-fn run_shard(
-    spec: &CampaignSpec,
-    shard: ShardSpec,
-    strategy: ShardStrategy,
-    out: &Path,
-) -> ShardManifest {
+fn run_shard(spec: &CampaignSpec, shard: ShardSpec, out: &Path) -> ShardManifest {
     let jobs = spec.expand();
-    let pending = executor::select_pending(&jobs, shard, strategy, &Default::default());
-    let manifest = ShardManifest::for_shard(spec, shard, strategy);
+    let pending = executor::select_pending(&jobs, shard, &Default::default());
+    let manifest = ShardManifest::for_shard(spec, shard);
     let mut sink = JsonlSink::create(out).unwrap();
     write_manifest(out, &manifest).unwrap();
     executor::execute_scenarios(&pending, 4, |_d, _t, rec| sink.write(rec).unwrap());
@@ -57,17 +52,12 @@ fn run_shard(
     manifest
 }
 
-fn run_all_shards(
-    spec: &CampaignSpec,
-    count: u32,
-    strategy: ShardStrategy,
-    dir: &Path,
-) -> Vec<PathBuf> {
+fn run_all_shards(spec: &CampaignSpec, count: u32, dir: &Path) -> Vec<PathBuf> {
     (0..count)
         .map(|index| {
             let shard = ShardSpec { index, count };
             let out = dir.join(format!("c.shard{index}of{count}.jsonl"));
-            run_shard(spec, shard, strategy, &out);
+            run_shard(spec, shard, &out);
             out
         })
         .collect()
@@ -82,8 +72,7 @@ fn sorted_lines(path: &Path) -> Vec<String> {
 
 /// The acceptance property: four shard runs plus a verified merge give
 /// a result file whose record set — and therefore whose `summarize`
-/// tables — are identical to the unsharded run's, under both partition
-/// strategies.
+/// tables — are identical to the unsharded run's.
 #[test]
 fn four_shards_plus_merge_equal_the_unsharded_run() {
     let spec = small_spec();
@@ -91,38 +80,34 @@ fn four_shards_plus_merge_equal_the_unsharded_run() {
 
     // Unsharded reference (the degenerate 0/1 shard, same code path).
     let reference = dir.join("reference.jsonl");
-    run_shard(&spec, ShardSpec::FULL, ShardStrategy::Hash, &reference);
+    run_shard(&spec, ShardSpec::FULL, &reference);
     let expected = sorted_lines(&reference);
     assert_eq!(expected.len(), spec.len());
 
-    for strategy in [ShardStrategy::Hash, ShardStrategy::Stride] {
-        let subdir = dir.join(strategy.name());
-        std::fs::create_dir_all(&subdir).unwrap();
-        let shards = run_all_shards(&spec, 4, strategy, &subdir);
-        let merged = subdir.join("merged.jsonl");
-        let report = merge_shards(&shards, &merged).unwrap();
-        assert_eq!(report.total, spec.len());
-        assert_eq!(report.duplicates, 0);
-        assert_eq!(report.shards.len(), 4);
+    let shards = run_all_shards(&spec, 4, &dir);
+    let merged = dir.join("merged.jsonl");
+    let report = merge_shards(&shards, &merged).unwrap();
+    assert_eq!(report.total, spec.len());
+    assert_eq!(report.duplicates, 0);
+    assert_eq!(report.shards.len(), 4);
 
-        // Same record set, line for line.
-        assert_eq!(sorted_lines(&merged), expected, "{strategy:?}");
+    // Same record set, line for line.
+    assert_eq!(sorted_lines(&merged), expected);
 
-        // And the rendered summaries agree exactly.
-        let (merged_records, _) = load_records(&merged).unwrap();
-        let (reference_records, _) = load_records(&reference).unwrap();
-        let render = |records: &[gather_campaign::ScenarioRecord]| -> String {
-            summarize(records).iter().map(gather_analysis::render_markdown).collect()
-        };
-        assert_eq!(render(&merged_records), render(&reference_records), "{strategy:?}");
+    // And the rendered summaries agree exactly.
+    let (merged_records, _) = load_records(&merged).unwrap();
+    let (reference_records, _) = load_records(&reference).unwrap();
+    let render = |records: &[gather_campaign::ScenarioRecord]| -> String {
+        summarize(records).iter().map(gather_analysis::render_markdown).collect()
+    };
+    assert_eq!(render(&merged_records), render(&reference_records));
 
-        // The merged file carries a complete full-cover manifest, so it
-        // verifies exactly like an unsharded run's output would.
-        let manifest = read_manifest(&merged).unwrap().unwrap();
-        assert!(manifest.complete);
-        assert_eq!(manifest.shard(), ShardSpec::FULL);
-        assert_eq!(manifest.shard_len, spec.len());
-    }
+    // The merged file carries a complete full-cover manifest, so it
+    // verifies exactly like an unsharded run's output would.
+    let manifest = read_manifest(&merged).unwrap().unwrap();
+    assert!(manifest.complete);
+    assert_eq!(manifest.shard(), ShardSpec::FULL);
+    assert_eq!(manifest.shard_len, spec.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -130,7 +115,7 @@ fn four_shards_plus_merge_equal_the_unsharded_run() {
 fn merge_rejects_a_missing_shard() {
     let spec = small_spec();
     let dir = tmp_dir("missing");
-    let mut shards = run_all_shards(&spec, 4, ShardStrategy::Hash, &dir);
+    let mut shards = run_all_shards(&spec, 4, &dir);
     shards.remove(2);
     let err = merge_shards(&shards, &dir.join("merged.jsonl")).unwrap_err();
     assert!(err.contains("missing shard"), "{err}");
@@ -143,7 +128,7 @@ fn merge_rejects_a_missing_shard() {
 fn merge_rejects_overlapping_shards() {
     let spec = small_spec();
     let dir = tmp_dir("overlap");
-    let mut shards = run_all_shards(&spec, 4, ShardStrategy::Hash, &dir);
+    let mut shards = run_all_shards(&spec, 4, &dir);
     // Shard 1 submitted twice under different file names.
     let copy = dir.join("c.shard1of4-copy.jsonl");
     std::fs::copy(&shards[1], &copy).unwrap();
@@ -163,12 +148,12 @@ fn merge_rejects_overlapping_shards() {
 fn merge_rejects_mixed_spec_shards() {
     let spec = small_spec();
     let dir = tmp_dir("mixed");
-    let mut shards = run_all_shards(&spec, 2, ShardStrategy::Hash, &dir);
+    let mut shards = run_all_shards(&spec, 2, &dir);
     // Shard 1 of a *different* spec (extra size axis point).
     let mut other = small_spec();
     other.sizes.push(24);
     let foreign = dir.join("foreign.shard1of2.jsonl");
-    run_shard(&other, ShardSpec { index: 1, count: 2 }, ShardStrategy::Hash, &foreign);
+    run_shard(&other, ShardSpec { index: 1, count: 2 }, &foreign);
     shards[1] = foreign;
     let err = merge_shards(&shards, &dir.join("merged.jsonl")).unwrap_err();
     assert!(err.contains("mixed-spec"), "{err}");
@@ -180,7 +165,7 @@ fn merge_rejects_mixed_spec_shards() {
 fn merge_rejects_a_torn_final_line() {
     let spec = small_spec();
     let dir = tmp_dir("torn");
-    let shards = run_all_shards(&spec, 4, ShardStrategy::Hash, &dir);
+    let shards = run_all_shards(&spec, 4, &dir);
     // Corrupt shard 2 after completion: chop the final line in half,
     // exactly what a partial copy or a dying disk leaves behind.
     let content = std::fs::read_to_string(&shards[2]).unwrap();
@@ -198,7 +183,7 @@ fn merge_rejects_a_torn_final_line() {
 fn merge_rejects_an_incomplete_shard() {
     let spec = small_spec();
     let dir = tmp_dir("incomplete");
-    let shards = run_all_shards(&spec, 2, ShardStrategy::Hash, &dir);
+    let shards = run_all_shards(&spec, 2, &dir);
     // Rewind shard 0's manifest to the not-yet-complete state a crashed
     // run leaves behind.
     let manifest = read_manifest(&shards[0]).unwrap().unwrap();
@@ -216,7 +201,7 @@ fn merge_rejects_an_incomplete_shard() {
 fn merge_dedups_resumed_duplicates_keeping_the_last_record() {
     let spec = small_spec();
     let dir = tmp_dir("dupes");
-    let shards = run_all_shards(&spec, 2, ShardStrategy::Hash, &dir);
+    let shards = run_all_shards(&spec, 2, &dir);
 
     // Append a doctored duplicate of shard 0's first record: same ID,
     // different rounds value. Last occurrence must win.
@@ -247,14 +232,13 @@ fn killed_shard_resumes_and_merges_clean() {
     let dir = tmp_dir("resume");
     let count = 2u32;
     let shard = ShardSpec { index: 1, count };
-    let strategy = ShardStrategy::Hash;
     let shard0 = dir.join("c.shard0of2.jsonl");
-    run_shard(&spec, ShardSpec { index: 0, count }, strategy, &shard0);
+    run_shard(&spec, ShardSpec { index: 0, count }, &shard0);
 
     // Shard 1 "dies": half its records plus a torn line, manifest
     // still lacking the completion marker.
     let full = dir.join("c.shard1of2.full.jsonl");
-    run_shard(&spec, shard, strategy, &full);
+    run_shard(&spec, shard, &full);
     let all = std::fs::read_to_string(&full).unwrap();
     let lines: Vec<&str> = all.lines().collect();
     let keep = lines.len() / 2;
@@ -262,7 +246,7 @@ fn killed_shard_resumes_and_merges_clean() {
     content.push_str(&lines[keep][..lines[keep].len() / 2]);
     let shard1 = dir.join("c.shard1of2.jsonl");
     std::fs::write(&shard1, &content).unwrap();
-    let manifest = ShardManifest::for_shard(&spec, shard, strategy);
+    let manifest = ShardManifest::for_shard(&spec, shard);
     write_manifest(&shard1, &manifest).unwrap();
 
     // An un-resumed dead shard must be refused.
@@ -272,7 +256,7 @@ fn killed_shard_resumes_and_merges_clean() {
     // Resume exactly like `campaign resume --shard 1/2` would.
     let completed = gather_campaign::load_completed(&shard1).unwrap();
     assert_eq!(completed.len(), keep, "torn line must not count as completed");
-    let pending = executor::select_pending(&spec.expand(), shard, strategy, &completed);
+    let pending = executor::select_pending(&spec.expand(), shard, &completed);
     let mut sink = JsonlSink::append(&shard1).unwrap();
     executor::execute_scenarios(&pending, 4, |_d, _t, rec| sink.write(rec).unwrap());
     drop(sink);
@@ -319,7 +303,7 @@ fn shipped_shard_script_invokes_a_parsable_plan() {
     // The plan's command lines re-parse and partition the 2400
     // scenarios exactly (proved in general by the proptest below; this
     // pins the shipped sweep specifically).
-    let lines = gather_campaign::plan_lines(&run.spec, shards, run.strategy, &run.out, run.threads);
+    let lines = gather_campaign::plan_lines(&run.spec, shards, &run.out, run.threads);
     assert_eq!(lines.len(), 5);
     let mut covered = 0usize;
     for line in &lines[..4] {
@@ -329,7 +313,7 @@ fn shipped_shard_script_invokes_a_parsable_plan() {
         else {
             panic!("plan line is not a run: {line}");
         };
-        covered += parsed.spec.expand_shard(parsed.shard, parsed.strategy).len();
+        covered += parsed.spec.expand_shard(parsed.shard).len();
     }
     assert_eq!(covered, 2400, "the four planned shards must cover every scenario");
 }
@@ -351,18 +335,13 @@ fn trace_spec() -> CampaignSpec {
 /// Record one shard's traces the way `campaign record --shard` does:
 /// traced-scenario manifest first (marker off), one `.gtrc` per engine
 /// scenario, marker flipped at the end.
-fn record_shard_traces(
-    spec: &CampaignSpec,
-    shard: ShardSpec,
-    strategy: ShardStrategy,
-    dir: &Path,
-) -> ShardManifest {
+fn record_shard_traces(spec: &CampaignSpec, shard: ShardSpec, dir: &Path) -> ShardManifest {
     std::fs::create_dir_all(dir).unwrap();
-    let pending = executor::select_pending(&spec.expand(), shard, strategy, &Default::default());
-    let manifest = ShardManifest::for_traced_shard(spec, shard, strategy);
+    let pending = executor::select_pending(&spec.expand(), shard, &Default::default());
+    let manifest = ShardManifest::for_traced_shard(spec, shard);
     write_trace_manifest(dir, &manifest).unwrap();
     for sc in &pending {
-        let outcome = trace_ops::record_scenario(sc, dir);
+        let outcome = sc.execute(Some(dir), false);
         assert!(outcome.error.is_none(), "recording {}: {:?}", sc.id(), outcome.error);
     }
     let manifest = ShardManifest { complete: true, ..manifest };
@@ -390,7 +369,7 @@ fn sharded_trace_record_plus_merge_is_byte_identical_to_unsharded() {
     let dir = tmp_dir("traces");
 
     let reference = dir.join("reference");
-    record_shard_traces(&spec, ShardSpec::FULL, ShardStrategy::Hash, &reference);
+    record_shard_traces(&spec, ShardSpec::FULL, &reference);
     let expected = trace_bytes(&reference);
     let traced: Vec<_> =
         spec.expand().into_iter().filter(|sc| sc.controller != ControllerKind::Greedy).collect();
@@ -399,12 +378,7 @@ fn sharded_trace_record_plus_merge_is_byte_identical_to_unsharded() {
     let shards: Vec<PathBuf> = (0..2)
         .map(|index| {
             let shard_dir = dir.join(format!("shard{index}of2"));
-            record_shard_traces(
-                &spec,
-                ShardSpec { index, count: 2 },
-                ShardStrategy::Hash,
-                &shard_dir,
-            );
+            record_shard_traces(&spec, ShardSpec { index, count: 2 }, &shard_dir);
             shard_dir
         })
         .collect();
@@ -443,12 +417,7 @@ fn trace_merge_rejects_broken_shard_sets() {
     let shards: Vec<PathBuf> = (0..2)
         .map(|index| {
             let shard_dir = dir.join(format!("shard{index}of2"));
-            record_shard_traces(
-                &spec,
-                ShardSpec { index, count: 2 },
-                ShardStrategy::Hash,
-                &shard_dir,
-            );
+            record_shard_traces(&spec, ShardSpec { index, count: 2 }, &shard_dir);
             shard_dir
         })
         .collect();
@@ -547,8 +516,8 @@ proptest! {
             let mut folded = 0u64;
             for index in 0..count {
                 let shard = ShardSpec { index, count };
-                let jobs = spec.expand_shard(shard, ShardStrategy::Hash);
-                let manifest = ShardManifest::for_shard(&spec, shard, ShardStrategy::Hash);
+                let jobs = spec.expand_shard(shard);
+                let manifest = ShardManifest::for_shard(&spec, shard);
                 prop_assert_eq!(manifest.shard_len, jobs.len());
                 folded ^= manifest.shard_coverage;
                 union += jobs.len();

@@ -8,10 +8,9 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
 use gather_bench::{ControllerKind, RunSpec, SchedulerKind};
+use gather_campaign::executor::{self, JobEvent};
 use gather_campaign::trace_ops::{self, trace_file_name};
-use gather_campaign::{
-    executor, CampaignSpec, DiffStatus, ReplayStatus, Scenario, TraceJobOutcome,
-};
+use gather_campaign::{CampaignSpec, DiffStatus, JobOutcome, ReplayStatus, Scenario};
 use gather_trace::{read_all_rounds, TraceHeader, TraceReader, TraceWriter};
 use gather_workloads::Family;
 
@@ -41,16 +40,18 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn record_all(jobs: &[Scenario], threads: usize, dir: &Path) -> Vec<TraceJobOutcome> {
+fn record_all(jobs: &[Scenario], threads: usize, dir: &Path) -> Vec<JobOutcome> {
     let mut outcomes = Vec::new();
-    executor::execute_jobs(
+    executor::execute_jobs_observed(
         jobs,
         threads,
-        |sc| trace_ops::record_scenario(sc, dir),
-        TraceJobOutcome::for_panic,
-        |_i, outcome| {
-            assert!(outcome.error.is_none(), "trace write failed: {:?}", outcome.error);
-            outcomes.push(outcome);
+        |sc| sc.execute(Some(dir), false),
+        |sc, _secs| JobOutcome::for_panic(sc),
+        |event| {
+            if let JobEvent::Finished(_i, outcome, _secs) = event {
+                assert!(outcome.error.is_none(), "trace write failed: {:?}", outcome.error);
+                outcomes.push(outcome);
+            }
             std::ops::ControlFlow::Continue(())
         },
     );
@@ -66,6 +67,12 @@ fn record_then_replay_reports_zero_divergence() {
     let jobs = small_spec().expand();
     let outcomes = record_all(&jobs, 4, &dir);
     assert_eq!(outcomes.len(), jobs.len());
+    // Recording runs the scenario exactly as `run` does: the records a
+    // recorded campaign writes are the records a plain one writes.
+    for outcome in &outcomes {
+        let sc = Scenario::parse_id(&outcome.record.id).expect("recorded IDs parse");
+        assert_eq!(outcome.record, sc.run(), "{}: recording changed the record", sc.id());
+    }
 
     // Engine scenarios got traces; greedy did not.
     let engine_jobs: Vec<&Scenario> =
@@ -171,7 +178,7 @@ fn perturbed_trace_pins_the_exact_divergent_round() {
         controller: ControllerKind::Paper,
         scheduler: SchedulerKind::Fsync,
     };
-    let outcome = trace_ops::record_scenario(&sc, &dir);
+    let outcome = sc.execute(Some(&dir), false);
     assert!(outcome.error.is_none());
     let path = outcome.trace_path.unwrap();
 
@@ -224,7 +231,7 @@ fn version_mismatch_is_reported_not_misparsed() {
         controller: ControllerKind::Center,
         scheduler: SchedulerKind::Fsync,
     };
-    let outcome = trace_ops::record_scenario(&sc, &dir);
+    let outcome = sc.execute(Some(&dir), false);
     let path = outcome.trace_path.unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[4] = 0x63; // bump the version low byte
@@ -251,7 +258,7 @@ fn truncated_and_drifted_traces_are_refused() {
         controller: ControllerKind::Paper,
         scheduler: SchedulerKind::Fsync,
     };
-    let outcome = trace_ops::record_scenario(&sc, &dir);
+    let outcome = sc.execute(Some(&dir), false);
     let path = outcome.trace_path.unwrap();
     let bytes = std::fs::read(&path).unwrap();
 
@@ -297,7 +304,7 @@ fn recorded_trace_renders_movie_and_svg_strip() {
         controller: ControllerKind::Paper,
         scheduler: SchedulerKind::Fsync,
     };
-    let outcome = trace_ops::record_scenario(&sc, &dir);
+    let outcome = sc.execute(Some(&dir), false);
     assert!(outcome.error.is_none());
     let path = outcome.trace_path.expect("engine scenarios are traced");
 

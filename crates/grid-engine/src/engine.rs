@@ -7,7 +7,7 @@ use crate::geom::{Bounds, V2};
 use crate::metrics::{Metrics, RoundStats};
 use crate::observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
 use crate::plan::{PlanTable, Plans};
-use crate::profile::{self, timed, BoxedProfileSink, Phase, RoundProfile};
+use crate::profile::{timed, BoxedProfileSink, Phase, RoundProfile};
 use crate::quiet::QuietSet;
 use crate::scheduler::{async_delay, Activation, Scheduler};
 use crate::swarm::{Action, ApplyOutcome, OrientationMode, RobotState, Swarm};
@@ -269,8 +269,7 @@ impl<C: Controller> Engine<C> {
 
     /// Attach a per-round profile sink: called once after every round
     /// (failing rounds included) with the round's [`RoundProfile`] —
-    /// wall time attributed to named phases, and the allocation delta
-    /// when the `count-alloc` feature is on. Profiling observes the
+    /// wall time attributed to named phases. Profiling observes the
     /// round *after* its work, so results are bit-identical with and
     /// without a sink; with no sink attached the round loop reads no
     /// clocks at all.
@@ -304,7 +303,6 @@ impl<C: Controller> Engine<C> {
             reason = "only read when a profiler sink is attached; phase timings never feed back into round results"
         )]
         let round_start = profiling.then(std::time::Instant::now);
-        let allocs_before = if profiling { profile::allocation_count() } else { None };
         let mut profile_buf =
             profiling.then(|| RoundProfile { round: self.round, ..Default::default() });
         let mut prof = profile_buf.as_mut();
@@ -376,9 +374,6 @@ impl<C: Controller> Engine<C> {
         // so the sink can never perturb the simulation.
         if let Some(mut p) = profile_buf {
             p.wall_ns = round_start.expect("set when profiling").elapsed().as_nanos() as u64;
-            if let (Some(before), Some(after)) = (allocs_before, profile::allocation_count()) {
-                p.allocs = Some(after.saturating_sub(before));
-            }
             if let Some(sink) = self.profiler.as_mut() {
                 sink(&p);
             }
@@ -831,11 +826,6 @@ mod tests {
                 "threads={threads}: phase coverage {:.1}% < 90%\n{}",
                 totals.coverage() * 100.0,
                 totals.render(),
-            );
-            assert_eq!(
-                profiles.iter().all(|p| p.allocs.is_some()),
-                cfg!(feature = "count-alloc"),
-                "alloc counting must track the count-alloc feature"
             );
             computed_per_thread_count.push(totals.computed);
         }

@@ -71,9 +71,7 @@ pub use geom::{Bounds, Point, D4, V2};
 pub use metrics::{Metrics, RoundStats};
 pub use observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
 pub use plan::Plans;
-pub use profile::{
-    allocation_count, BoxedProfileSink, Phase, ProfileTotals, RoundProfile, PHASE_COUNT,
-};
+pub use profile::{BoxedProfileSink, Phase, ProfileTotals, RoundProfile, PHASE_COUNT};
 pub use scheduler::{splitmix64, Activation, Scheduler};
 pub use swarm::{Action, ApplyOutcome, OrientationMode, RobotState, Swarm};
 pub use tile::{TileIndex, TileKey, TileWindow};

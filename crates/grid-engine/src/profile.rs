@@ -10,15 +10,6 @@
 //! [`RoundProfile`] per round, *after* the round's work, so profiling
 //! can never perturb the simulation itself (the bit-identity tests pin
 //! this).
-//!
-//! Allocation counting is feature-gated (`count-alloc`): the feature
-//! installs a counting `#[global_allocator]` wrapper around the system
-//! allocator, and [`allocation_count`] returns the process-global
-//! allocation counter (`None` without the feature). The engine records
-//! the per-round delta; because the counter is process-global, deltas
-//! include allocations from other live threads — a documented
-//! approximation that is exact for the single-campaign-thread case the
-//! metric exists for.
 
 use std::time::Instant;
 
@@ -98,9 +89,6 @@ pub struct RoundProfile {
     pub wall_ns: u64,
     /// Per-phase wall time, indexed by `Phase as usize`.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Allocations during the round (process-global delta); `None`
-    /// unless the `count-alloc` feature is enabled.
-    pub allocs: Option<u64>,
     /// Robots whose compute ran: the activated robots less those the
     /// quiet set skipped.
     pub computed: u64,
@@ -145,9 +133,8 @@ pub fn timed<T>(prof: &mut Option<&mut RoundProfile>, phase: Phase, f: impl FnOn
     }
 }
 
-/// Accumulated profile over a run: per-phase sums, wall time and the
-/// allocation total — the shape the bench and campaign layers aggregate
-/// into their reports.
+/// Accumulated profile over a run: per-phase sums and wall time — the
+/// shape the bench and campaign layers aggregate into their reports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileTotals {
     pub rounds: u64,
@@ -160,10 +147,6 @@ pub struct ProfileTotals {
     /// Always 0, like [`ProfileTotals::shard_imbalance_ns`]: compaction
     /// is sequential.
     pub compact_imbalance_ns: u64,
-    /// Total allocations over profiled rounds; meaningful only when
-    /// `allocs_counted` (the `count-alloc` feature was on).
-    pub allocs: u64,
-    pub allocs_counted: bool,
     /// Robots whose compute ran, summed over rounds.
     pub computed: u64,
 }
@@ -176,10 +159,6 @@ impl ProfileTotals {
         self.computed += p.computed;
         for (sum, &ns) in self.phase_ns.iter_mut().zip(&p.phase_ns) {
             *sum += ns;
-        }
-        if let Some(a) = p.allocs {
-            self.allocs += a;
-            self.allocs_counted = true;
         }
     }
 
@@ -229,90 +208,8 @@ impl ProfileTotals {
                 self.share(phase) * 100.0,
             ));
         }
-        if self.allocs_counted {
-            out.push_str(&format!(
-                "  allocs {} total, {:.1}/round\n",
-                self.allocs,
-                self.allocs as f64 / self.rounds.max(1) as f64,
-            ));
-        }
         out
     }
-}
-
-#[cfg(feature = "count-alloc")]
-mod alloc_counter {
-    //! Counting wrapper around the system allocator. Installed as the
-    //! process global allocator when the `count-alloc` feature is on;
-    //! counts allocation *events* (alloc, alloc_zeroed, realloc), not
-    //! bytes — the metric the allocation-flat engine push tracks.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAllocator;
-
-    // SAFETY: delegates every operation to `System`; the counter is a
-    // relaxed atomic with no effect on allocation behaviour.
-    unsafe impl GlobalAlloc for CountingAllocator {
-        // SAFETY: forwards the caller's layout to `System` unchanged, so
-        // `System`'s contract (valid for `layout`, or null) is ours.
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: our caller's obligations for `layout` are exactly
-            // `System::alloc`'s, and `layout` is forwarded verbatim.
-            unsafe { System.alloc(layout) }
-        }
-
-        // SAFETY: forwards the caller's layout to `System` unchanged.
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `layout` is forwarded verbatim under the same
-            // contract our caller already guaranteed.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // with `layout` — which means from `System`, where it is
-        // forwarded untouched along with `new_size`.
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `ptr` was allocated by `System` (all our paths
-            // delegate there) and `layout`/`new_size` pass through as-is.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        // SAFETY: the caller guarantees `ptr`/`layout` describe a live
-        // allocation from this allocator, i.e. from `System`.
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` is a live `System` allocation with `layout`,
-            // per our own caller contract.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAllocator = CountingAllocator;
-
-    pub fn allocation_count() -> Option<u64> {
-        Some(ALLOCATIONS.load(Ordering::Relaxed))
-    }
-}
-
-/// Process-global allocation-event counter, or `None` when the
-/// `count-alloc` feature is off. Callers take before/after deltas.
-#[cfg(feature = "count-alloc")]
-pub fn allocation_count() -> Option<u64> {
-    alloc_counter::allocation_count()
-}
-
-/// Process-global allocation-event counter, or `None` when the
-/// `count-alloc` feature is off. Callers take before/after deltas.
-#[cfg(not(feature = "count-alloc"))]
-pub fn allocation_count() -> Option<u64> {
-    None
 }
 
 #[cfg(test)]
@@ -360,7 +257,6 @@ mod tests {
         assert_eq!(totals.phases_total_ns(), 180);
         assert!((totals.coverage() - 0.9).abs() < 1e-9);
         assert!((totals.share(Phase::Compute) - 0.6).abs() < 1e-9);
-        assert!(!totals.allocs_counted);
         assert_eq!(totals.computed, 14);
         let rendered = totals.render();
         assert!(rendered.contains("merge_detect"), "{rendered}");
@@ -371,18 +267,5 @@ mod tests {
     fn coverage_of_empty_profile_is_total() {
         assert_eq!(RoundProfile::default().coverage(), 1.0);
         assert_eq!(ProfileTotals::default().coverage(), 1.0);
-    }
-
-    #[test]
-    fn allocation_counter_matches_feature_gate() {
-        let count = allocation_count();
-        if cfg!(feature = "count-alloc") {
-            let before = count.expect("feature on");
-            let v: Vec<u64> = Vec::with_capacity(64);
-            drop(v);
-            assert!(allocation_count().expect("feature on") > before);
-        } else {
-            assert_eq!(count, None);
-        }
     }
 }

@@ -21,8 +21,6 @@ cargo build --release --quiet --bin campaign
 campaign="${CARGO_TARGET_DIR:-target}/release/campaign"
 mkdir -p out
 for spec in theorem1 theorem1_hollow baselines; do
-    # `campaign run` resumes into an existing file; start each table fresh.
-    rm -f "out/$spec.jsonl" "out/$spec.jsonl.manifest.json"
     "$campaign" run --spec "examples/sweeps/$spec.json" --out "out/$spec.jsonl" "$@"
     "$campaign" summarize --in "out/$spec.jsonl" > "out/$spec.md"
 done
