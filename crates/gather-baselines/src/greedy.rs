@@ -15,7 +15,7 @@
 //! the FSYNC result is interesting.
 
 use grid_engine::connectivity::is_connected;
-use grid_engine::{OrientationMode, Point, Swarm};
+use grid_engine::{Action, OrientationMode, Point, Swarm};
 
 /// Outcome of a sequential greedy run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,11 +123,8 @@ impl AsyncGreedy {
                 else {
                     continue;
                 };
-                let n = self.swarm.len();
-                let mut actions: Vec<grid_engine::Action<()>> =
-                    (0..n).map(|_| grid_engine::Action::stay(())).collect();
-                actions[i].step = dst - pos;
-                let out = self.swarm.apply(actions);
+                let hop = Action { step: dst - pos, state: () };
+                let out = self.swarm.apply_sparse(&[i], vec![hop], None);
                 self.merged += out.merged;
                 debug_assert!(is_connected(&self.swarm));
                 if self.swarm.is_gathered() {

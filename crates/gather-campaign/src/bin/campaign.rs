@@ -411,12 +411,12 @@ fn smoke(args: &SmokeArgs) -> Result<(), String> {
     eprintln!(
         "smoke ok: {} robots x {} rounds replayed digest-clean, traces byte-identical \
          across thread counts ({} occupied tiles over a {}-cell bounding box, \
-         {:.3e} robot-rounds/s)",
+         {:.3e} activations/s)",
         report.robots,
         report.rounds,
         report.occupied_tiles,
         report.bounding_cells,
-        report.robot_rounds_per_s,
+        report.activations_per_s,
     );
     Ok(())
 }

@@ -74,7 +74,7 @@ pub struct SmokeReport {
     /// whole swarm per FSYNC round, `k` robots per rrK round.
     pub activations: u64,
     /// Activations per wall second of the faster recording.
-    pub robot_rounds_per_s: f64,
+    pub activations_per_s: f64,
 }
 
 /// Record `rounds` rounds of the paper controller on `points` into a
@@ -157,7 +157,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
     let tput_a = activations as f64 / secs_a.max(f64::EPSILON);
     let tput_b = activations as f64 / secs_b.max(f64::EPSILON);
     eprintln!(
-        "recorded {} rounds x {} robots: {:.3e} robot-rounds/s ({} threads), {:.3e} ({} threads)",
+        "recorded {} rounds x {} robots: {:.3e} activations/s ({} threads), {:.3e} ({} threads)",
         args.rounds,
         points.len(),
         tput_a,
@@ -216,7 +216,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
         occupied_tiles: final_swarm.index().tile_count(),
         bounding_cells: bounds.width() as u128 * bounds.height() as u128,
         activations,
-        robot_rounds_per_s: tput_a.max(tput_b),
+        activations_per_s: tput_a.max(tput_b),
     })
 }
 

@@ -1,6 +1,7 @@
 //! The round engine: drives look-compute-move rounds against a
-//! [`Controller`] under a pluggable activation [`Scheduler`]
-//! (FSYNC/SSYNC/round-robin) and enforces the model's global invariants.
+//! [`Controller`] under a pluggable activation [`Scheduler`] (FSYNC,
+//! SSYNC, round-robin, crash or ASYNC, all through one round function)
+//! and enforces the model's global invariants.
 
 use crate::connectivity::is_connected;
 use crate::geom::{Bounds, V2};
@@ -10,8 +11,9 @@ use crate::plan::{PlanTable, Plans};
 use crate::profile::{timed, BoxedProfileSink, Phase, RoundProfile};
 use crate::quiet::QuietSet;
 use crate::scheduler::{async_delay, Activation, Scheduler};
-use crate::swarm::{Action, ApplyOutcome, OrientationMode, RobotState, Swarm};
+use crate::swarm::{Action, OrientationMode, RobotState, Swarm};
 use crate::view::View;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Shared synchronous context. FSYNC robots start simultaneously, so a
@@ -192,8 +194,9 @@ pub struct Engine<C: Controller> {
     plans: PlanTable<C::Plan>,
     /// Which robots are quiet; `None` until a round with a class.
     quiet: Option<QuietSet>,
-    /// `0, 1, 2, …`: an FSYNC round's activation list, sliced to the
-    /// live population. Grows only when a larger swarm is swapped in.
+    /// `0, 1, 2, …`: the activation list of a round that activates
+    /// every robot, sliced to the live population. Grows only when a
+    /// larger swarm is swapped in.
     all_slots: Vec<usize>,
     /// The round's robots to compute when the quiet set leaves some out.
     selected: Vec<usize>,
@@ -262,11 +265,6 @@ impl<C: Controller> Engine<C> {
         self.observer = Some(observer);
     }
 
-    /// Detach the observer installed by [`Engine::set_observer`].
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Attach a per-round profile sink: called once after every round
     /// (failing rounds included) with the round's [`RoundProfile`] —
     /// wall time attributed to named phases. Profiling observes the
@@ -282,17 +280,17 @@ impl<C: Controller> Engine<C> {
         self.profiler = None;
     }
 
-    /// Execute one scheduler round: activate the scheduler's subset,
-    /// compute their actions in parallel, and apply them simultaneously
-    /// (inactive robots keep position and state). Every scheduler
-    /// applies through the one sparse round-apply
-    /// ([`Swarm::apply_sparse`]) on the calling thread; an FSYNC round
-    /// activates every slot, which is exactly the paper's FSYNC round.
-    /// Outside ASYNC, activated robots that are quiet ([`crate::quiet`])
-    /// are not computed again; the round's results are the same.
-    /// Activated robots all observe the engine's global round counter —
-    /// the weaker schedulers relax *who* acts, not the common clock.
-    /// Returns the round's statistics.
+    /// Execute one look-compute-move round under the configured
+    /// scheduler, then check the model's invariants. Activated robots
+    /// compute in parallel, and the round's moves apply simultaneously
+    /// through the one sparse round-apply ([`Swarm::apply_sparse`]) on
+    /// the calling thread; an FSYNC round activates every slot, which is
+    /// exactly the paper's FSYNC round. Under [`Scheduler::Async`] the
+    /// robots not in flight look, and each look's move lands after its
+    /// seeded delay. Activated robots all observe the engine's global
+    /// round counter — the weaker schedulers relax *who* acts and *when*
+    /// a move lands, not the common clock. Returns the round's
+    /// statistics.
     pub fn step(&mut self) -> Result<RoundStats, EngineError> {
         // Profiling is pay-as-you-go like observation: with no sink
         // attached, `timed` degenerates to a direct call and no clock is
@@ -307,46 +305,15 @@ impl<C: Controller> Engine<C> {
             profiling.then(|| RoundProfile { round: self.round, ..Default::default() });
         let mut prof = profile_buf.as_mut();
 
-        let ctx = RoundCtx { round: self.round };
-        // Observation is pay-as-you-go: the activation clone, the
-        // world-frame move list and the pending-move list are only
-        // materialised when an observer is attached.
-        let tracing = self.observer.is_some();
-        let mut moves: Vec<RobotMove> = Vec::new();
-        let mut pending: Vec<PendingMove> = Vec::new();
-        let (recorded_activation, activated, outcome) =
-            if let Scheduler::Async { seed, staleness } = self.config.scheduler {
-                self.step_async(seed, staleness, ctx, tracing, &mut moves, &mut pending, &mut prof)
-            } else {
-                self.step_sync(ctx, tracing, &mut moves, &mut prof)
-            };
-        let stats = RoundStats {
-            round: self.round,
-            merged: outcome.merged,
-            moved: outcome.moved,
-            population: self.swarm.len(),
-            activated,
-        };
+        let (stats, record) = self.look_compute_move(&mut prof);
         self.round += 1;
         self.metrics.record(stats);
         // Emit the record before the invariant checks: a round that ends
         // in disconnection or a stall is still part of the run, and
         // replay must observe exactly the rounds the recorded run
         // executed — including the failing one.
-        if let Some(observer) = self.observer.as_mut() {
-            let swarm = &self.swarm;
-            timed(&mut prof, Phase::Observe, || {
-                let record = RoundRecord {
-                    round: stats.round,
-                    activated: recorded_activation.expect("cloned when tracing"),
-                    moves,
-                    pending,
-                    merged: stats.merged as u32,
-                    population: swarm.len() as u32,
-                    digest: swarm.position_digest(),
-                };
-                observer(&record);
-            });
+        if let (Some(observer), Some(record)) = (self.observer.as_mut(), record) {
+            timed(&mut prof, Phase::Observe, || observer(&record));
         }
 
         let invariants = timed(&mut prof, Phase::Invariants, || {
@@ -382,22 +349,45 @@ impl<C: Controller> Engine<C> {
         Ok(stats)
     }
 
-    /// One round under a synchronous scheduler (FSYNC, SSYNC,
-    /// round-robin, crash): compute the activated robots that are not
-    /// quiet in the round's class ([`crate::quiet`]), then apply them;
-    /// skipped robots are applied as inactive, which is what their
-    /// "stay, keep state" would do. Returns the observer's activation
-    /// record, the activation count and the apply outcome.
-    fn step_sync(
+    /// The round itself, for every scheduler: activate, compute the
+    /// activated robots that are not quiet in the round's class
+    /// ([`crate::quiet`]), then apply; skipped robots are applied as
+    /// inactive, which is what their "stay, keep state" would do.
+    /// [`Scheduler::Async`] differs in three places: the robots not in
+    /// flight are activated (they *look*), its rounds have no class, and
+    /// each look draws a seeded delay `d ∈ 0..=staleness` after compute —
+    /// `d >= 1` parks the move in the swarm, and the delay-0 moves
+    /// commit with the parked ones falling due. In-flight robots are
+    /// stationary incumbents under the order-free merge rule, so results
+    /// stay bit-identical across thread counts. Returns the round's
+    /// statistics and, with an observer attached, its record.
+    fn look_compute_move(
         &mut self,
-        ctx: RoundCtx,
-        tracing: bool,
-        moves: &mut Vec<RobotMove>,
         prof: &mut Option<&mut RoundProfile>,
-    ) -> (Option<Activation>, usize, ApplyOutcome) {
+    ) -> (RoundStats, Option<RoundRecord>) {
+        let ctx = RoundCtx { round: self.round };
+        // Observation is pay-as-you-go: the activation clone, the
+        // world-frame move list and the pending-move list are only
+        // materialised when an observer is attached.
+        let tracing = self.observer.is_some();
+        let asynchronous = match self.config.scheduler {
+            Scheduler::Async { seed, staleness } => Some((seed, staleness)),
+            _ => None,
+        };
         let n = self.swarm.len();
-        let activation =
-            timed(prof, Phase::Activate, || self.config.scheduler.activate(self.round, n));
+        let activation = timed(prof, Phase::Activate, || match asynchronous {
+            // Legitimately empty when every robot is in flight: such a
+            // round only commits the parked moves falling due.
+            Some(_) => {
+                let look: Vec<usize> = (0..n).filter(|&i| !self.swarm.is_in_flight(i)).collect();
+                if look.len() == n {
+                    Activation::All
+                } else {
+                    Activation::Subset(look)
+                }
+            }
+            None => self.config.scheduler.activate(ctx.round, n),
+        });
         let activated = activation.len(n);
         let recorded_activation = tracing.then(|| activation.clone());
         if self.all_slots.len() < n {
@@ -407,7 +397,10 @@ impl<C: Controller> Engine<C> {
             Activation::All => (None, &self.all_slots[..n]),
             Activation::Subset(active) => (Some(active.as_slice()), active.as_slice()),
         };
-        let mut quiet = match self.controller.round_class(ctx) {
+        // A robot that looks is parked even when it decides to stay, so
+        // skipping a quiet one would change the ASYNC schedule.
+        let class = if asynchronous.is_some() { None } else { self.controller.round_class(ctx) };
+        let mut quiet = match class {
             Some(class) => {
                 assert!(class < 8, "round class {class} is not below 8");
                 Some((class, self.quiet.get_or_insert_with(QuietSet::default)))
@@ -436,82 +429,17 @@ impl<C: Controller> Engine<C> {
                 quiet.record(&self.swarm, computed_slots, &computed, *class)
             });
         }
-        if tracing {
-            *moves = timed(prof, Phase::Observe, || {
-                world_moves(&self.swarm, computed_slots.iter().copied().zip(computed.iter()))
-            });
-        }
-        let outcome = self.swarm.apply_sparse(computed_slots, computed, prof.as_deref_mut());
-        if let Some((_, quiet)) = quiet {
-            let reach = self.controller.radius() + 2;
-            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, reach));
-        }
-        (recorded_activation, activated, outcome)
-    }
-
-    /// One ASYNC round (the [`Scheduler::Async`] extension of the round
-    /// loop). The look-compute-move cycle is decoupled: the robots not
-    /// mid-flight *look* against the start-of-round swarm and draw a
-    /// seeded delay `d ∈ 0..=staleness`; `d = 0` commits this round,
-    /// `d >= 1` parks the move in the swarm (handle-keyed). The commit
-    /// set — parked moves falling due plus this round's delay-0 looks —
-    /// goes through the sparse O(active) apply, so in-flight robots are
-    /// stationary incumbents under the existing order-free merge rule
-    /// and results stay bit-identical across thread counts. Returns the
-    /// observer's activation record (the look set), the activation
-    /// count, and the apply outcome.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "`step` lends its per-round buffers and profile slot to both round kinds; a struct would only rename them"
-    )]
-    fn step_async(
-        &mut self,
-        seed: u64,
-        staleness: u32,
-        ctx: RoundCtx,
-        tracing: bool,
-        moves: &mut Vec<RobotMove>,
-        pending: &mut Vec<PendingMove>,
-        prof: &mut Option<&mut RoundProfile>,
-    ) -> (Option<Activation>, usize, ApplyOutcome) {
-        // A robot that looks is parked even when it decides to stay, so
-        // skipping a quiet one would change the schedule: compute every
-        // look and forget which robots were quiet.
-        self.quiet = None;
-        let n = self.swarm.len();
-        // The look set: every robot not mid-flight, in slot order.
-        // Legitimately empty when everyone is in flight — such a round
-        // is a true no-op unless parked moves fall due below.
-        let look: Vec<usize> = timed(prof, Phase::Activate, || {
-            (0..n).filter(|&i| !self.swarm.is_in_flight(i)).collect()
-        });
-        let activated = look.len();
-        let recorded_activation = tracing.then(|| {
-            if activated == n {
-                Activation::All
-            } else {
-                Activation::Subset(look.clone())
-            }
-        });
-        let computed = timed(prof, Phase::Compute, || {
-            self.plans.compute(&self.swarm, &self.controller, Some(&look), ctx, self.config.threads)
-        });
-        if let Some(p) = prof.as_deref_mut() {
-            p.computed = look.len() as u64;
-        }
-        // Split this round's looks by their seeded delay, then merge the
-        // delay-0 ones with the earlier looks falling due now. Both
-        // lists are slot-sorted and disjoint (a due robot was in flight,
-        // hence outside the look set), so a linear merge preserves the
-        // sparse apply's sorted-activation contract.
-        let (commit_slots, commit_actions) = timed(prof, Phase::Activate, || {
-            let mut immediate: Vec<(usize, Action<C::State>)> = Vec::new();
-            for (j, action) in computed.into_iter().enumerate() {
-                let i = look[j];
-                let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
-                if d == 0 {
-                    immediate.push((i, action));
-                } else {
+        let mut pending: Vec<PendingMove> = Vec::new();
+        let (slots, actions) = match asynchronous {
+            None => (Cow::Borrowed(computed_slots), computed),
+            Some((seed, staleness)) => timed(prof, Phase::Activate, || {
+                let mut commit = self.swarm.take_due(ctx.round);
+                for (&i, action) in computed_slots.iter().zip(computed) {
+                    let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
+                    if d == 0 {
+                        commit.push((i, action));
+                        continue;
+                    }
                     if tracing {
                         // Pending records keep the zero step: a robot
                         // that decided to stay is still in flight.
@@ -525,33 +453,47 @@ impl<C: Controller> Engine<C> {
                     }
                     self.swarm.park(i, ctx.round + d, action);
                 }
-            }
-            let due = self.swarm.take_due(ctx.round);
-            let mut slots = Vec::with_capacity(due.len() + immediate.len());
-            let mut actions = Vec::with_capacity(due.len() + immediate.len());
-            let mut due = due.into_iter().peekable();
-            let mut immediate = immediate.into_iter().peekable();
-            loop {
-                let from_due = match (due.peek(), immediate.peek()) {
-                    (Some(d), Some(m)) => d.0 < m.0,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let (slot, action) =
-                    if from_due { due.next() } else { immediate.next() }.expect("peeked Some");
-                slots.push(slot);
-                actions.push(action);
-            }
-            (slots, actions)
-        });
-        if tracing {
-            *moves = timed(prof, Phase::Observe, || {
-                world_moves(&self.swarm, commit_slots.iter().copied().zip(commit_actions.iter()))
-            });
+                // A due robot was in flight, so it did not look: the
+                // slots are distinct, and sorting them gives the sparse
+                // apply its activation order. Both parts are already
+                // slot-sorted, and the stable sort merges two sorted runs
+                // in linear time.
+                commit.sort_by_key(|&(slot, _)| slot);
+                let (slots, actions): (Vec<usize>, Vec<_>) = commit.into_iter().unzip();
+                (Cow::Owned(slots), actions)
+            }),
+        };
+        let moves = if tracing {
+            timed(prof, Phase::Observe, || {
+                world_moves(&self.swarm, slots.iter().copied().zip(actions.iter()))
+            })
+        } else {
+            Vec::new()
+        };
+        let outcome = self.swarm.apply_sparse(&slots, actions, prof.as_deref_mut());
+        if let Some((_, quiet)) = quiet {
+            let reach = self.controller.radius() + 2;
+            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, reach));
         }
-        let outcome = self.swarm.apply_sparse(&commit_slots, commit_actions, prof.as_deref_mut());
-        (recorded_activation, activated, outcome)
+        let stats = RoundStats {
+            round: ctx.round,
+            merged: outcome.merged,
+            moved: outcome.moved,
+            population: self.swarm.len(),
+            activated,
+        };
+        let record = recorded_activation.map(|activated| {
+            timed(prof, Phase::Observe, || RoundRecord {
+                round: ctx.round,
+                activated,
+                moves,
+                pending,
+                merged: stats.merged as u32,
+                population: stats.population as u32,
+                digest: self.swarm.position_digest(),
+            })
+        });
+        (stats, record)
     }
 
     /// Run until gathered or until `max_rounds` have elapsed.
@@ -595,6 +537,7 @@ fn world_moves<'a, S: RobotState>(
 mod tests {
     use super::*;
     use crate::geom::{Point, V2};
+    use crate::parallel::PARALLEL_THRESHOLD;
 
     /// Robots that always step toward the origin-ward neighbour — not a
     /// valid distributed strategy (uses the simulator frame), but enough
@@ -923,10 +866,19 @@ mod tests {
 
     #[test]
     fn async_is_bit_identical_across_threads() {
-        let pts: Vec<Point> = (0..64).map(|x| Point::new(x, 0)).collect();
+        // Large enough that most rounds look at more robots than the
+        // compute map's parallel threshold, so threads > 1 really split
+        // the looks.
+        let pts: Vec<Point> = (0..6000).map(|x| Point::new(x, 0)).collect();
         let scheduler = Scheduler::Async { seed: 17, staleness: 3 };
         let reference = async_record_stream(&pts, 1, scheduler, 40);
         assert_eq!(reference.0.len(), 40);
+        let parallel_rounds = reference
+            .0
+            .iter()
+            .filter(|r| r.activated.len((r.population + r.merged) as usize) >= PARALLEL_THRESHOLD)
+            .count();
+        assert!(parallel_rounds >= 20, "only {parallel_rounds} rounds computed in parallel");
         for threads in [2usize, 3, 8] {
             assert_eq!(
                 async_record_stream(&pts, threads, scheduler, 40),

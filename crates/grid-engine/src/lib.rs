@@ -10,9 +10,9 @@
 //! * **Grid world** — robots live on ℤ², move to one of their eight
 //!   neighbouring cells per round, and *merge* when co-located
 //!   ([`Swarm::apply`]). Occupancy is a tiled index ([`tile`]): 64×64
-//!   dense tiles in sharded hash maps, so memory scales with occupied
-//!   tiles (not the bounding rectangle). Every round applies through
-//!   one sparse path whose cost is O(activated ∪ moved)
+//!   dense tiles in one hash map, so memory scales with occupied tiles
+//!   (not the bounding rectangle). Every round applies through one
+//!   sparse path whose cost is O(activated ∪ moved)
 //!   ([`Swarm::apply_sparse`]).
 //! * **Connectivity** — two robots are connected when they are
 //!   horizontal or vertical neighbours; the swarm must stay connected
@@ -22,9 +22,11 @@
 //!   global communication ([`View`]).
 //! * **Schedulers** — robots execute look-compute-move under a
 //!   pluggable activation policy: FSYNC lockstep (the paper's model),
-//!   seeded pseudo-random SSYNC subsets, or a round-robin k-of-n
-//!   adversary; the compute step is evaluated as a deterministic
-//!   parallel map either way ([`Engine`], [`Scheduler`], [`parallel`]).
+//!   seeded pseudo-random SSYNC subsets, a round-robin k-of-n
+//!   adversary, crash faults, or ASYNC looks whose moves land up to a
+//!   bounded delay later. One round function serves them all, and the
+//!   compute step is evaluated as a deterministic parallel map either
+//!   way ([`Engine`], [`Scheduler`], [`parallel`]).
 //! * **Shared plans** — the compute step runs in two phases: robots
 //!   first evaluate, once each, what they share with their Chebyshev
 //!   neighbours, then decide with those plans at hand ([`plan`]).

@@ -103,12 +103,15 @@ pub enum Scheduler {
     /// look again, and other robots observe it where it was when it
     /// looked. `staleness = 0` degenerates to FSYNC.
     ///
-    /// Division of labour: [`Scheduler::activate`] returns the *look
-    /// candidates* ([`Activation::All`]); the engine removes mid-flight
-    /// robots (state a pure `(policy, round, n)` function cannot see —
-    /// the in-flight set lives in the swarm) and draws each look's
-    /// delay from `(seed, round, handle)`, so the whole schedule is
-    /// still a deterministic function of the run.
+    /// Division of labour: the in-flight set lives in the swarm, which a
+    /// pure `(policy, round, n)` function cannot see, so
+    /// [`Scheduler::activate`] names every robot a *look candidate*
+    /// ([`Activation::All`]). The engine's one round function activates
+    /// the candidates not in flight, computes them like any activation,
+    /// and then draws each look's delay from `(seed, round, handle)`:
+    /// it parks the delayed moves in the swarm and commits the rest
+    /// with the moves falling due. The whole schedule is still a
+    /// deterministic function of the run.
     Async {
         seed: u64,
         /// Maximum rounds between a look and its move, `>= 1` for real
@@ -123,7 +126,8 @@ pub enum Activation {
     /// Every robot is active (FSYNC: no subset allocation; the engine
     /// passes its identity slot list to the one sparse apply).
     All,
-    /// The sorted, non-empty list of active robot indices.
+    /// The sorted list of active robot indices; non-empty, except in an
+    /// ASYNC round where every robot is in flight.
     Subset(Vec<usize>),
 }
 

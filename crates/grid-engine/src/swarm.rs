@@ -32,10 +32,11 @@
 //! movers' cells. An FSYNC round is the case where every slot is
 //! activated. The apply runs on the calling thread; the engine's worker
 //! threads go to the compute step, which dominates any round where many
-//! robots compute.
+//! robots compute. The greedy baseline applies each single-robot hop
+//! through the same path.
 //! [`Swarm::apply`] and [`Swarm::apply_partial`] are the dense O(n)
-//! scan, kept as the oracle that trace playback, the greedy baseline
-//! and the proptests use. The per-cell survivor rule is a *minimum* over
+//! scan, kept as the oracle that trace playback and the proptests use.
+//! The per-cell survivor rule is a *minimum* over
 //! an order-free key, so the two paths are bit-identical — the property
 //! the trace subsystem's replay oracle checks.
 
@@ -358,10 +359,10 @@ impl<S: RobotState> Swarm<S> {
     }
 
     /// Drain every parked move that falls due at `round`, returning
-    /// `(dense slot, action)` pairs sorted by slot — exactly the shape
-    /// [`Swarm::apply_sparse`] wants to merge with the round's
-    /// immediate movers. Deterministic regardless of park order: the
-    /// store is keyed by handle and the output is slot-sorted. Handles
+    /// `(dense slot, action)` pairs sorted by slot; the engine's ASYNC
+    /// round joins them with its delay-0 moves for
+    /// [`Swarm::apply_sparse`]. Deterministic regardless of park order:
+    /// the store is keyed by handle and the output is slot-sorted. Handles
     /// merged away while in flight are dropped defensively (in-flight
     /// robots are stationary and stationary robots win merges, so this
     /// cannot happen under the engine's own scheduling).

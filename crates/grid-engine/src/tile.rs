@@ -1,4 +1,4 @@
-//! Tiled occupancy index: the swarm's spatial index, sharded into dense
+//! Tiled occupancy index: the swarm's spatial index, split into dense
 //! 64×64 tiles.
 //!
 //! The dense [`OccupancyGrid`](crate::grid::OccupancyGrid) allocates the
@@ -6,12 +6,14 @@
 //! two-cluster swarm 10⁵ cells apart would demand ~10¹⁰ cells before the
 //! first round runs, and every escape past the rectangle's edge triggers
 //! a stop-the-world full copy. This index instead stores fixed 64×64
-//! dense tiles (`Box<[u32; 4096]>`) in hash maps keyed by tile
+//! dense tiles (`Box<[u32; 4096]>`) in one hash map keyed by tile
 //! coordinate: memory is O(occupied tiles), there is no global
 //! reallocation, and `bounds()` derives from tile-key extremes plus a
-//! scan of the boundary tiles only — no O(n) rescan over robots.
+//! scan of the boundary tiles only — no O(n) rescan over robots. Every
+//! mutation runs on the calling thread (the round-apply); the parallel
+//! compute step only reads.
 //!
-//! Three access paths keep probes cheap:
+//! Two access paths keep probes cheap:
 //!
 //! * [`TileIndex::window`] pins the ≤3×3 tile block around a viewing
 //!   robot, so the compute step's O(radius²) probes cost an array read
@@ -23,11 +25,6 @@
 //!   contiguous tile slice, skipping all-empty 8-cell chunks. Whole-ball
 //!   reads — GoToCenter's look, the quiet set's invalidation — take this
 //!   path instead of one probe per cell.
-//! * The tile maps are split into [`NUM_SHARDS`] shards keyed by tile
-//!   coordinate (a cell belongs to exactly one tile, a tile to exactly
-//!   one shard), so each hash map stays small;
-//!   [`TileIndex::shard_tile_counts`] reports how evenly the occupied
-//!   tiles spread over them.
 
 use crate::fxhash::FxHashMap;
 use crate::geom::{Bounds, Point};
@@ -41,9 +38,6 @@ pub const TILE_BITS: i32 = 6;
 pub const TILE_SIZE: i32 = 1 << TILE_BITS;
 /// Cells per tile.
 pub const TILE_CELLS: usize = (TILE_SIZE * TILE_SIZE) as usize;
-/// Number of tile-map shards (a power of two; shard choice is a cheap
-/// bit-mix of the tile coordinate).
-pub const NUM_SHARDS: usize = 64;
 
 /// Coordinate of a tile: the cell coordinates arithmetically shifted by
 /// [`TILE_BITS`] (floor division, so negative cells tile correctly).
@@ -58,21 +52,6 @@ impl TileKey {
     pub fn of(p: Point) -> TileKey {
         TileKey { x: p.x >> TILE_BITS, y: p.y >> TILE_BITS }
     }
-
-    /// Which shard owns this tile. `& 7` keeps the low three bits of
-    /// each axis (well-defined for negatives in two's complement), so
-    /// neighbouring tiles land in different shards and a spatially
-    /// clustered swarm still spreads across the maps.
-    #[inline]
-    pub fn shard(self) -> usize {
-        ((self.x & 7) | ((self.y & 7) << 3)) as usize
-    }
-}
-
-/// Shard of a world-frame cell: the shard of the tile containing it.
-#[inline]
-pub fn shard_of(p: Point) -> usize {
-    TileKey::of(p).shard()
 }
 
 /// One dense 64×64 tile plus its live-cell count (so empty tiles can be
@@ -126,20 +105,33 @@ impl Tile {
     }
 }
 
-/// One shard of the tile map.
-#[derive(Clone, Default, Debug)]
-struct Shard {
+/// The tiled occupancy index. Memory is proportional to *occupied
+/// tiles*, never to the bounding rectangle.
+#[derive(Clone, Debug, Default)]
+pub struct TileIndex {
     tiles: FxHashMap<TileKey, Tile>,
 }
 
-impl Shard {
-    /// Mark `p` occupied by `id`, creating its tile on demand. Returns
-    /// the id previously stored at `p`.
-    ///
-    /// The caller must only hand this shard cells it owns
-    /// (`shard_of(p)` must equal this shard's index) — [`TileIndex`]
-    /// routes every cell that way.
-    fn set(&mut self, p: Point, id: u32) -> Option<u32> {
+impl TileIndex {
+    pub fn new() -> TileIndex {
+        TileIndex::default()
+    }
+
+    /// Robot id occupying `p`, if any. Cells in untouched tiles are by
+    /// definition empty — there is no "outside the backing store".
+    #[inline]
+    pub fn get(&self, p: Point) -> Option<u32> {
+        self.tiles.get(&TileKey::of(p))?.get(p)
+    }
+
+    #[inline]
+    pub fn occupied(&self, p: Point) -> bool {
+        self.get(p).is_some()
+    }
+
+    /// Mark `p` as occupied by robot `id`, creating its tile on demand.
+    /// Returns the id previously stored at `p`.
+    pub fn set(&mut self, p: Point, id: u32) -> Option<u32> {
         let tile = self.tiles.entry(TileKey::of(p)).or_insert_with(Tile::new);
         let cell = &mut tile.cells[Tile::idx(p)];
         let old = std::mem::replace(cell, id);
@@ -151,9 +143,9 @@ impl Shard {
         }
     }
 
-    /// Mark `p` empty, dropping its tile when it empties out. Returns
-    /// the id previously stored at `p`.
-    fn clear(&mut self, p: Point) -> Option<u32> {
+    /// Mark `p` as empty, dropping its tile when it empties out. Returns
+    /// the id previously stored there.
+    pub fn clear(&mut self, p: Point) -> Option<u32> {
         let key = TileKey::of(p);
         let tile = self.tiles.get_mut(&key)?;
         let cell = &mut tile.cells[Tile::idx(p)];
@@ -168,62 +160,9 @@ impl Shard {
         Some(old)
     }
 
-    #[inline]
-    fn get(&self, p: Point) -> Option<u32> {
-        self.tiles.get(&TileKey::of(p))?.get(p)
-    }
-}
-
-/// The tiled occupancy index. Memory is proportional to *occupied
-/// tiles*, never to the bounding rectangle.
-#[derive(Clone, Debug)]
-pub struct TileIndex {
-    shards: Vec<Shard>,
-}
-
-impl Default for TileIndex {
-    fn default() -> Self {
-        TileIndex::new()
-    }
-}
-
-impl TileIndex {
-    pub fn new() -> TileIndex {
-        TileIndex { shards: (0..NUM_SHARDS).map(|_| Shard::default()).collect() }
-    }
-
-    /// Robot id occupying `p`, if any. Cells in untouched tiles are by
-    /// definition empty — there is no "outside the backing store".
-    #[inline]
-    pub fn get(&self, p: Point) -> Option<u32> {
-        self.shards[shard_of(p)].get(p)
-    }
-
-    #[inline]
-    pub fn occupied(&self, p: Point) -> bool {
-        self.get(p).is_some()
-    }
-
-    /// Mark `p` as occupied by robot `id`. Returns the id previously
-    /// stored at `p`.
-    pub fn set(&mut self, p: Point, id: u32) -> Option<u32> {
-        self.shards[shard_of(p)].set(p, id)
-    }
-
-    /// Mark `p` as empty. Returns the id previously stored there.
-    pub fn clear(&mut self, p: Point) -> Option<u32> {
-        self.shards[shard_of(p)].clear(p)
-    }
-
     /// Live (non-empty) tiles currently allocated.
     pub fn tile_count(&self) -> usize {
-        self.shards.iter().map(|s| s.tiles.len()).sum()
-    }
-
-    /// Live tiles per shard (diagnostic): how evenly the occupied tiles
-    /// spread over the [`NUM_SHARDS`] tile maps.
-    pub fn shard_tile_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.tiles.len()).collect()
+        self.tiles.len()
     }
 
     /// Cells currently backed by allocated tiles (diagnostic): the
@@ -239,49 +178,45 @@ impl TileIndex {
     /// robots — cost is independent of the population.
     pub fn bounds(&self) -> Option<Bounds> {
         let mut keys: Option<(i32, i32, i32, i32)> = None;
-        for shard in &self.shards {
-            #[expect(
-                clippy::iter_over_hash_type,
-                clippy::disallowed_methods,
-                reason = "min/max fold over tile keys is commutative: the result is independent of visit order"
-            )]
-            for key in shard.tiles.keys() {
-                keys = Some(match keys {
-                    None => (key.x, key.x, key.y, key.y),
-                    Some((x0, x1, y0, y1)) => {
-                        (x0.min(key.x), x1.max(key.x), y0.min(key.y), y1.max(key.y))
-                    }
-                });
-            }
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "min/max fold over tile keys is commutative: the result is independent of visit order"
+        )]
+        for key in self.tiles.keys() {
+            keys = Some(match keys {
+                None => (key.x, key.x, key.y, key.y),
+                Some((x0, x1, y0, y1)) => {
+                    (x0.min(key.x), x1.max(key.x), y0.min(key.y), y1.max(key.y))
+                }
+            });
         }
         let (kx0, kx1, ky0, ky1) = keys?;
         // Any tile with key.x > kx0 only holds cells at x ≥ (kx0+1)·64,
         // so the global min x lives in the kx0 tile column; same for the
         // other three extremes.
         let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
-        for shard in &self.shards {
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "min/max fold over boundary tiles is commutative: order cannot leak into the bounds"
-            )]
-            for (key, tile) in &shard.tiles {
-                if key.x != kx0 && key.x != kx1 && key.y != ky0 && key.y != ky1 {
-                    continue;
-                }
-                let (lx0, lx1, ly0, ly1) =
-                    tile.local_extents().expect("live tiles hold at least one cell");
-                if key.x == kx0 {
-                    x0 = x0.min((kx0 << TILE_BITS) + lx0);
-                }
-                if key.x == kx1 {
-                    x1 = x1.max((kx1 << TILE_BITS) + lx1);
-                }
-                if key.y == ky0 {
-                    y0 = y0.min((ky0 << TILE_BITS) + ly0);
-                }
-                if key.y == ky1 {
-                    y1 = y1.max((ky1 << TILE_BITS) + ly1);
-                }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "min/max fold over boundary tiles is commutative: order cannot leak into the bounds"
+        )]
+        for (key, tile) in &self.tiles {
+            if key.x != kx0 && key.x != kx1 && key.y != ky0 && key.y != ky1 {
+                continue;
+            }
+            let (lx0, lx1, ly0, ly1) =
+                tile.local_extents().expect("live tiles hold at least one cell");
+            if key.x == kx0 {
+                x0 = x0.min((kx0 << TILE_BITS) + lx0);
+            }
+            if key.x == kx1 {
+                x1 = x1.max((kx1 << TILE_BITS) + lx1);
+            }
+            if key.y == ky0 {
+                y0 = y0.min((ky0 << TILE_BITS) + ly0);
+            }
+            if key.y == ky1 {
+                y1 = y1.max((ky1 << TILE_BITS) + ly1);
             }
         }
         Some(Bounds { min: Point::new(x0, y0), max: Point::new(x1, y1) })
@@ -305,7 +240,7 @@ impl TileIndex {
             for dy in 0..h {
                 for dx in 0..w {
                     let key = TileKey { x: kx0 + dx, y: ky0 + dy };
-                    win.tiles[(dy * w + dx) as usize] = self.shards[key.shard()].tiles.get(&key);
+                    win.tiles[(dy * w + dx) as usize] = self.tiles.get(&key);
                 }
             }
         }
@@ -389,8 +324,7 @@ impl TileWindow<'_> {
             let tile = if dx >= 0 && dx < self.w && dy >= 0 && dy < self.h {
                 self.tiles[(dy * self.w + dx) as usize]
             } else {
-                let key = TileKey { x: kx, y: ky };
-                self.index.shards[key.shard()].tiles.get(&key)
+                self.index.tiles.get(&TileKey { x: kx, y: ky })
             };
             if let Some(tile) = tile {
                 let start = row + (x & (TILE_SIZE - 1)) as usize;
@@ -547,31 +481,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_tile_counts_sum_to_tile_count() {
-        let mut idx = TileIndex::new();
-        for i in 0..200 {
-            idx.set(Point::new(i * 64, (i % 9) * 64), i as u32);
-        }
-        let counts = idx.shard_tile_counts();
-        assert_eq!(counts.len(), NUM_SHARDS);
-        assert_eq!(counts.iter().sum::<usize>(), idx.tile_count());
-    }
-
-    #[test]
-    fn shard_of_is_stable_per_tile() {
-        for &p in &[Point::new(0, 0), Point::new(-1, -1), Point::new(1000, -4000)] {
-            let s = shard_of(p);
-            assert!(s < NUM_SHARDS);
-            // Every cell of the tile shares the shard.
-            let base = Point::new((p.x >> TILE_BITS) << TILE_BITS, (p.y >> TILE_BITS) << TILE_BITS);
-            for off in [0, 1, 63] {
-                assert_eq!(shard_of(Point::new(base.x + off, base.y)), s);
-                assert_eq!(shard_of(Point::new(base.x, base.y + off)), s);
             }
         }
     }

@@ -4,6 +4,7 @@
 //! round-apply with the dense oracle under partial and full activation.
 
 use grid_engine::grid::OccupancyGrid;
+use grid_engine::parallel::PARALLEL_THRESHOLD;
 use grid_engine::tile::TileIndex;
 use grid_engine::*;
 use proptest::prelude::*;
@@ -77,7 +78,7 @@ proptest! {
     /// dense reference grid on random set/clear/get sequences — the
     /// dense grid is the pre-refactor oracle, kept for exactly this.
     /// Coordinates straddle tile borders (negative and positive) so
-    /// tile keying, shard routing and tile reclamation all fire.
+    /// tile keying and tile reclamation both fire.
     #[test]
     fn tiled_index_matches_dense_reference(
         ops in proptest::collection::vec((0u8..3, -70i32..70, -70i32..70, 0u32..8), 1..200)
@@ -202,10 +203,11 @@ proptest! {
 /// scattering each round's *committed* world-frame moves into a full
 /// `Option` vector and pushing it through the dense partial apply
 /// reproduces the engine's per-round digests and populations. FSYNC,
-/// SSYNC and ASYNC cover every arm of `Engine::step`, each at several
-/// thread counts, so the sparse apply and the dense reference stay
-/// bit-identical under full activation, partial activation and
-/// staleness.
+/// SSYNC and ASYNC cover every activation kind of the engine's round
+/// (all robots, a subset, ASYNC looks), each at several thread counts
+/// with the compute map running in parallel, so the sparse apply and
+/// the dense reference stay bit-identical under full activation,
+/// partial activation and staleness.
 #[test]
 fn async_engine_rounds_match_dense_oracle_across_threads() {
     use std::cell::RefCell;
@@ -225,7 +227,9 @@ fn async_engine_rounds_match_dense_oracle_across_threads() {
             }
         }
     }
-    let pts: Vec<Point> = (0..48).map(|x| Point::new(x, 0)).collect();
+    // Large enough that every arm computes more robots than the compute
+    // map's parallel threshold in most rounds (asserted below).
+    let pts: Vec<Point> = (0..6000).map(|x| Point::new(x, 0)).collect();
     let schedulers = [
         Scheduler::Async { seed: 23, staleness: 4 },
         Scheduler::Fsync,
@@ -269,6 +273,17 @@ fn async_engine_rounds_match_dense_oracle_across_threads() {
                 );
             }
             assert!(merged > 0, "{scheduler:?}: 40 rounds never merged anyone");
+            let parallel_rounds = records
+                .borrow()
+                .iter()
+                .filter(|r| {
+                    r.activated.len((r.population + r.merged) as usize) >= PARALLEL_THRESHOLD
+                })
+                .count();
+            assert!(
+                parallel_rounds >= 20,
+                "{scheduler:?}: only {parallel_rounds} rounds computed in parallel"
+            );
         }
     }
 }
