@@ -201,8 +201,9 @@ pub fn summarize(records: &[ScenarioRecord]) -> Vec<Table> {
 
 /// Engine phase-share table from records written by `campaign run
 /// --perf`: one row per (family, n, scheduler), columns are each
-/// phase's share of engine wall time plus attribution coverage and
-/// scenario throughput in robot activations per second. `Err` when no
+/// phase's share of engine wall time plus attribution coverage, the
+/// share of activations the engine computed rather than skipped as
+/// quiet, and scenario throughput in robot activations per second. `Err` when no
 /// record carries a perf block — summarizing a plain result file with
 /// `--perf` is a pipeline mistake that should be loud, not an empty
 /// table.
@@ -212,6 +213,7 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
         wall_s: f64,
         secs: f64,
         activations: u64,
+        computed: u64,
         phase_s: [f64; PHASE_COUNT],
     }
 
@@ -225,12 +227,14 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
                 wall_s: 0.0,
                 secs: 0.0,
                 activations: 0,
+                computed: 0,
                 phase_s: [0.0; PHASE_COUNT],
             });
         cell.runs += 1;
         cell.wall_s += perf.wall_s;
         cell.secs += r.secs;
         cell.activations += r.activations;
+        cell.computed += perf.computed;
         for (sum, s) in cell.phase_s.iter_mut().zip(&perf.phase_s) {
             *sum += s;
         }
@@ -243,7 +247,7 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
 
     let mut headers: Vec<&str> = vec!["family", "n", "scheduler", "runs", "wall s"];
     headers.extend(Phase::ALL.iter().map(|p| p.name()));
-    headers.extend(["coverage", "activations/s"]);
+    headers.extend(["coverage", "computed/act", "activations/s"]);
     let mut t = Table::new(
         "Engine phase shares — fraction of engine wall time per phase (run --perf)",
         &headers,
@@ -265,6 +269,13 @@ pub fn summarize_perf(records: &[ScenarioRecord]) -> Result<Vec<Table>, String> 
         ];
         row.extend(Phase::ALL.iter().map(|&p| share(cell.phase_s[p as usize])));
         row.push(share(cell.phase_s.iter().sum()));
+        // Every profiled run computes its first round, so 0 means the
+        // records predate the count.
+        row.push(if cell.computed > 0 && cell.activations > 0 {
+            format!("{:.3}", cell.computed as f64 / cell.activations as f64)
+        } else {
+            "n/a".into()
+        });
         row.push(if cell.secs > 0.0 {
             format!("{:.0}", cell.activations as f64 / cell.secs)
         } else {
@@ -465,7 +476,8 @@ mod tests {
         // Fewer activations than 32 robots × 64 rounds: merges shrink
         // the swarm, and partial schedulers activate a subset.
         with_perf.activations = 1000;
-        let mut perf = PerfSummary { wall_s: 1.0, rounds: 64, phase_s: [0.0; PHASE_COUNT] };
+        let mut perf =
+            PerfSummary { wall_s: 1.0, rounds: 64, computed: 250, phase_s: [0.0; PHASE_COUNT] };
         perf.phase_s[Phase::Compute as usize] = 0.6;
         perf.phase_s[Phase::MergeDetect as usize] = 0.3;
         with_perf.perf = Some(perf);
@@ -480,6 +492,8 @@ mod tests {
         assert_eq!(t.rows[0][compute_col], "60.0%");
         let coverage_col = t.headers.iter().position(|h| h == "coverage").unwrap();
         assert_eq!(t.rows[0][coverage_col], "90.0%");
+        let computed_col = t.headers.iter().position(|h| h == "computed/act").unwrap();
+        assert_eq!(t.rows[0][computed_col], "0.250", "250 computed of 1000 activations");
         let tput_col = t.headers.iter().position(|h| h == "activations/s").unwrap();
         assert_eq!(t.rows[0][tput_col], "500", "1000 activations / 2 s");
     }

@@ -14,6 +14,9 @@ pub struct PerfSummary {
     pub wall_s: f64,
     /// Rounds the profile covers.
     pub rounds: u64,
+    /// Robots the engine computed over those rounds (activated robots
+    /// that were not quiet); 0 in records written before the field.
+    pub computed: u64,
     /// Per-phase attributed time, indexed by `Phase as usize`.
     pub phase_s: [f64; PHASE_COUNT],
 }
@@ -26,7 +29,12 @@ impl PerfSummary {
         for phase in Phase::ALL {
             phase_s[phase as usize] = t.phase_ns[phase as usize] as f64 / 1e9;
         }
-        PerfSummary { wall_s: t.wall_ns as f64 / 1e9, rounds: t.rounds, phase_s }
+        PerfSummary {
+            wall_s: t.wall_ns as f64 / 1e9,
+            rounds: t.rounds,
+            computed: t.computed,
+            phase_s,
+        }
     }
 
     /// Fraction of engine wall time attributed to named phases.
@@ -146,7 +154,10 @@ impl ScenarioRecord {
             w = w.field_f64("secs", self.secs);
         }
         if let Some(perf) = &self.perf {
-            w = w.field_f64("perf_wall_s", perf.wall_s).field_u64("perf_rounds", perf.rounds);
+            w = w
+                .field_f64("perf_wall_s", perf.wall_s)
+                .field_u64("perf_rounds", perf.rounds)
+                .field_u64("perf_computed", perf.computed);
             for phase in Phase::ALL {
                 w = w.field_f64(&format!("perf_{}_s", phase.name()), perf.phase_s[phase as usize]);
             }
@@ -185,6 +196,7 @@ impl ScenarioRecord {
             PerfSummary {
                 wall_s,
                 rounds: map.get("perf_rounds").and_then(|v| v.as_u64()).unwrap_or(0),
+                computed: map.get("perf_computed").and_then(|v| v.as_u64()).unwrap_or(0),
                 phase_s,
             }
         });
@@ -286,7 +298,8 @@ mod tests {
     fn perf_fields_round_trip() {
         let mut rec = sample();
         rec.secs = 1.25;
-        let mut perf = PerfSummary { wall_s: 1.2, rounds: 412, phase_s: [0.0; PHASE_COUNT] };
+        let mut perf =
+            PerfSummary { wall_s: 1.2, rounds: 412, computed: 9_000, phase_s: [0.0; PHASE_COUNT] };
         for (i, slot) in perf.phase_s.iter_mut().enumerate() {
             *slot = 0.125 * (i as f64 + 1.0);
         }
@@ -294,15 +307,22 @@ mod tests {
         let line = rec.to_json_line();
         assert!(line.contains(r#""secs":1.25"#), "{line}");
         assert!(line.contains(r#""perf_compute_s":0.25"#), "{line}");
+        assert!(line.contains(r#""perf_computed":9000"#), "{line}");
         assert_eq!(ScenarioRecord::from_json_line(&line).unwrap(), rec);
     }
 
     #[test]
     fn perf_summary_from_totals_converts_ns_to_seconds() {
-        let mut totals = ProfileTotals { rounds: 10, wall_ns: 2_000_000_000, ..Default::default() };
+        let mut totals = ProfileTotals {
+            rounds: 10,
+            wall_ns: 2_000_000_000,
+            computed: 321,
+            ..Default::default()
+        };
         totals.phase_ns[Phase::Compute as usize] = 1_500_000_000;
         let perf = PerfSummary::from_totals(&totals);
         assert_eq!(perf.rounds, 10);
+        assert_eq!(perf.computed, 321);
         assert!((perf.wall_s - 2.0).abs() < 1e-9);
         assert!((perf.phase_s[Phase::Compute as usize] - 1.5).abs() < 1e-9);
         assert!((perf.coverage() - 0.75).abs() < 1e-9);

@@ -110,15 +110,30 @@ fn assert_shared_plans_match_standalone(
     Ok(())
 }
 
-/// Shared plans on a swarm above the engine's parallel threshold, so
-/// the compute map really splits across threads.
+/// Shared plans and quiet skipping on swarms wider than the view, where
+/// each robot's reach covers a small part of the swarm: a 1196-robot
+/// ring above the engine's parallel threshold, so the compute map
+/// really splits across threads; a 40×40 square, whose rounds that
+/// compute every robot split too; and a 2-thick hollow square. The last
+/// two run 67 rounds, so a start-round bit is reused.
 #[test]
 fn shared_plans_match_standalone_decide_across_threads() {
-    let pts = gather_workloads::hollow_rectangle(300, 300, 1);
-    assert!(pts.len() >= grid_engine::parallel::PARALLEL_THRESHOLD);
-    for scheduler in [Scheduler::Fsync, Scheduler::Async { seed: 3, staleness: 2 }] {
-        assert_shared_plans_match_standalone(&pts, 3, scheduler, &[1, 2, 3, 8], 24)
-            .unwrap_or_else(|e| panic!("{e}"));
+    let ring = gather_workloads::hollow_rectangle(300, 300, 1);
+    let square = gather_workloads::square(40);
+    for pts in [&ring, &square] {
+        assert!(pts.len() >= grid_engine::parallel::PARALLEL_THRESHOLD);
+    }
+    let fsync_async = [Scheduler::Fsync, Scheduler::Async { seed: 3, staleness: 2 }];
+    let cases = [
+        (ring, &fsync_async[..], &[1, 2, 3, 8][..], 24),
+        (square, &[Scheduler::Fsync], &[1, 2, 3], 67),
+        (gather_workloads::hollow_rectangle(60, 60, 2), &[Scheduler::Fsync], &[1, 2, 3], 67),
+    ];
+    for (pts, schedulers, threads, rounds) in cases {
+        for &scheduler in schedulers {
+            assert_shared_plans_match_standalone(&pts, 3, scheduler, threads, rounds)
+                .unwrap_or_else(|e| panic!("{} robots: {e}", pts.len()));
+        }
     }
 }
 

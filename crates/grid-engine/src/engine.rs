@@ -40,7 +40,12 @@ pub struct RoundCtx {
 /// a pure function of that neighbour's view) and the round context — or,
 /// when [`Controller::round_class`] returns a class, the round's class
 /// alone. The engine relies on this to skip robots whose inputs have not
-/// changed ([`crate::quiet`]).
+/// changed ([`crate::quiet`]). It measures what changed against how far
+/// each decision read: the farthest offset its view probed, where
+/// reading a neighbour's plan counts the neighbour's offset plus how far
+/// that plan's view read. So the probes are the only way a decision may
+/// learn about the swarm; a method that kept what it saw between calls
+/// would break the skipping.
 pub trait Controller: Sync {
     type State: RobotState;
 
@@ -426,7 +431,7 @@ impl<C: Controller> Engine<C> {
         }
         if let Some((class, quiet)) = &mut quiet {
             timed(prof, Phase::ActiveList, || {
-                quiet.record(&self.swarm, computed_slots, &computed, *class)
+                quiet.record(&self.swarm, computed_slots, &computed, self.plans.reach(), *class)
             });
         }
         let mut pending: Vec<PendingMove> = Vec::new();
@@ -472,8 +477,8 @@ impl<C: Controller> Engine<C> {
         };
         let outcome = self.swarm.apply_sparse(&slots, actions, prof.as_deref_mut());
         if let Some((_, quiet)) = quiet {
-            let reach = self.controller.radius() + 2;
-            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, reach));
+            let ball = self.controller.radius() + 2;
+            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, ball));
         }
         let stats = RoundStats {
             round: ctx.round,

@@ -21,40 +21,63 @@
 //!    together with the [`D4`] from the planner's frame to the
 //!    observer's, so dense slot indices never reach a controller.
 //!
-//! The table is engine-owned and costs 4 bytes per robot (a `u32` index
-//! into the round's compact list of non-empty plans, which are boxed),
-//! plus a 4-byte work-list entry per robot phase 1 visits. Every entry
-//! is reset once phase 2 ends, so a round touches only the entries it
-//! set — no per-round O(n) allocation or clear.
+//! Reach: the table keeps, with each plan it evaluates, how far that
+//! plan's view read ([`View`]'s reach). A lookup at offset `d` charges
+//! the observer's view `|d|` plus that reach — the plan, or its absence,
+//! depends on nothing farther — and only `|d|` when the neighbour
+//! evaluated no plan, since [`Controller::needs_plan`] reads its state
+//! alone. When no robot evaluated a plan this round, every lookup
+//! answers `None` and charges `|d|` without probing. Phase 2 writes each
+//! decision's reach to a per-round buffer ([`PlanTable::reach`]) for the
+//! quiet set.
+//!
+//! The table is engine-owned and costs 4 bytes per robot (a `u32` entry
+//! per slot: an index into the round's compact list of non-empty plans,
+//! which are boxed, or the reach of an empty plan), plus a 4-byte
+//! work-list entry per robot phase 1 visits and a reach byte per robot
+//! phase 2 computes. Every entry is reset once phase 2 ends, so a round
+//! touches only the entries it set — no per-round O(n) allocation or
+//! clear.
 
 use crate::engine::{Controller, RoundCtx};
 use crate::geom::{D4, V2};
 use crate::parallel::parallel_map;
 use crate::swarm::{Action, RobotState, Swarm};
-use crate::view::View;
+use crate::view::{reach_byte, View};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// `index` entry of a robot without a plan this round. Zero, so a fresh
-/// table is a zeroed allocation whose pages the OS maps only once a
+/// `index` entry of a robot that evaluated no plan this round. Zero, so a
+/// fresh table is a zeroed allocation whose pages the OS maps only once a
 /// round writes them: a partial round touches O(activated) of it.
 const NO_PLAN: u32 = 0;
+/// Flag of the `index` entry of a robot whose plan came out empty; the
+/// entry's low byte is the reach of its view. Entries without it are
+/// 1 + a position in the plan list. Keeping empty plans in the index
+/// spares a start round, where every robot plans and most plans come
+/// out empty, a second array read per lookup.
+const EMPTY_PLAN: u32 = 1 << 31;
 /// `index` entry of a robot already queued for phase 1 this round.
 const QUEUED: u32 = u32::MAX;
 
 /// Engine-owned storage of one round's plans.
 pub(crate) struct PlanTable<P> {
-    /// Per dense slot: 1 + position of the robot's plan in `plans`, else
-    /// [`NO_PLAN`]. All entries are [`NO_PLAN`] between rounds; sized
-    /// lazily, on the first robot that passes the pre-check.
+    /// Per dense slot: 1 + position of the robot's plan in `plans`,
+    /// [`EMPTY_PLAN`] with its reach, or [`NO_PLAN`]. All entries are
+    /// [`NO_PLAN`] between rounds; sized lazily, on the first robot that
+    /// passes the pre-check.
     index: Vec<u32>,
-    /// The round's non-empty plans with their slots.
-    plans: Vec<(u32, Box<P>)>,
+    /// The round's non-empty plans with the reach of their views.
+    plans: Vec<(Box<P>, u8)>,
     /// The robots phase 1 evaluates (capacity reused across rounds).
     needed: Vec<u32>,
+    /// Per robot phase 2 computed, in compute order: its decision's
+    /// reach (capacity reused across rounds).
+    reach: Vec<AtomicU8>,
 }
 
 impl<P> Default for PlanTable<P> {
     fn default() -> Self {
-        PlanTable { index: Vec::new(), plans: Vec::new(), needed: Vec::new() }
+        PlanTable { index: Vec::new(), plans: Vec::new(), needed: Vec::new(), reach: Vec::new() }
     }
 }
 
@@ -72,25 +95,42 @@ impl<P: Send + Sync> PlanTable<P> {
     ) -> Vec<Action<C::State>> {
         let radius = controller.radius();
         self.evaluate(swarm, controller, active, ctx, radius, threads);
-        let (index, plans) = (&self.index[..], &self.plans[..]);
-        let decide = |i: usize| {
+        let computed = active.map_or(swarm.len(), <[usize]>::len);
+        self.reach.resize_with(computed, AtomicU8::default);
+        // An empty index tells every lookup that no plan was evaluated.
+        let index = if self.needed.is_empty() { &[][..] } else { &self.index[..] };
+        let (plans, reach) = (&self.plans[..], &self.reach[..]);
+        // Reaches go to the table's buffer, not out with the actions:
+        // pairing them with the actions and unzipping cost more than
+        // these stores.
+        let decide = |k: usize, i: usize| {
             let view = View::new(swarm, i, radius);
-            controller.decide_with_plans(&view, ctx, &Plans { view: &view, index, plans })
+            let plans = Plans { view: &view, index, plans };
+            let action = controller.decide_with_plans(&view, ctx, &plans);
+            reach[k].store(reach_byte(view.reach()), Ordering::Relaxed);
+            action
         };
         let actions = match active {
-            None => parallel_map(swarm.len(), threads, decide),
-            Some(active) => parallel_map(active.len(), threads, |k| decide(active[k])),
+            None => parallel_map(computed, threads, |i| decide(i, i)),
+            Some(active) => parallel_map(computed, threads, |k| decide(k, active[k])),
         };
-        for &(slot, _) in &self.plans {
+        for &slot in &self.needed {
             self.index[slot as usize] = NO_PLAN;
         }
         self.plans.clear();
         actions
     }
 
+    /// The reach of each decision of the last [`PlanTable::compute`], in
+    /// the order of its actions. The compute map's threads are joined by
+    /// then, so relaxed loads see every store.
+    pub(crate) fn reach(&self) -> &[AtomicU8] {
+        &self.reach
+    }
+
     /// Phase 1: queue every robot an activated robot can read that
     /// passes the pre-check, evaluate their plans in parallel, and index
-    /// the non-empty ones.
+    /// them with their reach.
     fn evaluate<C: Controller<Plan = P>>(
         &mut self,
         swarm: &Swarm<C::State>,
@@ -128,16 +168,19 @@ impl<P: Send + Sync> PlanTable<P> {
         }
         self.reserve(n);
         let needed = &self.needed;
-        let evaluated: Vec<Option<Box<P>>> = parallel_map(needed.len(), threads, |k| {
-            controller.plan(&View::new(swarm, needed[k] as usize, radius), ctx).map(Box::new)
+        assert!(needed.len() < EMPTY_PLAN as usize, "plan positions must stay below the flag");
+        let evaluated: Vec<(Option<Box<P>>, u8)> = parallel_map(needed.len(), threads, |k| {
+            let view = View::new(swarm, needed[k] as usize, radius);
+            let plan = controller.plan(&view, ctx).map(Box::new);
+            (plan, reach_byte(view.reach()))
         });
-        for (&slot, plan) in needed.iter().zip(evaluated) {
+        for (&slot, (plan, reach)) in needed.iter().zip(evaluated) {
             self.index[slot as usize] = match plan {
                 Some(plan) => {
-                    self.plans.push((slot, plan));
+                    self.plans.push((plan, reach));
                     self.plans.len() as u32
                 }
-                None => NO_PLAN,
+                None => EMPTY_PLAN | u32::from(reach),
             };
         }
     }
@@ -156,8 +199,9 @@ impl<P: Send + Sync> PlanTable<P> {
 /// within Chebyshev distance 1 of it (itself included).
 pub struct Plans<'a, S: RobotState, P> {
     view: &'a View<'a, S>,
+    /// Empty when no robot evaluated a plan this round.
     index: &'a [u32],
-    plans: &'a [(u32, Box<P>)],
+    plans: &'a [(Box<P>, u8)],
 }
 
 impl<S: RobotState, P> std::fmt::Debug for Plans<'_, S, P> {
@@ -173,17 +217,34 @@ impl<'a, S: RobotState, P> Plans<'a, S, P> {
     /// The plan of the robot at offset `d` (observer frame, Chebyshev
     /// distance ≤ 1; `V2::ZERO` is the observer itself), together with
     /// the transform from that robot's frame to the observer's. `None`
-    /// when the cell is empty or its robot has nothing to share.
+    /// when the cell is empty or its robot has nothing to share. Counts
+    /// toward the view's reach as a probe at `d` plus the reach of the
+    /// planner's view.
     #[inline]
     pub fn get(&self, d: V2) -> Option<(&'a P, D4)> {
         debug_assert!(d.is_step(), "plan lookup {d:?} beyond Chebyshev distance 1");
-        if self.plans.is_empty() {
+        if self.index.is_empty() {
+            // Whatever robot sits at `d` failed the pre-check, which
+            // reads its state alone.
+            self.view.charge(d.l1());
             return None;
         }
-        let slot = self.view.slot_at(d)?;
-        let k = self.index.get(slot)?.checked_sub(1)?;
-        let (_, plan) = self.plans.get(k as usize)?;
-        Some((plan, self.view.frame_of(slot)))
+        // One charge per lookup: the cell at `d`, plus what the
+        // planner's view read when it evaluated a plan.
+        let Some(slot) = self.view.uncounted_slot_at(d) else {
+            self.view.charge(d.l1());
+            return None;
+        };
+        let (plan, reach) = match self.index.get(slot).copied().unwrap_or(NO_PLAN) {
+            NO_PLAN => (None, 0),
+            empty if empty & EMPTY_PLAN != 0 => (None, empty as u8),
+            k => {
+                let (plan, reach) = &self.plans[k as usize - 1];
+                (Some(&**plan), *reach)
+            }
+        };
+        self.view.charge(d.l1() + i32::from(reach));
+        Some((plan?, self.view.frame_of(slot)))
     }
 }
 
@@ -323,5 +384,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn plan_lookups_charge_the_offset_plus_the_planners_reach() {
+        // The observer at the origin; east of it a robot whose plan read
+        // 3 cells out, north-east one whose empty plan read 4.
+        let pts = [Point::new(0, 0), Point::new(1, 0), Point::new(1, 1)];
+        let s: Swarm<Arrow> = Swarm::new(&pts, OrientationMode::Aligned);
+        let index = [NO_PLAN, 1, EMPTY_PLAN | 4];
+        let plans = [(Box::new(V2::N), 3)];
+        let view = View::new(&s, 0, 5);
+        let lookups = Plans { view: &view, index: &index, plans: &plans };
+        assert_eq!(lookups.get(V2::ZERO), None);
+        assert_eq!(view.reach(), 0, "the observer evaluated no plan");
+        assert_eq!(lookups.get(V2::new(-1, -1)), None);
+        assert_eq!(view.reach(), 2, "an empty cell counts as a probe");
+        assert_eq!(lookups.get(V2::E), Some((&V2::N, D4::IDENTITY)));
+        assert_eq!(view.reach(), 4, "|d| = 1 plus the plan's reach 3");
+        assert_eq!(lookups.get(V2::new(1, 1)), None);
+        assert_eq!(view.reach(), 6, "|d| = 2 plus the empty plan's reach 4");
+
+        // No robot evaluated a plan: every lookup answers `None` without
+        // probing, yet depends on the state at `d`.
+        let view = View::new(&s, 0, 5);
+        let lookups: Plans<'_, Arrow, V2> = Plans { view: &view, index: &[], plans: &[] };
+        assert_eq!(lookups.get(V2::E), None);
+        assert_eq!(view.reach(), 1, "|d| of an occupied cell");
+        assert_eq!(lookups.get(V2::new(-1, 1)), None);
+        assert_eq!(view.reach(), 2, "|d| of an empty cell");
     }
 }

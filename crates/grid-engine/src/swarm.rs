@@ -44,6 +44,7 @@ use crate::geom::{Bounds, Point, D4, V2};
 use crate::profile::{timed, Phase, RoundProfile};
 use crate::scheduler::splitmix64;
 use crate::tile::TileIndex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-robot algorithm state carried between rounds.
@@ -168,16 +169,17 @@ pub struct Swarm<S: RobotState> {
     /// occupancy index stores handles, so compaction only rewrites this
     /// flat array and never touches tile cells.
     slot_of: Vec<u32>,
-    /// ASYNC in-flight moves, keyed by *handle* so compaction never has
-    /// to touch this store: `pending[h]` holds the round the parked
-    /// action falls due plus the action itself (in the robot's local
-    /// frame — orientations are fixed at birth, so a deferred
-    /// local-frame step means the same world step whenever it commits).
+    /// ASYNC in-flight moves, grouped by the round they fall due (so
+    /// [`Swarm::take_due`] visits only the moves that land): each the
+    /// robot's stable *handle*, which compaction never has to touch, and
+    /// its action in the robot's local frame (orientations are fixed at
+    /// birth, so a deferred local-frame step means the same world step
+    /// whenever it commits). Empty for every synchronous scheduler.
+    pending: BTreeMap<u64, Vec<(u32, Action<S>)>>,
+    /// Per handle: is the robot in flight? One byte per robot, so an
+    /// ASYNC round's look set scans this instead of the parked moves.
     /// Lazily sized; empty for every synchronous scheduler.
-    pending: Vec<Option<(u64, Action<S>)>>,
-    /// Handles with a live `pending` entry (the O(in-flight) working
-    /// set [`Swarm::take_due`] scans, instead of all handles).
-    in_flight: Vec<u32>,
+    flying: Vec<bool>,
     index: TileIndex,
     scratch: RoundScratch,
     /// Changes on every mutation ([`Swarm::version`]).
@@ -247,8 +249,8 @@ impl<S: RobotState> Swarm<S> {
             orients,
             handles: (0..n as u32).collect(),
             slot_of: (0..n as u32).collect(),
-            pending: Vec::new(),
-            in_flight: Vec::new(),
+            pending: BTreeMap::new(),
+            flying: Vec::new(),
             index,
             scratch: RoundScratch::default(),
             version: fresh_version(),
@@ -333,12 +335,12 @@ impl<S: RobotState> Swarm<S> {
     #[inline]
     pub fn is_in_flight(&self, slot: usize) -> bool {
         let h = self.handles[slot] as usize;
-        self.pending.get(h).is_some_and(Option::is_some)
+        self.flying.get(h).is_some_and(|&flying| flying)
     }
 
     /// Robots currently mid-flight (diagnostics and tests).
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
+        self.pending.values().map(Vec::len).sum()
     }
 
     /// Park an ASYNC move: the robot in `slot` looked this round and
@@ -349,44 +351,36 @@ impl<S: RobotState> Swarm<S> {
     /// pending move — it cannot look while in flight.
     pub fn park(&mut self, slot: usize, due: u64, action: Action<S>) {
         self.version = fresh_version();
-        let h = self.handles[slot] as usize;
-        if self.pending.len() <= h {
-            self.pending.resize_with(self.slot_of.len(), || None);
+        let h = self.handles[slot];
+        if self.flying.len() <= h as usize {
+            self.flying.resize(self.slot_of.len(), false);
         }
-        debug_assert!(self.pending[h].is_none(), "robot {h} parked twice without committing");
-        self.pending[h] = Some((due, action));
-        self.in_flight.push(h as u32);
+        debug_assert!(!self.flying[h as usize], "robot {h} parked twice without committing");
+        self.flying[h as usize] = true;
+        self.pending.entry(due).or_default().push((h, action));
     }
 
     /// Drain every parked move that falls due at `round`, returning
     /// `(dense slot, action)` pairs sorted by slot; the engine's ASYNC
     /// round joins them with its delay-0 moves for
     /// [`Swarm::apply_sparse`]. Deterministic regardless of park order:
-    /// the store is keyed by handle and the output is slot-sorted. Handles
-    /// merged away while in flight are dropped defensively (in-flight
+    /// the output is slot-sorted. Handles merged away while in flight
+    /// are dropped defensively when their move falls due (in-flight
     /// robots are stationary and stationary robots win merges, so this
     /// cannot happen under the engine's own scheduling).
     pub fn take_due(&mut self, round: u64) -> Vec<(usize, Action<S>)> {
         self.version = fresh_version();
-        let mut out: Vec<(usize, Action<S>)> = Vec::new();
-        let mut w = 0usize;
-        for k in 0..self.in_flight.len() {
-            let h = self.in_flight[k] as usize;
-            let slot = self.slot_of[h];
-            if slot == u32::MAX {
-                self.pending[h] = None;
-                continue;
-            }
-            let due = self.pending[h].as_ref().expect("in-flight handle has a pending entry").0;
-            if due <= round {
-                let (_, action) = self.pending[h].take().expect("checked above");
-                out.push((slot as usize, action));
-            } else {
-                self.in_flight[w] = h as u32;
-                w += 1;
+        let landing = self.pending.range(..=round).map(|(_, moves)| moves.len()).sum();
+        let mut out: Vec<(usize, Action<S>)> = Vec::with_capacity(landing);
+        while let Some(due) = self.pending.first_entry().filter(|e| *e.key() <= round) {
+            for (h, action) in due.remove() {
+                self.flying[h as usize] = false;
+                let slot = self.slot_of[h as usize];
+                if slot != u32::MAX {
+                    out.push((slot as usize, action));
+                }
             }
         }
-        self.in_flight.truncate(w);
         out.sort_unstable_by_key(|&(slot, _)| slot);
         out
     }

@@ -18,10 +18,27 @@
 //! once per probe. Whole-ball queries ([`View::for_each_within`]) do not
 //! probe cell by cell: they scan the ball's world rows as contiguous
 //! tile slices, skipping empty stretches a chunk at a time.
+//!
+//! Reach: a view remembers the largest L1 offset any of its probes
+//! touched — `occupied`, `empty` and `state` count their offset, a ball
+//! query counts its radius, and the observer's own state counts 0. The
+//! engine reads it after each decision: a pure decision whose probes
+//! all return what they returned before makes the same choice, so a
+//! quiet robot only needs computing again once something changes
+//! within its decision's reach ([`crate::quiet`]).
 
 use crate::geom::{Point, D4, V2};
 use crate::swarm::{RobotState, Swarm};
 use crate::tile::TileWindow;
+use std::cell::Cell;
+
+/// A reach as the engine stores it, one byte per robot: distances from
+/// 255 up all read 255, so comparing two saturated distances errs only
+/// toward "within reach".
+#[inline]
+pub(crate) fn reach_byte(d: i32) -> u8 {
+    d.clamp(0, u8::MAX.into()) as u8
+}
 
 pub struct View<'a, S: RobotState> {
     swarm: &'a Swarm<S>,
@@ -33,6 +50,8 @@ pub struct View<'a, S: RobotState> {
     /// World frame -> robot frame.
     inv: D4,
     radius: i32,
+    /// The largest L1 offset probed so far.
+    reach: Cell<i32>,
 }
 
 // Manual so states without Debug still get a printable view summary.
@@ -59,6 +78,7 @@ impl<'a, S: RobotState> View<'a, S> {
             orient,
             inv: orient.inverse(),
             radius,
+            reach: Cell::new(0),
         }
     }
 
@@ -75,6 +95,18 @@ impl<'a, S: RobotState> View<'a, S> {
         self.id
     }
 
+    /// The largest L1 offset any probe of this view has touched: what
+    /// the view's decision depended on lies within it.
+    pub(crate) fn reach(&self) -> i32 {
+        self.reach.get()
+    }
+
+    /// Count a read that depends on cells up to L1 distance `d`.
+    #[inline]
+    pub(crate) fn charge(&self, d: i32) {
+        self.reach.set(self.reach.get().max(d));
+    }
+
     #[inline]
     fn world(&self, v: V2) -> Point {
         debug_assert!(v.l1() <= self.radius, "probe {v:?} outside viewing radius {}", self.radius);
@@ -84,6 +116,7 @@ impl<'a, S: RobotState> View<'a, S> {
     /// Is the cell at offset `v` (robot frame) occupied?
     #[inline]
     pub fn occupied(&self, v: V2) -> bool {
+        self.charge(v.l1());
         self.win.occupied(self.world(v))
     }
 
@@ -108,6 +141,14 @@ impl<'a, S: RobotState> View<'a, S> {
     /// slots identify robots, which the model keeps anonymous.
     #[inline]
     pub(crate) fn slot_at(&self, v: V2) -> Option<usize> {
+        self.charge(v.l1());
+        self.uncounted_slot_at(v)
+    }
+
+    /// [`View::slot_at`] without counting toward the reach, for a caller
+    /// that charges what it reads through the slot itself.
+    #[inline]
+    pub(crate) fn uncounted_slot_at(&self, v: V2) -> Option<usize> {
         // Tile cells store stable handles; translate to the dense slot.
         Some(self.swarm.slot(self.win.get(self.world(v))?))
     }
@@ -126,6 +167,7 @@ impl<'a, S: RobotState> View<'a, S> {
     /// scanline in the *world* frame, not the robot's.
     pub fn for_each_within(&self, r: i32, mut f: impl FnMut(V2)) {
         assert!(r <= self.radius, "ball radius {r} exceeds viewing radius {}", self.radius);
+        self.charge(r);
         let (center, inv) = (self.center, self.inv);
         self.win.for_each_in_ball(center, r, |cell, _| {
             if cell != center {
@@ -199,6 +241,32 @@ mod tests {
                     assert_eq!(within(&v, r), probed_within(&v, r), "{orient:?} at {at:?} r {r}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reach_is_the_farthest_probe_in_every_frame() {
+        // The observer at the origin with robots east and north-west of
+        // it; empty and occupied probes count alike.
+        let pts = [Point::new(0, 0), Point::new(2, 0), Point::new(-1, 2)];
+        let mut s: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        for orient in D4::all() {
+            s.orients_mut().iter_mut().for_each(|o| *o = orient);
+            let v = View::new(&s, 0, 6);
+            let _ = v.self_state();
+            assert_eq!(v.reach(), 0, "{orient:?}: own state");
+            let _ = v.occupied(V2::new(1, -1));
+            assert_eq!(v.reach(), 2, "{orient:?}: occupied");
+            let _ = v.empty(V2::new(0, 3));
+            assert_eq!(v.reach(), 3, "{orient:?}: empty");
+            let _ = v.occupied(V2::E);
+            assert_eq!(v.reach(), 3, "{orient:?}: a nearer probe keeps the reach");
+            let _ = v.state(V2::new(-2, -2));
+            assert_eq!(v.reach(), 4, "{orient:?}: state");
+            v.for_each_within(5, |_| {});
+            assert_eq!(v.reach(), 5, "{orient:?}: ball of radius 5");
+            let _ = v.empty(V2::new(-6, 0));
+            assert_eq!(v.reach(), 6, "{orient:?}: the viewing radius");
         }
     }
 
