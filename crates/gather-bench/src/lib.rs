@@ -2,12 +2,12 @@
 //!
 //! The measured-run harness. [`RunSpec`] is the crate's one run
 //! function: every campaign scenario, run or recorded (and with them
-//! the paper tables, README "Paper tables"), trace replay and the
-//! benchmark's weak-sweep workload go through it. [`ControllerKind`]
-//! and [`SchedulerKind`] are the registries their axes name. The
-//! `bench_engine` binary, `campaign smoke` and the benchmark's FSYNC
-//! workloads instead build and step an [`Engine`] of their own;
-//! `bench_engine` times the engine's round loop at large n.
+//! the paper tables, README "Paper tables"), trace replay, `campaign
+//! smoke` (a round-budgeted recording) and the benchmark's weak-sweep
+//! workload go through it. [`ControllerKind`] and [`SchedulerKind`] are
+//! the registries their axes name. The `bench_engine` binary and the
+//! benchmark's FSYNC workloads instead build and step an [`Engine`] of
+//! their own; `bench_engine` times the engine's round loop at large n.
 
 use gather_baselines::{AsyncGreedy, GoToCenter};
 use gather_core::GatherController;
@@ -197,8 +197,8 @@ fn engine_config(threads: usize, scheduler: Scheduler) -> EngineConfig {
 }
 
 /// Builder for a measured run — the crate's only run function, which
-/// every campaign scenario (run or recorded), trace replay and the
-/// benchmark's weak-sweep workload go through.
+/// every campaign scenario (run or recorded), trace replay, `campaign
+/// smoke` and the benchmark's weak-sweep workload go through.
 ///
 /// Mandatory inputs are the constructor's; everything else defaults:
 /// FSYNC scheduling, seed 0, [`budget_for`] the population, one engine

@@ -1,8 +1,22 @@
-//! Hand-rolled argument parsing for the `campaign` binary (no external
+//! Argument parsing for the `campaign` binary (no external
 //! dependencies, same policy as `gather-bench/src/bin/bench_engine.rs`).
+//!
+//! Each subcommand has one row in a flag table: the flags that take a
+//! value, the switches, and how many positional arguments it takes. One
+//! scanner reads every command line against its row: `-h`/`--help`
+//! anywhere asks for the usage, an unknown flag is an error, a repeated
+//! flag keeps its last value (every value given must still parse), and
+//! what is left is positional. Each subcommand then builds its args
+//! struct from the scan's typed getters, and the run family and
+//! `submit` read their sweep through one function: the `--spec` file,
+//! then the axis flags on top. A test holds every row to the
+//! subcommand's synopsis in [`USAGE`], so help and parser agree.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use gather_bench::{ControllerKind, SchedulerKind};
 use gather_workloads::Family;
@@ -21,7 +35,8 @@ USAGE:
     campaign record    [run flags]   [--trace-dir DIR]
     campaign merge     [--out PATH] SHARD.jsonl [SHARD.jsonl ...]
     campaign merge     --out DIR SHARD_TRACE_DIR [SHARD_TRACE_DIR ...]
-    campaign plan      --shards M [--out PATH] [--spec FILE] [axis flags]
+    campaign plan      --shards M [--threads N] [--out PATH] [--spec FILE]
+                       [--events FILE] [--quiet] [--perf] [axis flags]
     campaign replay    [--trace-dir DIR]
     campaign diff      --a DIR --b DIR
     campaign render    TRACE.gtrc [--every K] [--svg PATH] [--cell N]
@@ -276,413 +291,302 @@ impl Default for RunArgs {
     }
 }
 
-/// Parse the process arguments (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().map(String::as_str);
-    let sub = match it.next() {
-        None | Some("-h" | "--help" | "help") => return Ok(Command::Help),
-        Some(s) => s,
-    };
-    let rest: Vec<&str> = it.collect();
-    match sub {
-        "run" => Ok(Command::Run(parse_run_args(&rest, None)?)),
-        "resume" => Ok(Command::Resume(parse_run_args(&rest, None)?)),
-        "record" => Ok(Command::Run(parse_run_args(&rest, Some(default_trace_dir()))?)),
-        "merge" => {
-            let mut inputs = Vec::new();
-            let mut out = PathBuf::from("campaign.jsonl");
-            let mut out_explicit = false;
-            let mut it = rest.iter();
-            while let Some(&arg) = it.next() {
-                match arg {
-                    "--out" => {
-                        out = PathBuf::from(value_of(arg, it.next().copied())?);
-                        out_explicit = true;
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    flag if flag.starts_with("--") => {
-                        return Err(format!("unknown merge flag {flag:?}"));
-                    }
-                    path => inputs.push(PathBuf::from(path)),
-                }
-            }
-            if inputs.is_empty() {
-                return Err("merge needs at least one SHARD.jsonl or trace-directory input".into());
-            }
-            if inputs.contains(&out) {
-                return Err(format!(
-                    "merge output {out:?} is also an input — it would be truncated before reading"
-                ));
-            }
-            Ok(Command::Merge { inputs, out, out_explicit })
-        }
-        "plan" => {
-            // `--shards M` is plan's own flag; extract it, then reuse
-            // the run-flag parser for everything else.
-            let mut rest = rest.clone();
-            let i = rest
-                .iter()
-                .position(|&a| a == "--shards")
-                .ok_or("plan needs --shards M (how many ways to split the spec)")?;
-            let v = *rest.get(i + 1).ok_or("--shards needs a value")?;
-            let shards: u32 = v.parse().map_err(|e| format!("--shards {v:?}: {e}"))?;
-            if shards == 0 {
-                return Err("--shards must be >= 1".into());
-            }
-            rest.drain(i..=i + 1);
-            let run = parse_run_args(&rest, None)?;
-            if !run.shard.is_full() {
-                return Err("plan computes --shard for every slice itself; don't pass one".into());
-            }
-            Ok(Command::Plan { run, shards })
-        }
-        "replay" => {
-            let mut trace_dir = default_trace_dir();
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--trace-dir" => {
-                        trace_dir = PathBuf::from(value_of(flag, it.next().copied())?);
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown replay flag {other:?}")),
-                }
-            }
-            Ok(Command::Replay { trace_dir })
-        }
-        "diff" => {
-            let mut a = None;
-            let mut b = None;
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--a" => a = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-                    "--b" => b = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown diff flag {other:?}")),
-                }
-            }
-            match (a, b) {
-                (Some(a), Some(b)) => Ok(Command::Diff { a, b }),
-                _ => Err("diff needs both --a and --b trace directories".into()),
-            }
-        }
-        "render" => {
-            let mut args = RenderArgs { trace: PathBuf::new(), every: None, svg: None, cell: 6 };
-            let mut it = rest.iter();
-            while let Some(&arg) = it.next() {
-                match arg {
-                    "--every" => {
-                        let v = value_of(arg, it.next().copied())?;
-                        let every =
-                            v.parse().map_err(|e| format!("--every {v:?} is not a count: {e}"))?;
-                        if every == 0 {
-                            return Err("--every must be >= 1 (omit it for auto sampling)".into());
-                        }
-                        args.every = Some(every);
-                    }
-                    "--svg" => args.svg = Some(PathBuf::from(value_of(arg, it.next().copied())?)),
-                    "--cell" => {
-                        let v = value_of(arg, it.next().copied())?;
-                        args.cell =
-                            v.parse().map_err(|e| format!("--cell {v:?} is not a size: {e}"))?;
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    flag if flag.starts_with("--") => {
-                        return Err(format!("unknown render flag {flag:?}"));
-                    }
-                    path if args.trace.as_os_str().is_empty() => args.trace = PathBuf::from(path),
-                    extra => return Err(format!("render takes one trace file, got {extra:?} too")),
-                }
-            }
-            if args.trace.as_os_str().is_empty() {
-                return Err("render needs a TRACE.gtrc path".into());
-            }
-            Ok(Command::Render(args))
-        }
-        "smoke" => {
-            let mut args = crate::smoke::SmokeArgs::default();
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--n" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.n = v.parse().map_err(|e| format!("--n {v:?}: {e}"))?;
-                    }
-                    "--rounds" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.rounds = v.parse().map_err(|e| format!("--rounds {v:?}: {e}"))?;
-                    }
-                    "--family" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.family =
-                            Family::parse(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--seed" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.seed = v.parse().map_err(|e| format!("--seed {v:?}: {e}"))?;
-                    }
-                    "--threads-a" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.threads_a =
-                            v.parse().map_err(|e| format!("--threads-a {v:?}: {e}"))?;
-                    }
-                    "--threads-b" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.threads_b =
-                            v.parse().map_err(|e| format!("--threads-b {v:?}: {e}"))?;
-                    }
-                    "--scheduler" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.scheduler =
-                            v.parse().map_err(|e| format!("--scheduler {v:?}: {e}"))?;
-                    }
-                    "--dir" => args.dir = PathBuf::from(value_of(flag, it.next().copied())?),
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown smoke flag {other:?}")),
-                }
-            }
-            if args.n == 0 || args.rounds == 0 {
-                return Err("smoke needs --n >= 1 and --rounds >= 1".into());
-            }
-            Ok(Command::Smoke(args))
-        }
-        "summarize" => {
-            let mut input = PathBuf::from("campaign.jsonl");
-            let mut perf = false;
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--in" => {
-                        input = PathBuf::from(value_of(flag, it.next().copied())?);
-                    }
-                    "--perf" => perf = true,
-                    // `--out` used to be a silent, undocumented alias
-                    // for `--in`; reject it so a run/summarize pipeline
-                    // typo cannot silently read the wrong file.
-                    "--out" => {
-                        return Err("summarize reads its input from --in (--out is a run/resume \
-                                    flag)"
-                            .into());
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown summarize flag {other:?}")),
-                }
-            }
-            Ok(Command::Summarize { input, perf })
-        }
-        "events" => {
-            let mut it = rest.iter();
-            match it.next().copied() {
-                Some("tail") => {
-                    let mut file = None;
-                    let mut follow = false;
-                    for &arg in it {
-                        match arg {
-                            "--follow" => follow = true,
-                            "-h" | "--help" => return Ok(Command::Help),
-                            flag if flag.starts_with("--") => {
-                                return Err(format!("unknown events tail flag {flag:?}"));
-                            }
-                            path if file.is_none() => file = Some(PathBuf::from(path)),
-                            extra => {
-                                return Err(format!(
-                                    "events tail takes one FILE, got {extra:?} too"
-                                ));
-                            }
-                        }
-                    }
-                    let file = file.ok_or("events tail needs an event FILE")?;
-                    Ok(Command::EventsTail { file, follow })
-                }
-                Some("-h" | "--help") | None => Ok(Command::Help),
-                Some(other) => Err(format!("unknown events verb {other:?} (try tail)")),
-            }
-        }
-        "serve" => {
-            let mut socket = None;
-            let mut args = ServeArgs {
-                socket: PathBuf::new(),
-                cache: PathBuf::from("campaign-cache"),
-                jobs: None,
-                lease_ttl_ms: 60_000,
-                quiet: false,
-            };
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--socket" => socket = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-                    "--cache" => args.cache = PathBuf::from(value_of(flag, it.next().copied())?),
-                    "--jobs" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        let jobs: usize = v.parse().map_err(|e| format!("--jobs {v:?}: {e}"))?;
-                        if jobs == 0 {
-                            return Err("--jobs must be >= 1 (omit it to serve forever)".into());
-                        }
-                        args.jobs = Some(jobs);
-                    }
-                    "--lease-ttl-ms" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.lease_ttl_ms =
-                            v.parse().map_err(|e| format!("--lease-ttl-ms {v:?}: {e}"))?;
-                        if args.lease_ttl_ms == 0 {
-                            return Err("--lease-ttl-ms must be >= 1".into());
-                        }
-                    }
-                    "--quiet" => args.quiet = true,
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown serve flag {other:?}")),
-                }
-            }
-            args.socket = socket.ok_or("serve needs --socket PATH")?;
-            Ok(Command::Serve(args))
-        }
-        "submit" => {
-            let mut socket = None;
-            let mut rest: Vec<&str> = rest.clone();
-            let mut args = SubmitArgs {
-                socket: PathBuf::new(),
-                spec: take_spec_file(&mut rest)?,
-                out: PathBuf::from("campaign.jsonl"),
-                events: None,
-                quiet: false,
-            };
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--socket" => socket = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-                    "--out" => args.out = PathBuf::from(value_of(flag, it.next().copied())?),
-                    "--events" => {
-                        args.events = Some(PathBuf::from(value_of(flag, it.next().copied())?));
-                    }
-                    "--quiet" => args.quiet = true,
-                    axis if AXIS_FLAGS.contains(&axis) => {
-                        apply_spec_field(
-                            &mut args.spec,
-                            &axis[2..],
-                            value_of(axis, it.next().copied())?,
-                        )?;
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown submit flag {other:?}")),
-                }
-            }
-            args.spec.validate()?;
-            args.socket = socket.ok_or("submit needs --socket PATH")?;
-            Ok(Command::Submit(args))
-        }
-        "work" => {
-            let mut socket = None;
-            let mut args = WorkArgs {
-                socket: PathBuf::new(),
-                threads: 0,
-                name: format!("worker-{}", std::process::id()),
-                lease: 8,
-                poll_ms: 200,
-            };
-            let mut it = rest.iter();
-            while let Some(&flag) = it.next() {
-                match flag {
-                    "--socket" => socket = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-                    "--threads" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.threads = v
-                            .parse()
-                            .map_err(|e| format!("--threads {v:?} is not a count: {e}"))?;
-                    }
-                    "--name" => args.name = value_of(flag, it.next().copied())?.to_string(),
-                    "--lease" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.lease = v.parse().map_err(|e| format!("--lease {v:?}: {e}"))?;
-                        if args.lease == 0 {
-                            return Err("--lease must be >= 1".into());
-                        }
-                    }
-                    "--poll-ms" => {
-                        let v = value_of(flag, it.next().copied())?;
-                        args.poll_ms = v.parse().map_err(|e| format!("--poll-ms {v:?}: {e}"))?;
-                    }
-                    "-h" | "--help" => return Ok(Command::Help),
-                    other => return Err(format!("unknown work flag {other:?}")),
-                }
-            }
-            args.socket = socket.ok_or("work needs --socket PATH")?;
-            Ok(Command::Work(args))
-        }
-        other => Err(format!("unknown subcommand {other:?} (try --help)")),
-    }
+/// One subcommand's row of [`FLAGS`].
+struct Flags {
+    /// The subcommand as typed (`events tail` for the events verb).
+    sub: &'static str,
+    /// Flags that take a value, space-separated. A row that lists
+    /// `--spec` also takes the axis flags, which [`spec_args`] applies
+    /// on top of the spec file.
+    values: &'static str,
+    /// Flags that take none, space-separated.
+    switches: &'static str,
+    /// How many positional arguments the subcommand takes.
+    positional: usize,
 }
 
-fn value_of<'a>(flag: &str, value: Option<&'a str>) -> Result<&'a str, String> {
-    value.ok_or_else(|| format!("{flag} needs a value"))
+const fn row(sub: &'static str, values: &'static str, switches: &'static str, n: usize) -> Flags {
+    Flags { sub, values, switches, positional: n }
 }
 
-fn default_trace_dir() -> PathBuf {
-    PathBuf::from("traces")
+/// Every subcommand's flags: the same flags its [`USAGE`] synopsis lists.
+const FLAGS: [Flags; 14] = [
+    row("run", "--threads --out --spec --shard --events", "--quiet --perf", 0),
+    row("resume", "--threads --out --spec --shard --events", "--quiet --perf", 0),
+    row("record", "--threads --out --spec --shard --events --trace-dir", "--quiet --perf", 0),
+    row("plan", "--shards --threads --out --spec --events", "--quiet --perf", 0),
+    row("merge", "--out", "", usize::MAX),
+    row("replay", "--trace-dir", "", 0),
+    row("diff", "--a --b", "", 0),
+    row("render", "--every --svg --cell", "", 1),
+    row("smoke", "--n --rounds --family --seed --threads-a --threads-b --dir --scheduler", "", 0),
+    row("summarize", "--in", "--perf", 0),
+    row("events tail", "", "--follow", 1),
+    row("serve", "--socket --cache --jobs --lease-ttl-ms", "--quiet", 0),
+    row("submit", "--socket --out --spec --events", "--quiet", 0),
+    row("work", "--socket --threads --name --lease --poll-ms", "", 0),
+];
+
+/// Whether the space-separated flag list `list` holds `flag`.
+fn lists(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
 }
 
 /// Flags that set one spec axis: a spec-file field name behind `--`.
 const AXIS_FLAGS: [&str; 6] =
     ["--name", "--families", "--sizes", "--seeds", "--controllers", "--schedulers"];
 
-/// Remove `--spec FILE` from `args` and load the file; the standard
-/// sweep without one. Taking it out before the flag loop lets axis
-/// flags override spec-file fields wherever they appear.
-fn take_spec_file(args: &mut Vec<&str>) -> Result<CampaignSpec, String> {
-    let Some(i) = args.iter().position(|&a| a == "--spec") else {
-        return Ok(CampaignSpec::standard());
-    };
-    let path = *args.get(i + 1).ok_or("--spec needs a value")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-    let spec = spec_from_flat_json(&text).map_err(|e| format!("spec {path:?}: {e}"))?;
-    args.drain(i..=i + 1);
-    if args.contains(&"--spec") {
-        return Err("--spec given twice".into());
-    }
-    Ok(spec)
+/// A command line scanned against its [`Flags`] row.
+#[derive(Default)]
+struct Scan<'a> {
+    /// Value flags with their values, in command-line order.
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positional: Vec<&'a str>,
 }
 
-/// Parse run/resume/record/plan flags; `--spec` goes through
-/// [`take_spec_file`]. `trace_dir` is `record`'s default trace
-/// directory: only with one does `--trace-dir` parse, so run, resume
-/// and plan reject it.
-fn parse_run_args(args: &[&str], trace_dir: Option<PathBuf>) -> Result<RunArgs, String> {
-    let mut args: Vec<&str> = args.to_vec();
-    let mut out = RunArgs { spec: take_spec_file(&mut args)?, trace_dir, ..RunArgs::default() };
-    let mut out_explicit = false;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--threads" => {
-                let v = value_of(flag, it.next().copied())?;
-                out.threads =
-                    v.parse().map_err(|e| format!("--threads {v:?} is not a count: {e}"))?;
-            }
-            "--out" => {
-                out.out = PathBuf::from(value_of(flag, it.next().copied())?);
-                out_explicit = true;
-            }
-            "--shard" => out.shard = ShardSpec::parse(value_of(flag, it.next().copied())?)?,
-            "--events" => out.events = Some(PathBuf::from(value_of(flag, it.next().copied())?)),
-            "--quiet" => out.quiet = true,
-            "--perf" => out.perf = true,
-            "--trace-dir" if out.trace_dir.is_some() => {
-                out.trace_dir = Some(PathBuf::from(value_of(flag, it.next().copied())?));
-            }
-            axis if AXIS_FLAGS.contains(&axis) => {
-                apply_spec_field(&mut out.spec, &axis[2..], value_of(axis, it.next().copied())?)?;
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+/// Scan `args` against `row`; `None` when they ask for help.
+fn scan<'a>(row: &Flags, args: &[&'a str]) -> Result<Option<Scan<'a>>, String> {
+    let takes_value = |arg: &str| {
+        lists(row.values, arg) || (lists(row.values, "--spec") && AXIS_FLAGS.contains(&arg))
+    };
+    let mut scan = Scan::default();
+    let mut it = args.iter().copied();
+    while let Some(arg) = it.next() {
+        if arg == "-h" || arg == "--help" {
+            return Ok(None);
+        } else if takes_value(arg) {
+            scan.values.push((arg, it.next().ok_or_else(|| format!("{arg} needs a value"))?));
+        } else if lists(row.switches, arg) {
+            scan.switches.push(arg);
+        } else if !arg.starts_with("--") && scan.positional.len() < row.positional {
+            scan.positional.push(arg);
+        } else {
+            let what = if arg.starts_with("--") { "unknown flag" } else { "unexpected argument" };
+            return Err(format!("{what} {arg:?}; usage:\n{}", synopsis(row.sub)));
         }
     }
-    out.spec.validate()?;
+    Ok(Some(scan))
+}
+
+/// `sub`'s synopsis lines in [`USAGE`]: each line that starts with
+/// `campaign SUB`, with the indented lines that continue it.
+fn synopsis(sub: &str) -> String {
+    let mut ours = false;
+    let lines: Vec<&str> = USAGE
+        .lines()
+        .skip_while(|line| *line != "USAGE:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter(|line| {
+            if let Some(rest) = line.trim_start().strip_prefix("campaign ") {
+                ours = rest.strip_prefix(sub).is_some_and(|rest| rest.starts_with(' '));
+            }
+            ours
+        })
+        .collect();
+    lines.join("\n")
+}
+
+impl<'a> Scan<'a> {
+    /// Every value given for `flag`, in order.
+    fn all<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values.iter().filter(move |(f, _)| *f == flag).map(|&(_, value)| value)
+    }
+
+    /// `flag`'s last value.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.all(flag).last()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.get(flag).map(PathBuf::from)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// `flag`'s value, when it may be given once at most.
+    fn once(&self, flag: &str) -> Result<Option<&'a str>, String> {
+        let mut all = self.all(flag);
+        let first = all.next();
+        if all.next().is_some() {
+            return Err(format!("{flag} given twice"));
+        }
+        Ok(first)
+    }
+
+    /// `flag`'s last value through `parse`; every value given must parse.
+    fn parsed<T, E: Display>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        self.all(flag)
+            .try_fold(None, |_, v| parse(v).map(Some).map_err(|e| format!("{flag} {v:?}: {e}")))
+    }
+
+    /// `flag`'s last value as a number (any [`FromStr`] type).
+    fn num<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.parsed(flag, str::parse)
+    }
+}
+
+/// Parse the process arguments (without the program name).
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (sub, rest) = match args[..] {
+        [] | ["-h" | "--help" | "help", ..] | ["events"] | ["events", "-h" | "--help", ..] => {
+            return Ok(Command::Help)
+        }
+        ["events", "tail", ref rest @ ..] => ("events tail", rest),
+        ["events", verb, ..] => return Err(format!("unknown events verb {verb:?} (try tail)")),
+        [sub, ref rest @ ..] => (sub, rest),
+    };
+    let row = FLAGS
+        .iter()
+        .find(|row| row.sub == sub)
+        .ok_or_else(|| format!("unknown subcommand {sub:?} (try --help)"))?;
+    let Some(s) = scan(row, rest)? else { return Ok(Command::Help) };
+    Ok(match sub {
+        "run" => Command::Run(run_args(&s)?),
+        "resume" => Command::Resume(run_args(&s)?),
+        "record" => Command::Run(RunArgs {
+            trace_dir: Some(s.path("--trace-dir").unwrap_or_else(|| "traces".into())),
+            ..run_args(&s)?
+        }),
+        "plan" => {
+            let m = s
+                .once("--shards")?
+                .ok_or("plan needs --shards M (how many ways to split the spec)")?;
+            let shards: NonZeroU32 = m.parse().map_err(|e| format!("--shards {m:?}: {e}"))?;
+            Command::Plan { run: run_args(&s)?, shards: shards.get() }
+        }
+        "merge" => {
+            let inputs: Vec<PathBuf> = s.positional.iter().map(PathBuf::from).collect();
+            if inputs.is_empty() {
+                return Err("merge needs at least one SHARD.jsonl or trace-directory input".into());
+            }
+            let out = s.path("--out").unwrap_or_else(|| "campaign.jsonl".into());
+            if inputs.contains(&out) {
+                return Err(format!(
+                    "merge output {out:?} is also an input — it would be truncated before reading"
+                ));
+            }
+            Command::Merge { inputs, out, out_explicit: s.get("--out").is_some() }
+        }
+        "replay" => {
+            Command::Replay { trace_dir: s.path("--trace-dir").unwrap_or_else(|| "traces".into()) }
+        }
+        "diff" => match (s.path("--a"), s.path("--b")) {
+            (Some(a), Some(b)) => Command::Diff { a, b },
+            _ => return Err("diff needs both --a and --b trace directories".into()),
+        },
+        "render" => Command::Render(RenderArgs {
+            trace: s.positional.first().ok_or("render needs a TRACE.gtrc path")?.into(),
+            every: s.num::<NonZeroU64>("--every")?.map(NonZeroU64::get),
+            svg: s.path("--svg"),
+            cell: s.num("--cell")?.unwrap_or(6),
+        }),
+        "smoke" => {
+            let d = crate::smoke::SmokeArgs::default();
+            let family = |v| Family::parse(v).ok_or("unknown family");
+            let args = crate::smoke::SmokeArgs {
+                n: s.num("--n")?.unwrap_or(d.n),
+                rounds: s.num("--rounds")?.unwrap_or(d.rounds),
+                family: s.parsed("--family", family)?.unwrap_or(d.family),
+                seed: s.num("--seed")?.unwrap_or(d.seed),
+                threads_a: s.num("--threads-a")?.unwrap_or(d.threads_a),
+                threads_b: s.num("--threads-b")?.unwrap_or(d.threads_b),
+                scheduler: s.num("--scheduler")?.unwrap_or(d.scheduler),
+                dir: s.path("--dir").unwrap_or(d.dir),
+            };
+            if args.n == 0 || args.rounds == 0 {
+                return Err("smoke needs --n >= 1 and --rounds >= 1".into());
+            }
+            Command::Smoke(args)
+        }
+        "summarize" => Command::Summarize {
+            input: s.path("--in").unwrap_or_else(|| "campaign.jsonl".into()),
+            perf: s.has("--perf"),
+        },
+        "events tail" => Command::EventsTail {
+            file: s.positional.first().ok_or("events tail needs an event FILE")?.into(),
+            follow: s.has("--follow"),
+        },
+        "serve" => Command::Serve(ServeArgs {
+            socket: s.path("--socket").ok_or("serve needs --socket PATH")?,
+            cache: s.path("--cache").unwrap_or_else(|| "campaign-cache".into()),
+            jobs: s.num::<NonZeroUsize>("--jobs")?.map(NonZeroUsize::get),
+            lease_ttl_ms: s.num::<NonZeroU64>("--lease-ttl-ms")?.map_or(60_000, NonZeroU64::get),
+            quiet: s.has("--quiet"),
+        }),
+        "submit" => Command::Submit(SubmitArgs {
+            socket: s.path("--socket").ok_or("submit needs --socket PATH")?,
+            spec: spec_args(&s)?,
+            out: s.path("--out").unwrap_or_else(|| "campaign.jsonl".into()),
+            events: s.path("--events"),
+            quiet: s.has("--quiet"),
+        }),
+        "work" => Command::Work(WorkArgs {
+            socket: s.path("--socket").ok_or("work needs --socket PATH")?,
+            threads: s.num("--threads")?.unwrap_or(0),
+            name: s
+                .get("--name")
+                .map_or_else(|| format!("worker-{}", std::process::id()), Into::into),
+            lease: s.num::<NonZeroUsize>("--lease")?.map_or(8, NonZeroUsize::get),
+            poll_ms: s.num("--poll-ms")?.unwrap_or(200),
+        }),
+        _ => unreachable!("{sub:?} has a row in FLAGS but no arm in parse"),
+    })
+}
+
+/// run/resume/record/plan's [`RunArgs`]; record adds its trace directory.
+fn run_args(s: &Scan) -> Result<RunArgs, String> {
+    let shard = s.parsed("--shard", ShardSpec::parse)?.unwrap_or(ShardSpec::FULL);
     // Sharded runs of the same spec must not clobber each other's
     // default result file: when --out was not given, suffix the default
     // with the shard coordinates (c.jsonl -> c.shard2of4.jsonl).
-    if !out.shard.is_full() && !out_explicit {
-        out.out = shard_out_path(&out.out, out.shard);
+    let out = match s.path("--out") {
+        Some(out) => out,
+        None if !shard.is_full() => shard_out_path(Path::new("campaign.jsonl"), shard),
+        None => PathBuf::from("campaign.jsonl"),
+    };
+    Ok(RunArgs {
+        spec: spec_args(s)?,
+        threads: s.num("--threads")?.unwrap_or(0),
+        out,
+        shard,
+        events: s.path("--events"),
+        quiet: s.has("--quiet"),
+        perf: s.has("--perf"),
+        trace_dir: None,
+    })
+}
+
+/// The sweep a command line names: the `--spec` file (the standard
+/// sweep without one), then every axis flag on top in command-line
+/// order, so flags override spec-file fields wherever they appear.
+fn spec_args(s: &Scan) -> Result<CampaignSpec, String> {
+    let mut spec = match s.once("--spec")? {
+        None => CampaignSpec::standard(),
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+            spec_from_flat_json(&text).map_err(|e| format!("spec {path:?}: {e}"))?
+        }
+    };
+    for &(flag, value) in &s.values {
+        if AXIS_FLAGS.contains(&flag) {
+            apply_spec_field(&mut spec, &flag[2..], value)?;
+        }
     }
-    Ok(out)
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Build a [`CampaignSpec`] from a flat-JSON spec file. All fields are
@@ -800,6 +704,81 @@ mod tests {
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A valid command line of every subcommand form, with a flag.
+    const FORMS: [&[&str]; 14] = [
+        &["run", "--threads", "2"],
+        &["resume", "--quiet"],
+        &["record", "--trace-dir", "t"],
+        &["plan", "--shards", "2"],
+        &["merge", "--out", "m.jsonl", "a.jsonl"],
+        &["replay", "--trace-dir", "t"],
+        &["diff", "--a", "x", "--b", "y"],
+        &["render", "--cell", "4", "t.gtrc"],
+        &["smoke", "--n", "10"],
+        &["summarize", "--perf"],
+        &["events", "tail", "--follow", "ev.ndjson"],
+        &["serve", "--socket", "s"],
+        &["submit", "--socket", "s"],
+        &["work", "--socket", "s"],
+    ];
+
+    #[test]
+    fn every_form_prints_help_alone_and_after_a_flag() {
+        for form in FORMS {
+            assert!(parse(&strings(form)).is_ok(), "{form:?} must parse");
+            let words = if form[0] == "events" { 2 } else { 1 };
+            for help in ["-h", "--help"] {
+                for args in [[&form[..words], &[help]].concat(), [form, &[help]].concat()] {
+                    assert_eq!(parse(&strings(&args)), Ok(Command::Help), "{args:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stray_argument_is_an_error_where_none_is_taken() {
+        for form in FORMS.iter().filter(|f| !matches!(f[0], "merge" | "render" | "events")) {
+            let args = [form, &["extra"][..]].concat();
+            let err = parse(&strings(&args)).unwrap_err();
+            assert!(err.contains("\"extra\""), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn repeated_flags_keep_their_last_value_and_each_must_parse() {
+        let args = ["run", "--threads", "2", "--sizes", "8", "--threads", "3", "--sizes", "16"];
+        let Command::Run(run) = parse(&strings(&args)).unwrap() else { panic!() };
+        assert_eq!((run.threads, run.spec.sizes), (3, vec![16]));
+        assert!(parse(&strings(&["run", "--threads", "x", "--threads", "3"])).is_err());
+        assert!(parse(&strings(&["run", "--sizes", "x", "--sizes", "16"])).is_err());
+        assert!(parse(&strings(&["serve", "--socket", "s", "--jobs", "0", "--jobs", "2"])).is_err());
+        assert!(parse(&strings(&["plan", "--shards", "2", "--shards", "3"])).is_err());
+    }
+
+    /// Every flag a synopsis in `USAGE` lists is in its subcommand's
+    /// row, and every flag in the row is in the synopsis, so the help
+    /// text and the parser cannot drift apart.
+    #[test]
+    fn usage_synopses_and_the_flag_table_agree() {
+        let flags_in = |text: &str| -> std::collections::BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .map(str::to_string)
+                .collect()
+        };
+        for row in &FLAGS {
+            let text = synopsis(row.sub)
+                .replace("[run flags]", &synopsis("run"))
+                .replace("[axis flags]", &AXIS_FLAGS.join(" "));
+            assert!(!text.is_empty(), "{} has no synopsis", row.sub);
+            let mut table = flags_in(&format!("{} {}", row.values, row.switches));
+            if lists(row.values, "--spec") {
+                table.extend(AXIS_FLAGS.map(String::from));
+            }
+            assert_eq!(flags_in(&text), table, "{}: synopsis {text:?}", row.sub);
+        }
     }
 
     #[test]

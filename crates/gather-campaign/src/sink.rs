@@ -7,8 +7,8 @@
 //! discarded.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::record::ScenarioRecord;
@@ -29,30 +29,11 @@ impl JsonlSink {
     /// Open an existing result file for appending (creates if absent).
     ///
     /// A file left by a killed writer can end mid-line; that torn line
-    /// is terminated first so it cannot swallow the next record.
+    /// is terminated first ([`gather_obs::open_append`]) so it cannot
+    /// swallow the next record.
     pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
-        let torn_tail = match File::open(&path) {
-            Ok(mut f) => {
-                let len = f.seek(SeekFrom::End(0))?;
-                if len == 0 {
-                    false
-                } else {
-                    f.seek(SeekFrom::End(-1))?;
-                    let mut last = [0u8; 1];
-                    f.read_exact(&mut last)?;
-                    last[0] != b'\n'
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => false,
-            Err(e) => return Err(e),
-        };
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut out = BufWriter::new(file);
-        if torn_tail {
-            out.write_all(b"\n")?;
-            out.flush()?;
-        }
-        Ok(JsonlSink { out, written: 0 })
+        let file = gather_obs::open_append(path.as_ref())?;
+        Ok(JsonlSink { out: BufWriter::new(file), written: 0 })
     }
 
     /// Write one record and flush it to the OS, so the line survives a

@@ -6,10 +6,10 @@
 //!
 //! `campaign record`/`replay` re-execute whole scenarios to completion,
 //! which at 10⁵+ robots means ~n rounds of work; the smoke instead
-//! drives the engine directly for a fixed number of rounds, so a
-//! 100 000-robot determinism check fits in a CI minute. Playback
-//! re-derives the evolution from the recorded moves through
-//! the dense `Swarm::apply_partial` and verifies every round's
+//! records a [`RunSpec`] run whose round budget is the smoke's
+//! `--rounds`, so a 100 000-robot determinism check fits in a CI
+//! minute. Playback re-derives the evolution from the recorded moves
+//! through the dense `Swarm::apply_partial` and verifies every round's
 //! population and position digest, so a clean replay certifies the
 //! engine's sparse apply — not just that the file round-trips.
 
@@ -18,11 +18,9 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use gather_bench::SchedulerKind;
-use gather_core::GatherController;
+use gather_bench::{ControllerKind, Measurement, RunSpec, SchedulerKind};
 use gather_trace::{Playback, TraceHeader, TraceReader};
 use gather_workloads::Family;
-use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode};
 
 use crate::trace_ops::{diff_trace_files, TraceFile};
 use crate::DiffStatus;
@@ -31,7 +29,8 @@ use crate::DiffStatus;
 pub struct SmokeArgs {
     /// Target swarm size (the point of the smoke is n >= 10^5).
     pub n: usize,
-    /// FSYNC rounds to record (bounded — the swarm need not gather).
+    /// Round budget of the recorded run (the swarm need not gather; a
+    /// run that gathers or stops earlier ends its trace there).
     pub rounds: u64,
     pub family: Family,
     pub seed: u64,
@@ -73,49 +72,40 @@ pub struct SmokeReport {
     /// Robots the scheduler activated over the recorded rounds: the
     /// whole swarm per FSYNC round, `k` robots per rrK round.
     pub activations: u64,
-    /// Activations per wall second of the faster recording.
+    /// Activations per wall second of the faster recording, timed over
+    /// the whole [`RunSpec::run`]: the engine build and the final
+    /// connectivity check count, not only the rounds.
     pub activations_per_s: f64,
 }
 
-/// Record `rounds` rounds of the paper controller on `points` into a
-/// trace file, returning the activations and the wall seconds they
+/// Record the smoke's run of the paper controller on `points` (round
+/// budget `args.rounds`) on `threads` engine threads into a trace file,
+/// returning its measurement and the wall seconds [`RunSpec::run`]
 /// took. Streams through [`TraceFile`], like `campaign record`.
 fn record_bounded(
+    args: &SmokeArgs,
     points: &[grid_engine::Point],
     header: &TraceHeader,
     threads: usize,
-    rounds: u64,
-    seed: u64,
-    scheduler: SchedulerKind,
     path: &Path,
-) -> Result<(u64, f64), String> {
+) -> Result<(Measurement, f64), String> {
     let trace = TraceFile::with_header(path.to_path_buf(), header)
         .map_err(|e| format!("creating {}: {e}", path.display()))?;
-    let mut engine = Engine::from_positions(
-        points,
-        OrientationMode::Scrambled(seed),
-        GatherController::paper(),
-        EngineConfig {
-            threads,
-            connectivity: ConnectivityCheck::Never,
-            scheduler: scheduler.to_policy(seed, points.len()),
-            ..Default::default()
-        },
-    );
-    engine.set_observer(trace.observer());
+    let run = RunSpec::new(ControllerKind::Paper, points)
+        .scheduler(args.scheduler)
+        .seed(args.seed)
+        .budget(args.rounds)
+        .threads(threads)
+        .observer(trace.observer());
     #[expect(
         clippy::disallowed_methods,
         reason = "smoke throughput display only: the pass/fail verdict is clock-independent"
     )]
     let start = Instant::now();
-    let mut activations = 0u64;
-    for _ in 0..rounds {
-        let stats = engine.step().map_err(|e| format!("engine round failed: {e}"))?;
-        activations += stats.activated as u64;
-    }
+    let measurement = run.run();
     let elapsed = start.elapsed().as_secs_f64();
     trace.finish().map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((activations, elapsed))
+    Ok((measurement, elapsed))
 }
 
 /// Run the smoke: record at both thread counts, replay recording A
@@ -150,15 +140,13 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
     let sched = args.scheduler;
     let path_a = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_a));
     let path_b = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_b));
-    let (activations, secs_a) =
-        record_bounded(&points, &header, args.threads_a, args.rounds, args.seed, sched, &path_a)?;
-    let (_, secs_b) =
-        record_bounded(&points, &header, args.threads_b, args.rounds, args.seed, sched, &path_b)?;
-    let tput_a = activations as f64 / secs_a.max(f64::EPSILON);
-    let tput_b = activations as f64 / secs_b.max(f64::EPSILON);
+    let (run, secs_a) = record_bounded(args, &points, &header, args.threads_a, &path_a)?;
+    let (_, secs_b) = record_bounded(args, &points, &header, args.threads_b, &path_b)?;
+    let tput_a = run.activations as f64 / secs_a.max(f64::EPSILON);
+    let tput_b = run.activations as f64 / secs_b.max(f64::EPSILON);
     eprintln!(
         "recorded {} rounds x {} robots: {:.3e} activations/s ({} threads), {:.3e} ({} threads)",
-        args.rounds,
+        run.rounds,
         points.len(),
         tput_a,
         args.threads_a,
@@ -182,13 +170,13 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
             }
         }
     }
-    if replayed != args.rounds {
-        return Err(format!("trace holds {replayed} rounds, expected {}", args.rounds));
+    if replayed != run.rounds {
+        return Err(format!("trace holds {replayed} rounds, the run executed {}", run.rounds));
     }
 
     // Diff: the two recordings must agree structurally...
     match diff_trace_files(&path_a, &path_b) {
-        DiffStatus::Identical { rounds } if rounds == args.rounds => {}
+        DiffStatus::Identical { rounds } if rounds == replayed => {}
         other => {
             return Err(format!(
                 "thread counts {} and {} produced drifting traces: {other:?}",
@@ -215,7 +203,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
         rounds: replayed,
         occupied_tiles: final_swarm.index().tile_count(),
         bounding_cells: bounds.width() as u128 * bounds.height() as u128,
-        activations,
+        activations: run.activations,
         activations_per_s: tput_a.max(tput_b),
     })
 }

@@ -43,4 +43,6 @@ pub mod stream;
 
 pub use event::{Event, Status, EVENT_VERSION};
 pub use proto::{validate_submission, Frame, Message, SubmissionSummary, PROTO_VERSION};
-pub use stream::{read_events, validate, EventStream, EventWriter, FollowReader, StreamSummary};
+pub use stream::{
+    open_append, read_events, validate, EventStream, EventWriter, FollowReader, StreamSummary,
+};

@@ -3,7 +3,8 @@
 //! The writer follows the campaign JSONL sink's torn-line discipline:
 //! every event is written as one line and flushed immediately, and
 //! appending to an existing file first repairs an unterminated tail
-//! (a line cut short by a killed process) by terminating it — the torn
+//! (a line cut short by a killed process) by terminating it
+//! ([`open_append`], which the sink appends through too) — the torn
 //! line then fails to parse as an event and is dropped by the reader,
 //! never corrupting the line after it.
 
@@ -24,23 +25,10 @@ impl EventWriter {
         Ok(EventWriter { file: File::create(path)? })
     }
 
-    /// Open an events file for appending (resume). If the previous
-    /// writer died mid-line, terminate the torn tail so this session's
-    /// first event starts on its own line.
+    /// Open an events file for appending (resume), through
+    /// [`open_append`]'s torn-tail repair.
     pub fn append(path: &Path) -> io::Result<EventWriter> {
-        let mut file = OpenOptions::new().create(true).append(true).read(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len > 0 {
-            file.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                file.write_all(b"\n")?;
-                file.flush()?;
-            }
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(EventWriter { file })
+        Ok(EventWriter { file: open_append(path)? })
     }
 
     /// Append one event and flush, so a crash can tear at most the line
@@ -51,6 +39,24 @@ impl EventWriter {
         self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
+}
+
+/// Open a line-per-record file for appending, creating it if absent.
+/// If the previous writer died mid-line, the torn tail is terminated
+/// first, so the next line written starts on its own line and the torn
+/// one fails to parse instead of swallowing it. The events writer and
+/// the campaign's JSONL result sink both append through this.
+pub fn open_append(path: &Path) -> io::Result<File> {
+    let mut file = OpenOptions::new().create(true).append(true).read(true).open(path)?;
+    if file.metadata()?.len() > 0 {
+        file.seek(SeekFrom::End(-1))?;
+        let mut last = [0u8; 1];
+        file.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            file.write_all(b"\n")?;
+        }
+    }
+    Ok(file)
 }
 
 /// An events file as read back from disk.
@@ -65,43 +71,22 @@ pub struct EventStream {
     pub skipped: usize,
 }
 
-/// Read and parse an events file. An unterminated final line marks the
-/// stream torn and is dropped (exactly the sink's recovery rule). A
-/// *terminated* line that fails to parse is tolerated — counted in
-/// `skipped` — only where a crash can legitimately leave one: as the
-/// last line, or immediately before a resume's `job_started` (the
-/// append repair terminates a torn tail, and the resume opens a new
-/// segment right after). Anywhere else it is corruption, and an error:
-/// the flush-per-line writer never tears mid-stream.
+/// Read and parse an events file: one [`FollowReader`] poll over the
+/// whole file. An unterminated final line marks the stream torn and is
+/// dropped (exactly the sink's recovery rule). A *terminated* line that
+/// fails to parse is tolerated — counted in `skipped` — only where a
+/// crash can legitimately leave one: as the last line, or immediately
+/// before a resume's `job_started` (the append repair terminates a torn
+/// tail, and the resume opens a new segment right after). Anywhere else
+/// it is corruption, and an error: the flush-per-line writer never
+/// tears mid-stream.
 pub fn read_events(path: &Path) -> Result<EventStream, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let torn = !text.is_empty() && !text.ends_with('\n');
-    let mut lines: Vec<&str> = text.lines().collect();
-    if torn {
-        lines.pop();
-    }
-    let mut events = Vec::with_capacity(lines.len());
-    let mut skipped = 0usize;
-    for (i, line) in lines.iter().enumerate() {
-        match Event::from_json_line(line) {
-            Ok(event) => events.push(event),
-            Err(e) => {
-                let next_opens_segment = match lines.get(i + 1) {
-                    None => true,
-                    Some(next) => {
-                        matches!(Event::from_json_line(next), Ok(Event::JobStarted { .. }))
-                    }
-                };
-                if next_opens_segment {
-                    skipped += 1;
-                } else {
-                    return Err(format!("{}:{}: {e}", path.display(), i + 1));
-                }
-            }
-        }
-    }
-    Ok(EventStream { events, torn, skipped })
+    let file = File::open(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let mut reader = FollowReader::new(path);
+    let events = reader.read_from(file)?;
+    // Nothing follows a bad line the reader still holds: it is the last.
+    let skipped = reader.skipped + usize::from(reader.pending_bad.is_some());
+    Ok(EventStream { events, torn: !reader.partial.is_empty(), skipped })
 }
 
 /// Incremental reader for a *live* events file: each [`poll`] parses
@@ -110,14 +95,15 @@ pub fn read_events(path: &Path) -> Result<EventStream, String> {
 /// `campaign events tail --follow`; does no waiting itself (and reads
 /// no clocks) — the caller decides when to poll again.
 ///
-/// Tolerances mirror [`read_events`]: a terminated line that fails to
-/// parse is held until the *next* line decides its fate — skipped if
-/// that line opens a new segment (`job_started`, i.e. the bad line was
-/// a repaired tear), fatal otherwise. A file that shrinks under the
-/// reader (truncated and restarted by a fresh `create`) resets the
-/// reader to the new beginning instead of misparsing from a stale
-/// offset. A file that does not exist yet reads as empty, so a tail can
-/// be started before its writer.
+/// It owns the stream's one tolerance rule ([`read_events`] is a single
+/// poll): a terminated line that fails to parse is held until the
+/// *next* line decides its fate — skipped if that line opens a new
+/// segment (`job_started`, i.e. the bad line was a repaired tear),
+/// fatal otherwise. A file that shrinks under the reader (truncated and
+/// restarted by a fresh `create`) resets the reader to the new
+/// beginning instead of misparsing from a stale offset. A file that
+/// does not exist yet reads as empty, so a tail can be started before
+/// its writer.
 ///
 /// [`poll`]: FollowReader::poll
 #[derive(Debug)]
@@ -151,11 +137,17 @@ impl FollowReader {
 
     /// Read and parse every line completed since the last poll.
     pub fn poll(&mut self) -> Result<Vec<Event>, String> {
-        let mut file = match File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(format!("opening {}: {e}", self.path.display())),
-        };
+        match File::open(&self.path) {
+            Ok(file) => self.read_from(file),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(format!("opening {}: {e}", self.path.display())),
+        }
+    }
+
+    /// [`poll`](Self::poll) on the open `file`: one pass over the lines
+    /// completed since the last read, then one drain of the buffer, so a
+    /// backlog costs its length, not lines × bytes.
+    fn read_from(&mut self, mut file: File) -> Result<Vec<Event>, String> {
         let err_ctx = |e: io::Error| format!("reading {}: {e}", self.path.display());
         let len = file.metadata().map_err(&err_ctx)?.len();
         if len < self.offset {
@@ -168,16 +160,16 @@ impl FollowReader {
             self.skipped = 0;
         }
         file.seek(SeekFrom::Start(self.offset)).map_err(&err_ctx)?;
-        let mut fresh = Vec::new();
-        file.read_to_end(&mut fresh).map_err(&err_ctx)?;
-        self.offset += fresh.len() as u64;
-        self.partial.extend_from_slice(&fresh);
+        let read = file.read_to_end(&mut self.partial).map_err(&err_ctx)?;
+        self.offset += read as u64;
 
         let mut events = Vec::new();
-        while let Some(nl) = self.partial.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = self.partial.drain(..=nl).collect();
+        let mut start = 0;
+        while let Some(nl) = self.partial[start..].iter().position(|&b| b == b'\n') {
+            let line = &self.partial[start..start + nl];
+            start += nl + 1;
             self.line_no += 1;
-            let parsed = std::str::from_utf8(&line_bytes[..nl])
+            let parsed = std::str::from_utf8(line)
                 .map_err(|e| format!("invalid UTF-8: {e}"))
                 .and_then(Event::from_json_line);
             match parsed {
@@ -201,6 +193,7 @@ impl FollowReader {
                 }
             }
         }
+        self.partial.drain(..start);
         Ok(events)
     }
 }
@@ -397,6 +390,10 @@ mod tests {
         assert_eq!(stream.events.len(), 1, "the torn line is dropped, prior lines survive");
         // Resume: append repairs the tail, then new events parse clean.
         let mut w = EventWriter::append(&path).unwrap();
+        // Until the resume writes, the repaired tear is the last line:
+        // skipped, not fatal.
+        let stream = read_events(&path).unwrap();
+        assert!(!stream.torn && stream.skipped == 1, "{stream:?}");
         w.emit(&Event::JobStarted { job: "j".into(), total: 1 }).unwrap();
         w.emit(&started("a")).unwrap();
         w.emit(&finished("a", Status::Gathered)).unwrap();

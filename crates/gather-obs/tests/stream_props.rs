@@ -1,13 +1,15 @@
 //! Property tests for the event stream: scripted campaign histories —
 //! resumes, crashes, panics included — always validate with the counts
-//! they were built from, survive the file round trip byte-exactly, and
-//! torn tails are detected, dropped, and repaired by a resume's append.
+//! they were built from, survive the file round trip byte-exactly (read
+//! at once or followed as they arrive), and torn tails are detected,
+//! dropped, and repaired by a resume's append.
 
 use std::collections::BTreeSet;
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gather_obs::{read_events, validate, Event, EventWriter, Status};
+use gather_obs::{read_events, validate, Event, EventWriter, FollowReader, Status};
 use proptest::prelude::*;
 
 /// A fresh temp path per test case (cases run sequentially, but leaked
@@ -89,6 +91,25 @@ fn build_history(
     (events, finished, panicked)
 }
 
+/// Write `bytes` to a fresh `path` in seeded chunks of 1–128 bytes,
+/// polling a [`FollowReader`] after each chunk; returns the events it
+/// parsed and the lines it skipped.
+fn follow_in_chunks(bytes: &[u8], path: &Path, seed: u64) -> (Vec<Event>, usize) {
+    let mut file = std::fs::File::create(path).unwrap();
+    let mut reader = FollowReader::new(path);
+    let mut events = Vec::new();
+    let (mut state, mut rest) = (seed, bytes);
+    while !rest.is_empty() {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let (chunk, tail) = rest.split_at(rest.len().min(1 + (state >> 57) as usize));
+        file.write_all(chunk).unwrap();
+        rest = tail;
+        events.extend(reader.poll().unwrap());
+    }
+    (events, reader.skipped())
+}
+
 fn segments_strategy() -> impl Strategy<Value = Vec<Segment>> {
     prop::collection::vec(
         (prop::collection::vec((0usize..12, 0u8..8), 0..10), prop::bool::ANY),
@@ -119,6 +140,7 @@ proptest! {
         total in 1usize..12,
         segments in segments_strategy(),
         last_clean in prop::bool::ANY,
+        chunk_seed in any::<u64>(),
     ) {
         let (events, _, _) = build_history(total, &segments, last_clean);
         let path = tmp("roundtrip");
@@ -136,9 +158,16 @@ proptest! {
             writer.as_mut().unwrap().emit(event).unwrap();
         }
         let stream = read_events(&path).unwrap();
+        // The same bytes arriving in chunks follow to the same stream.
+        let followed_path = tmp("followed");
+        let (followed, skipped) =
+            follow_in_chunks(&std::fs::read(&path).unwrap(), &followed_path, chunk_seed);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&followed_path).ok();
         prop_assert!(!stream.torn);
         prop_assert_eq!(stream.skipped, 0usize);
+        prop_assert_eq!(&followed, &stream.events);
+        prop_assert_eq!(skipped, stream.skipped);
         prop_assert_eq!(stream.events, events);
     }
 
