@@ -411,7 +411,7 @@ fn smoke(args: &SmokeArgs) -> Result<(), String> {
     eprintln!(
         "smoke ok: {} robots x {} rounds replayed digest-clean, traces byte-identical \
          across thread counts ({} occupied tiles over a {}-cell bounding box, \
-         {:.3e} activations/s)",
+         {:.3e} activations/s of round time)",
         report.robots,
         report.rounds,
         report.occupied_tiles,
@@ -441,8 +441,8 @@ fn summarize_file(input: &Path, perf: bool) -> Result<(), String> {
 /// the file is torn mid-event or the job never finished — the check CI
 /// runs against a `--events` campaign.
 fn events_tail(file: &Path) -> Result<(), String> {
-    let stream =
-        gather_obs::read_events(file).map_err(|e| format!("reading {}: {e}", file.display()))?;
+    // Every error `read_events` returns already names the file.
+    let stream = gather_obs::read_events(file)?;
     if stream.skipped > 0 {
         eprintln!("warning: skipped {} unparseable line(s)", stream.skipped);
     }

@@ -13,10 +13,11 @@
 //! population and position digest, so a clean replay certifies the
 //! engine's sparse apply — not just that the file round-trips.
 
+use std::cell::Cell;
 use std::fs::{self, File};
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::rc::Rc;
 
 use gather_bench::{ControllerKind, Measurement, RunSpec, SchedulerKind};
 use gather_trace::{Playback, TraceHeader, TraceReader};
@@ -72,16 +73,19 @@ pub struct SmokeReport {
     /// Robots the scheduler activated over the recorded rounds: the
     /// whole swarm per FSYNC round, `k` robots per rrK round.
     pub activations: u64,
-    /// Activations per wall second of the faster recording, timed over
-    /// the whole [`RunSpec::run`]: the engine build and the final
-    /// connectivity check count, not only the rounds.
+    /// Activations per second of round time in the faster recording:
+    /// the sum of the engine's per-round wall times
+    /// ([`grid_engine::RoundProfile::wall_ns`]), so the engine build and
+    /// the final connectivity check do not count.
     pub activations_per_s: f64,
 }
 
 /// Record the smoke's run of the paper controller on `points` (round
 /// budget `args.rounds`) on `threads` engine threads into a trace file,
-/// returning its measurement and the wall seconds [`RunSpec::run`]
-/// took. Streams through [`TraceFile`], like `campaign record`.
+/// returning its measurement and the seconds its rounds took, summed
+/// from the engine's per-round profiles (profiling never perturbs the
+/// rounds, so the trace is the same with or without it). Streams
+/// through [`TraceFile`], like `campaign record`.
 fn record_bounded(
     args: &SmokeArgs,
     points: &[grid_engine::Point],
@@ -91,21 +95,18 @@ fn record_bounded(
 ) -> Result<(Measurement, f64), String> {
     let trace = TraceFile::with_header(path.to_path_buf(), header)
         .map_err(|e| format!("creating {}: {e}", path.display()))?;
+    let round_ns = Rc::new(Cell::new(0u64));
+    let sum = Rc::clone(&round_ns);
     let run = RunSpec::new(ControllerKind::Paper, points)
         .scheduler(args.scheduler)
         .seed(args.seed)
         .budget(args.rounds)
         .threads(threads)
-        .observer(trace.observer());
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "smoke throughput display only: the pass/fail verdict is clock-independent"
-    )]
-    let start = Instant::now();
+        .observer(trace.observer())
+        .profiler(Box::new(move |p| sum.set(sum.get() + p.wall_ns)));
     let measurement = run.run();
-    let elapsed = start.elapsed().as_secs_f64();
     trace.finish().map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((measurement, elapsed))
+    Ok((measurement, round_ns.get() as f64 * 1e-9))
 }
 
 /// Run the smoke: record at both thread counts, replay recording A
@@ -145,7 +146,8 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
     let tput_a = run.activations as f64 / secs_a.max(f64::EPSILON);
     let tput_b = run.activations as f64 / secs_b.max(f64::EPSILON);
     eprintln!(
-        "recorded {} rounds x {} robots: {:.3e} activations/s ({} threads), {:.3e} ({} threads)",
+        "recorded {} rounds x {} robots: {:.3e} activations/s of round time ({} threads), \
+         {:.3e} ({} threads)",
         run.rounds,
         points.len(),
         tput_a,

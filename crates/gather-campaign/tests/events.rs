@@ -167,3 +167,21 @@ fn profiling_never_perturbs_recorded_traces() {
     std::fs::remove_dir_all(&plain_dir).unwrap();
     std::fs::remove_dir_all(&perf_dir).unwrap();
 }
+
+/// `campaign events tail` on a file that does not exist names the file
+/// once in its error and exits 1.
+#[test]
+fn events_tail_of_a_missing_file_names_it_once() {
+    let missing = tmp("missing.ndjson");
+    let _ = std::fs::remove_file(&missing);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["events", "tail"])
+        .arg(&missing)
+        .output()
+        .expect("campaign runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let path = missing.display().to_string();
+    assert_eq!(stderr.matches(path.as_str()).count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: reading "), "{stderr}");
+}

@@ -198,7 +198,7 @@ pub struct Engine<C: Controller> {
     profiler: Option<BoxedProfileSink>,
     plans: PlanTable<C::Plan>,
     /// Which robots are quiet; `None` until a round with a class.
-    quiet: Option<QuietSet>,
+    pub(crate) quiet: Option<QuietSet>,
     /// `0, 1, 2, …`: the activation list of a round that activates
     /// every robot, sliced to the live population. Grows only when a
     /// larger swarm is swapped in.
@@ -408,7 +408,8 @@ impl<C: Controller> Engine<C> {
         let mut quiet = match class {
             Some(class) => {
                 assert!(class < 8, "round class {class} is not below 8");
-                Some((class, self.quiet.get_or_insert_with(QuietSet::default)))
+                let fresh = || QuietSet::new(self.controller.radius() + 2);
+                Some((class, self.quiet.get_or_insert_with(fresh)))
             }
             None => {
                 self.quiet = None;
@@ -417,7 +418,7 @@ impl<C: Controller> Engine<C> {
         };
         let skips = match &mut quiet {
             Some((class, quiet)) => timed(prof, Phase::ActiveList, || {
-                quiet.select(&self.swarm, active, *class, &mut self.selected)
+                quiet.select(&self.swarm, subset, *class, &mut self.selected)
             }),
             None => false,
         };
@@ -477,8 +478,7 @@ impl<C: Controller> Engine<C> {
         };
         let outcome = self.swarm.apply_sparse(&slots, actions, prof.as_deref_mut());
         if let Some((_, quiet)) = quiet {
-            let ball = self.controller.radius() + 2;
-            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm, ball));
+            timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm));
         }
         let stats = RoundStats {
             round: ctx.round,

@@ -23,60 +23,91 @@
 //! keeps one reach per handle, the largest over the classes it is quiet
 //! in. After each apply, a robot loses all its bits when a *changed
 //! cell* — the old and new cell of a mover, the cell of a robot whose
-//! state changed — lies within its reach. No decision reads beyond
-//! `radius + 2` (its own view reaches `radius`; a neighbour up to L1
-//! distance 2 away plans on a view reaching `radius` further), so
-//! marking scans that ball around each changed cell. This needs nothing
-//! beyond the [`crate::Controller`] contract; in particular it does not
-//! rely on `decide_with_plans` agreeing with `decide`. Edits the engine
-//! did not make (`states_mut`, `orients_mut`, a swapped-in swarm) show
-//! up as a new swarm version and drop every bit; so does an ASYNC
-//! round, whose robots that look are parked even when they decide to
-//! stay. Marking is skipped, and every bit dropped, when it would cost
-//! more than computing every robot once.
+//! state changed — lies within its reach. No decision reads beyond the
+//! *ball* of radius `radius + 2` (its own view reaches `radius`; a
+//! neighbour up to L1 distance 2 away plans on a view reaching `radius`
+//! further). This needs nothing beyond the [`crate::Controller`]
+//! contract; in particular it does not rely on `decide_with_plans`
+//! agreeing with `decide`. Edits the engine did not make (`states_mut`,
+//! `orients_mut`, a swapped-in swarm) show up as a new swarm version and
+//! drop every bit; so does an ASYNC round, whose robots that look are
+//! parked even when they decide to stay.
 //!
-//! Storage is two bytes per stable handle (so merges never move an
-//! entry): the class bits and the reach, allocated on the first round of
-//! a controller that declares classes, plus the round's changed-cell
-//! list; the engine keeps the list of robots to compute.
+//! Most quiet robots read only a few cells, so scanning the whole ball
+//! around every changed cell would mostly visit robots too far away to
+//! care. The quiet robots are kept in one *reach list* per reach
+//! (0 through the ball; swap-removal makes leaving a list O(1)), and
+//! marking scans each changed cell's ball only out to the *scan radius*
+//! `R` that minimises the probes per changed cell: `ball_cells(R)` plus
+//! the quiet robots reading farther than `R`, which are tested directly
+//! against every changed cell instead. The two passes wake exactly the
+//! robots a full-ball scan would. Marking is skipped, and every bit
+//! dropped, when those probes for all changed cells would cost more than
+//! computing every robot once.
+//!
+//! Which robots to compute: a round that activates a subset filters its
+//! activation list by the class bits. An all-active round reads its
+//! class's *awake bitset* instead — one bit per handle, set while the
+//! robot is not quiet in the class — whose set bits, in handle order,
+//! are the robots to compute in slot order (handles ascend with slots).
+//! That costs O(n/64 + computed); a merged-away handle's bit is cleared
+//! when the walk first meets it. A class's bitset is built on its first
+//! all-active round, so subset schedulers never allocate one.
+//!
+//! Storage per stable handle (so merges never move an entry): the class
+//! bits and the reach (a byte each) and the handle's position in its
+//! reach list (4 bytes), allocated zeroed on the first round of a
+//! controller that declares classes, so a round touches only the entries
+//! of the robots it records or wakes; plus one awake bit per handle per
+//! class run all-active, the reach lists, and the round's changed-cell
+//! list. The engine keeps the list of robots to compute.
 
 use crate::geom::{Point, V2};
 use crate::swarm::{Action, RobotState, Swarm};
-use crate::view::reach_byte;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Marking probes worth one robot's compute. Marking scans each changed
-/// cell's ball ([`crate::tile::TileWindow::for_each_in_ball`]); skipping
-/// it (dropping every bit instead) costs at most one compute per robot
-/// next time. Measured on a 2-core Xeon at the paper's radius: a cell of
-/// a tile-row scan costs about 2 ns in a dense swarm (1 ns in a sparse
-/// one, measured before the scan skipped empty 8-cell chunks), and a
-/// robot's compute about 400 ns for the paper controller (2–3 µs for
-/// GoToCenter, which scans its whole view). So marking pays while it
+/// Marking probes worth one robot's compute. Marking costs, per changed
+/// cell, a scan of its ball out to the scan radius
+/// ([`crate::tile::TileWindow::for_each_in_ball`]) plus one distance
+/// test per quiet robot reading farther, each counted as one probe;
+/// skipping it (dropping every bit instead) costs at most one compute
+/// per robot next time. Measured on a 2-core Xeon at the paper's radius:
+/// a cell of a tile-row scan costs about 2 ns in a dense swarm (1 ns in
+/// a sparse one, measured before the scan skipped empty 8-cell chunks),
+/// and a robot's compute about 400 ns for the paper controller (2–3 µs
+/// for GoToCenter, which scans its whole view). So marking pays while it
 /// probes fewer than ~200 cells per robot of the cheaper controller.
 const PROBES_PER_COMPUTE: usize = 200;
 
+/// Round classes ([`crate::Controller::round_class`] is below 8).
+const CLASSES: usize = 8;
+
 /// Number of cells within L1 distance `r` of a cell.
-fn ball_cells(r: i32) -> usize {
-    let r = r as usize;
+fn ball_cells(r: usize) -> usize {
     2 * r * (r + 1) + 1
 }
 
-/// One robot's entry: which classes it is quiet in, and how far the
-/// decisions behind those bits read.
-#[derive(Clone, Copy, Debug, Default)]
-struct Quiet {
-    /// Bit `c` set ⇔ quiet in round class `c`.
-    bits: u8,
-    /// The largest reach over the set bits; meaningless while `bits` is 0.
-    reach: u8,
-}
-
-/// Engine-owned quiet bits and the round's changed cells.
-#[derive(Debug, Default)]
+/// Engine-owned quiet bits, reach lists, awake bitsets and the round's
+/// changed cells.
+#[derive(Debug)]
 pub(crate) struct QuietSet {
-    /// Per stable handle.
-    robots: Vec<Quiet>,
+    /// `radius + 2`: no decision reads farther.
+    ball: usize,
+    /// Per stable handle: bit `c` set ⇔ quiet in round class `c`.
+    bits: Vec<u8>,
+    /// Per stable handle: the largest reach over its set bits;
+    /// meaningless while its bits are 0.
+    reach: Vec<u8>,
+    /// Per stable handle: its position in its reach list; meaningless
+    /// while its bits are 0.
+    at: Vec<u32>,
+    /// `lists[s]`: the quiet handles a change wakes from at most `s`
+    /// cells away ([`QuietSet::span`]), in no order.
+    lists: Vec<Vec<u32>>,
+    /// Per round class, from its first all-active round on: bit `h` set
+    /// ⇔ handle `h` is not quiet in the class (or merged away and not yet
+    /// met by [`QuietSet::select`]).
+    awake: [Option<Vec<u64>>; CLASSES],
     /// The swarm's version right after the engine's last apply; 0 (never
     /// a version) until then.
     version: u64,
@@ -85,28 +116,72 @@ pub(crate) struct QuietSet {
 }
 
 impl QuietSet {
-    /// Fill `out` with the robots of `active` that are not quiet in
-    /// `class`, in slot order. Returns whether any robot was left out.
+    /// An empty set for a controller whose decisions read at most `ball`
+    /// cells out.
+    pub(crate) fn new(ball: i32) -> Self {
+        let ball = ball.max(0) as usize;
+        QuietSet {
+            ball,
+            bits: Vec::new(),
+            reach: Vec::new(),
+            at: Vec::new(),
+            lists: vec![Vec::new(); ball + 1],
+            awake: Default::default(),
+            version: 0,
+            changed: Vec::new(),
+        }
+    }
+
+    /// Fill `out` with the robots to compute in `class`, in slot order:
+    /// those of `active` that are not quiet in it, or, when `active` is
+    /// `None` (every robot is activated), every robot not quiet in it.
+    /// Returns whether any activated robot was left out.
     pub(crate) fn select<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
-        active: &[usize],
+        active: Option<&[usize]>,
         class: u8,
         out: &mut Vec<usize>,
     ) -> bool {
         if swarm.version() != self.version {
             // Edited outside the engine's apply, or swapped: nothing is
             // known to be quiet.
-            self.robots.clear();
-            self.robots.resize(swarm.handle_count(), Quiet::default());
+            self.forget(swarm.handle_count());
         }
         let bit = 1u8 << class;
-        let handles = swarm.handles();
         out.clear();
-        out.extend(
-            active.iter().copied().filter(|&i| self.robots[handles[i] as usize].bits & bit == 0),
-        );
-        out.len() < active.len()
+        if let Some(active) = active {
+            let handles = swarm.handles();
+            let bits = &self.bits;
+            out.extend(active.iter().copied().filter(|&i| bits[handles[i] as usize] & bit == 0));
+            return out.len() < active.len();
+        }
+        let (lists, bits) = (&self.lists, &self.bits);
+        let awake = self.awake[usize::from(class)].get_or_insert_with(|| {
+            let handles = swarm.handle_count();
+            let mut awake = vec![u64::MAX; handles.div_ceil(64)];
+            if let (Some(last), 1..) = (awake.last_mut(), handles % 64) {
+                *last >>= 64 - handles % 64;
+            }
+            for &h in lists.iter().flatten() {
+                if bits[h as usize] & bit != 0 {
+                    awake[h as usize / 64] &= !(1 << (h % 64));
+                }
+            }
+            awake
+        });
+        for (w, word) in awake.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                match swarm.live_slot(w * 64 + b as usize) {
+                    Some(slot) => out.push(slot),
+                    None => *word &= !(1 << b),
+                }
+            }
+        }
+        out.len() < swarm.len()
     }
 
     /// After compute, before the apply: `computed[k]` chose `actions[k]`
@@ -121,18 +196,15 @@ impl QuietSet {
         reach: &[AtomicU8],
         class: u8,
     ) {
-        let bit = 1u8 << class;
         let (handles, positions, states) = (swarm.handles(), swarm.positions(), swarm.states());
         self.changed.clear();
         for ((&i, action), reach) in computed.iter().zip(actions).zip(reach) {
-            let quiet = &mut self.robots[handles[i] as usize];
+            let h = handles[i] as usize;
             if action.step == V2::ZERO && action.state == states[i] {
-                let reach = reach.load(Ordering::Relaxed);
-                quiet.reach = if quiet.bits == 0 { reach } else { quiet.reach.max(reach) };
-                quiet.bits |= bit;
+                self.hush(h, class, reach.load(Ordering::Relaxed));
                 continue;
             }
-            quiet.bits = 0;
+            self.wake(h);
             self.changed.push(positions[i]);
             if action.step != V2::ZERO {
                 self.changed.push(positions[i] + swarm.orients()[i].apply(action.step));
@@ -141,25 +213,143 @@ impl QuietSet {
     }
 
     /// After the apply: every robot within its reach of a changed cell
-    /// loses all its bits. `ball` bounds every reach. When marking would
-    /// cost more than computing everyone once, every bit goes instead.
-    pub(crate) fn invalidate<S: RobotState>(&mut self, swarm: &Swarm<S>, ball: i32) {
+    /// loses all its bits. When marking would cost more than computing
+    /// everyone once, every bit goes instead.
+    pub(crate) fn invalidate<S: RobotState>(&mut self, swarm: &Swarm<S>) {
         self.version = swarm.version();
-        if self.changed.len() * ball_cells(ball) > PROBES_PER_COMPUTE * swarm.len() {
-            self.robots.fill(Quiet::default());
+        let (scan, probes, quiet) = self.scan_radius();
+        if quiet == 0 {
+            return;
+        }
+        if self.changed.len() * probes > PROBES_PER_COMPUTE * swarm.len() {
+            self.wake_all();
             return;
         }
         self.changed.sort_unstable();
         self.changed.dedup();
-        let robots = &mut self.robots;
-        for &cell in &self.changed {
-            let win = swarm.index().window(cell, ball);
-            win.for_each_in_ball(cell, ball, |at, h| {
-                let quiet = &mut robots[h as usize];
-                if reach_byte(at.l1(cell)) <= quiet.reach {
-                    quiet.bits = 0;
+        let changed = std::mem::take(&mut self.changed);
+        for &cell in &changed {
+            let win = swarm.index().window(cell, scan as i32);
+            win.for_each_in_ball(cell, scan as i32, |at, h| {
+                let h = h as usize;
+                if self.bits[h] != 0 && at.l1(cell) as usize <= self.span(self.reach[h]) {
+                    self.wake(h);
                 }
             });
+        }
+        // The scan woke every robot of reach up to `scan` it had to; test
+        // the farther readers left. Walking a list backwards keeps its
+        // unvisited part in place across swap-removals.
+        let positions = swarm.positions();
+        for span in scan + 1..=self.ball {
+            for k in (0..self.lists[span].len()).rev() {
+                let h = self.lists[span][k];
+                let p = positions[swarm.slot(h)];
+                if changed.iter().any(|&c| p.l1(c) as usize <= span) {
+                    self.wake(h as usize);
+                }
+            }
+        }
+        self.changed = changed;
+    }
+
+    /// The scan radius `R` with the fewest probes per changed cell,
+    /// those probes (`ball_cells(R)` plus the quiet robots reading
+    /// farther than `R`), and how many robots are quiet.
+    fn scan_radius(&self) -> (usize, usize, usize) {
+        let (mut best, mut farther) = ((self.ball, ball_cells(self.ball)), 0);
+        for r in (0..self.ball).rev() {
+            farther += self.lists[r + 1].len();
+            if ball_cells(r) + farther < best.1 {
+                best = (r, ball_cells(r) + farther);
+            }
+        }
+        (best.0, best.1, farther + self.lists[0].len())
+    }
+
+    /// How far from a change a robot whose decisions read `reach` cells
+    /// out is woken: no farther than the ball, all of which a saturated
+    /// reach byte covers.
+    fn span(&self, reach: u8) -> usize {
+        if reach == u8::MAX {
+            self.ball
+        } else {
+            usize::from(reach).min(self.ball)
+        }
+    }
+
+    /// Handle `h` chose to stay in `class`, reading `reach` cells out.
+    fn hush(&mut self, h: usize, class: u8, reach: u8) {
+        let bits = self.bits[h];
+        let reach = if bits == 0 {
+            reach
+        } else {
+            self.unlist(h);
+            reach.max(self.reach[h])
+        };
+        let span = self.span(reach);
+        self.at[h] = self.lists[span].len() as u32;
+        self.lists[span].push(h as u32);
+        self.reach[h] = reach;
+        self.bits[h] = bits | 1 << class;
+        if let Some(awake) = &mut self.awake[usize::from(class)] {
+            awake[h / 64] &= !(1 << (h % 64));
+        }
+    }
+
+    /// Handle `h` loses all its bits.
+    fn wake(&mut self, h: usize) {
+        let bits = std::mem::take(&mut self.bits[h]);
+        if bits != 0 {
+            self.unlist(h);
+            set_awake(&mut self.awake, h, bits);
+        }
+    }
+
+    /// Every quiet robot loses all its bits: O(quiet).
+    fn wake_all(&mut self) {
+        let QuietSet { bits, lists, awake, .. } = self;
+        for list in lists.iter_mut() {
+            for &h in list.iter() {
+                set_awake(awake, h as usize, std::mem::take(&mut bits[h as usize]));
+            }
+            list.clear();
+        }
+    }
+
+    /// Take quiet handle `h` out of its reach list.
+    fn unlist(&mut self, h: usize) {
+        let (span, at) = (self.span(self.reach[h]), self.at[h] as usize);
+        let list = &mut self.lists[span];
+        let last = list.pop().expect("a quiet handle is in its reach list");
+        if last as usize != h {
+            list[at] = last;
+            self.at[last as usize] = at as u32;
+        }
+    }
+
+    /// Forget every quiet robot of a swarm with `handles` stable
+    /// handles, and every awake bitset (a swapped-in swarm may hold
+    /// robots a bitset has cleared as merged away).
+    fn forget(&mut self, handles: usize) {
+        self.wake_all();
+        self.awake = Default::default();
+        if self.bits.len() != handles {
+            // Zeroed allocations: the OS maps their pages only once a
+            // round writes them.
+            self.bits = vec![0; handles];
+            self.reach = vec![0; handles];
+            self.at = vec![0; handles];
+        }
+    }
+}
+
+/// Mark handle `h`, no longer quiet in the classes of `bits`, awake in
+/// those classes' bitsets.
+fn set_awake(awake: &mut [Option<Vec<u64>>; CLASSES], h: usize, bits: u8) {
+    for (class, awake) in awake.iter_mut().enumerate() {
+        if let (Some(awake), true) = (awake, bits & 1 << class != 0) {
+            awake[h / 64] |= 1 << (h % 64);
         }
     }
 }
@@ -172,7 +362,7 @@ mod tests {
     use crate::plan::Plans;
     use crate::scheduler::{splitmix64, Scheduler};
     use crate::swarm::OrientationMode;
-    use crate::view::View;
+    use crate::view::{reach_byte, View};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -478,5 +668,142 @@ mod tests {
             s[2].heading = V2::N;
         };
         lockstep(&pts, init, &[3], 7);
+    }
+
+    /// How far a change wakes a robot of `reach` in a ball of `ball`,
+    /// from first principles: a full-ball scan wakes it from `d` cells
+    /// away when `d <= ball` and the reach byte of `d` is at most
+    /// `reach`.
+    fn oracle_span(reach: u8, ball: i32) -> i32 {
+        (0..=ball).filter(|&d| reach_byte(d) <= reach).max().unwrap_or(-1)
+    }
+
+    /// The lists, the per-handle entries and the awake bitsets agree:
+    /// a handle is in exactly the list of its span, at its position,
+    /// while it has bits, and every bitset marks exactly the live
+    /// handles not quiet in its class.
+    fn assert_consistent(q: &QuietSet, swarm: &Swarm<()>) {
+        let listed: usize = q.lists.iter().map(Vec::len).sum();
+        assert_eq!(listed, q.bits.iter().filter(|&&b| b != 0).count(), "listed ≠ quiet");
+        for (span, list) in q.lists.iter().enumerate() {
+            for (at, &h) in list.iter().enumerate() {
+                let h = h as usize;
+                assert_ne!(q.bits[h], 0, "handle {h} listed without bits");
+                assert_eq!(q.span(q.reach[h]), span, "handle {h} in the wrong list");
+                assert_eq!(q.at[h] as usize, at, "handle {h} lost its position");
+            }
+        }
+        for (class, awake) in q.awake.iter().enumerate() {
+            let Some(awake) = awake else { continue };
+            for &h in swarm.handles() {
+                let h = h as usize;
+                let set = awake[h / 64] & 1 << (h % 64) != 0;
+                assert_eq!(set, q.bits[h] & 1 << class == 0, "class {class} handle {h}");
+            }
+        }
+    }
+
+    /// Reach lists wake exactly the robots a full-ball scan would. Random
+    /// hush/wake sequences over a 25 % fill give reaches from 0 to the
+    /// whole ball (and saturated bytes); each round's changed cells are
+    /// clustered around one cell or scattered over the box, sometimes
+    /// repeated. After every `invalidate` the woken set must equal the
+    /// brute-force set of quiet robots with a changed cell within their
+    /// span, computed from a model of the bits and reaches kept here.
+    #[test]
+    fn reach_lists_wake_exactly_the_robots_a_full_scan_would() {
+        const BALL: i32 = 6;
+        let pts: Vec<Point> = (0..1600)
+            .map(|i| Point::new(i % 40, i / 40))
+            .filter(|p| splitmix64(0xface ^ ((p.x as u64) << 8 | p.y as u64)).is_multiple_of(4))
+            .collect();
+        let swarm: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        let n = swarm.len();
+        let mut q = QuietSet::new(BALL);
+        let mut out = Vec::new();
+        // Classes 0 and 1 get bitsets; class 2 never runs all-active.
+        for class in [0, 1] {
+            q.select(&swarm, None, class, &mut out);
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "a fresh set computes everyone");
+        }
+        let (mut bits, mut reach) = (vec![0u8; n], vec![0u8; n]);
+        let mut radii = std::collections::BTreeSet::new();
+        let mut woken_total = 0;
+        for round in 0..400u64 {
+            let draw = |k: u64| splitmix64(round << 32 ^ k);
+            // Long readers are rare in most rounds and common in others,
+            // so the scan radius moves between 0 and the whole ball.
+            let long = if round % 5 == 0 { 2 } else { 40 };
+            for k in 0..60 {
+                let h = (draw(k) % n as u64) as usize;
+                if draw(k + 1000) % 6 == 0 {
+                    q.wake(h);
+                    bits[h] = 0;
+                    continue;
+                }
+                let r = match draw(k + 2000) % long {
+                    0 => BALL as u8,
+                    1 => u8::MAX,
+                    2 => (draw(k + 3000) % (BALL as u64 + 4)) as u8,
+                    _ => (draw(k + 3000) % 3) as u8,
+                };
+                let class = (draw(k + 4000) % 3) as u8;
+                q.hush(h, class, r);
+                reach[h] = if bits[h] == 0 { r } else { reach[h].max(r) };
+                bits[h] |= 1 << class;
+            }
+            assert_consistent(&q, &swarm);
+            let at = pts[(draw(5000) % n as u64) as usize];
+            let count = 1 + draw(5001) % 12;
+            q.changed = (0..count)
+                .map(|k| match round % 2 {
+                    0 => at + V2::new((draw(k) % 5) as i32 - 2, (draw(k + 99) % 5) as i32 - 2),
+                    _ => Point::new((draw(k) % 50) as i32 - 5, (draw(k + 99) % 50) as i32 - 5),
+                })
+                .collect();
+            let expected: Vec<usize> = (0..n)
+                .filter(|&h| {
+                    let span = oracle_span(reach[h], BALL);
+                    bits[h] != 0 && q.changed.iter().any(|&c| pts[h].l1(c) <= span)
+                })
+                .collect();
+            let (scan, probes, quiet) = q.scan_radius();
+            assert_eq!(quiet, bits.iter().filter(|&&b| b != 0).count());
+            assert!(q.changed.len() * probes <= PROBES_PER_COMPUTE * n, "marking was skipped");
+            radii.insert(scan);
+            q.invalidate(&swarm);
+            for &h in &expected {
+                bits[h] = 0;
+            }
+            woken_total += expected.len();
+            assert_eq!(q.bits, bits, "round {round}: woke other robots than a full scan");
+            assert_consistent(&q, &swarm);
+        }
+        assert!(woken_total > 400, "changes woke only {woken_total} robots");
+        assert!(radii.len() >= 3, "the scan radius only took the values {radii:?}");
+        assert!(radii.contains(&(BALL as usize)), "never scanned the whole ball: {radii:?}");
+    }
+
+    /// An all-active round and a subset round that activates every robot
+    /// select the same robots, including once merges have left dead
+    /// handles in the awake bitsets.
+    #[test]
+    fn all_active_selection_equals_the_filtered_activation_list() {
+        let mut e = engine(Rim { classes: true, by_depth: true }, Scheduler::Fsync, 1);
+        let (mut all_active, mut filtered) = (Vec::new(), Vec::new());
+        let mut checked_dead = 0;
+        for round in 0..36 {
+            e.step().expect("unchecked steps cannot fail");
+            let every: Vec<usize> = (0..e.swarm.len()).collect();
+            let quiet = e.quiet.as_mut().expect("Rim declares classes");
+            for class in [0, 1] {
+                let a = quiet.select(&e.swarm, None, class, &mut all_active);
+                let b = quiet.select(&e.swarm, Some(&every), class, &mut filtered);
+                assert_eq!(all_active, filtered, "round {round} class {class}");
+                assert_eq!(a, b, "round {round} class {class}");
+            }
+            checked_dead += usize::from(e.swarm.len() < e.swarm.handle_count());
+        }
+        assert!(checked_dead > 10, "merges left dead handles in only {checked_dead} rounds");
     }
 }

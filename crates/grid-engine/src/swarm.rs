@@ -7,15 +7,25 @@
 //! Robots live in parallel dense arrays (`positions`, `states`,
 //! `orients`, `handles`) rather than a `Vec<Robot>` of structs, so the
 //! compute phase streams each attribute linearly and the round-apply
-//! compacts survivors with flat array moves. Every robot additionally
-//! carries a *stable handle* — its initial index, never reused (merges
-//! only shrink the population). The occupancy index stores handles, and
-//! `slot_of` maps a handle back to the robot's current dense slot
-//! (`u32::MAX` once merged away). Two invariants follow:
+//! compacts survivors with flat array moves. The live robots occupy the
+//! arrays from a *front offset* to the end: slot `i` is array index
+//! `front + i`. Every robot additionally carries a *stable handle* — its
+//! initial index, never reused (merges only shrink the population), so
+//! handles ascend with slots. The occupancy index stores handles, and
+//! `slot_of` maps a handle to the robot's current array index
+//! (`u32::MAX` once merged away). Three invariants follow:
 //!
 //! * **Compaction never touches the index.** Removing merge losers
 //!   shifts dense slots, but cells keyed by handle stay valid — only the
-//!   flat `slot_of` entries are rewritten.
+//!   flat `slot_of` entries of robots that move in the arrays are
+//!   rewritten.
+//! * **Compaction moves only what lies outside the widest gap.** The
+//!   survivors between the two consecutive losers farthest apart (a
+//!   loser and an end count) stay at their array indexes; those before
+//!   the gap shift back toward it, moving the front offset, and those
+//!   after it shift forward. Survivors keep their relative order, and a
+//!   round whose losers are the two tips of the slot order (a line's
+//!   ends) moves nothing.
 //! * **Occupancy updates are movers-only.** A round clears the old cells
 //!   of robots that moved and sets the target cells of moving survivors;
 //!   stationary robots' cells are never rewritten. A mover can only win
@@ -117,8 +127,11 @@ struct RoundScratch {
     /// (maintained by the sparse path for incumbent classification).
     mover_stamp: Vec<u32>,
     /// `loser_stamp[i] == epoch` ⇔ dense slot `i` lost its merge this
-    /// round (shared by both apply paths; drives compaction).
+    /// round (shared by both apply paths).
     loser_stamp: Vec<u32>,
+    /// The round's merge losers by dense slot, each once (shared by both
+    /// apply paths; drives compaction).
+    losers: Vec<usize>,
     /// Target cell per robot: indexed by slot on the dense path, like
     /// `active` on the sparse one.
     targets: Vec<Point>,
@@ -132,9 +145,13 @@ impl RoundScratch {
     /// stamps on the (once per 2³²-round) wraparound so a stale stamp can
     /// never equal a live epoch.
     fn next_epoch(&mut self, n0: usize) -> u32 {
+        self.losers.clear();
         if self.mover_stamp.len() < n0 {
-            self.mover_stamp.resize(n0, 0);
-            self.loser_stamp.resize(n0, 0);
+            // Replaced, not grown: 0 is never a live epoch, and the OS
+            // maps a zeroed allocation's pages only once a round stamps
+            // them, so a subset round's first apply stays O(activated).
+            self.mover_stamp = vec![0; n0];
+            self.loser_stamp = vec![0; n0];
         }
         if self.epoch == u32::MAX {
             self.mover_stamp.fill(0);
@@ -160,14 +177,19 @@ fn fresh_version() -> u64 {
 
 #[derive(Clone)]
 pub struct Swarm<S: RobotState> {
+    /// Array index of dense slot 0 in the four arrays below; the entries
+    /// before it are merge losers that compaction left behind, never read.
+    front: usize,
     positions: Vec<Point>,
     states: Vec<S>,
     orients: Vec<D4>,
-    /// Dense slot → stable handle (the robot's initial index).
+    /// Array index → stable handle (the robot's initial index).
     handles: Vec<u32>,
-    /// Handle → current dense slot; `u32::MAX` once merged away. The
-    /// occupancy index stores handles, so compaction only rewrites this
-    /// flat array and never touches tile cells.
+    /// Handle → current *array index* (dense slot plus `front`);
+    /// `u32::MAX` once merged away. Holding array indexes lets a robot
+    /// keep its entry while the front offset moves past merge losers.
+    /// The occupancy index stores handles, so compaction only rewrites
+    /// this flat array and never touches tile cells.
     slot_of: Vec<u32>,
     /// ASYNC in-flight moves, grouped by the round they fall due (so
     /// [`Swarm::take_due`] visits only the moves that land): each the
@@ -190,7 +212,7 @@ pub struct Swarm<S: RobotState> {
 impl<S: RobotState> std::fmt::Debug for Swarm<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Swarm")
-            .field("robots", &self.positions.len())
+            .field("robots", &self.len())
             .field("bounds", &self.index.bounds())
             .finish_non_exhaustive()
     }
@@ -244,6 +266,7 @@ impl<S: RobotState> Swarm<S> {
             orients.push(orient);
         }
         Swarm {
+            front: 0,
             positions: positions.to_vec(),
             states: (0..n).map(|_| S::default()).collect(),
             orients,
@@ -258,42 +281,42 @@ impl<S: RobotState> Swarm<S> {
     }
 
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.positions.len() - self.front
     }
 
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.len() == 0
     }
 
     /// Current robot positions, in dense (survivor-compacted) order.
     /// Positions are owned by the occupancy index — they are only
     /// mutated through [`Swarm::apply`] and friends.
     pub fn positions(&self) -> &[Point] {
-        &self.positions
+        &self.positions[self.front..]
     }
 
     /// Per-robot algorithm states, parallel to [`Swarm::positions`].
     pub fn states(&self) -> &[S] {
-        &self.states
+        &self.states[self.front..]
     }
 
     /// Mutable access to robot states (tests and setup). States are not
     /// indexed, so mutating them cannot desynchronise the swarm.
     pub fn states_mut(&mut self) -> &mut [S] {
         self.version = fresh_version();
-        &mut self.states
+        &mut self.states[self.front..]
     }
 
     /// Per-robot local frames (robot frame → world frame), parallel to
     /// [`Swarm::positions`].
     pub fn orients(&self) -> &[D4] {
-        &self.orients
+        &self.orients[self.front..]
     }
 
     /// Mutable access to robot orientations (tests and setup).
     pub fn orients_mut(&mut self) -> &mut [D4] {
         self.version = fresh_version();
-        &mut self.orients
+        &mut self.orients[self.front..]
     }
 
     /// A stamp that changes whenever the swarm may have changed: every
@@ -315,17 +338,26 @@ impl<S: RobotState> Swarm<S> {
     /// index (tile cells store handles, not dense slots).
     #[inline]
     pub(crate) fn slot(&self, handle: u32) -> usize {
-        let slot = self.slot_of[handle as usize];
-        debug_assert_ne!(slot, u32::MAX, "index cell held a merged-away handle");
-        slot as usize
+        let at = self.slot_of[handle as usize];
+        debug_assert_ne!(at, u32::MAX, "index cell held a merged-away handle");
+        at as usize - self.front
+    }
+
+    /// Current dense slot of a stable handle, or `None` once it merged
+    /// away.
+    #[inline]
+    pub(crate) fn live_slot(&self, handle: usize) -> Option<usize> {
+        let at = self.slot_of[handle];
+        (at != u32::MAX).then(|| at as usize - self.front)
     }
 
     /// Stable handles of the live robots, parallel to
     /// [`Swarm::positions`] (a robot's handle is its initial index,
-    /// never reused). The ASYNC engine keys its per-robot delay draws
-    /// by handle so merges cannot re-roll another robot's schedule.
+    /// never reused), so strictly increasing. The ASYNC engine keys its
+    /// per-robot delay draws by handle so merges cannot re-roll another
+    /// robot's schedule.
     pub fn handles(&self) -> &[u32] {
-        &self.handles
+        &self.handles[self.front..]
     }
 
     /// Is the robot in dense slot `slot` mid-flight between an ASYNC
@@ -334,7 +366,7 @@ impl<S: RobotState> Swarm<S> {
     /// robots walk into.
     #[inline]
     pub fn is_in_flight(&self, slot: usize) -> bool {
-        let h = self.handles[slot] as usize;
+        let h = self.handles()[slot] as usize;
         self.flying.get(h).is_some_and(|&flying| flying)
     }
 
@@ -351,7 +383,7 @@ impl<S: RobotState> Swarm<S> {
     /// pending move — it cannot look while in flight.
     pub fn park(&mut self, slot: usize, due: u64, action: Action<S>) {
         self.version = fresh_version();
-        let h = self.handles[slot];
+        let h = self.handles()[slot];
         if self.flying.len() <= h as usize {
             self.flying.resize(self.slot_of.len(), false);
         }
@@ -375,9 +407,8 @@ impl<S: RobotState> Swarm<S> {
         while let Some(due) = self.pending.first_entry().filter(|e| *e.key() <= round) {
             for (h, action) in due.remove() {
                 self.flying[h as usize] = false;
-                let slot = self.slot_of[h as usize];
-                if slot != u32::MAX {
-                    out.push((slot as usize, action));
+                if let Some(slot) = self.live_slot(h as usize) {
+                    out.push((slot, action));
                 }
             }
         }
@@ -395,8 +426,8 @@ impl<S: RobotState> Swarm<S> {
     /// The paper's goal predicate: all robots within a 2×2 area. O(1):
     /// see [`gathered_check`].
     pub fn is_gathered(&self) -> bool {
-        gathered_check(self.positions.len(), || {
-            Bounds::of(self.positions.iter().copied()).expect("non-empty swarm")
+        gathered_check(self.len(), || {
+            Bounds::of(self.positions().iter().copied()).expect("non-empty swarm")
         })
     }
 
@@ -424,8 +455,8 @@ impl<S: RobotState> Swarm<S> {
     /// excluded on purpose — they are strategy-internal, and any state
     /// divergence that matters surfaces as a positional one.
     pub fn position_digest(&self) -> u64 {
-        let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ self.positions.len() as u64;
-        for &pos in &self.positions {
+        let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ self.len() as u64;
+        for &pos in self.positions() {
             let cell = ((pos.x as u32 as u64) << 32) | pos.y as u32 as u64;
             h = splitmix64(h ^ cell);
         }
@@ -441,7 +472,7 @@ impl<S: RobotState> Swarm<S> {
     /// smallest *previous* position wins. The rule is ID-free and
     /// deterministic, so runs are reproducible.
     pub fn apply(&mut self, actions: Vec<Action<S>>) -> ApplyOutcome {
-        assert_eq!(actions.len(), self.positions.len());
+        assert_eq!(actions.len(), self.len());
         self.apply_partial(actions.into_iter().map(Some).collect())
     }
 
@@ -456,11 +487,15 @@ impl<S: RobotState> Swarm<S> {
     /// in-place survivor commit plus array compaction.
     pub fn apply_partial(&mut self, actions: Vec<Option<Action<S>>>) -> ApplyOutcome {
         self.version = fresh_version();
-        let n = self.positions.len();
+        let n = self.len();
         assert_eq!(actions.len(), n);
         let epoch = self.scratch.next_epoch(self.slot_of.len());
+        let f = self.front;
+        let Swarm { positions, states, orients, handles, index, scratch, .. } = &mut *self;
+        let (positions, states) = (&mut positions[f..], &mut states[f..]);
+        let (orients, handles) = (&orients[f..], &handles[f..]);
 
-        let mut targets = std::mem::take(&mut self.scratch.targets);
+        let mut targets = std::mem::take(&mut scratch.targets);
         targets.clear();
         targets.reserve(n);
         let mut moved = 0usize;
@@ -468,22 +503,20 @@ impl<S: RobotState> Swarm<S> {
             let target = match action {
                 Some(action) => {
                     debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
-                    self.positions[i] + self.orients[i].apply(action.step)
+                    positions[i] + orients[i].apply(action.step)
                 }
-                None => self.positions[i],
+                None => positions[i],
             };
-            moved += usize::from(target != self.positions[i]);
+            moved += usize::from(target != positions[i]);
             targets.push(target);
         }
 
         // Group robots by target cell to find merges. The common case is
         // "no merge anywhere", so detect duplicates with a map from cell
         // to the currently-winning robot index.
-        let mut owner = std::mem::take(&mut self.scratch.owner);
+        let mut owner = std::mem::take(&mut scratch.owner);
         owner.clear();
         owner.reserve(n);
-        let mut merged = 0usize;
-        let mut first_loser = usize::MAX;
         for i in 0..n {
             match owner.entry(targets[i]) {
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -491,32 +524,31 @@ impl<S: RobotState> Swarm<S> {
                 }
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     let j = *e.get() as usize;
-                    let loser = if beats(&self.positions, &targets, i, j) {
+                    let loser = if beats(positions, &targets, i, j) {
                         e.insert(i as u32);
                         j
                     } else {
                         i
                     };
-                    self.scratch.loser_stamp[loser] = epoch;
-                    first_loser = first_loser.min(loser);
-                    merged += 1;
+                    scratch.loser_stamp[loser] = epoch;
+                    scratch.losers.push(loser);
                 }
             }
         }
-        self.scratch.owner = owner;
+        scratch.owner = owner;
 
         // Movers-only occupancy update: every mover vacates its old cell
         // (losers are always movers), then each surviving mover claims
         // its target. Stationary cells are never rewritten — their
         // handles stay valid across the round.
         for (i, &target) in targets.iter().enumerate() {
-            if target != self.positions[i] {
-                self.index.clear(self.positions[i]);
+            if target != positions[i] {
+                index.clear(positions[i]);
             }
         }
         for (i, &target) in targets.iter().enumerate() {
-            if target != self.positions[i] && self.scratch.loser_stamp[i] != epoch {
-                let prev = self.index.set(target, self.handles[i]);
+            if target != positions[i] && scratch.loser_stamp[i] != epoch {
+                let prev = index.set(target, handles[i]);
                 debug_assert!(prev.is_none(), "survivor collision at {:?}", target);
             }
         }
@@ -524,14 +556,15 @@ impl<S: RobotState> Swarm<S> {
         // Commit in place (losers are overwritten too — they are about
         // to be compacted away), then compact the arrays.
         for (i, action) in actions.into_iter().enumerate() {
-            self.positions[i] = targets[i];
+            positions[i] = targets[i];
             if let Some(action) = action {
-                self.states[i] = action.state;
+                states[i] = action.state;
             }
         }
-        self.scratch.targets = targets;
+        scratch.targets = targets;
+        let merged = self.scratch.losers.len();
         if merged > 0 {
-            self.compact_tail(first_loser);
+            self.compact();
         }
         ApplyOutcome { merged, moved }
     }
@@ -563,15 +596,14 @@ impl<S: RobotState> Swarm<S> {
         assert_eq!(actions.len(), active.len());
         self.version = fresh_version();
         let epoch = self.scratch.next_epoch(self.slot_of.len());
-        debug_assert!(
-            active.iter().all(|&i| i < self.positions.len()),
-            "active index out of range"
-        );
+        debug_assert!(active.iter().all(|&i| i < self.len()), "active index out of range");
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "activation set must be sorted");
 
         // Compute the targets and stamp the round's movers.
+        let f = self.front;
         let moved = timed(&mut prof, Phase::ApplyTargets, || {
             let Swarm { positions, orients, scratch, .. } = &mut *self;
+            let (positions, orients) = (&positions[f..], &orients[f..]);
             scratch.targets.clear();
             let mut moved = 0usize;
             for (&i, action) in active.iter().zip(&actions) {
@@ -593,12 +625,11 @@ impl<S: RobotState> Swarm<S> {
         // running winner per contested cell; the survivor rule is an
         // order-free minimum, so resolving movers in activation order is
         // bit-identical to the dense scan.
-        let (merged, first_loser) = timed(&mut prof, Phase::MergeDetect, || {
+        let merged = timed(&mut prof, Phase::MergeDetect, || {
             let Swarm { positions, index, slot_of, scratch, .. } = &mut *self;
-            let RoundScratch { owner, targets, mover_stamp, loser_stamp, .. } = scratch;
+            let positions = &positions[f..];
+            let RoundScratch { owner, targets, mover_stamp, loser_stamp, losers, .. } = scratch;
             owner.clear();
-            let mut merged = 0usize;
-            let mut first_loser = usize::MAX;
             for (ki, &i) in active.iter().enumerate() {
                 let target = targets[ki];
                 if target == positions[i] {
@@ -608,14 +639,13 @@ impl<S: RobotState> Swarm<S> {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         match index.get(target) {
                             Some(h) => {
-                                let q = slot_of[h as usize] as usize;
+                                let q = slot_of[h as usize] as usize - f;
                                 if mover_stamp[q] != epoch {
                                     // A stationary incumbent wins its own
                                     // cell against any mover.
                                     e.insert(q as u32);
                                     loser_stamp[i] = epoch;
-                                    first_loser = first_loser.min(i);
-                                    merged += 1;
+                                    losers.push(i);
                                 } else {
                                     // The occupant is vacating this round.
                                     e.insert(i as u32);
@@ -638,12 +668,11 @@ impl<S: RobotState> Swarm<S> {
                             i
                         };
                         loser_stamp[loser] = epoch;
-                        first_loser = first_loser.min(loser);
-                        merged += 1;
+                        losers.push(loser);
                     }
                 }
             }
-            (merged, first_loser)
+            losers.len()
         });
 
         // Movers-only occupancy update: every mover vacates its old cell
@@ -651,6 +680,7 @@ impl<S: RobotState> Swarm<S> {
         // its target.
         timed(&mut prof, Phase::OccupancyRebuild, || {
             let Swarm { positions, handles, index, scratch, .. } = &mut *self;
+            let (positions, handles) = (&positions[f..], &handles[f..]);
             let RoundScratch { targets, loser_stamp, .. } = scratch;
             for (&i, &target) in active.iter().zip(targets.iter()) {
                 if target != positions[i] {
@@ -666,10 +696,11 @@ impl<S: RobotState> Swarm<S> {
         });
 
         // Commit the surviving activated robots in place, then compact
-        // past the first loser (no merges → no array traffic at all
-        // beyond the k in-place writes).
+        // (no merges → no array traffic at all beyond the k in-place
+        // writes).
         timed(&mut prof, Phase::Compact, || {
             let Swarm { positions, states, scratch, .. } = &mut *self;
+            let (positions, states) = (&mut positions[f..], &mut states[f..]);
             for ((ki, &i), action) in active.iter().enumerate().zip(actions) {
                 if scratch.loser_stamp[i] == epoch {
                     continue;
@@ -679,39 +710,64 @@ impl<S: RobotState> Swarm<S> {
             }
         });
         if merged > 0 {
-            timed(&mut prof, Phase::Compact, || self.compact_tail(first_loser));
+            timed(&mut prof, Phase::Compact, || self.compact());
         }
         ApplyOutcome { merged, moved }
     }
 
-    /// Remove this round's merge losers from the dense arrays, starting
-    /// at the first loser slot. Stable (survivor order is preserved);
-    /// only `slot_of` entries are rewritten — tile cells key by handle
-    /// and stay valid.
-    fn compact_tail(&mut self, first: usize) {
-        let Swarm { positions, states, orients, handles, slot_of, scratch, .. } = self;
-        let n = positions.len();
-        let epoch = scratch.epoch;
-        debug_assert!(first < n, "compact_tail called without a loser");
-        let mut w = first;
-        for r in first..n {
-            if scratch.loser_stamp[r] == epoch {
-                slot_of[handles[r] as usize] = u32::MAX;
-                continue;
-            }
-            if w != r {
-                positions.swap(w, r);
-                states.swap(w, r);
-                orients.swap(w, r);
-                handles.swap(w, r);
-                slot_of[handles[w] as usize] = w as u32;
-            }
-            w += 1;
+    /// Remove this round's merge losers (`scratch.losers`) from the dense
+    /// arrays, keeping the survivors' relative order. The survivors in
+    /// the widest gap between consecutive losers (an end of the slot
+    /// order bounds a gap too) stay at their array indexes; each segment
+    /// before the gap shifts back by the losers between it and the gap,
+    /// and the front offset advances past the dead entries this leaves,
+    /// while each segment after the gap shifts forward and the arrays
+    /// are truncated. Cost O(n − widest gap + merges · log merges). Only
+    /// the `slot_of` entries of losers and of robots that move are
+    /// rewritten — tile cells key by handle and stay valid.
+    fn compact(&mut self) {
+        let Swarm { front, positions, states, orients, handles, slot_of, scratch, .. } = self;
+        let losers = &mut scratch.losers;
+        losers.sort_unstable();
+        let (f, n, m) = (*front, positions.len() - *front, losers.len());
+        debug_assert!(losers.windows(2).all(|w| w[0] < w[1]), "a robot lost twice");
+        debug_assert!(m > 0 && losers[m - 1] < n, "compact called without a loser");
+        for &loser in losers.iter() {
+            slot_of[handles[f + loser] as usize] = u32::MAX;
         }
-        positions.truncate(w);
-        states.truncate(w);
-        orients.truncate(w);
-        handles.truncate(w);
+        // Gap `k` holds the slots between `losers[k - 1]` and `losers[k]`,
+        // with the ends of the slot order standing in for the missing
+        // losers.
+        let gap_start = |k: usize| if k > 0 { losers[k - 1] + 1 } else { 0 };
+        let gap_end = |k: usize| if k < m { losers[k] } else { n };
+        let k = (0..=m).max_by_key(|&k| gap_end(k) - gap_start(k)).unwrap_or(0);
+        let mut shift = |from: usize, to: usize| {
+            positions.swap(from, to);
+            states.swap(from, to);
+            orients.swap(from, to);
+            handles.swap(from, to);
+            slot_of[handles[to] as usize] = to as u32;
+        };
+        // Before the gap, nearest segment first: each moves back over the
+        // losers between it and the gap, last robot first.
+        for (passed, j) in (0..k).rev().enumerate() {
+            for r in (f + gap_start(j)..f + losers[j]).rev() {
+                shift(r, r + passed + 1);
+            }
+        }
+        // After the gap, nearest segment first: each moves forward over
+        // the losers between the gap and it, first robot first.
+        for (passed, j) in (k..m).enumerate() {
+            for r in f + losers[j] + 1..f + gap_end(j + 1) {
+                shift(r, r - passed - 1);
+            }
+        }
+        *front = f + k;
+        let end = f + n - (m - k);
+        positions.truncate(end);
+        states.truncate(end);
+        orients.truncate(end);
+        handles.truncate(end);
     }
 }
 
@@ -1052,5 +1108,150 @@ mod tests {
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
         assert_eq!(sparse.apply_sparse(&all, acts(), None), out_dense);
         assert_matches_dense(&sparse, &dense);
+    }
+
+    /// Which robots a compaction round should remove from a swarm whose
+    /// slots hold `model` (handle, cell) in order.
+    #[derive(Clone, Copy, Debug)]
+    enum Losers {
+        BothEnds,
+        Front,
+        Back,
+        Scattered(u64),
+        AllBut(usize),
+    }
+
+    /// One round that removes `pattern`'s robots from both a sparse and a
+    /// dense swarm: each wanted loser steps onto a king neighbour that
+    /// stays (a stationary incumbent wins), if it has one. Checks both
+    /// swarms against `model`, the slot order with those robots taken
+    /// out, which is kept here without either apply. `parked` robots
+    /// never lose. Returns the removed handles.
+    fn remove_round(
+        sparse: &mut Swarm<()>,
+        dense: &mut Swarm<()>,
+        model: &mut Vec<(u32, Point)>,
+        parked: &[u32],
+        pattern: Losers,
+    ) -> Vec<u32> {
+        let n = model.len();
+        let wanted = |i: usize| match pattern {
+            Losers::BothEnds => i == 0 || i + 1 == n,
+            Losers::Front => i < 3,
+            Losers::Back => i + 3 >= n,
+            Losers::Scattered(seed) => splitmix64(seed ^ i as u64).is_multiple_of(4),
+            Losers::AllBut(keep) => i != keep,
+        };
+        let cells: BTreeMap<Point, usize> =
+            model.iter().enumerate().map(|(i, &(_, p))| (p, i)).collect();
+        let mut moves = Vec::new();
+        for (i, &(h, p)) in model.iter().enumerate() {
+            if !wanted(i) || parked.contains(&h) {
+                continue;
+            }
+            let sink =
+                p.neighbors8().into_iter().find(|q| cells.get(q).is_some_and(|&j| !wanted(j)));
+            if let Some(sink) = sink {
+                moves.push((i, Action { step: sink - p, state: () }));
+            }
+        }
+        let gone: Vec<u32> = moves.iter().map(|&(i, _)| model[i].0).collect();
+        let active: Vec<usize> = moves.iter().map(|&(i, _)| i).collect();
+        let mut all: Vec<Option<Action<()>>> = vec![None; n];
+        for (i, action) in &moves {
+            all[*i] = Some(action.clone());
+        }
+        let kept = |&(h, _): &(u32, Point)| !gone.contains(&h);
+        let at_before: Vec<u32> =
+            model.iter().filter(|e| kept(e)).map(|&(h, _)| sparse.slot_of[h as usize]).collect();
+        let actions = moves.into_iter().map(|(_, action)| action).collect();
+        let outcome = sparse.apply_sparse(&active, actions, None);
+        assert_eq!(outcome, dense.apply_partial(all), "{pattern:?}");
+        assert_eq!(outcome.merged, gone.len(), "{pattern:?}");
+        model.retain(kept);
+        for s in [&*sparse, &*dense] {
+            let handles: Vec<u32> = model.iter().map(|&(h, _)| h).collect();
+            let cells: Vec<Point> = model.iter().map(|&(_, p)| p).collect();
+            assert_eq!(s.handles(), handles, "{pattern:?}: survivors left their order");
+            assert_eq!(s.positions(), cells, "{pattern:?}");
+            assert!(s.handles().windows(2).all(|w| w[0] < w[1]), "{pattern:?}");
+            for (i, &p) in s.positions().iter().enumerate() {
+                assert_eq!(s.robot_at(p), Some(i), "{pattern:?}: slot {i}");
+                assert_eq!(s.is_in_flight(i), parked.contains(&s.handles()[i]), "{pattern:?}");
+            }
+            for &h in &gone {
+                assert_eq!(s.live_slot(h as usize), None, "{pattern:?}: handle {h} lives on");
+            }
+        }
+        if matches!(pattern, Losers::BothEnds) && gone.len() == 2 {
+            let at_after: Vec<u32> =
+                model.iter().map(|&(h, _)| sparse.slot_of[h as usize]).collect();
+            assert_eq!(at_before, at_after, "removing both tips moved a survivor");
+        }
+        gone
+    }
+
+    /// Compaction keeps the survivors' order, the index, the handles and
+    /// the in-flight ledger right whatever the losers' layout: both
+    /// tips, the front, the back, scattered, and all robots but one
+    /// (first, middle or last). The expected slot order is kept in a
+    /// plain list, not derived from either apply.
+    #[test]
+    fn compaction_keeps_order_index_and_parked_moves_for_every_loser_layout() {
+        use Losers::*;
+        // A 12 × 12 block in row-major slot order, with four parked robots.
+        let pts: Vec<Point> = (0..144).map(|i| Point::new(i % 12, i / 12)).collect();
+        let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+        let parked = [50u32, 70, 71, 90];
+        for (k, &h) in parked.iter().enumerate() {
+            sparse.park(h as usize, 100 + k as u64, Action { step: V2::N, state: () });
+        }
+        let mut dense = sparse.clone();
+        let mut model: Vec<(u32, Point)> =
+            pts.iter().enumerate().map(|(h, &p)| (h as u32, p)).collect();
+        let mut removed = 0;
+        let rounds = [
+            BothEnds,
+            Front,
+            Back,
+            Scattered(1),
+            BothEnds,
+            Front,
+            Scattered(2),
+            Back,
+            BothEnds,
+            Scattered(3),
+        ];
+        for pattern in rounds {
+            let gone = remove_round(&mut sparse, &mut dense, &mut model, &parked, pattern);
+            assert!(!gone.is_empty(), "{pattern:?} removed nobody");
+            removed += gone.len();
+        }
+        assert!(removed > 40, "only {removed} robots merged away");
+        for s in [&mut sparse, &mut dense] {
+            for (k, &h) in parked.iter().enumerate() {
+                let slot = model.iter().position(|&(g, _)| g == h).expect("parked robots stay");
+                assert_eq!(
+                    s.take_due(100 + k as u64).into_iter().map(|(i, _)| i).collect::<Vec<_>>(),
+                    [slot]
+                );
+            }
+        }
+        // All but one: a 3 × 3 block whose centre is listed first, in the
+        // middle or last.
+        for keep in [0, 4, 8] {
+            let mut pts: Vec<Point> = (0..9)
+                .map(|i| Point::new(i % 3, i / 3))
+                .filter(|&p| p != Point::new(1, 1))
+                .collect();
+            pts.insert(keep, Point::new(1, 1));
+            let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+            let mut dense = sparse.clone();
+            let mut model: Vec<(u32, Point)> =
+                pts.iter().enumerate().map(|(h, &p)| (h as u32, p)).collect();
+            let gone = remove_round(&mut sparse, &mut dense, &mut model, &[], AllBut(keep));
+            assert_eq!(gone.len(), 8, "all but slot {keep}");
+            assert_eq!(sparse.handles(), [keep as u32]);
+        }
     }
 }
