@@ -16,11 +16,14 @@
 //! and the seed-1 clusters swarm of 256 ends as 4 robots in 3 pieces.
 //!
 //! The look reads the whole viewing ball (the 840 cells around the
-//! robot at the paper's radius) in one row scan
-//! ([`View::for_each_within`]), folding the robot count and the offset
-//! sum as it goes. Both are integers that do not depend on the order
-//! robots are visited in, so the centroid, and every decision, is what
-//! probing the ball cell by cell would give.
+//! robot at the paper's radius) as the engine's occupancy row words
+//! ([`View::count_and_sum_within`]): the robot count and the offset sum
+//! come from the set bits, without reading a robot's handle. Both are
+//! integers that do not depend on the order robots are visited in, so
+//! the centroid, and every decision, is what probing the ball cell by
+//! cell would give. A robot that would step then reads its 5×5 guard
+//! window once, 24 probes, into a bit mask, and floods that mask for
+//! each candidate step in turn.
 
 use grid_engine::{Action, Controller, RoundCtx, View, V2};
 
@@ -42,46 +45,55 @@ impl GoToCenter {
     }
 }
 
-/// 5×5-window connectivity certificate for a single step (solo version
-/// of the gather-core certificate; the baseline has no run states to
-/// coordinate with, so simultaneous-mover worlds are approximated by
-/// refusing steps whose window is ambiguous — robots adjacent to the
-/// mover on the target side are treated as anchors).
-fn step_safe(view: &View<'_, ()>, step: V2) -> bool {
-    const R: i32 = 2;
-    const W: usize = 5;
-    let idx = |v: V2| -> Option<usize> {
-        let dx = v.x + R;
-        let dy = v.y + R;
-        (dx >= 0 && dy >= 0 && dx <= 2 * R && dy <= 2 * R).then(|| (dy as usize) * W + dx as usize)
-    };
-    let mut occ = [false; W * W];
-    for dy in -R..=R {
-        for dx in -R..=R {
-            let v = V2::new(dx, dy);
-            occ[idx(v).expect("in window")] = v != V2::ZERO && view.occupied(v);
-        }
-    }
-    let ti = idx(step).expect("king step");
-    occ[ti] = true;
-    let mut seen = [false; W * W];
-    let mut stack = vec![step];
-    seen[ti] = true;
-    while let Some(p) = stack.pop() {
-        for d in V2::axis_units() {
-            let q = p + d;
-            if let Some(i) = idx(q) {
-                if occ[i] && !seen[i] {
-                    seen[i] = true;
-                    stack.push(q);
+/// A robot's 5×5 window in its own frame as occupancy bits: bit
+/// `STRIDE·(y + 2) + x + 2` holds the cell at offset `(x, y)`. The sixth
+/// column of each row is always empty, so a shift by one never carries
+/// a cell into the next row.
+#[derive(Clone, Copy, Debug)]
+struct Window(u32);
+
+const STRIDE: i32 = 6;
+
+fn bit(v: V2) -> u32 {
+    1 << (STRIDE * (v.y + 2) + v.x + 2)
+}
+
+impl Window {
+    /// The window around the observer, whose own cell reads empty (it is
+    /// the cell the step vacates).
+    fn read(view: &View<'_, ()>) -> Window {
+        let mut occ = 0;
+        for dy in -2..=2 {
+            for dx in -2..=2 {
+                let v = V2::new(dx, dy);
+                if v != V2::ZERO && view.occupied(v) {
+                    occ |= bit(v);
                 }
             }
         }
+        Window(occ)
     }
-    V2::axis_units().into_iter().all(|d| match idx(d) {
-        Some(i) => !occ[i] || seen[i],
-        None => true,
-    })
+
+    /// 5×5-window connectivity certificate for a single step (solo
+    /// version of the gather-core certificate; the baseline has no run
+    /// states to coordinate with, so simultaneous-mover worlds are
+    /// approximated by refusing steps whose window is ambiguous — robots
+    /// adjacent to the mover on the target side are treated as anchors):
+    /// with the robot on `step`, every occupied axis neighbour of its old
+    /// cell must reach `step` through the window's occupied cells.
+    fn step_safe(self, step: V2) -> bool {
+        let occ = self.0 | bit(step);
+        let mut seen = bit(step);
+        loop {
+            let grown = occ & (seen | seen << 1 | seen >> 1 | seen << STRIDE | seen >> STRIDE);
+            if grown == seen {
+                break;
+            }
+            seen = grown;
+        }
+        let axis = V2::axis_units().into_iter().fold(0, |m, d| m | bit(d));
+        occ & axis & !seen == 0
+    }
 }
 
 impl Controller for GoToCenter {
@@ -93,11 +105,7 @@ impl Controller for GoToCenter {
     }
 
     fn decide(&self, view: &View<'_, ()>, _ctx: RoundCtx) -> Action<()> {
-        let (mut n, mut sum) = (0, V2::ZERO);
-        view.for_each_within(self.radius, |v| {
-            n += 1;
-            sum = sum + v;
-        });
+        let (n, sum) = view.count_and_sum_within(self.radius);
         if n == 0 {
             return Action::stay(());
         }
@@ -118,14 +126,14 @@ impl Controller for GoToCenter {
         } else {
             0
         };
-        let mut step = V2::new(sx, sy);
+        let step = V2::new(sx, sy);
         if step == V2::ZERO {
             return Action::stay(());
         }
         // Try the diagonal first, then its axis projections.
-        for cand in [step, V2::new(step.x, 0), V2::new(0, step.y)] {
-            if cand != V2::ZERO && step_safe(view, cand) {
-                step = cand;
+        let window = Window::read(view);
+        for step in [step, V2::new(step.x, 0), V2::new(0, step.y)] {
+            if step != V2::ZERO && window.step_safe(step) {
                 return Action { step, state: () };
             }
         }
@@ -142,7 +150,93 @@ impl Controller for GoToCenter {
 mod tests {
     use super::*;
     use gather_workloads::{family, Family};
-    use grid_engine::{ConnectivityCheck, Engine, EngineConfig, OrientationMode, Point, Scheduler};
+    use grid_engine::{
+        splitmix64, ConnectivityCheck, Engine, EngineConfig, OrientationMode, Point, Scheduler,
+        Swarm, D4,
+    };
+
+    /// The step guard as it was before the window was read once, as the
+    /// oracle: it probes the window for each candidate and floods it
+    /// with a stack.
+    fn step_safe(view: &View<'_, ()>, step: V2) -> bool {
+        const R: i32 = 2;
+        const W: usize = 5;
+        let idx = |v: V2| -> Option<usize> {
+            let dx = v.x + R;
+            let dy = v.y + R;
+            (dx >= 0 && dy >= 0 && dx <= 2 * R && dy <= 2 * R)
+                .then(|| (dy as usize) * W + dx as usize)
+        };
+        let mut occ = [false; W * W];
+        for dy in -R..=R {
+            for dx in -R..=R {
+                let v = V2::new(dx, dy);
+                occ[idx(v).expect("in window")] = v != V2::ZERO && view.occupied(v);
+            }
+        }
+        let ti = idx(step).expect("king step");
+        occ[ti] = true;
+        let mut seen = [false; W * W];
+        let mut stack = vec![step];
+        seen[ti] = true;
+        while let Some(p) = stack.pop() {
+            for d in V2::axis_units() {
+                let q = p + d;
+                if let Some(i) = idx(q) {
+                    if occ[i] && !seen[i] {
+                        seen[i] = true;
+                        stack.push(q);
+                    }
+                }
+            }
+        }
+        V2::axis_units().into_iter().all(|d| match idx(d) {
+            Some(i) => !occ[i] || seen[i],
+            None => true,
+        })
+    }
+
+    /// The window read once guards every king step as the per-candidate
+    /// guard does, on seeded random 5×5 windows seen in all eight
+    /// frames. The fills range from sparse to nearly full, so floods
+    /// both stop short and wind through the whole window.
+    #[test]
+    fn window_guard_equals_the_per_candidate_guard() {
+        let offsets: Vec<V2> = (-2..=2)
+            .flat_map(|dy| (-2..=2).map(move |dx| V2::new(dx, dy)))
+            .filter(|&v| v != V2::ZERO)
+            .collect();
+        let steps: Vec<V2> = offsets.iter().copied().filter(|v| v.is_step()).collect();
+        assert_eq!(steps.len(), 8);
+        let (mut safe, mut unsafe_) = (0, 0);
+        for k in 0..1500u64 {
+            let fill = splitmix64(k) % 100;
+            let mut pts = vec![Point::new(0, 0)];
+            pts.extend(
+                offsets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| splitmix64(k << 8 | j as u64) % 100 < fill)
+                    .map(|(_, v)| Point::new(v.x, v.y)),
+            );
+            let mut s: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+            for orient in D4::all() {
+                s.orients_mut()[0] = orient;
+                let view = View::new(&s, 0, 4);
+                let window = Window::read(&view);
+                for &step in &steps {
+                    let want = step_safe(&view, step);
+                    assert_eq!(window.step_safe(step), want, "window {k} {orient:?} step {step:?}");
+                    if want {
+                        safe += 1;
+                    } else {
+                        unsafe_ += 1;
+                    }
+                }
+            }
+        }
+        assert!(safe > 10_000 && unsafe_ > 10_000, "{safe} safe, {unsafe_} unsafe steps");
+    }
 
     /// The look as it was before the ball scan, as the oracle: one probe
     /// per cell of the viewing ball, collected into a list.

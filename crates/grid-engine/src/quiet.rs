@@ -71,12 +71,21 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// ([`crate::tile::TileWindow::for_each_in_ball`]) plus one distance
 /// test per quiet robot reading farther, each counted as one probe;
 /// skipping it (dropping every bit instead) costs at most one compute
-/// per robot next time. Measured on a 2-core Xeon at the paper's radius:
-/// a cell of a tile-row scan costs about 2 ns in a dense swarm (1 ns in
-/// a sparse one, measured before the scan skipped empty 8-cell chunks),
-/// and a robot's compute about 400 ns for the paper controller (2–3 µs
-/// for GoToCenter, which scans its whole view). So marking pays while it
-/// probes fewer than ~200 cells per robot of the cheaper controller.
+/// per robot next time. When this was set, a scanned cell cost about
+/// 2 ns and a robot's compute about 400 ns for the paper controller, so
+/// marking paid while it probed fewer than ~200 cells per robot.
+///
+/// The scan now reads one occupancy word per tile row segment and a
+/// handle per robot found, so `ball_cells` over-counts its work: timed
+/// through `View::for_each_within` at radius 20 over every robot of
+/// n = 4096 start swarms (2-core Xeon, best of 5), a ball costs 0.5 ns
+/// per cell on a line, 0.8 on clusters, 1.2 on a square and 1.7 on a
+/// random blob (0.9, 1.5, 1.9 and 2.6 ns with the chunked cell scan it
+/// replaced). GoToCenter, which reads its whole view, decides in
+/// 0.45–1.1 µs on the n = 256 start swarms of the weak-sync cut (mean
+/// 0.78 µs; 1.1–5.4 µs, mean 2.7 µs before). The value and the model
+/// stay as they were, so marking drops every bit in exactly the rounds
+/// it did and the engine computes the same robots.
 const PROBES_PER_COMPUTE: usize = 200;
 
 /// Round classes ([`crate::Controller::round_class`] is below 8).

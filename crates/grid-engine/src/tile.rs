@@ -20,14 +20,20 @@
 //!   plus two compares each instead of a hash lookup — this is what
 //!   keeps the tiled index competitive with the dense grid on the hot
 //!   look path.
-//! * A window's ball scan (`TileWindow::for_each_in_ball`) visits every
-//!   occupied cell within an L1 radius by scanning each world row's
-//!   contiguous tile slice, skipping all-empty 8-cell chunks. Whole-ball
-//!   reads — GoToCenter's look, the quiet set's invalidation — take this
-//!   path instead of one probe per cell.
+//! * Each tile also keeps one 64-bit *row word* per row, bit `x` set
+//!   while cell `x` of the row holds a robot, in the same allocation as
+//!   its cells; [`TileIndex::set`] and [`TileIndex::clear`] keep the two
+//!   in step. A window's ball walk reads, for each world row of an L1
+//!   ball, one masked word per tile the row crosses, and visits only its
+//!   set bits: the quiet set's invalidation and `View::for_each_within`
+//!   read a handle per set bit (`TileWindow::for_each_in_ball`), and
+//!   GoToCenter's look takes the ball's robot count and offset sum from
+//!   the words alone (`TileWindow::count_and_sum_in_ball`). The
+//!   connectivity flood and a tile's extents read the words too, never
+//!   the 16 KiB of cells.
 
 use crate::fxhash::FxHashMap;
-use crate::geom::{Bounds, Point};
+use crate::geom::{Bounds, Point, V2};
 
 /// Sentinel id for an empty cell (shared with the dense reference grid).
 pub const EMPTY: u32 = u32::MAX;
@@ -54,6 +60,9 @@ impl TileKey {
     }
 }
 
+/// Rows per tile, each with one occupancy word.
+pub(crate) const TILE_ROWS: usize = TILE_SIZE as usize;
+
 /// One dense 64×64 tile plus its live-cell count (so empty tiles can be
 /// dropped, keeping both memory and the tile-key extremes honest).
 impl std::fmt::Debug for Tile {
@@ -64,13 +73,27 @@ impl std::fmt::Debug for Tile {
 
 #[derive(Clone)]
 pub struct Tile {
-    cells: Box<[u32; TILE_CELLS]>,
+    cells: Box<Cells>,
     occupied: u32,
+}
+
+/// A tile's one allocation: the handles, and per row a *vacancy word*
+/// whose bit `x` is set exactly when cell `x` of the row is empty. Empty
+/// reads all ones in both ([`EMPTY`] for a handle), so a new tile is one
+/// fill of ones, written in place; a row's occupancy word is its vacancy
+/// word inverted.
+#[derive(Clone)]
+struct Cells {
+    ids: [u32; TILE_CELLS],
+    vacant: [u64; TILE_ROWS],
 }
 
 impl Tile {
     fn new() -> Tile {
-        Tile { cells: Box::new([EMPTY; TILE_CELLS]), occupied: 0 }
+        Tile {
+            cells: Box::new(Cells { ids: [EMPTY; TILE_CELLS], vacant: [u64::MAX; TILE_ROWS] }),
+            occupied: 0,
+        }
     }
 
     /// Index of a world-frame cell within its tile.
@@ -81,27 +104,26 @@ impl Tile {
 
     #[inline]
     pub fn get(&self, p: Point) -> Option<u32> {
-        let v = self.cells[Tile::idx(p)];
+        let v = self.cells.ids[Tile::idx(p)];
         (v != EMPTY).then_some(v)
     }
 
-    /// Exact bounds of the occupied cells, in tile-local offsets.
-    /// O(TILE_CELLS); only called for the boundary tiles of a bounds
+    /// The occupancy word of tile-local row `y`: bit `x` is set ⇔ cell
+    /// `(x, y)` holds a robot.
+    #[inline]
+    pub(crate) fn row(&self, y: usize) -> u64 {
+        !self.cells.vacant[y]
+    }
+
+    /// Exact bounds of the occupied cells, in tile-local offsets, from
+    /// the row words; only called for the boundary tiles of a bounds
     /// query, never per robot.
     fn local_extents(&self) -> Option<(i32, i32, i32, i32)> {
-        let mut ext: Option<(i32, i32, i32, i32)> = None;
-        for (i, &v) in self.cells.iter().enumerate() {
-            if v == EMPTY {
-                continue;
-            }
-            let x = (i & (TILE_SIZE as usize - 1)) as i32;
-            let y = (i >> TILE_BITS) as i32;
-            ext = Some(match ext {
-                None => (x, x, y, y),
-                Some((x0, x1, y0, y1)) => (x0.min(x), x1.max(x), y0.min(y), y1.max(y)),
-            });
-        }
-        ext
+        let y0 = (0..TILE_ROWS).find(|&y| self.row(y) != 0)?;
+        let y1 = (0..TILE_ROWS).rfind(|&y| self.row(y) != 0)?;
+        let all = (y0..=y1).fold(0, |all, y| all | self.row(y));
+        let (x0, x1) = (all.trailing_zeros(), 63 - all.leading_zeros());
+        Some((x0 as i32, x1 as i32, y0 as i32, y1 as i32))
     }
 }
 
@@ -133,9 +155,10 @@ impl TileIndex {
     /// Returns the id previously stored at `p`.
     pub fn set(&mut self, p: Point, id: u32) -> Option<u32> {
         let tile = self.tiles.entry(TileKey::of(p)).or_insert_with(Tile::new);
-        let cell = &mut tile.cells[Tile::idx(p)];
-        let old = std::mem::replace(cell, id);
+        let i = Tile::idx(p);
+        let old = std::mem::replace(&mut tile.cells.ids[i], id);
         if old == EMPTY {
+            tile.cells.vacant[i >> TILE_BITS] &= !(1 << (i & (TILE_ROWS - 1)));
             tile.occupied += 1;
             None
         } else {
@@ -148,16 +171,31 @@ impl TileIndex {
     pub fn clear(&mut self, p: Point) -> Option<u32> {
         let key = TileKey::of(p);
         let tile = self.tiles.get_mut(&key)?;
-        let cell = &mut tile.cells[Tile::idx(p)];
-        let old = std::mem::replace(cell, EMPTY);
+        let i = Tile::idx(p);
+        let old = std::mem::replace(&mut tile.cells.ids[i], EMPTY);
         if old == EMPTY {
             return None;
         }
+        tile.cells.vacant[i >> TILE_BITS] |= 1 << (i & (TILE_ROWS - 1));
         tile.occupied -= 1;
         if tile.occupied == 0 {
             self.tiles.remove(&key);
         }
         Some(old)
+    }
+
+    /// Every live tile with its key, in ascending key order.
+    pub(crate) fn sorted_tiles(&self) -> Vec<(TileKey, &Tile)> {
+        let mut tiles = Vec::with_capacity(self.tiles.len());
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "collected in hash order, then sorted by key: the order cannot leak"
+        )]
+        for (&key, tile) in &self.tiles {
+            tiles.push((key, tile));
+        }
+        tiles.sort_unstable_by_key(|&(key, _)| key);
+        tiles
     }
 
     /// Live (non-empty) tiles currently allocated.
@@ -275,20 +313,10 @@ impl std::fmt::Debug for TileWindow<'_> {
     }
 }
 
-/// Cells per chunk of a ball scan's row slice: a chunk whose cells all
-/// read [`EMPTY`] is skipped after one AND-fold.
-const SCAN_CHUNK: usize = 8;
-
 impl TileWindow<'_> {
     #[inline]
     pub fn get(&self, p: Point) -> Option<u32> {
-        let dx = (p.x >> TILE_BITS) - self.kx0;
-        let dy = (p.y >> TILE_BITS) - self.ky0;
-        if dx >= 0 && dx < self.w && dy >= 0 && dy < self.h {
-            self.tiles[(dy * self.w + dx) as usize].and_then(|t| t.get(p))
-        } else {
-            self.index.get(p)
-        }
+        self.tile(TileKey::of(p))?.get(p)
     }
 
     #[inline]
@@ -296,57 +324,73 @@ impl TileWindow<'_> {
         self.get(p).is_some()
     }
 
-    /// Call `f(cell, id)` for every occupied cell within L1 distance `r`
-    /// of `center`, in world scanline order (rows by ascending `y`, each
-    /// by ascending `x`): one row-slice scan per world row.
+    /// The tile at `key`: from the pinned block when it covers `key`,
+    /// else through the index.
     #[inline]
-    pub(crate) fn for_each_in_ball(&self, center: Point, r: i32, mut f: impl FnMut(Point, u32)) {
-        for dy in -r..=r {
-            let (y, w) = (center.y + dy, r - dy.abs());
-            self.for_each_in_row(y, center.x - w, center.x + w, |x, id| f(Point::new(x, y), id));
+    fn tile(&self, key: TileKey) -> Option<&Tile> {
+        let (dx, dy) = (key.x - self.kx0, key.y - self.ky0);
+        if dx >= 0 && dx < self.w && dy >= 0 && dy < self.h {
+            self.tiles[(dy * self.w + dx) as usize]
+        } else {
+            self.index.tiles.get(&key)
         }
     }
 
-    /// Call `f(x, id)` for every occupied cell of row `y` from `x0` to
-    /// `x1` inclusive, in x order: a scan of each tile's contiguous row
-    /// slice. An empty cell is all ones ([`EMPTY`]), so a chunk of cells
-    /// AND-folds to [`EMPTY`] exactly when every cell in it is empty,
-    /// and such a chunk is skipped without a per-cell test.
+    /// Call `f(cell, id)` for every occupied cell within L1 distance `r`
+    /// of `center`, in world scanline order (rows by ascending `y`, each
+    /// by ascending `x`): one handle read per robot, none per empty cell.
     #[inline]
-    fn for_each_in_row(&self, y: i32, x0: i32, x1: i32, mut f: impl FnMut(i32, u32)) {
-        let ky = y >> TILE_BITS;
-        let row = ((y & (TILE_SIZE - 1)) as usize) << TILE_BITS;
-        let mut x = x0;
-        while x <= x1 {
-            let kx = x >> TILE_BITS;
-            let end = x1.min((kx << TILE_BITS) + TILE_SIZE - 1);
-            let (dx, dy) = (kx - self.kx0, ky - self.ky0);
-            let tile = if dx >= 0 && dx < self.w && dy >= 0 && dy < self.h {
-                self.tiles[(dy * self.w + dx) as usize]
-            } else {
-                self.index.tiles.get(&TileKey { x: kx, y: ky })
-            };
-            if let Some(tile) = tile {
-                let start = row + (x & (TILE_SIZE - 1)) as usize;
-                let cells = &tile.cells[start..=start + (end - x) as usize];
-                let mut scan = |cx: i32, chunk: &[u32]| {
-                    if chunk.iter().fold(EMPTY, |all, &id| all & id) != EMPTY {
-                        for (cx, &id) in (cx..).zip(chunk) {
-                            if id != EMPTY {
-                                f(cx, id);
-                            }
-                        }
-                    }
-                };
-                let mut chunks = cells.chunks_exact(SCAN_CHUNK);
-                let mut cx = x;
-                for chunk in &mut chunks {
-                    scan(cx, chunk);
-                    cx += SCAN_CHUNK as i32;
-                }
-                scan(cx, chunks.remainder());
+    pub(crate) fn for_each_in_ball(&self, center: Point, r: i32, mut f: impl FnMut(Point, u32)) {
+        self.for_each_ball_word(center, r, |tile, y, x, mut bits| {
+            let row = ((y & (TILE_SIZE - 1)) as usize) << TILE_BITS;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                f(Point::new(x + b as i32, y), tile.cells.ids[row | b as usize]);
             }
-            x = end + 1;
+        });
+    }
+
+    /// The number of occupied cells within L1 distance `r` of `center`,
+    /// and the sum of their offsets from it, from the row words alone.
+    #[inline]
+    pub(crate) fn count_and_sum_in_ball(&self, center: Point, r: i32) -> (i32, V2) {
+        let (mut n, mut sum) = (0, V2::ZERO);
+        self.for_each_ball_word(center, r, |_, y, x, mut bits| {
+            let (mut k, mut dx) = (0, 0);
+            while bits != 0 {
+                dx += bits.trailing_zeros() as i32;
+                k += 1;
+                bits &= bits - 1;
+            }
+            n += k;
+            sum = sum + V2::new(dx + k * (x - center.x), k * (y - center.y));
+        });
+        (n, sum)
+    }
+
+    /// Call `f(tile, y, x, bits)` for every tile row segment of the L1
+    /// ball of radius `r` around `center` that holds a robot, rows by
+    /// ascending `y`, each row's segments by ascending `x`: `x` is the
+    /// first column of `tile`, and bit `b` of `bits` is set exactly when
+    /// cell `(x + b, y)` is occupied and within the ball.
+    #[inline]
+    fn for_each_ball_word(&self, center: Point, r: i32, mut f: impl FnMut(&Tile, i32, i32, u64)) {
+        for dy in -r..=r {
+            let (y, w) = (center.y + dy, r - dy.abs());
+            let (x0, x1) = (center.x - w, center.x + w);
+            let (ky, row) = (y >> TILE_BITS, (y & (TILE_SIZE - 1)) as usize);
+            for kx in x0 >> TILE_BITS..=x1 >> TILE_BITS {
+                let Some(tile) = self.tile(TileKey { x: kx, y: ky }) else { continue };
+                let x = kx << TILE_BITS;
+                // Bits `lo..=hi` of the row word lie in the ball; both
+                // shifts stay below 64 even for a whole-tile segment.
+                let (lo, hi) = ((x0.max(x) - x) as u32, (x1.min(x + TILE_SIZE - 1) - x) as u32);
+                let bits = tile.row(row) & (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+                if bits != 0 {
+                    f(tile, y, x, bits);
+                }
+            }
         }
     }
 }
@@ -373,6 +417,67 @@ mod tests {
         assert_eq!(idx.get(Point::new(0, 0)), None);
         assert_eq!(idx.clear(Point::new(0, 0)), None);
         assert_eq!(idx.tile_count(), 3, "emptied tile is dropped");
+    }
+
+    /// Every live tile's row words equal its cells' occupancy, and the
+    /// live tiles are those holding a robot.
+    fn assert_rows_match_cells(idx: &TileIndex, at: &str) {
+        for (key, tile) in idx.sorted_tiles() {
+            for y in 0..TILE_ROWS {
+                let cells = &tile.cells.ids[y * TILE_ROWS..(y + 1) * TILE_ROWS];
+                let want = cells.iter().rev().fold(0u64, |w, &id| w << 1 | u64::from(id != EMPTY));
+                assert_eq!(tile.row(y), want, "{at}: tile {key:?} row {y}");
+            }
+            let live: u32 = (0..TILE_ROWS).map(|y| tile.row(y).count_ones()).sum();
+            assert_eq!(tile.occupied, live, "{at}: tile {key:?}");
+        }
+    }
+
+    #[test]
+    fn row_words_follow_sets_and_clears() {
+        // An overwrite keeps the bit; a tile that empties is dropped, and
+        // created again with only the new cell's bit.
+        let mut idx = TileIndex::new();
+        let p = Point::new(-1, -64);
+        idx.set(p, 1);
+        assert_eq!(idx.set(p, 2), Some(1));
+        assert_rows_match_cells(&idx, "overwrite");
+        assert_eq!(idx.clear(p), Some(2));
+        assert_eq!(idx.tile_count(), 0, "the tile emptied");
+        idx.set(Point::new(-64, -1), 3);
+        let tiles = idx.sorted_tiles();
+        assert_eq!(tiles.len(), 1);
+        assert_eq!(tiles[0].0, TileKey::of(p));
+        let rows: Vec<u64> = (0..TILE_ROWS).map(|y| tiles[0].1.row(y)).collect();
+        assert_eq!(rows, [vec![0; TILE_ROWS - 1], vec![1]].concat(), "a stale bit survived");
+        // Random sets, overwrites and clears over a box of sixteen tiles
+        // around the origin, against a model of the occupied cells.
+        let mut idx = TileIndex::new();
+        let mut model = std::collections::BTreeMap::new();
+        for round in 0..200u64 {
+            for k in 0..50 {
+                let draw = crate::splitmix64(round << 16 | k);
+                let p = Point::new((draw % 150) as i32 - 75, ((draw >> 8) % 150) as i32 - 75);
+                if draw >> 40 & 3 == 0 {
+                    assert_eq!(idx.clear(p), model.remove(&p), "round {round}");
+                } else {
+                    let id = (draw >> 20) as u32 & 0xffff;
+                    assert_eq!(idx.set(p, id), model.insert(p, id), "round {round}");
+                }
+            }
+            assert_rows_match_cells(&idx, &format!("round {round}"));
+            let keys: std::collections::BTreeSet<TileKey> =
+                model.keys().map(|&p| TileKey::of(p)).collect();
+            let live: Vec<TileKey> = idx.sorted_tiles().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(live, keys.into_iter().collect::<Vec<_>>(), "round {round}: live tiles");
+            if round % 50 == 49 {
+                // Empty the box: every tile is dropped, then rebuilt.
+                for p in std::mem::take(&mut model).into_keys() {
+                    idx.clear(p);
+                }
+                assert_eq!(idx.tile_count(), 0);
+            }
+        }
     }
 
     #[test]
@@ -450,6 +555,8 @@ mod tests {
                     }
                 }
             }
+            // (32, 0) at radius 32 and (-32, 5) at radius 40 have rows
+            // covering a whole tile row: a 64-bit segment mask.
             let centers = [
                 Point::new(0, 0),
                 Point::new(-1, -1),
@@ -457,9 +564,11 @@ mod tests {
                 Point::new(-64, 64),
                 Point::new(-70, 30),
                 Point::new(5, -45),
+                Point::new(32, 0),
+                Point::new(-32, 5),
             ];
             for center in centers {
-                for r in [0i32, 1, 7, 20, 22] {
+                for r in [0i32, 1, 7, 20, 22, 32, 40] {
                     let probed: Vec<(Point, u32)> = (-r..=r)
                         .flat_map(|dy| {
                             let w = r - dy.abs();

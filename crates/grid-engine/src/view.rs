@@ -15,9 +15,13 @@
 //! its viewing range at construction ([`crate::tile::TileWindow`]), so
 //! the O(radius²) probes of a compute step cost an array read plus two
 //! compares each — tile-map hash lookups are paid once per view, not
-//! once per probe. Whole-ball queries ([`View::for_each_within`]) do not
-//! probe cell by cell: they scan the ball's world rows as contiguous
-//! tile slices, skipping empty stretches a chunk at a time.
+//! once per probe. Whole-ball queries do not probe cell by cell: they
+//! read the ball's world rows as one masked 64-bit occupancy word per
+//! tile row segment and visit only the set bits.
+//! [`View::for_each_within`] reads one handle per robot it finds;
+//! [`View::count_and_sum_within`] reads no handle at all, taking the
+//! robot count and the offset sum from the words and turning the sum
+//! into the robot's frame once.
 //!
 //! Reach: a view remembers the largest L1 offset any of its probes
 //! touched — `occupied`, `empty` and `state` count their offset, a ball
@@ -175,6 +179,20 @@ impl<'a, S: RobotState> View<'a, S> {
             }
         });
     }
+
+    /// The number of robots within L1 distance `r` of the observer,
+    /// excluding the observer itself, and the sum of their offsets
+    /// (robot frame): what folding [`View::for_each_within`] gives, read
+    /// from the occupancy words without a handle read. `r` must not
+    /// exceed the viewing radius.
+    pub fn count_and_sum_within(&self, r: i32) -> (i32, V2) {
+        assert!(r <= self.radius, "ball radius {r} exceeds viewing radius {}", self.radius);
+        self.charge(r);
+        let (n, sum) = self.win.count_and_sum_in_ball(self.center, r);
+        // The observer's own cell counts one robot at offset zero; the
+        // frame change is linear, so one transform of the sum serves.
+        (n - 1, self.inv.apply(sum))
+    }
 }
 
 #[cfg(test)]
@@ -238,7 +256,14 @@ mod tests {
                 let id = s.positions().iter().position(|&p| p == at).expect("observer placed");
                 let v = View::new(&s, id, RADIUS);
                 for r in [0, 3, RADIUS] {
-                    assert_eq!(within(&v, r), probed_within(&v, r), "{orient:?} at {at:?} r {r}");
+                    let probed = probed_within(&v, r);
+                    assert_eq!(within(&v, r), probed, "{orient:?} at {at:?} r {r}");
+                    // The count and sum, on a fresh view: it charges `r`.
+                    let fresh = View::new(&s, id, RADIUS);
+                    let fold = (probed.len() as i32, probed.iter().fold(V2::ZERO, |a, &b| a + b));
+                    let got = fresh.count_and_sum_within(r);
+                    assert_eq!(got, fold, "{orient:?} at {at:?} r {r}: count and sum");
+                    assert_eq!(fresh.reach(), r, "{orient:?} at {at:?} r {r}: reach");
                 }
             }
         }
