@@ -107,15 +107,17 @@ pub(crate) fn drop_dir(view: GView, run: &AxisRun) -> Option<V2> {
 /// is provably safe: a valid run's far side must be empty, which rules
 /// out a witness moving further away, so a moving witness steps along
 /// the run's own axis and stays 4-adjacent to the landed robots.
+///
+/// Only the run across `d` (along the axis perpendicular to it) can hop
+/// along `-d`, and its far side for that hop contains `w + d`; so an
+/// occupied `w + d` answers `false` after one probe, and otherwise only
+/// that one run is measured.
 fn head_on_member(view: GView, w: V2, d: V2, k_max: i32) -> bool {
-    for axis in [V2::E, V2::N] {
-        if let Some(run) = axis_run(view, w, axis, k_max) {
-            if drop_dir(view, &run) == Some(-d) {
-                return true;
-            }
-        }
+    if view.occupied(w + d) {
+        return false;
     }
-    false
+    let axis = if d.x == 0 { V2::E } else { V2::N };
+    axis_run(view, w, axis, k_max).is_some_and(|run| drop_dir(view, &run) == Some(-d))
 }
 
 /// Does a valid run actually execute? Only if at least one grey witness
@@ -130,9 +132,19 @@ pub(crate) fn run_executes(view: GView, run: &AxisRun, d: V2, k_max: i32) -> boo
 /// is not a member of any executing merge run, otherwise the unit or
 /// diagonal step it must take (diagonal = member of both a horizontal
 /// and a vertical executing run, Fig. 3b).
+///
+/// A run hops only toward a side whose far cells are all empty, and
+/// `at` is one of its cells, so when both of `at`'s neighbours across
+/// an axis are occupied no run along that axis can hop: the axis is
+/// skipped before its run is measured. An interior robot answers after
+/// its four neighbours, which keeps its decision's reach at 1.
 pub(crate) fn merge_step(view: GView, at: V2, k_max: i32) -> Option<V2> {
     let mut step = V2::ZERO;
     for axis in [V2::E, V2::N] {
+        let perp = axis.rot_ccw();
+        if view.occupied(at + perp) && view.occupied(at - perp) {
+            continue;
+        }
         if let Some(run) = axis_run(view, at, axis, k_max) {
             if let Some(d) = drop_dir(view, &run) {
                 if run_executes(view, &run, d, k_max) {
@@ -163,9 +175,83 @@ pub(crate) fn merge_nearby(view: GView, at: V2, dist: i32, k_max: i32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_engine::{OrientationMode, Point, Swarm};
+    use grid_engine::{splitmix64, OrientationMode, Point, Swarm, D4};
 
     const K: i32 = 7;
+
+    /// The reference for [`head_on_member`]: the run through `w` on each
+    /// axis, measured in full.
+    fn head_on_member_reference(view: GView, w: V2, d: V2, k_max: i32) -> bool {
+        for axis in [V2::E, V2::N] {
+            if let Some(run) = axis_run(view, w, axis, k_max) {
+                if drop_dir(view, &run) == Some(-d) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// The reference for [`merge_step`]: both axis runs measured before
+    /// any other check, witnesses judged by [`head_on_member_reference`].
+    fn merge_step_reference(view: GView, at: V2, k_max: i32) -> Option<V2> {
+        let mut step = V2::ZERO;
+        for axis in [V2::E, V2::N] {
+            if let Some(run) = axis_run(view, at, axis, k_max) {
+                if let Some(d) = drop_dir(view, &run) {
+                    let executes = witness_cells(&run, d)
+                        .iter()
+                        .any(|&w| view.occupied(w) && !head_on_member_reference(view, w, d, k_max));
+                    if executes {
+                        step = step + d;
+                    }
+                }
+            }
+        }
+        (step != V2::ZERO).then_some(step)
+    }
+
+    #[test]
+    fn fail_fast_predicates_equal_the_reference() {
+        // Seeded boxes filling 30–90 % of the observer's view, in every
+        // frame, at the observer and at the off-centre cells up to L1
+        // distance 2 that `merge_nearby` and neighbour replays evaluate.
+        let offsets: Vec<V2> = (-2..=2)
+            .flat_map(|y| (-2..=2).map(move |x| V2::new(x, y)))
+            .filter(|v| v.l1() <= 2)
+            .collect();
+        let (mut steps, mut head_on) = (0, 0);
+        for case in 0..120u64 {
+            let fill = 30 + splitmix64(case) % 61;
+            let pts: Vec<Point> = (-20..=20)
+                .flat_map(|y| (-20..=20).map(move |x| Point::new(x, y)))
+                .filter(|p| {
+                    p.x == 0 && p.y == 0
+                        || splitmix64(case << 32 ^ ((p.x + 20) * 64 + p.y + 20) as u64) % 100 < fill
+                })
+                .collect();
+            let mut s: Swarm<GatherState> = Swarm::new(&pts, OrientationMode::Aligned);
+            let me = s.robot_at(Point::new(0, 0)).expect("observer placed");
+            for orient in D4::all() {
+                s.orients_mut()[me] = orient;
+                let view = View::new(&s, me, 20);
+                for &at in offsets.iter().filter(|&&at| view.occupied(at)) {
+                    let step = merge_step(&view, at, K);
+                    let at_case = format!("case {case}, fill {fill}, {orient:?}, at {at:?}");
+                    assert_eq!(step, merge_step_reference(&view, at, K), "{at_case}");
+                    steps += usize::from(step.is_some());
+                    for d in V2::axis_units() {
+                        let got = head_on_member(&view, at, d, K);
+                        let want = head_on_member_reference(&view, at, d, K);
+                        assert_eq!(got, want, "{at_case}, d {d:?}");
+                        head_on += usize::from(got);
+                    }
+                }
+            }
+        }
+        // Both predicates answered `true` often enough to be tested.
+        assert!(steps > 100 && head_on > 100, "{steps} merge steps, {head_on} head-on members");
+    }
 
     fn swarm(cells: &[(i32, i32)]) -> Swarm<GatherState> {
         let pts: Vec<Point> = cells.iter().map(|&(x, y)| Point::new(x, y)).collect();

@@ -192,45 +192,84 @@ fn hop_candidate(view: GView, at: V2, run: Run, starting: bool, cfg: &GatherConf
     joint_hop_safe(view, at, target, starting, cfg).then_some(target)
 }
 
+/// A robot near a hop that may move this round, as bits of the
+/// certificate's window: its cell, and every destination its own OP-A
+/// hop could take (distinct; a robot stores at most two runs and
+/// matches at most two start patterns, so four suffice).
+#[derive(Clone, Copy, Debug, Default)]
+struct Mover {
+    cell: u64,
+    dests: [u64; 4],
+    count: usize,
+}
+
+impl Mover {
+    /// The mover's choices this round as (vacated, landed) bits: staying
+    /// first, then one hop per destination. A default mover only stays.
+    fn choices(self) -> impl Iterator<Item = (u64, u64)> {
+        let hops = self.dests.into_iter().take(self.count).map(move |dest| (self.cell, dest));
+        std::iter::once((0, 0)).chain(hops)
+    }
+}
+
 /// Robots within L1 distance 2 of `at` that may move this round —
 /// run holders, and in start rounds also Start-A/B matches — together
-/// with every destination their own OP-A hop could take. `None` when
+/// with every destination their own OP-A hop could take; a slot no
+/// mover fills holds a default mover, which only stays. `None` when
 /// more than two such movers crowd the window (too many worlds to
 /// certify: treat as the run-passing situation and do not reshape).
-fn nearby_movers(
-    view: GView,
-    at: V2,
-    starting: bool,
-    cfg: &GatherConfig,
-) -> Option<Vec<(V2, Vec<V2>)>> {
-    let mut movers = Vec::new();
+fn nearby_movers(view: GView, at: V2, starting: bool, cfg: &GatherConfig) -> Option<[Mover; 2]> {
+    let mut movers = [Mover::default(); 2];
+    let mut found = 0;
     for dy in -2..=2i32 {
         let w = 2 - dy.abs();
         for dx in -w..=w {
-            let c = at + V2::new(dx, dy);
-            if c == at {
+            let d = V2::new(dx, dy);
+            if d == V2::ZERO {
                 continue;
             }
-            let Some(state) = view.state(c) else { continue };
-            let mut runs: Vec<Run> = state.runs().collect();
-            if starting {
-                for r in start::starts(view, c, cfg) {
-                    if !runs.iter().any(|q| q.same_direction(&r)) {
-                        runs.push(r);
-                    }
+            let Some(state) = view.state(at + d) else { continue };
+            let starts = if starting { start::starts(view, at + d, cfg) } else { Vec::new() };
+            let mut mover = Mover { cell: window_bit(d), ..Mover::default() };
+            for run in state.runs().chain(starts) {
+                let dest = window_bit(d + run.hop_step());
+                if !mover.dests[..mover.count].contains(&dest) {
+                    mover.dests[mover.count] = dest;
+                    mover.count += 1;
                 }
             }
-            if runs.is_empty() {
+            if mover.count == 0 {
                 continue;
             }
-            let dests: Vec<V2> = runs.iter().map(|r| c + r.hop_step()).collect();
-            movers.push((c, dests));
-            if movers.len() > 2 {
+            if found == movers.len() {
                 return None;
             }
+            movers[found] = mover;
+            found += 1;
         }
     }
     Some(movers)
+}
+
+/// The certificate's window: the 7×7 cells around the hopping robot.
+const WINDOW_R: i32 = 3;
+/// Bits per window row. One more than the window is wide, so bit 7 of
+/// every row stays clear and a one-bit shift never carries a cell into
+/// the next row.
+const ROW: i32 = 8;
+
+/// The bit of the window cell at offset `d` from its centre: row
+/// `d.y + 3`, column `d.x + 3`.
+fn window_bit(d: V2) -> u64 {
+    debug_assert!(d.linf() <= WINDOW_R, "{d:?} outside the certificate's window");
+    1 << ((d.y + WINDOW_R) * ROW + d.x + WINDOW_R)
+}
+
+/// The cells 4-adjacent to any cell of `cells`, wrapped bits included:
+/// callers mask the result with an occupancy, whose padding bits are
+/// clear.
+fn nbrs4(cells: u64) -> u64 {
+    cells << 1 | cells >> 1 | cells << ROW | cells >> ROW
 }
 
 /// The joint connectivity certificate for a reshapement hop
@@ -247,6 +286,10 @@ fn nearby_movers(
 /// paths, so if all worlds pass, no combination of simultaneous
 /// decisions can disconnect the swarm here; refusing costs liveness
 /// only (the next start wave retries).
+///
+/// The window's 49 cells are read once, into one word of 8 bits per
+/// row, and every world is checked on that word with shifts: worlds
+/// differ only in the movers' cells, which the enumeration knows.
 pub(crate) fn joint_hop_safe(
     view: GView,
     at: V2,
@@ -254,92 +297,41 @@ pub(crate) fn joint_hop_safe(
     starting: bool,
     cfg: &GatherConfig,
 ) -> bool {
-    let Some(movers) = nearby_movers(view, at, starting, cfg) else {
+    let Some([a, b]) = nearby_movers(view, at, starting, cfg) else {
         return false;
     };
-    // Enumerate mover choices: index 0 = stays, i>0 = hop to dests[i-1].
-    let mut choice = vec![0usize; movers.len()];
-    loop {
-        let mut removed = vec![at];
-        let mut added = vec![target];
-        for (i, &(c, ref dests)) in movers.iter().enumerate() {
-            if choice[i] > 0 {
-                removed.push(c);
-                added.push(dests[choice[i] - 1]);
-            }
-        }
-        if !world_ok(view, at, target, &removed, &added) {
-            return false;
-        }
-        // Next world (mixed-radix counter).
-        let mut i = 0;
-        loop {
-            if i == movers.len() {
-                return true;
-            }
-            choice[i] += 1;
-            if choice[i] <= movers[i].1.len() {
-                break;
-            }
-            choice[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-/// One world of the joint certificate: BFS inside the window.
-fn world_ok(view: GView, at: V2, target: V2, removed: &[V2], added: &[V2]) -> bool {
-    const R: i32 = 3;
-    const W: usize = (2 * R as usize) + 1;
-    let idx = |v: V2| -> Option<usize> {
-        let dx = v.x - at.x + R;
-        let dy = v.y - at.y + R;
-        (dx >= 0 && dy >= 0 && dx <= 2 * R && dy <= 2 * R).then(|| (dy as usize) * W + dx as usize)
-    };
-    let mut occ = [false; W * W];
-    for dy in -R..=R {
-        for dx in -R..=R {
-            let v = at + V2::new(dx, dy);
-            occ[idx(v).expect("in window")] = view.occupied(v);
-        }
-    }
-    for &r in removed {
-        if let Some(i) = idx(r) {
-            occ[i] = false;
-        }
-    }
-    for &a in added {
-        if let Some(i) = idx(a) {
-            occ[i] = true;
-        }
-    }
-    let Some(ti) = idx(target) else { return false };
-
-    let mut seen = [false; W * W];
-    let mut stack = vec![target];
-    seen[ti] = true;
-    while let Some(p) = stack.pop() {
-        for d in V2::axis_units() {
-            let q = p + d;
-            if let Some(i) = idx(q) {
-                if occ[i] && !seen[i] {
-                    seen[i] = true;
-                    stack.push(q);
-                }
+    let mut occ = 0;
+    for dy in -WINDOW_R..=WINDOW_R {
+        for dx in -WINDOW_R..=WINDOW_R {
+            let d = V2::new(dx, dy);
+            if view.occupied(at + d) {
+                occ |= window_bit(d);
             }
         }
     }
-    // Every robot (in this world) adjacent to a vacated cell must
-    // reach the target.
-    removed.iter().all(|&r| {
-        V2::axis_units().into_iter().all(|d| {
-            let nb = r + d;
-            match idx(nb) {
-                Some(i) => !occ[i] || seen[i],
-                None => true,
-            }
+    let (me, landing) = (window_bit(V2::ZERO), window_bit(target - at));
+    a.choices().all(|(a_from, a_to)| {
+        b.choices().all(|(b_from, b_to)| {
+            let removed = me | a_from | b_from;
+            world_ok((occ & !removed) | landing | a_to | b_to, landing, removed)
         })
     })
+}
+
+/// One world of the joint certificate, on window bits: `occ` is the
+/// world's occupancy, `target` the hop's landing cell and `removed` the
+/// vacated cells. Flood the robots reachable from `target`; the world
+/// passes iff that reaches every robot 4-adjacent to a vacated cell.
+fn world_ok(occ: u64, target: u64, removed: u64) -> bool {
+    let mut seen = target;
+    loop {
+        let next = seen | (nbrs4(seen) & occ);
+        if next == seen {
+            break;
+        }
+        seen = next;
+    }
+    nbrs4(removed) & occ & !seen == 0
 }
 
 /// The holder's complete runner behaviour this round, in the observer's
@@ -734,6 +726,196 @@ mod tests {
             run_step(&v2, V2::ZERO, Run::new(V2::E, V2::S), false, &cfg()),
             RunStep::Stop(StopReason::ShapeBroken)
         );
+    }
+
+    /// The reference for [`nearby_movers`]: each mover's destinations in
+    /// a `Vec`, one per run, duplicates kept.
+    fn nearby_movers_reference(
+        view: GView,
+        at: V2,
+        starting: bool,
+        cfg: &GatherConfig,
+    ) -> Option<Vec<(V2, Vec<V2>)>> {
+        let mut movers = Vec::new();
+        for dy in -2..=2i32 {
+            let w = 2 - dy.abs();
+            for dx in -w..=w {
+                let c = at + V2::new(dx, dy);
+                if c == at {
+                    continue;
+                }
+                let Some(state) = view.state(c) else { continue };
+                let mut runs: Vec<Run> = state.runs().collect();
+                if starting {
+                    for r in start::starts(view, c, cfg) {
+                        if !runs.iter().any(|q| q.same_direction(&r)) {
+                            runs.push(r);
+                        }
+                    }
+                }
+                if runs.is_empty() {
+                    continue;
+                }
+                let dests: Vec<V2> = runs.iter().map(|r| c + r.hop_step()).collect();
+                movers.push((c, dests));
+                if movers.len() > 2 {
+                    return None;
+                }
+            }
+        }
+        Some(movers)
+    }
+
+    /// The reference for [`joint_hop_safe`]: every world built cell by
+    /// cell from fresh probes and searched with a stack.
+    fn joint_hop_safe_reference(
+        view: GView,
+        at: V2,
+        target: V2,
+        starting: bool,
+        cfg: &GatherConfig,
+    ) -> bool {
+        let Some(movers) = nearby_movers_reference(view, at, starting, cfg) else {
+            return false;
+        };
+        // Enumerate mover choices: index 0 = stays, i>0 = hop to dests[i-1].
+        let mut choice = vec![0usize; movers.len()];
+        loop {
+            let mut removed = vec![at];
+            let mut added = vec![target];
+            for (i, &(c, ref dests)) in movers.iter().enumerate() {
+                if choice[i] > 0 {
+                    removed.push(c);
+                    added.push(dests[choice[i] - 1]);
+                }
+            }
+            if !world_ok_reference(view, at, target, &removed, &added) {
+                return false;
+            }
+            // Next world (mixed-radix counter).
+            let mut i = 0;
+            loop {
+                if i == movers.len() {
+                    return true;
+                }
+                choice[i] += 1;
+                if choice[i] <= movers[i].1.len() {
+                    break;
+                }
+                choice[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// The reference for [`world_ok`]: a stack search on a `bool` grid
+    /// of the window.
+    fn world_ok_reference(view: GView, at: V2, target: V2, removed: &[V2], added: &[V2]) -> bool {
+        const R: i32 = 3;
+        const W: usize = (2 * R as usize) + 1;
+        let idx = |v: V2| -> Option<usize> {
+            let dx = v.x - at.x + R;
+            let dy = v.y - at.y + R;
+            (dx >= 0 && dy >= 0 && dx <= 2 * R && dy <= 2 * R)
+                .then(|| (dy as usize) * W + dx as usize)
+        };
+        let mut occ = [false; W * W];
+        for dy in -R..=R {
+            for dx in -R..=R {
+                let v = at + V2::new(dx, dy);
+                occ[idx(v).expect("in window")] = view.occupied(v);
+            }
+        }
+        for &r in removed {
+            if let Some(i) = idx(r) {
+                occ[i] = false;
+            }
+        }
+        for &a in added {
+            if let Some(i) = idx(a) {
+                occ[i] = true;
+            }
+        }
+        let Some(ti) = idx(target) else { return false };
+
+        let mut seen = [false; W * W];
+        let mut stack = vec![target];
+        seen[ti] = true;
+        while let Some(p) = stack.pop() {
+            for d in V2::axis_units() {
+                let q = p + d;
+                if let Some(i) = idx(q) {
+                    if occ[i] && !seen[i] {
+                        seen[i] = true;
+                        stack.push(q);
+                    }
+                }
+            }
+        }
+        removed.iter().all(|&r| {
+            V2::axis_units().into_iter().all(|d| {
+                let nb = r + d;
+                match idx(nb) {
+                    Some(i) => !occ[i] || seen[i],
+                    None => true,
+                }
+            })
+        })
+    }
+
+    #[test]
+    fn bit_window_certificate_equals_the_reference() {
+        // Seeded 13×13 boxes at 30–90 % fill around the hopping robot,
+        // with 0 to 3 of the robots within L1 distance 3 holding one or
+        // two runs (those within 2 are movers, and 3 movers are one too
+        // many), every diagonal hop target, in start rounds (where
+        // Start-A/B matches move too) and others.
+        let cfg = cfg();
+        let near: Vec<(i32, i32)> = (-3..=3i32)
+            .flat_map(|y| (-3..=3i32).map(move |x| (x, y)))
+            .filter(|&(x, y)| x.abs() + y.abs() <= 3 && (x, y) != (0, 0))
+            .collect();
+        let mut outcomes = [[0usize; 2]; 4];
+        for case in 0..600u64 {
+            let draw = grid_engine::splitmix64(case);
+            let fill = 30 + draw % 61;
+            let holders = (draw >> 8) as usize % 4;
+            let cells: Vec<(i32, i32)> = (-6..=6)
+                .flat_map(|y| (-6..=6).map(move |x| (x, y)))
+                .filter(|&(x, y)| {
+                    let bits = ((x + 6) * 16 + y + 6) as u64;
+                    (x, y) == (0, 0) || grid_engine::splitmix64(case << 16 ^ bits) % 100 < fill
+                })
+                .collect();
+            let mut s = swarm(&cells);
+            let occupied: Vec<(i32, i32)> =
+                near.iter().copied().filter(|&(x, y)| cells.contains(&(x, y))).collect();
+            for k in 0..holders.min(occupied.len()) {
+                let bits = grid_engine::splitmix64(draw ^ k as u64);
+                let p = occupied[bits as usize % occupied.len()];
+                for shift in [8, 24].into_iter().take(1 + (bits >> 40) as usize % 2) {
+                    let travel = V2::axis_units()[(bits >> shift & 3) as usize];
+                    let side = if bits >> (shift + 2) & 1 == 0 {
+                        travel.rot_ccw()
+                    } else {
+                        travel.rot_cw()
+                    };
+                    give_run(&mut s, p, Run::new(travel, side));
+                }
+            }
+            let holding = s.states().iter().filter(|st| st.has_runs()).count();
+            let view = view_at(&s, (0, 0));
+            for starting in [false, true] {
+                for target in [V2::new(1, 1), V2::new(-1, 1), V2::new(-1, -1), V2::new(1, -1)] {
+                    let got = joint_hop_safe(&view, V2::ZERO, target, starting, &cfg);
+                    let want = joint_hop_safe_reference(&view, V2::ZERO, target, starting, &cfg);
+                    assert_eq!(got, want, "case {case}, fill {fill}, {target:?}, {starting}");
+                    outcomes[holding.min(3)][usize::from(got)] += 1;
+                }
+            }
+        }
+        // Every holder count both passed and refused some hops.
+        assert!(outcomes.iter().flatten().all(|&n| n > 20), "{outcomes:?}");
     }
 
     #[test]

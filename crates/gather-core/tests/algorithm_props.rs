@@ -13,6 +13,8 @@ use grid_engine::{
     Scheduler, Swarm, View,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn arb_swarm() -> impl Strategy<Value = (Vec<Point>, u64)> {
     (10usize..100, any::<u64>())
@@ -62,6 +64,16 @@ fn schedulers(seed: u64, n: usize) -> [Scheduler; 5] {
     ]
 }
 
+/// What a lockstep run of [`assert_shared_plans_match_standalone`]
+/// ended with: the rounds stepped, the final position digest, and the
+/// robots each shared engine computed (one sum per thread count).
+#[derive(Debug)]
+struct Lockstep {
+    rounds: u64,
+    digest: u64,
+    computed: Vec<u64>,
+}
+
 /// Run the paper controller through shared plans and quiet skipping on
 /// each thread count and through standalone `decide` on one thread, for
 /// `rounds` rounds or until gathered, asserting the same round
@@ -74,7 +86,7 @@ fn assert_shared_plans_match_standalone(
     scheduler: Scheduler,
     threads: &[usize],
     rounds: u64,
-) -> Result<(), TestCaseError> {
+) -> Result<Lockstep, TestCaseError> {
     let config = |threads| EngineConfig {
         threads,
         scheduler,
@@ -88,10 +100,21 @@ fn assert_shared_plans_match_standalone(
         .iter()
         .map(|&t| Engine::from_positions(pts, orientation, GatherController::paper(), config(t)))
         .collect();
+    let computed: Vec<Rc<Cell<u64>>> = shared
+        .iter_mut()
+        .map(|engine| {
+            let computed = Rc::new(Cell::new(0));
+            let sink = Rc::clone(&computed);
+            engine.set_profiler(Box::new(move |p| sink.set(sink.get() + p.computed)));
+            computed
+        })
+        .collect();
+    let mut stepped = 0;
     for round in 0..rounds {
         if reference.swarm.is_gathered() {
             break;
         }
+        stepped += 1;
         let expected = reference.step().expect("unchecked steps cannot fail");
         for (engine, &t) in shared.iter_mut().zip(threads) {
             let got = engine.step().expect("unchecked steps cannot fail");
@@ -107,7 +130,11 @@ fn assert_shared_plans_match_standalone(
             );
         }
     }
-    Ok(())
+    Ok(Lockstep {
+        rounds: stepped,
+        digest: reference.swarm.position_digest(),
+        computed: computed.iter().map(|c| c.get()).collect(),
+    })
 }
 
 /// Shared plans and quiet skipping on swarms wider than the view, where
@@ -135,6 +162,23 @@ fn shared_plans_match_standalone_decide_across_threads() {
                 .unwrap_or_else(|e| panic!("{} robots: {e}", pts.len()));
         }
     }
+}
+
+/// A work pin on an interior-heavy swarm: the 24×24 square gathers
+/// under FSYNC through about 29 start periods, with shared plans and
+/// quiet skipping beside the standalone reference, which computes every
+/// robot every round. The rounds and digest pin the results; the summed
+/// computed robots pin the work, which falls only when decisions read
+/// fewer cells (an interior robot ends its merge check after its four
+/// neighbours, so the quiet set wakes a thinner band behind each change).
+#[test]
+fn square_gathers_in_lockstep_with_pinned_work() {
+    let pts = gather_workloads::square(24);
+    let run = assert_shared_plans_match_standalone(&pts, 3, Scheduler::Fsync, &[1], 1_000)
+        .unwrap_or_else(|e| panic!("square(24): {e}"));
+    assert_eq!(run.rounds, 642, "rounds to gathered");
+    assert_eq!(run.digest, 0xc321_7cef_9beb_be93, "final position digest");
+    assert_eq!(run.computed, [11_352], "robots computed");
 }
 
 /// Run `controller` on `pts` (orientation seed 5) until gathered or

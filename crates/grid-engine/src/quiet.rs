@@ -75,6 +75,15 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// 2 ns and a robot's compute about 400 ns for the paper controller, so
 /// marking paid while it probed fewer than ~200 cells per robot.
 ///
+/// A robot's compute, re-measured after interior robots stopped
+/// measuring their axis runs, is about 700 ns for the paper
+/// controller: the compute phase's seconds per computed robot over the
+/// four fsync-gather scenarios at seed 1 (`campaign run --perf
+/// --threads 1`, three runs, 2-core Xeon) read 680–780 ns (640–780 ns
+/// before), from 290–500 ns on the n = 4096 line to 830–930 ns on the
+/// n = 512 hollow square, and one traced decide reads 530 ns
+/// (`core.decide_ns`, median of three gatherbench runs; 551 ns before).
+///
 /// The scan now reads one occupancy word per tile row segment and a
 /// handle per robot found, so `ball_cells` over-counts its work: timed
 /// through `View::for_each_within` at radius 20 over every robot of
