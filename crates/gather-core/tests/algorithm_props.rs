@@ -181,6 +181,24 @@ fn square_gathers_in_lockstep_with_pinned_work() {
     assert_eq!(run.computed, [11_352], "robots computed");
 }
 
+/// The ASYNC twin of the pin above: the 20×20 square gathers under
+/// async-s2 (seed 3), with shared plans and quiet skipping on 1 and 2
+/// threads beside the standalone reference. The rounds and digest pin
+/// the results. The computed robots pin the work: a quiet look goes in
+/// flight as "stay, keep state" without being computed, so the engine
+/// computes 8,205 of the 109,303 looks, where computing every look
+/// would compute them all.
+#[test]
+fn square_gathers_under_async_in_lockstep_with_pinned_work() {
+    let pts = gather_workloads::square(20);
+    let scheduler = Scheduler::Async { seed: 3, staleness: 2 };
+    let run = assert_shared_plans_match_standalone(&pts, 3, scheduler, &[1, 2], 2_000)
+        .unwrap_or_else(|e| panic!("square(20) under {scheduler:?}: {e}"));
+    assert_eq!(run.rounds, 896, "rounds to gathered");
+    assert_eq!(run.digest, 0x659a_0b27_b40f_e024, "final position digest");
+    assert_eq!(run.computed, [8_205, 8_205], "robots computed");
+}
+
 /// Run `controller` on `pts` (orientation seed 5) until gathered or
 /// `budget` rounds pass: the rounds it took, if it gathered, and the
 /// final position digest.

@@ -358,14 +358,16 @@ impl<C: Controller> Engine<C> {
     /// activated robots that are not quiet in the round's class
     /// ([`crate::quiet`]), then apply; skipped robots are applied as
     /// inactive, which is what their "stay, keep state" would do.
-    /// [`Scheduler::Async`] differs in three places: the robots not in
-    /// flight are activated (they *look*), its rounds have no class, and
-    /// each look draws a seeded delay `d ∈ 0..=staleness` after compute —
-    /// `d >= 1` parks the move in the swarm, and the delay-0 moves
-    /// commit with the parked ones falling due. In-flight robots are
-    /// stationary incumbents under the order-free merge rule, so results
-    /// stay bit-identical across thread counts. Returns the round's
-    /// statistics and, with an observer attached, its record.
+    /// [`Scheduler::Async`] differs in two places: the robots not in
+    /// flight are activated (they *look*), and each look, quiet or
+    /// computed, draws a seeded delay `d ∈ 0..=staleness` after compute —
+    /// `d >= 1` parks it in the swarm, and the delay-0 moves commit with
+    /// the parked ones falling due. A look whose action is "stay, keep
+    /// state" (a quiet look's always is) is parked without its action
+    /// and never commits, which is what committing it would do. In-flight
+    /// robots are stationary incumbents under the order-free merge rule,
+    /// so results stay bit-identical across thread counts. Returns the
+    /// round's statistics and, with an observer attached, its record.
     fn look_compute_move(
         &mut self,
         prof: &mut Option<&mut RoundProfile>,
@@ -402,10 +404,9 @@ impl<C: Controller> Engine<C> {
             Activation::All => (None, &self.all_slots[..n]),
             Activation::Subset(active) => (Some(active.as_slice()), active.as_slice()),
         };
-        // A robot that looks is parked even when it decides to stay, so
-        // skipping a quiet one would change the ASYNC schedule.
-        let class = if asynchronous.is_some() { None } else { self.controller.round_class(ctx) };
-        let mut quiet = match class {
+        // Under ASYNC too: a quiet look still goes in flight, with
+        // "stay, keep state" as its action.
+        let mut quiet = match self.controller.round_class(ctx) {
             Some(class) => {
                 assert!(class < 8, "round class {class} is not below 8");
                 let fresh = || QuietSet::new(self.controller.radius() + 2);
@@ -431,8 +432,10 @@ impl<C: Controller> Engine<C> {
             p.computed = computed_slots.len() as u64;
         }
         if let Some((class, quiet)) = &mut quiet {
+            let applies = asynchronous.is_none();
             timed(prof, Phase::ActiveList, || {
-                quiet.record(&self.swarm, computed_slots, &computed, self.plans.reach(), *class)
+                let reach = self.plans.reach();
+                quiet.record(&self.swarm, computed_slots, &computed, reach, *class, applies)
             });
         }
         let mut pending: Vec<PendingMove> = Vec::new();
@@ -440,16 +443,24 @@ impl<C: Controller> Engine<C> {
             None => (Cow::Borrowed(computed_slots), computed),
             Some((seed, staleness)) => timed(prof, Phase::Activate, || {
                 let mut commit = self.swarm.take_due(ctx.round);
-                for (&i, action) in computed_slots.iter().zip(computed) {
+                // Every look draws its delay. The computed looks are a
+                // slot-sorted sublist of the looks; the others are quiet,
+                // and their action is "stay, keep state".
+                let mut computed = computed_slots.iter().copied().zip(computed).peekable();
+                for &i in active {
+                    let action = computed.next_if(|&(j, _)| j == i).map(|(_, action)| action);
+                    let states = self.swarm.states();
+                    let action = action.filter(|a| a.step != V2::ZERO || a.state != states[i]);
                     let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
                     if d == 0 {
-                        commit.push((i, action));
+                        commit.extend(action.map(|action| (i, action)));
                         continue;
                     }
                     if tracing {
                         // Pending records keep the zero step: a robot
                         // that decided to stay is still in flight.
-                        let step = self.swarm.orients()[i].apply(action.step);
+                        let step = action.as_ref().map_or(V2::ZERO, |a| a.step);
+                        let step = self.swarm.orients()[i].apply(step);
                         pending.push(PendingMove {
                             robot: i as u32,
                             dx: step.x as i8,
@@ -457,7 +468,10 @@ impl<C: Controller> Engine<C> {
                             delay: d as u32,
                         });
                     }
-                    self.swarm.park(i, ctx.round + d, action);
+                    match action {
+                        Some(action) => self.swarm.park(i, ctx.round + d, action),
+                        None => self.swarm.park_still(i, ctx.round + d),
+                    }
                 }
                 // A due robot was in flight, so it did not look: the
                 // slots are distinct, and sorting them gives the sparse
@@ -469,6 +483,9 @@ impl<C: Controller> Engine<C> {
                 (Cow::Owned(slots), actions)
             }),
         };
+        if let (Some((_, quiet)), Some(_)) = (&mut quiet, asynchronous) {
+            timed(prof, Phase::ActiveList, || quiet.note(&self.swarm, &slots, &actions));
+        }
         let moves = if tracing {
             timed(prof, Phase::Observe, || {
                 world_moves(&self.swarm, slots.iter().copied().zip(actions.iter()))

@@ -7,12 +7,16 @@
 //! `c` when its last action computed in class `c` was "stay, keep
 //! state" and nothing that decision read has changed since. Computing
 //! it again would return the same action, and applying "stay, keep
-//! state" is the same as leaving the robot inactive. So each round that
-//! is not ASYNC computes only the activated robots that are not quiet in
-//! the round's class, through the plan table ([`crate::plan`]) with
-//! their list, and applies them through [`Swarm::apply_sparse`]; skipped
-//! robots are applied as inactive. Positions, states, records and round
-//! statistics are bit-identical to computing every activated robot.
+//! state" is the same as leaving the robot inactive. So each round
+//! computes only the activated robots that are not quiet in the round's
+//! class, through the plan table ([`crate::plan`]) with their list, and
+//! applies them through [`Swarm::apply_sparse`]; skipped robots are
+//! applied as inactive. Under ASYNC the activated robots are the looks:
+//! a quiet look still draws its delay and goes in flight, with "stay,
+//! keep state" as its action, which the swarm parks without an action
+//! ([`Swarm::park_still`]) and never commits. Positions, states, records
+//! and round statistics are bit-identical to computing every activated
+//! robot.
 //!
 //! What a decision read lies within its *reach*: the largest L1 offset
 //! any probe of its view touched ([`crate::View`]), where reading a
@@ -23,15 +27,17 @@
 //! keeps one reach per handle, the largest over the classes it is quiet
 //! in. After each apply, a robot loses all its bits when a *changed
 //! cell* — the old and new cell of a mover, the cell of a robot whose
-//! state changed — lies within its reach. No decision reads beyond the
+//! state changed — lies within its reach. The changed cells are those of
+//! the actions the round applies: the computed ones, or under ASYNC the
+//! parked moves landing and the delay-0 looks, so a parked move wakes
+//! its readers when it lands. No decision reads beyond the
 //! *ball* of radius `radius + 2` (its own view reaches `radius`; a
 //! neighbour up to L1 distance 2 away plans on a view reaching `radius`
 //! further). This needs nothing beyond the [`crate::Controller`]
 //! contract; in particular it does not rely on `decide_with_plans`
 //! agreeing with `decide`. Edits the engine did not make (`states_mut`,
 //! `orients_mut`, a swapped-in swarm) show up as a new swarm version and
-//! drop every bit; so does an ASYNC round, whose robots that look are
-//! parked even when they decide to stay.
+//! drop every bit.
 //!
 //! Most quiet robots read only a few cells, so scanning the whole ball
 //! around every changed cell would mostly visit robots too far away to
@@ -205,7 +211,10 @@ impl QuietSet {
     /// After compute, before the apply: `computed[k]` chose `actions[k]`
     /// in `class`, reading as far as `reach[k]`. A robot that stays and
     /// keeps its state becomes quiet in `class`; any other loses all its
-    /// bits and its cells join the round's changed cells.
+    /// bits. Starts the round's changed cells: when the round `applies`
+    /// exactly these actions (every scheduler but ASYNC, which calls
+    /// [`QuietSet::note`] instead), the cells changed by those that do
+    /// not stay and keep their state; otherwise none.
     pub(crate) fn record<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
@@ -213,8 +222,9 @@ impl QuietSet {
         actions: &[Action<S>],
         reach: &[AtomicU8],
         class: u8,
+        applies: bool,
     ) {
-        let (handles, positions, states) = (swarm.handles(), swarm.positions(), swarm.states());
+        let (handles, states) = (swarm.handles(), swarm.states());
         self.changed.clear();
         for ((&i, action), reach) in computed.iter().zip(actions).zip(reach) {
             let h = handles[i] as usize;
@@ -223,10 +233,36 @@ impl QuietSet {
                 continue;
             }
             self.wake(h);
-            self.changed.push(positions[i]);
-            if action.step != V2::ZERO {
-                self.changed.push(positions[i] + swarm.orients()[i].apply(action.step));
+            if applies {
+                self.push_changed(swarm, i, action);
             }
+        }
+    }
+
+    /// Before the apply of an ASYNC round: the cells changed by the
+    /// actions it applies (`actions[k]` by the robot in `slots[k]`), the
+    /// parked moves landing and the delay-0 looks, join the round's
+    /// changed cells. A parked move so wakes its readers in the round it
+    /// lands. The engine commits no action that stays and keeps its
+    /// state, so each of these changes its robot.
+    pub(crate) fn note<S: RobotState>(
+        &mut self,
+        swarm: &Swarm<S>,
+        slots: &[usize],
+        actions: &[Action<S>],
+    ) {
+        for (&i, action) in slots.iter().zip(actions) {
+            self.push_changed(swarm, i, action);
+        }
+    }
+
+    /// The cells the robot in slot `i` changes by applying `action`: its
+    /// own, and its target when it moves.
+    fn push_changed<S: RobotState>(&mut self, swarm: &Swarm<S>, i: usize, action: &Action<S>) {
+        let at = swarm.positions()[i];
+        self.changed.push(at);
+        if action.step != V2::ZERO {
+            self.changed.push(at + swarm.orients()[i].apply(action.step));
         }
     }
 
@@ -577,16 +613,14 @@ mod tests {
             assert_eq!(stats, full.step(), "{at} round {round}");
             assert_eq!(quiet.swarm.positions(), full.swarm.positions(), "{at} round {round}");
             assert_eq!(quiet.swarm.states(), full.swarm.states(), "{at} round {round}");
+            let in_flight = quiet.swarm.in_flight_count();
+            assert_eq!(in_flight, full.swarm.in_flight_count(), "{at} round {round}");
             let stats = stats.expect("unchecked steps cannot fail");
             (activated, merged) = (activated + stats.activated, merged + stats.merged);
         }
         assert!(merged > 0, "{at}: no walker ever merged");
-        if matches!(scheduler, Scheduler::Async { .. }) {
-            assert_eq!(computed.get(), activated as u64, "{at}: ASYNC skipped a look");
-        } else {
-            eprintln!("{at}: computed {} of {activated}", computed.get());
-            assert!(computed.get() < activated as u64, "{at}: no robot was skipped");
-        }
+        eprintln!("{at}: computed {} of {activated}", computed.get());
+        assert!(computed.get() < activated as u64, "{at}: no robot was skipped");
         computed.get()
     }
 
@@ -608,13 +642,11 @@ mod tests {
             for threads in [1, 3] {
                 let radius = edited_lockstep(false, scheduler, threads);
                 let depth = edited_lockstep(true, scheduler, threads);
-                if !matches!(scheduler, Scheduler::Async { .. }) {
-                    assert!(
-                        depth < radius,
-                        "{scheduler:?} threads {threads}: reading to depth computed {depth} \
-                         robots, reading the whole radius {radius}"
-                    );
-                }
+                assert!(
+                    depth < radius,
+                    "{scheduler:?} threads {threads}: reading to depth computed {depth} robots, \
+                     reading the whole radius {radius}"
+                );
             }
         }
     }

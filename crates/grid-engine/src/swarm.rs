@@ -163,6 +163,18 @@ impl RoundScratch {
     }
 }
 
+/// The ASYNC looks that fall due in one round.
+#[derive(Clone, Default)]
+struct Due<S> {
+    /// Parked actions ([`Swarm::park`]), in the robot's local frame:
+    /// orientations are fixed at birth, so a deferred local-frame step
+    /// means the same world step whenever it commits.
+    moves: Vec<(u32, Action<S>)>,
+    /// Robots parked without an action ([`Swarm::park_still`]): they
+    /// only land.
+    still: Vec<u32>,
+}
+
 /// Source of [`Swarm::version`] stamps. One process-wide counter, so two
 /// swarms carry the same version only when one is an unedited clone of
 /// the other. Versions are only ever compared for equality; their values
@@ -191,13 +203,11 @@ pub struct Swarm<S: RobotState> {
     /// The occupancy index stores handles, so compaction only rewrites
     /// this flat array and never touches tile cells.
     slot_of: Vec<u32>,
-    /// ASYNC in-flight moves, grouped by the round they fall due (so
-    /// [`Swarm::take_due`] visits only the moves that land): each the
-    /// robot's stable *handle*, which compaction never has to touch, and
-    /// its action in the robot's local frame (orientations are fixed at
-    /// birth, so a deferred local-frame step means the same world step
-    /// whenever it commits). Empty for every synchronous scheduler.
-    pending: BTreeMap<u64, Vec<(u32, Action<S>)>>,
+    /// ASYNC in-flight looks, grouped by the round they fall due (so
+    /// [`Swarm::take_due`] visits only the looks that land), each by the
+    /// robot's stable *handle*, which compaction never has to touch.
+    /// Empty for every synchronous scheduler.
+    pending: BTreeMap<u64, Due<S>>,
     /// Per handle: is the robot in flight? One byte per robot, so an
     /// ASYNC round's look set scans this instead of the parked moves.
     /// Lazily sized; empty for every synchronous scheduler.
@@ -321,9 +331,9 @@ impl<S: RobotState> Swarm<S> {
 
     /// A stamp that changes whenever the swarm may have changed: every
     /// method that mutates it (`states_mut`, `orients_mut`, the applies,
-    /// `park`, `take_due`) draws a fresh one. Clones keep the stamp, so
-    /// equal versions mean an unchanged swarm; the engine uses this to
-    /// notice edits made between its steps.
+    /// `park`, `park_still`, `take_due`) draws a fresh one. Clones keep
+    /// the stamp, so equal versions mean an unchanged swarm; the engine
+    /// uses this to notice edits made between its steps.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
@@ -361,18 +371,19 @@ impl<S: RobotState> Swarm<S> {
     }
 
     /// Is the robot in dense slot `slot` mid-flight between an ASYNC
-    /// look and its move? In-flight robots hold position, cannot look
-    /// again, and (being stationary) always win the merges other
-    /// robots walk into.
+    /// look and its landing, parked with or without an action? In-flight
+    /// robots hold position, cannot look again, and (being stationary)
+    /// always win the merges other robots walk into.
     #[inline]
     pub fn is_in_flight(&self, slot: usize) -> bool {
         let h = self.handles()[slot] as usize;
         self.flying.get(h).is_some_and(|&flying| flying)
     }
 
-    /// Robots currently mid-flight (diagnostics and tests).
+    /// Robots currently mid-flight, parked with or without an action
+    /// (diagnostics and tests).
     pub fn in_flight_count(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.pending.values().map(|due| due.moves.len() + due.still.len()).sum()
     }
 
     /// Park an ASYNC move: the robot in `slot` looked this round and
@@ -380,8 +391,24 @@ impl<S: RobotState> Swarm<S> {
     /// called with `round >= due`. The action is stored in the robot's
     /// local frame (orientations never change after birth, so deferral
     /// commutes with the frame transform). A robot can hold at most one
-    /// pending move — it cannot look while in flight.
+    /// pending look — it cannot look while in flight.
     pub fn park(&mut self, slot: usize, due: u64, action: Action<S>) {
+        let h = self.fly(slot);
+        self.pending.entry(due).or_default().moves.push((h, action));
+    }
+
+    /// Park an ASYNC look without an action: the robot in `slot` looked
+    /// this round and chose "stay, keep state", which would change
+    /// nothing when it commits. It is in flight like a parked move, and
+    /// lands in the round where [`Swarm::take_due`] is called with
+    /// `round >= due`, with nothing to commit.
+    pub(crate) fn park_still(&mut self, slot: usize, due: u64) {
+        let h = self.fly(slot);
+        self.pending.entry(due).or_default().still.push(h);
+    }
+
+    /// Mark the robot in `slot` in flight; returns its handle.
+    fn fly(&mut self, slot: usize) -> u32 {
         self.version = fresh_version();
         let h = self.handles()[slot];
         if self.flying.len() <= h as usize {
@@ -389,23 +416,28 @@ impl<S: RobotState> Swarm<S> {
         }
         debug_assert!(!self.flying[h as usize], "robot {h} parked twice without committing");
         self.flying[h as usize] = true;
-        self.pending.entry(due).or_default().push((h, action));
+        h
     }
 
-    /// Drain every parked move that falls due at `round`, returning
-    /// `(dense slot, action)` pairs sorted by slot; the engine's ASYNC
-    /// round joins them with its delay-0 moves for
-    /// [`Swarm::apply_sparse`]. Deterministic regardless of park order:
-    /// the output is slot-sorted. Handles merged away while in flight
-    /// are dropped defensively when their move falls due (in-flight
-    /// robots are stationary and stationary robots win merges, so this
-    /// cannot happen under the engine's own scheduling).
+    /// Land every look that falls due at `round` and drain its parked
+    /// moves, returning `(dense slot, action)` pairs sorted by slot; the
+    /// engine's ASYNC round joins them with its delay-0 moves for
+    /// [`Swarm::apply_sparse`]. Robots parked without an action only
+    /// land. Deterministic regardless of park order: the output is
+    /// slot-sorted. Handles merged away while in flight are dropped
+    /// defensively when their move falls due (in-flight robots are
+    /// stationary and stationary robots win merges, so this cannot happen
+    /// under the engine's own scheduling).
     pub fn take_due(&mut self, round: u64) -> Vec<(usize, Action<S>)> {
         self.version = fresh_version();
-        let landing = self.pending.range(..=round).map(|(_, moves)| moves.len()).sum();
+        let landing = self.pending.range(..=round).map(|(_, due)| due.moves.len()).sum();
         let mut out: Vec<(usize, Action<S>)> = Vec::with_capacity(landing);
-        while let Some(due) = self.pending.first_entry().filter(|e| *e.key() <= round) {
-            for (h, action) in due.remove() {
+        while let Some(entry) = self.pending.first_entry().filter(|e| *e.key() <= round) {
+            let Due { moves, still } = entry.remove();
+            for h in still {
+                self.flying[h as usize] = false;
+            }
+            for (h, action) in moves {
                 self.flying[h as usize] = false;
                 if let Some(slot) = self.live_slot(h as usize) {
                     out.push((slot, action));
@@ -1063,6 +1095,27 @@ mod tests {
         let due: Vec<usize> = s.take_due(2).into_iter().map(|(slot, _)| slot).collect();
         assert_eq!(due, vec![3]);
         assert_eq!(s.in_flight_count(), 0);
+    }
+
+    /// A look parked without an action is in flight like a parked move
+    /// and lands in its due round, but commits nothing.
+    #[test]
+    fn still_looks_fly_and_land_without_an_action() {
+        let mut s: Swarm<()> = Swarm::new(&line(5), OrientationMode::Aligned);
+        s.park_still(2, 1);
+        s.park(0, 1, Action { step: V2::W, state: () });
+        s.park_still(4, 2);
+        assert_eq!(s.in_flight_count(), 3);
+        assert!(s.is_in_flight(0) && s.is_in_flight(2) && s.is_in_flight(4));
+        let due: Vec<usize> = s.take_due(1).into_iter().map(|(slot, _)| slot).collect();
+        assert_eq!(due, vec![0], "a still look commits nothing");
+        assert_eq!(s.in_flight_count(), 1);
+        assert!(!s.is_in_flight(2) && s.is_in_flight(4));
+        assert!(s.take_due(2).is_empty());
+        assert_eq!(s.in_flight_count(), 0);
+        assert!(!s.is_in_flight(4));
+        s.park_still(4, 3);
+        assert!(s.is_in_flight(4), "a landed robot looks and flies again");
     }
 
     #[test]
