@@ -13,7 +13,6 @@ use crate::quiet::QuietSet;
 use crate::scheduler::{async_delay, Activation, Scheduler};
 use crate::swarm::{Action, OrientationMode, RobotState, Swarm};
 use crate::view::View;
-use std::borrow::Cow;
 use std::fmt;
 
 /// Shared synchronous context. FSYNC robots start simultaneously, so a
@@ -205,6 +204,13 @@ pub struct Engine<C: Controller> {
     all_slots: Vec<usize>,
     /// The round's robots to compute when the quiet set leaves some out.
     selected: Vec<usize>,
+    /// The round's commit list: the robots whose actions change them,
+    /// in slot order. Sized for the whole swarm at construction, like
+    /// `all_slots`: grown round by round instead, the buffer left the
+    /// heap so that glibc trimmed it when the engine was dropped, and
+    /// the next swarm's set-up in gatherbench scale-fsync took up to
+    /// twice the page faults.
+    commit: Vec<usize>,
 }
 
 impl<C: Controller> std::fmt::Debug for Engine<C> {
@@ -224,6 +230,7 @@ impl<C: Controller> Engine<C> {
         let metrics = Metrics::new(config.keep_history);
         Engine {
             all_slots: (0..swarm.len()).collect(),
+            commit: Vec::with_capacity(swarm.len()),
             swarm,
             controller,
             config,
@@ -356,18 +363,17 @@ impl<C: Controller> Engine<C> {
 
     /// The round itself, for every scheduler: activate, compute the
     /// activated robots that are not quiet in the round's class
-    /// ([`crate::quiet`]), then apply; skipped robots are applied as
-    /// inactive, which is what their "stay, keep state" would do.
-    /// [`Scheduler::Async`] differs in two places: the robots not in
-    /// flight are activated (they *look*), and each look, quiet or
+    /// ([`crate::quiet`]), then commit the actions that change their
+    /// robot ([`Action::changes`]); a skipped robot's "stay, keep state"
+    /// changes nothing. [`Scheduler::Async`] differs in two places: the
+    /// round lands the looks falling due ([`Swarm::land`]) and activates
+    /// the robots not in flight (they *look*), and each look, quiet or
     /// computed, draws a seeded delay `d ∈ 0..=staleness` after compute —
-    /// `d >= 1` parks it in the swarm, and the delay-0 moves commit with
-    /// the parked ones falling due. A look whose action is "stay, keep
-    /// state" (a quiet look's always is) is parked without its action
-    /// and never commits, which is what committing it would do. In-flight
-    /// robots are stationary incumbents under the order-free merge rule,
-    /// so results stay bit-identical across thread counts. Returns the
-    /// round's statistics and, with an observer attached, its record.
+    /// `d >= 1` parks it ([`Swarm::park`]), and the delay-0 actions
+    /// commit with the landed ones. In-flight robots are stationary
+    /// incumbents under the order-free merge rule, so results stay
+    /// bit-identical across thread counts. Returns the round's
+    /// statistics and, with an observer attached, its record.
     fn look_compute_move(
         &mut self,
         prof: &mut Option<&mut RoundProfile>,
@@ -382,18 +388,15 @@ impl<C: Controller> Engine<C> {
             _ => None,
         };
         let n = self.swarm.len();
-        let activation = timed(prof, Phase::Activate, || match asynchronous {
+        let (activation, landed) = timed(prof, Phase::Activate, || match asynchronous {
             // Legitimately empty when every robot is in flight: such a
-            // round only commits the parked moves falling due.
+            // round only commits the landed moves.
             Some(_) => {
-                let look: Vec<usize> = (0..n).filter(|&i| !self.swarm.is_in_flight(i)).collect();
-                if look.len() == n {
-                    Activation::All
-                } else {
-                    Activation::Subset(look)
-                }
+                let (looks, landed) = self.swarm.land(ctx.round);
+                let all = looks.len() == n;
+                (if all { Activation::All } else { Activation::Subset(looks) }, landed)
             }
-            None => self.config.scheduler.activate(ctx.round, n),
+            None => (self.config.scheduler.activate(ctx.round, n), Vec::new()),
         });
         let activated = activation.len(n);
         let recorded_activation = tracing.then(|| activation.clone());
@@ -425,75 +428,80 @@ impl<C: Controller> Engine<C> {
         };
         let (computed_slots, listed) =
             if skips { (&self.selected[..], Some(&self.selected[..])) } else { (active, subset) };
-        let computed = timed(prof, Phase::Compute, || {
+        let mut actions = timed(prof, Phase::Compute, || {
             self.plans.compute(&self.swarm, &self.controller, listed, ctx, self.config.threads)
         });
         if let Some(p) = prof.as_deref_mut() {
             p.computed = computed_slots.len() as u64;
         }
         if let Some((class, quiet)) = &mut quiet {
-            let applies = asynchronous.is_none();
             timed(prof, Phase::ActiveList, || {
                 let reach = self.plans.reach();
-                quiet.record(&self.swarm, computed_slots, &computed, reach, *class, applies)
+                quiet.record(&self.swarm, computed_slots, &actions, reach, *class)
             });
         }
+        // The commit list: the computed actions that change their robot,
+        // with the landed ones under ASYNC.
         let mut pending: Vec<PendingMove> = Vec::new();
-        let (slots, actions) = match asynchronous {
-            None => (Cow::Borrowed(computed_slots), computed),
-            Some((seed, staleness)) => timed(prof, Phase::Activate, || {
-                let mut commit = self.swarm.take_due(ctx.round);
-                // Every look draws its delay. The computed looks are a
-                // slot-sorted sublist of the looks; the others are quiet,
-                // and their action is "stay, keep state".
-                let mut computed = computed_slots.iter().copied().zip(computed).peekable();
-                for &i in active {
-                    let action = computed.next_if(|&(j, _)| j == i).map(|(_, action)| action);
-                    let states = self.swarm.states();
-                    let action = action.filter(|a| a.step != V2::ZERO || a.state != states[i]);
-                    let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
-                    if d == 0 {
-                        commit.extend(action.map(|action| (i, action)));
-                        continue;
-                    }
-                    if tracing {
-                        // Pending records keep the zero step: a robot
-                        // that decided to stay is still in flight.
-                        let step = action.as_ref().map_or(V2::ZERO, |a| a.step);
-                        let step = self.swarm.orients()[i].apply(step);
-                        pending.push(PendingMove {
-                            robot: i as u32,
-                            dx: step.x as i8,
-                            dy: step.y as i8,
-                            delay: d as u32,
-                        });
-                    }
-                    match action {
-                        Some(action) => self.swarm.park(i, ctx.round + d, action),
-                        None => self.swarm.park_still(i, ctx.round + d),
-                    }
-                }
-                // A due robot was in flight, so it did not look: the
-                // slots are distinct, and sorting them gives the sparse
-                // apply its activation order. Both parts are already
-                // slot-sorted, and the stable sort merges two sorted runs
-                // in linear time.
-                commit.sort_by_key(|&(slot, _)| slot);
-                let (slots, actions): (Vec<usize>, Vec<_>) = commit.into_iter().unzip();
-                (Cow::Owned(slots), actions)
+        match asynchronous {
+            None => timed(prof, Phase::Activate, || {
+                let (states, mut slots) = (self.swarm.states(), computed_slots.iter());
+                self.commit.clear();
+                actions.retain(|action| {
+                    let i = *slots.next().expect("one slot per computed action");
+                    let changes = action.changes(&states[i]);
+                    self.commit.extend(changes.then_some(i));
+                    changes
+                });
             }),
-        };
-        if let (Some((_, quiet)), Some(_)) = (&mut quiet, asynchronous) {
-            timed(prof, Phase::ActiveList, || quiet.note(&self.swarm, &slots, &actions));
+            Some((seed, staleness)) => {
+                (self.commit, actions) = timed(prof, Phase::Activate, || {
+                    // Every look draws its delay. The computed looks are a
+                    // slot-sorted sublist of the looks; the others are
+                    // quiet, and their action is "stay, keep state".
+                    let mut commit = landed;
+                    let mut computed = computed_slots.iter().copied().zip(actions).peekable();
+                    for &i in active {
+                        let action = computed.next_if(|&(j, _)| j == i).map(|(_, action)| action);
+                        let action = action.filter(|a| a.changes(&self.swarm.states()[i]));
+                        let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
+                        if d == 0 {
+                            commit.extend(action.map(|action| (i, action)));
+                            continue;
+                        }
+                        if tracing {
+                            // Pending records keep the zero step: a robot
+                            // that decided to stay is still in flight.
+                            let step = action.as_ref().map_or(V2::ZERO, |a| a.step);
+                            let step = self.swarm.orients()[i].apply(step);
+                            pending.push(PendingMove {
+                                robot: i as u32,
+                                dx: step.x as i8,
+                                dy: step.y as i8,
+                                delay: d as u32,
+                            });
+                        }
+                        self.swarm.park(i, ctx.round + d, action);
+                    }
+                    // A landed robot was in flight, so it did not look: the
+                    // slots are distinct. Both parts are slot-sorted, and
+                    // the stable sort merges two sorted runs in linear time.
+                    commit.sort_by_key(|&(slot, _)| slot);
+                    commit.into_iter().unzip()
+                });
+            }
+        }
+        if let Some((_, quiet)) = &mut quiet {
+            timed(prof, Phase::ActiveList, || quiet.note(&self.swarm, &self.commit, &actions));
         }
         let moves = if tracing {
             timed(prof, Phase::Observe, || {
-                world_moves(&self.swarm, slots.iter().copied().zip(actions.iter()))
+                world_moves(&self.swarm, self.commit.iter().copied().zip(actions.iter()))
             })
         } else {
             Vec::new()
         };
-        let outcome = self.swarm.apply_sparse(&slots, actions, prof.as_deref_mut());
+        let outcome = self.swarm.apply_sparse(&self.commit, actions, prof.as_deref_mut());
         if let Some((_, quiet)) = quiet {
             timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm));
         }

@@ -20,7 +20,11 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Scheduler activation-set construction.
+    /// Scheduler activation-set construction and the round's commit
+    /// list (the computed actions that change their robot). Under ASYNC
+    /// it also covers landing the looks that fall due
+    /// ([`crate::Swarm::land`]) and drawing each look's delay and
+    /// parking it ([`crate::Swarm::park`]).
     Activate = 0,
     /// The look/compute parallel map (controller decisions).
     Compute = 1,

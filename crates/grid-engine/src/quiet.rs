@@ -10,13 +10,14 @@
 //! state" is the same as leaving the robot inactive. So each round
 //! computes only the activated robots that are not quiet in the round's
 //! class, through the plan table ([`crate::plan`]) with their list, and
-//! applies them through [`Swarm::apply_sparse`]; skipped robots are
-//! applied as inactive. Under ASYNC the activated robots are the looks:
-//! a quiet look still draws its delay and goes in flight, with "stay,
-//! keep state" as its action, which the swarm parks without an action
-//! ([`Swarm::park_still`]) and never commits. Positions, states, records
-//! and round statistics are bit-identical to computing every activated
-//! robot.
+//! commits only the actions that change their robot
+//! ([`Action::changes`]) through [`Swarm::apply_sparse`]; a skipped
+//! robot commits nothing. Under ASYNC the activated robots are the
+//! looks: a quiet look still draws its delay and goes in flight, with
+//! "stay, keep state" as its action, which the swarm parks without an
+//! action ([`Swarm::park`]) and no round commits. Positions, states,
+//! records and round statistics are bit-identical to computing every
+//! activated robot.
 //!
 //! What a decision read lies within its *reach*: the largest L1 offset
 //! any probe of its view touched ([`crate::View`]), where reading a
@@ -28,16 +29,17 @@
 //! in. After each apply, a robot loses all its bits when a *changed
 //! cell* — the old and new cell of a mover, the cell of a robot whose
 //! state changed — lies within its reach. The changed cells are those of
-//! the actions the round applies: the computed ones, or under ASYNC the
-//! parked moves landing and the delay-0 looks, so a parked move wakes
-//! its readers when it lands. No decision reads beyond the
-//! *ball* of radius `radius + 2` (its own view reaches `radius`; a
-//! neighbour up to L1 distance 2 away plans on a view reaching `radius`
-//! further). This needs nothing beyond the [`crate::Controller`]
-//! contract; in particular it does not rely on `decide_with_plans`
-//! agreeing with `decide`. Edits the engine did not make (`states_mut`,
-//! `orients_mut`, a swapped-in swarm) show up as a new swarm version and
-//! drop every bit.
+//! the round's commit list (`QuietSet::note`): the computed actions
+//! that change their robot, or under ASYNC the parked moves landing and
+//! the delay-0 looks, so a parked move wakes its readers when it lands.
+//! No decision reads beyond the *ball* of radius `radius + 2` (its own
+//! view reaches `radius`; a neighbour up to L1 distance 2 away plans on
+//! a view reaching `radius` further). This needs nothing beyond the
+//! [`crate::Controller`] contract; in particular it does not rely on
+//! `decide_with_plans` agreeing with `decide`. Edits the engine did not
+//! make (`states_mut`, `orients_mut`, a swapped-in swarm) show up as a
+//! new swarm version and drop every bit. Parking and landing ASYNC looks
+//! draw no version: whether a robot is in flight is part of no view.
 //!
 //! Most quiet robots read only a few cells, so scanning the whole ball
 //! around every changed cell would mostly visit robots too far away to
@@ -208,13 +210,10 @@ impl QuietSet {
         out.len() < swarm.len()
     }
 
-    /// After compute, before the apply: `computed[k]` chose `actions[k]`
-    /// in `class`, reading as far as `reach[k]`. A robot that stays and
-    /// keeps its state becomes quiet in `class`; any other loses all its
-    /// bits. Starts the round's changed cells: when the round `applies`
-    /// exactly these actions (every scheduler but ASYNC, which calls
-    /// [`QuietSet::note`] instead), the cells changed by those that do
-    /// not stay and keep their state; otherwise none.
+    /// After compute: `computed[k]` chose `actions[k]` in `class`,
+    /// reading as far as `reach[k]`. A robot whose action changes
+    /// nothing ([`Action::changes`]) becomes quiet in `class`; any other
+    /// loses all its bits.
     pub(crate) fn record<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
@@ -222,47 +221,37 @@ impl QuietSet {
         actions: &[Action<S>],
         reach: &[AtomicU8],
         class: u8,
-        applies: bool,
     ) {
         let (handles, states) = (swarm.handles(), swarm.states());
-        self.changed.clear();
         for ((&i, action), reach) in computed.iter().zip(actions).zip(reach) {
             let h = handles[i] as usize;
-            if action.step == V2::ZERO && action.state == states[i] {
+            if action.changes(&states[i]) {
+                self.wake(h);
+            } else {
                 self.hush(h, class, reach.load(Ordering::Relaxed));
-                continue;
-            }
-            self.wake(h);
-            if applies {
-                self.push_changed(swarm, i, action);
             }
         }
     }
 
-    /// Before the apply of an ASYNC round: the cells changed by the
-    /// actions it applies (`actions[k]` by the robot in `slots[k]`), the
-    /// parked moves landing and the delay-0 looks, join the round's
-    /// changed cells. A parked move so wakes its readers in the round it
-    /// lands. The engine commits no action that stays and keeps its
-    /// state, so each of these changes its robot.
+    /// Before the apply: the round's changed cells are those of its
+    /// commit list, where the robot in `slots[k]` commits `actions[k]`
+    /// and each action changes its robot: the robot's cell, and its
+    /// target when it moves. Under ASYNC the list holds the parked moves
+    /// landing and the delay-0 looks, so a parked move wakes its readers
+    /// in the round it lands.
     pub(crate) fn note<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
         slots: &[usize],
         actions: &[Action<S>],
     ) {
+        let (positions, orients) = (swarm.positions(), swarm.orients());
+        self.changed.clear();
         for (&i, action) in slots.iter().zip(actions) {
-            self.push_changed(swarm, i, action);
-        }
-    }
-
-    /// The cells the robot in slot `i` changes by applying `action`: its
-    /// own, and its target when it moves.
-    fn push_changed<S: RobotState>(&mut self, swarm: &Swarm<S>, i: usize, action: &Action<S>) {
-        let at = swarm.positions()[i];
-        self.changed.push(at);
-        if action.step != V2::ZERO {
-            self.changed.push(at + swarm.orients()[i].apply(action.step));
+            self.changed.push(positions[i]);
+            if action.step != V2::ZERO {
+                self.changed.push(positions[i] + orients[i].apply(action.step));
+            }
         }
     }
 

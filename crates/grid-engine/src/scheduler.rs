@@ -103,15 +103,17 @@ pub enum Scheduler {
     /// look again, and other robots observe it where it was when it
     /// looked. `staleness = 0` degenerates to FSYNC.
     ///
-    /// Division of labour: the in-flight set lives in the swarm, which a
-    /// pure `(policy, round, n)` function cannot see, so
+    /// Division of labour: the in-flight ledger lives in the swarm,
+    /// which a pure `(policy, round, n)` function cannot see, so
     /// [`Scheduler::activate`] names every robot a *look candidate*
-    /// ([`Activation::All`]). The engine's one round function activates
-    /// the candidates not in flight, computes them like any activation,
-    /// and then draws each look's delay from `(seed, round, handle)`:
-    /// it parks the delayed moves in the swarm and commits the rest
-    /// with the moves falling due. The whole schedule is still a
-    /// deterministic function of the run.
+    /// ([`Activation::All`]). The engine's one round function starts by
+    /// landing the looks due by the round
+    /// ([`Swarm::land`](crate::Swarm::land)), activates the candidates
+    /// not in flight, computes them like any activation, and then draws
+    /// each look's delay from `(seed, round, handle)`: it parks the
+    /// delayed looks in the swarm ([`Swarm::park`](crate::Swarm::park))
+    /// and commits the rest with the landed moves. The whole schedule
+    /// is still a deterministic function of the run.
     Async {
         seed: u64,
         /// Maximum rounds between a look and its move, `>= 1` for real

@@ -103,6 +103,17 @@ impl<S> Action<S> {
     pub fn stay(state: S) -> Self {
         Action { step: V2::ZERO, state }
     }
+
+    /// Does the action change a robot whose state is `state`: does it
+    /// move, or change the state? Committing one that does not ("stay,
+    /// keep state") is the same as leaving the robot inactive, so no
+    /// round commits it.
+    pub fn changes(&self, state: &S) -> bool
+    where
+        S: PartialEq,
+    {
+        self.step != V2::ZERO || self.state != *state
+    }
 }
 
 /// Result of applying one synchronous round of actions.
@@ -163,18 +174,6 @@ impl RoundScratch {
     }
 }
 
-/// The ASYNC looks that fall due in one round.
-#[derive(Clone, Default)]
-struct Due<S> {
-    /// Parked actions ([`Swarm::park`]), in the robot's local frame:
-    /// orientations are fixed at birth, so a deferred local-frame step
-    /// means the same world step whenever it commits.
-    moves: Vec<(u32, Action<S>)>,
-    /// Robots parked without an action ([`Swarm::park_still`]): they
-    /// only land.
-    still: Vec<u32>,
-}
-
 /// Source of [`Swarm::version`] stamps. One process-wide counter, so two
 /// swarms carry the same version only when one is an unedited clone of
 /// the other. Versions are only ever compared for equality; their values
@@ -203,15 +202,21 @@ pub struct Swarm<S: RobotState> {
     /// The occupancy index stores handles, so compaction only rewrites
     /// this flat array and never touches tile cells.
     slot_of: Vec<u32>,
-    /// ASYNC in-flight looks, grouped by the round they fall due (so
-    /// [`Swarm::take_due`] visits only the looks that land), each by the
-    /// robot's stable *handle*, which compaction never has to touch.
-    /// Empty for every synchronous scheduler.
-    pending: BTreeMap<u64, Due<S>>,
-    /// Per handle: is the robot in flight? One byte per robot, so an
-    /// ASYNC round's look set scans this instead of the parked moves.
-    /// Lazily sized; empty for every synchronous scheduler.
-    flying: Vec<bool>,
+    /// Per handle: the round an ASYNC robot's look lands, or 0 while it
+    /// is not in flight ([`Swarm::park`], [`Swarm::land`]). Sized by the
+    /// first park, so it is empty for every synchronous scheduler and
+    /// an empty ledger means that nobody is in flight. (Sized by the
+    /// first `land`, before that round's compute, it raised the peak RSS
+    /// of an n = 10⁶ ASYNC run by 7.6 MB.)
+    due: Vec<u64>,
+    /// The parked actions that change their robot, grouped by the round
+    /// they land (so [`Swarm::land`] visits only the actions that
+    /// commit), each by the robot's stable *handle*, which compaction
+    /// never has to touch. Actions stay in the robot's local frame:
+    /// orientations are fixed at birth, so a deferred local-frame step
+    /// means the same world step whenever it commits. Empty for every
+    /// synchronous scheduler.
+    pending: BTreeMap<u64, Vec<(u32, Action<S>)>>,
     index: TileIndex,
     scratch: RoundScratch,
     /// Changes on every mutation ([`Swarm::version`]).
@@ -282,8 +287,8 @@ impl<S: RobotState> Swarm<S> {
             orients,
             handles: (0..n as u32).collect(),
             slot_of: (0..n as u32).collect(),
+            due: Vec::new(),
             pending: BTreeMap::new(),
-            flying: Vec::new(),
             index,
             scratch: RoundScratch::default(),
             version: fresh_version(),
@@ -329,11 +334,13 @@ impl<S: RobotState> Swarm<S> {
         &mut self.orients[self.front..]
     }
 
-    /// A stamp that changes whenever the swarm may have changed: every
-    /// method that mutates it (`states_mut`, `orients_mut`, the applies,
-    /// `park`, `park_still`, `take_due`) draws a fresh one. Clones keep
-    /// the stamp, so equal versions mean an unchanged swarm; the engine
-    /// uses this to notice edits made between its steps.
+    /// A stamp that changes whenever what a robot sees may have changed:
+    /// every method that mutates positions, states or orientations
+    /// (`states_mut`, `orients_mut`, the applies) draws a fresh one.
+    /// `park` and `land` do not: whether a robot is in flight is part of
+    /// no view. Clones keep the stamp, so equal versions mean unchanged
+    /// robots; the quiet set, its only reader, uses this to notice edits
+    /// made between the engine's steps.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
@@ -377,75 +384,66 @@ impl<S: RobotState> Swarm<S> {
     #[inline]
     pub fn is_in_flight(&self, slot: usize) -> bool {
         let h = self.handles()[slot] as usize;
-        self.flying.get(h).is_some_and(|&flying| flying)
+        self.due.get(h).is_some_and(|&due| due != 0)
     }
 
     /// Robots currently mid-flight, parked with or without an action
-    /// (diagnostics and tests).
+    /// (diagnostics and tests): O(n).
     pub fn in_flight_count(&self) -> usize {
-        self.pending.values().map(|due| due.moves.len() + due.still.len()).sum()
+        (0..self.len()).filter(|&i| self.is_in_flight(i)).count()
     }
 
-    /// Park an ASYNC move: the robot in `slot` looked this round and
-    /// its `action` commits in the round where [`Swarm::take_due`] is
-    /// called with `round >= due`. The action is stored in the robot's
-    /// local frame (orientations never change after birth, so deferral
-    /// commutes with the frame transform). A robot can hold at most one
-    /// pending look — it cannot look while in flight.
-    pub fn park(&mut self, slot: usize, due: u64, action: Action<S>) {
-        let h = self.fly(slot);
-        self.pending.entry(due).or_default().moves.push((h, action));
-    }
-
-    /// Park an ASYNC look without an action: the robot in `slot` looked
-    /// this round and chose "stay, keep state", which would change
-    /// nothing when it commits. It is in flight like a parked move, and
-    /// lands in the round where [`Swarm::take_due`] is called with
-    /// `round >= due`, with nothing to commit.
-    pub(crate) fn park_still(&mut self, slot: usize, due: u64) {
-        let h = self.fly(slot);
-        self.pending.entry(due).or_default().still.push(h);
-    }
-
-    /// Mark the robot in `slot` in flight; returns its handle.
-    fn fly(&mut self, slot: usize) -> u32 {
-        self.version = fresh_version();
+    /// Park an ASYNC look: the robot in `slot` looked this round and is
+    /// in flight until the first [`Swarm::land`] at round `due` or
+    /// later (`due >= 1`). `action`, if any, commits when it lands; the
+    /// engine passes `None` for a look that changes nothing
+    /// ([`Action::changes`]), which only lands. A robot can hold at most
+    /// one look in flight — it cannot look while in flight.
+    pub fn park(&mut self, slot: usize, due: u64, action: Option<Action<S>>) {
+        debug_assert_ne!(due, 0, "a look lands in round 1 at the earliest");
         let h = self.handles()[slot];
-        if self.flying.len() <= h as usize {
-            self.flying.resize(self.slot_of.len(), false);
+        self.due.resize(self.slot_of.len(), 0);
+        debug_assert_eq!(self.due[h as usize], 0, "robot {h} parked twice without landing");
+        self.due[h as usize] = due;
+        if let Some(action) = action {
+            self.pending.entry(due).or_default().push((h, action));
         }
-        debug_assert!(!self.flying[h as usize], "robot {h} parked twice without committing");
-        self.flying[h as usize] = true;
-        h
     }
 
-    /// Land every look that falls due at `round` and drain its parked
-    /// moves, returning `(dense slot, action)` pairs sorted by slot; the
-    /// engine's ASYNC round joins them with its delay-0 moves for
-    /// [`Swarm::apply_sparse`]. Robots parked without an action only
-    /// land. Deterministic regardless of park order: the output is
-    /// slot-sorted. Handles merged away while in flight are dropped
-    /// defensively when their move falls due (in-flight robots are
-    /// stationary and stationary robots win merges, so this cannot happen
-    /// under the engine's own scheduling).
-    pub fn take_due(&mut self, round: u64) -> Vec<(usize, Action<S>)> {
-        self.version = fresh_version();
-        let landing = self.pending.range(..=round).map(|(_, due)| due.moves.len()).sum();
-        let mut out: Vec<(usize, Action<S>)> = Vec::with_capacity(landing);
-        while let Some(entry) = self.pending.first_entry().filter(|e| *e.key() <= round) {
-            let Due { moves, still } = entry.remove();
-            for h in still {
-                self.flying[h as usize] = false;
+    /// Start an ASYNC round in one pass over the live slots: a robot not
+    /// in flight looks, and one whose look is due by `round` lands (it
+    /// looks from the next round on). Returns the robots that look and
+    /// the landed actions `(dense slot, action)`, both in slot order;
+    /// the engine joins the actions with its delay-0 ones for
+    /// [`Swarm::apply_sparse`]. A look lands late when no `land` ran in
+    /// its due round, as after an older snapshot of the swarm is swapped
+    /// into the engine. Handles merged away while in flight are dropped
+    /// defensively when their action falls due (in-flight robots are
+    /// stationary and stationary robots win merges, so this cannot
+    /// happen under the engine's own scheduling).
+    pub fn land(&mut self, round: u64) -> (Vec<usize>, Vec<(usize, Action<S>)>) {
+        if self.due.is_empty() {
+            return ((0..self.len()).collect(), Vec::new());
+        }
+        let mut looks = Vec::with_capacity(self.len());
+        for (i, &h) in self.handles[self.front..].iter().enumerate() {
+            let due = &mut self.due[h as usize];
+            if *due == 0 {
+                looks.push(i);
+            } else if *due <= round {
+                *due = 0;
             }
-            for (h, action) in moves {
-                self.flying[h as usize] = false;
+        }
+        let mut landed = Vec::new();
+        while let Some(entry) = self.pending.first_entry().filter(|e| *e.key() <= round) {
+            for (h, action) in entry.remove() {
                 if let Some(slot) = self.live_slot(h as usize) {
-                    out.push((slot, action));
+                    landed.push((slot, action));
                 }
             }
         }
-        out.sort_unstable_by_key(|&(slot, _)| slot);
-        out
+        landed.sort_unstable_by_key(|&(slot, _)| slot);
+        (looks, landed)
     }
 
     /// Bounding box of the swarm, derived from the occupancy index's
@@ -605,12 +603,13 @@ impl<S: RobotState> Swarm<S> {
     /// O(activated ∪ moved) instead of O(n).
     ///
     /// `active` lists the activated robots (sorted, distinct — the
-    /// [`crate::scheduler::Activation::Subset`] contract; an FSYNC round
-    /// passes every slot) and `actions` their chosen actions,
-    /// index-parallel to `active`. Inactive robots keep position and
-    /// state; they participate in merges only as stationary incumbents,
-    /// which this path discovers by probing the occupancy index at each
-    /// mover's target instead of scanning the population. Bit-identical
+    /// [`crate::scheduler::Activation::Subset`] contract; the engine
+    /// passes its round's commit list, the robots whose actions change
+    /// them) and `actions` their chosen actions, index-parallel to
+    /// `active`. Inactive robots keep position and state; they
+    /// participate in merges only as stationary incumbents, which this
+    /// path discovers by probing the occupancy index at each mover's
+    /// target instead of scanning the population. Bit-identical
     /// to routing the same round through [`Swarm::apply_partial`] with a
     /// scattered `Option` vector — the sparse/dense equivalence
     /// proptests pin exactly this.
@@ -1076,46 +1075,79 @@ mod tests {
         assert!(!gathered_check(3, || Bounds { min: Point::new(0, 0), max: Point::new(2, 0) }));
     }
 
+    /// The slots of landed actions, in the order `land` returned them.
+    fn slots(landed: &[(usize, Action<()>)]) -> Vec<usize> {
+        landed.iter().map(|&(slot, _)| slot).collect()
+    }
+
     #[test]
     fn pending_store_parks_and_drains_by_slot() {
         let mut s: Swarm<()> = Swarm::new(&line(5), OrientationMode::Aligned);
         assert_eq!(s.in_flight_count(), 0);
         // Park out of slot order with different due rounds.
-        s.park(3, 2, Action { step: V2::E, state: () });
-        s.park(1, 1, Action { step: V2::W, state: () });
-        s.park(4, 1, Action::stay(()));
+        s.park(3, 2, Some(Action { step: V2::E, state: () }));
+        s.park(1, 1, Some(Action { step: V2::W, state: () }));
+        s.park(4, 1, Some(Action::stay(())));
         assert_eq!(s.in_flight_count(), 3);
         assert!(s.is_in_flight(1) && s.is_in_flight(3) && s.is_in_flight(4));
         assert!(!s.is_in_flight(0) && !s.is_in_flight(2));
-        assert!(s.take_due(0).is_empty(), "nothing due before round 1");
-        let due: Vec<usize> = s.take_due(1).into_iter().map(|(slot, _)| slot).collect();
-        assert_eq!(due, vec![1, 4], "due moves drain sorted by slot");
+        let (looks, landed) = s.land(0);
+        assert!(landed.is_empty(), "nothing due before round 1");
+        assert_eq!(looks, [0, 2]);
+        let (looks, landed) = s.land(1);
+        assert_eq!(slots(&landed), [1, 4], "due moves drain sorted by slot");
+        assert_eq!(looks, [0, 2], "a landing robot does not look in its landing round");
         assert_eq!(s.in_flight_count(), 1);
         assert!(!s.is_in_flight(1) && s.is_in_flight(3));
-        let due: Vec<usize> = s.take_due(2).into_iter().map(|(slot, _)| slot).collect();
-        assert_eq!(due, vec![3]);
+        let (looks, landed) = s.land(2);
+        assert_eq!(slots(&landed), [3]);
+        assert_eq!(looks, [0, 1, 2, 4]);
         assert_eq!(s.in_flight_count(), 0);
     }
 
     /// A look parked without an action is in flight like a parked move
-    /// and lands in its due round, but commits nothing.
+    /// and lands in its due round, but commits nothing. Neither parking
+    /// nor landing draws a version: no view sees who is in flight.
     #[test]
     fn still_looks_fly_and_land_without_an_action() {
         let mut s: Swarm<()> = Swarm::new(&line(5), OrientationMode::Aligned);
-        s.park_still(2, 1);
-        s.park(0, 1, Action { step: V2::W, state: () });
-        s.park_still(4, 2);
+        let version = s.version();
+        s.park(2, 1, None);
+        s.park(0, 1, Some(Action { step: V2::W, state: () }));
+        s.park(4, 2, None);
         assert_eq!(s.in_flight_count(), 3);
         assert!(s.is_in_flight(0) && s.is_in_flight(2) && s.is_in_flight(4));
-        let due: Vec<usize> = s.take_due(1).into_iter().map(|(slot, _)| slot).collect();
-        assert_eq!(due, vec![0], "a still look commits nothing");
+        let (looks, landed) = s.land(1);
+        assert_eq!(slots(&landed), [0], "a still look commits nothing");
+        assert_eq!(looks, [1, 3]);
         assert_eq!(s.in_flight_count(), 1);
         assert!(!s.is_in_flight(2) && s.is_in_flight(4));
-        assert!(s.take_due(2).is_empty());
+        let (looks, landed) = s.land(2);
+        assert!(landed.is_empty());
+        assert_eq!(looks, [0, 1, 2, 3]);
         assert_eq!(s.in_flight_count(), 0);
         assert!(!s.is_in_flight(4));
-        s.park_still(4, 3);
+        s.park(4, 3, None);
         assert!(s.is_in_flight(4), "a landed robot looks and flies again");
+        assert_eq!(s.version(), version, "parking or landing drew a version");
+    }
+
+    /// A look lands at the first `land` at or after its due round. Late
+    /// landings happen when the engine restores a snapshot taken rounds
+    /// earlier, whose looks fell due in rounds that are now past.
+    #[test]
+    fn a_look_whose_due_round_has_passed_lands_at_the_next_land() {
+        let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
+        s.park(1, 7, Some(Action { step: V2::N, state: () }));
+        s.park(2, 8, None);
+        let (looks, landed) = s.land(24);
+        assert_eq!(slots(&landed), [1], "the late move did not land");
+        assert_eq!(landed[0].1.step, V2::N);
+        assert_eq!(looks, [0, 3], "a landing robot looked in its landing round");
+        assert_eq!(s.in_flight_count(), 0);
+        let (looks, landed) = s.land(25);
+        assert!(landed.is_empty());
+        assert_eq!(looks, [0, 1, 2, 3], "a late look never landed");
     }
 
     #[test]
@@ -1124,15 +1156,15 @@ mod tests {
         // compacting the dense arrays. The parked entry is keyed by
         // handle, so it must still resolve to robot 3's new slot.
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
-        s.park(3, 5, Action { step: V2::W, state: () });
+        s.park(3, 5, Some(Action { step: V2::W, state: () }));
         let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }], None);
         assert_eq!(out.merged, 1);
         assert_eq!(s.len(), 3);
         let slot3 = s.robot_at(Point::new(3, 0)).expect("robot 3 still present");
         assert!(s.is_in_flight(slot3), "pending entry lost across compaction");
-        let due = s.take_due(5);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, slot3);
+        let (looks, landed) = s.land(5);
+        assert_eq!(slots(&landed), [slot3]);
+        assert_eq!(looks, [0, 1]);
     }
 
     /// Compaction over a long tail: 1000 losers scattered through 3000
@@ -1257,7 +1289,7 @@ mod tests {
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
         let parked = [50u32, 70, 71, 90];
         for (k, &h) in parked.iter().enumerate() {
-            sparse.park(h as usize, 100 + k as u64, Action { step: V2::N, state: () });
+            sparse.park(h as usize, 100 + k as u64, Some(Action { step: V2::N, state: () }));
         }
         let mut dense = sparse.clone();
         let mut model: Vec<(u32, Point)> =
@@ -1284,10 +1316,13 @@ mod tests {
         for s in [&mut sparse, &mut dense] {
             for (k, &h) in parked.iter().enumerate() {
                 let slot = model.iter().position(|&(g, _)| g == h).expect("parked robots stay");
-                assert_eq!(
-                    s.take_due(100 + k as u64).into_iter().map(|(i, _)| i).collect::<Vec<_>>(),
-                    [slot]
-                );
+                let (looks, landed) = s.land(100 + k as u64);
+                assert_eq!(slots(&landed), [slot]);
+                // The robots landed in earlier rounds look again.
+                let flying = &parked[k..];
+                let expected: Vec<usize> =
+                    (0..model.len()).filter(|&i| !flying.contains(&model[i].0)).collect();
+                assert_eq!(looks, expected);
             }
         }
         // All but one: a 3 × 3 block whose centre is listed first, in the
