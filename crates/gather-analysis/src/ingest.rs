@@ -6,9 +6,14 @@
 //! way. Hand-rolled like the table renderers: the schema is flat
 //! (scalar fields only), so a full JSON tree is not needed and the
 //! dependency footprint stays at the pre-approved set.
+//!
+//! Every reader of a campaign line (records, shard manifests, events,
+//! service messages, spec files) decodes through [`FlatObject`]'s typed
+//! getters, whose errors name the missing or mistyped field.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Deref;
 
 /// A scalar field value of a flat JSON object. Integer-looking tokens
 /// are kept as integers so 64-bit values (seeds, round counts) round
@@ -53,6 +58,62 @@ impl JsonScalar {
             JsonScalar::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+}
+
+/// One parsed flat JSON object: its fields by name (through `Deref`),
+/// and typed getters whose errors name the field.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlatObject(BTreeMap<String, JsonScalar>);
+
+impl Deref for FlatObject {
+    type Target = BTreeMap<String, JsonScalar>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl FlatObject {
+    /// The string field `key`.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "a string", JsonScalar::as_str)
+    }
+
+    /// The unsigned integer field `key`.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "an unsigned integer", JsonScalar::as_u64)
+    }
+
+    /// The numeric field `key` (integer or not).
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", JsonScalar::as_f64)
+    }
+
+    /// The boolean field `key`.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", JsonScalar::as_bool)
+    }
+
+    /// An optional field: `None` when `key` is absent, else what the
+    /// getter `get` (one of the four above) reads, so a field that is
+    /// present but mistyped is still an error.
+    pub fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        get: fn(&'a Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.contains_key(key).then(|| get(self, key)).transpose()
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: fn(&'a JsonScalar) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+        read(value).ok_or_else(|| format!("field {key:?} is not {what}"))
     }
 }
 
@@ -146,7 +207,7 @@ pub fn escape_json(s: &str) -> String {
 /// Returns an error for malformed input — including a line truncated by
 /// a killed writer, which is how campaign resume detects an incomplete
 /// trailing record.
-pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonScalar>, String> {
+pub fn parse_flat_json(line: &str) -> Result<FlatObject, String> {
     let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
@@ -175,7 +236,7 @@ pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonScalar>, Strin
     if p.pos != p.bytes.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
-    Ok(out)
+    Ok(FlatObject(out))
 }
 
 struct Parser<'a> {
@@ -373,6 +434,45 @@ mod tests {
         // Non-finite values degrade to zero instead of breaking the line.
         let line = JsonObjWriter::new().field_f64("secs", f64::NAN).finish();
         assert_eq!(parse_flat_json(&line).unwrap()["secs"].as_f64(), Some(0.0));
+    }
+
+    #[test]
+    fn getters_read_their_type() {
+        let obj = parse_flat_json(r#"{"s":"x","u":7,"f":2.5,"i":3,"b":true}"#).unwrap();
+        assert_eq!(obj.str("s"), Ok("x"));
+        assert_eq!(obj.u64("u"), Ok(7));
+        assert_eq!(obj.f64("f"), Ok(2.5));
+        assert_eq!(obj.f64("i"), Ok(3.0), "an integer is a number");
+        assert_eq!(obj.bool("b"), Ok(true));
+        assert_eq!(obj.opt("s", FlatObject::str), Ok(Some("x")));
+        assert_eq!(obj.opt("absent", FlatObject::u64), Ok(None));
+    }
+
+    #[test]
+    fn getters_name_a_missing_field() {
+        let obj = parse_flat_json(r#"{"other":1}"#).unwrap();
+        let missing = r#"missing field "key""#;
+        assert_eq!(obj.str("key").unwrap_err(), missing);
+        assert_eq!(obj.u64("key").unwrap_err(), missing);
+        assert_eq!(obj.f64("key").unwrap_err(), missing);
+        assert_eq!(obj.bool("key").unwrap_err(), missing);
+    }
+
+    #[test]
+    fn getters_name_a_mistyped_field() {
+        let obj = parse_flat_json(r#"{"s":"x","neg":-1,"frac":0.5,"b":false,"nul":null}"#).unwrap();
+        assert_eq!(obj.str("b").unwrap_err(), r#"field "b" is not a string"#);
+        assert_eq!(obj.str("neg").unwrap_err(), r#"field "neg" is not a string"#);
+        for key in ["s", "neg", "frac", "b", "nul"] {
+            let err = obj.u64(key).unwrap_err();
+            assert_eq!(err, format!("field {key:?} is not an unsigned integer"));
+        }
+        assert_eq!(obj.f64("s").unwrap_err(), r#"field "s" is not a number"#);
+        assert_eq!(obj.f64("b").unwrap_err(), r#"field "b" is not a number"#);
+        assert_eq!(obj.bool("s").unwrap_err(), r#"field "s" is not a boolean"#);
+        assert_eq!(obj.bool("nul").unwrap_err(), r#"field "nul" is not a boolean"#);
+        // Present but mistyped is an error for an optional field too.
+        assert_eq!(obj.opt("s", FlatObject::bool).unwrap_err(), r#"field "s" is not a boolean"#);
     }
 
     #[test]

@@ -11,5 +11,5 @@ pub mod ingest;
 mod table;
 
 pub use fit::{linear_fit, loglog_slope, FitResult};
-pub use ingest::{escape_json, parse_flat_json, JsonObjWriter, JsonScalar};
+pub use ingest::{escape_json, parse_flat_json, FlatObject, JsonObjWriter, JsonScalar};
 pub use table::{render_markdown, Table};

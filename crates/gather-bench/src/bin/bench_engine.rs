@@ -53,6 +53,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
+use gather_analysis::FlatObject;
 use gather_bench::SchedulerKind;
 use gather_core::GatherController;
 use gather_workloads::Family;
@@ -159,36 +160,26 @@ fn baseline_rows(json: &str) -> Result<Vec<BaselineRow>, String> {
             .find('}')
             .map(|i| start + i)
             .ok_or("unterminated object in baseline results")?;
-        let map = gather_analysis::parse_flat_json(&rest[start..=end])
-            .map_err(|e| format!("baseline results entry: {e}"))?;
-        let threads = map
-            .get("threads")
-            .and_then(|v| v.as_u64())
-            .ok_or("baseline entry is missing \"threads\"")?;
-        let throughput = map
-            .get("robot_rounds_per_s")
-            .and_then(|v| v.as_f64())
-            .ok_or("baseline entry is missing \"robot_rounds_per_s\"")?;
-        let scheduler =
-            map.get("scheduler").and_then(|v| v.as_str()).unwrap_or("fsync").to_string();
-        let n = map.get("n").and_then(|v| v.as_u64());
-        let rounds = map.get("rounds").and_then(|v| v.as_u64());
-        let digest = match map.get("digest").and_then(|v| v.as_str()) {
-            Some(hex) => Some(
-                hex.strip_prefix("0x")
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-                    .ok_or_else(|| format!("baseline digest {hex:?} is not 0x-prefixed hex"))?,
-            ),
-            None => None,
+        let row = || -> Result<BaselineRow, String> {
+            let obj = gather_analysis::parse_flat_json(&rest[start..=end])?;
+            let digest = match obj.opt("digest", FlatObject::str)? {
+                Some(hex) => Some(
+                    hex.strip_prefix("0x")
+                        .and_then(|h| u64::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| format!("digest {hex:?} is not 0x-prefixed hex"))?,
+                ),
+                None => None,
+            };
+            Ok(BaselineRow {
+                threads: obj.u64("threads")? as usize,
+                scheduler: obj.opt("scheduler", FlatObject::str)?.unwrap_or("fsync").to_string(),
+                n: obj.opt("n", FlatObject::u64)?,
+                rounds: obj.opt("rounds", FlatObject::u64)?,
+                digest,
+                robot_rounds_per_s: obj.f64("robot_rounds_per_s")?,
+            })
         };
-        out.push(BaselineRow {
-            threads: threads as usize,
-            scheduler,
-            n,
-            rounds,
-            digest,
-            robot_rounds_per_s: throughput,
-        });
+        out.push(row().map_err(|e| format!("baseline results entry: {e}"))?);
         rest = &rest[end + 1..];
     }
     if out.is_empty() {

@@ -13,34 +13,12 @@
 use std::collections::BTreeMap;
 
 use gather_analysis::{linear_fit, loglog_slope, Table};
+use gather_obs::Status;
 use grid_engine::{Phase, PHASE_COUNT};
 
 use crate::merge::MergeReport;
+use crate::progress::record_status;
 use crate::record::ScenarioRecord;
-
-/// Every run lands in exactly one outcome class, so the reliability
-/// columns are disjoint and `gathered + stalled + disconnected +
-/// panicked == runs` always holds (an earlier version counted a run
-/// that was both unconnected and ungathered twice).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Outcome {
-    Gathered,
-    Stalled,
-    Disconnected,
-    Panicked,
-}
-
-fn classify(r: &ScenarioRecord) -> Outcome {
-    if r.panicked {
-        Outcome::Panicked
-    } else if r.gathered {
-        Outcome::Gathered
-    } else if !r.connected {
-        Outcome::Disconnected
-    } else {
-        Outcome::Stalled
-    }
-}
 
 #[derive(Clone, Copy, Debug, Default)]
 struct FailureCell {
@@ -52,13 +30,13 @@ struct FailureCell {
 }
 
 impl FailureCell {
-    fn add(&mut self, outcome: Outcome) {
+    fn add(&mut self, status: Status) {
         self.runs += 1;
-        match outcome {
-            Outcome::Gathered => self.gathered += 1,
-            Outcome::Stalled => self.stalled += 1,
-            Outcome::Disconnected => self.disconnected += 1,
-            Outcome::Panicked => self.panicked += 1,
+        match status {
+            Status::Gathered => self.gathered += 1,
+            Status::Stalled => self.stalled += 1,
+            Status::Disconnected => self.disconnected += 1,
+            Status::Panicked => self.panicked += 1,
         }
     }
 
@@ -79,12 +57,12 @@ pub fn summarize(records: &[ScenarioRecord]) -> Vec<Table> {
     let mut failures: BTreeMap<(&str, &str, &str), FailureCell> = BTreeMap::new();
 
     for r in records {
-        let outcome = classify(r);
+        let status = record_status(r);
         failures
             .entry((r.controller.as_str(), r.scheduler.as_str(), r.family.as_str()))
             .or_default()
-            .add(outcome);
-        if outcome != Outcome::Gathered {
+            .add(status);
+        if status != Status::Gathered {
             continue;
         }
         groups

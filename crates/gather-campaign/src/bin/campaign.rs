@@ -12,9 +12,9 @@ use std::time::Instant;
 use gather_campaign::cli::{self, Command, RenderArgs, RunArgs, USAGE};
 use gather_campaign::executor::JobEvent;
 use gather_campaign::{
-    executor, load_completed, load_records, merge_shards, plan_lines, provenance_table, run_smoke,
-    summarize, summarize_perf, trace_ops, DiffStatus, JobOutcome, JsonlSink, ProgressReporter,
-    ReplayStatus, Scenario, ShardManifest, SmokeArgs,
+    executor, load_completed, load_records, manifest_path, merge_shards, plan_lines,
+    provenance_table, run_smoke, summarize, summarize_perf, trace_ops, DiffStatus, JobOutcome,
+    JsonlSink, ProgressReporter, ReplayStatus, Scenario, ShardManifest, SmokeArgs,
 };
 
 fn main() -> ExitCode {
@@ -77,7 +77,7 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
     // appending another slice's records to this file would poison the
     // manifest proof that merge relies on.
     if resume {
-        if let Some(prev) = gather_campaign::read_manifest(&out)? {
+        if let Some(prev) = ShardManifest::read(&manifest_path(&out))? {
             if let Some(field) = prev.mismatch_against(&manifest) {
                 return Err(format!(
                     "{} was written for a different campaign ({field} differs) — resume it with \
@@ -119,12 +119,10 @@ fn execute(args: RunArgs, resume: bool) -> Result<(), String> {
     // crash mid-run leaves sidecars that say so and merge refuses the
     // files, and again with them on once every scenario is on disk.
     let write_manifests = |complete: bool| -> Result<(), String> {
-        gather_campaign::write_manifest(&out, &ShardManifest { complete, ..manifest.clone() })
-            .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+        ShardManifest { complete, ..manifest.clone() }.write(&manifest_path(&out))?;
         if let (Some(dir), Some(traced)) = (&trace_dir, &traced_manifest) {
             let traced = ShardManifest { complete, ..traced.clone() };
-            gather_campaign::write_trace_manifest(dir, &traced)
-                .map_err(|e| format!("writing manifest for {}: {e}", dir.display()))?;
+            traced.write(&trace_ops::trace_manifest_path(dir))?;
         }
         Ok(())
     };

@@ -596,13 +596,11 @@ fn spec_args(s: &Scan) -> Result<CampaignSpec, String> {
 /// (`gather_analysis::parse_flat_json`), so one parser owns both wire
 /// formats.
 pub fn spec_from_flat_json(text: &str) -> Result<CampaignSpec, String> {
-    let map = gather_analysis::parse_flat_json(text.trim())?;
+    let obj = gather_analysis::parse_flat_json(text.trim())?;
     let mut spec = CampaignSpec::standard();
-    for (key, value) in &map {
-        let s = value
-            .as_str()
-            .ok_or_else(|| format!("spec field {key:?} must be a string (flag syntax)"))?;
-        apply_spec_field(&mut spec, key, s)?;
+    for key in obj.keys() {
+        let value = obj.str(key).map_err(|e| format!("{e} (spec fields use flag syntax)"))?;
+        apply_spec_field(&mut spec, key, value)?;
     }
     Ok(spec)
 }

@@ -84,14 +84,12 @@ pub use progress::{record_status, ProgressReporter};
 pub use record::{PerfSummary, ScenarioRecord};
 pub use service::{serve, submit, work, work_on, SubmitReport, WorkReport};
 pub use shard::{fnv1a_64, plan_lines, shard_out_path, ShardManifest, ShardSpec};
-pub use sink::{
-    load_completed, load_records, manifest_path, read_manifest, write_manifest, JsonlSink,
-};
+pub use sink::{load_completed, load_records, manifest_path, JsonlSink};
 pub use smoke::{run_smoke, SmokeArgs, SmokeReport};
 pub use spec::{coverage_xor, CampaignSpec, JobOutcome, Scenario};
 pub use trace_ops::{
-    diff_trace_dirs, diff_trace_files, read_trace_manifest, replay_trace, write_trace_manifest,
-    DiffReport, DiffStatus, ReplayReport, ReplayStatus,
+    diff_trace_dirs, diff_trace_files, replay_trace, DiffReport, DiffStatus, ReplayReport,
+    ReplayStatus,
 };
 
 // Axis types, re-exported so campaign callers need only this crate.

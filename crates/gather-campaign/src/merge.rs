@@ -17,19 +17,19 @@
 //!    torn line, a lost record, or a foreign record is caught;
 //! 5. no scenario ID appears in two different shard files.
 //!
-//! Only then is the merged JSONL written — records sorted by scenario
-//! ID, each the *last* occurrence from its shard, re-serialized by the
-//! current writer (older files with extra or reordered fields come out
-//! normalized, not byte-copied) — plus a manifest marking the merged
-//! file as a complete `0/1` shard, so a merged file passes the same
-//! verification an unsharded run would.
+//! Only then is the merged JSONL written ([`sink::write_merged`]) —
+//! records sorted by scenario ID, each the *last* occurrence from its
+//! shard, re-serialized by the current writer (older files with extra
+//! or reordered fields come out normalized, not byte-copied) — plus a
+//! manifest marking the merged file as a complete `0/1` shard, so a
+//! merged file passes the same verification an unsharded run would.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::record::ScenarioRecord;
 use crate::shard::{ShardManifest, ShardSpec};
-use crate::sink::{self, JsonlSink};
+use crate::sink;
 use crate::spec::coverage_xor;
 
 /// What one shard contributed to a merge, for the provenance report.
@@ -138,11 +138,12 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Strin
     // 1. Manifests: present, consistent, complete.
     let mut manifests = Vec::with_capacity(inputs.len());
     for path in inputs {
-        let manifest = sink::read_manifest(path)?.ok_or_else(|| {
+        let sidecar = sink::manifest_path(path);
+        let manifest = ShardManifest::read(&sidecar)?.ok_or_else(|| {
             format!(
                 "{} has no shard manifest (expected {}) — was it written by `campaign run`?",
                 path.display(),
-                sink::manifest_path(path).display(),
+                sidecar.display(),
             )
         })?;
         manifests.push(manifest);
@@ -152,8 +153,8 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Strin
     let count = reference.shard_count;
 
     // 4.–5. Records: dedup per shard, verify against the manifest,
-    // reject cross-shard duplicates.
-    let mut merged: BTreeMap<String, ScenarioRecord> = BTreeMap::new();
+    // reject cross-shard duplicates. Kept records are re-serialized.
+    let mut merged: BTreeMap<String, String> = BTreeMap::new();
     let mut contributions = Vec::with_capacity(inputs.len());
     let mut duplicates_total = 0usize;
     for (path, manifest) in inputs.iter().zip(&manifests) {
@@ -182,7 +183,7 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Strin
             ));
         }
         for (id, rec) in distinct {
-            if merged.insert(id.clone(), rec).is_some() {
+            if merged.insert(id.clone(), rec.to_json_line()).is_some() {
                 return Err(format!(
                     "scenario {id:?} appears in more than one shard file (second copy in {})",
                     path.display(),
@@ -201,15 +202,9 @@ pub fn merge_shards(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, Strin
     contributions.sort_by_key(|c| c.shard_index);
 
     // Emit: sorted by scenario ID (deterministic regardless of shard
-    // arrival order), then the merged manifest — a complete 0/1 shard,
-    // so the output verifies exactly like an unsharded run's would.
-    let mut sink_out =
-        JsonlSink::create(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
-    for rec in merged.values() {
-        sink_out.write(rec).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    }
-    sink::write_manifest(out, &reference.full_cover())
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+    // arrival order), then the merged manifest.
+    let lines = merged.iter().map(|(id, line)| (id.as_str(), line.as_str()));
+    sink::write_merged(out, lines, reference)?;
 
     Ok(MergeReport {
         name: reference.name.clone(),
@@ -246,11 +241,12 @@ pub fn merge_trace_dirs(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, S
     // arithmetic verified exactly like the result merge.
     let mut manifests = Vec::with_capacity(inputs.len());
     for dir in inputs {
-        let manifest = trace_ops::read_trace_manifest(dir)?.ok_or_else(|| {
+        let inside = trace_ops::trace_manifest_path(dir);
+        let manifest = ShardManifest::read(&inside)?.ok_or_else(|| {
             format!(
                 "{} has no trace manifest (expected {}) — was it written by `campaign record`?",
                 dir.display(),
-                trace_ops::trace_manifest_path(dir).display(),
+                inside.display(),
             )
         })?;
         manifests.push(manifest);
@@ -319,8 +315,7 @@ pub fn merge_trace_dirs(inputs: &[PathBuf], out: &Path) -> Result<MergeReport, S
         std::fs::copy(src, out.join(name))
             .map_err(|e| format!("copying {} into {}: {e}", src.display(), out.display()))?;
     }
-    trace_ops::write_trace_manifest(out, &reference.full_cover())
-        .map_err(|e| format!("writing manifest for {}: {e}", out.display()))?;
+    reference.full_cover().write(&trace_ops::trace_manifest_path(out))?;
 
     Ok(MergeReport {
         name: reference.name.clone(),

@@ -15,7 +15,12 @@ use gather_obs::{Event, EventWriter, Status};
 
 use crate::record::ScenarioRecord;
 
-/// Maps a finished record onto its event-stream status token.
+/// Maps a finished record onto its event-stream status token, which is
+/// also its outcome class in `summarize`'s reliability table. Every run
+/// lands in exactly one class, so the reliability columns are disjoint
+/// and `gathered + stalled + disconnected + panicked == runs` always
+/// holds (an earlier version counted a run that was both unconnected
+/// and ungathered twice).
 pub fn record_status(rec: &ScenarioRecord) -> Status {
     if rec.panicked {
         Status::Panicked

@@ -1,6 +1,6 @@
 //! The per-scenario result record and its JSONL wire format.
 
-use gather_analysis::{parse_flat_json, JsonObjWriter};
+use gather_analysis::{parse_flat_json, FlatObject, JsonObjWriter};
 use gather_bench::Measurement;
 use grid_engine::{Phase, ProfileTotals, PHASE_COUNT};
 
@@ -165,60 +165,49 @@ impl ScenarioRecord {
         w.finish()
     }
 
-    /// Parse one line; `Err` covers malformed and truncated lines.
+    /// Parse one line; `Err` covers malformed and truncated lines and
+    /// names a missing or mistyped field. The fields the format gained
+    /// later (`scheduler`, `activations`, `secs`, `perf_*`) may be absent.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let map = parse_flat_json(line)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            map.get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
+        let obj = parse_flat_json(line)?;
+        let record = || -> Result<Self, String> {
+            // A record carries a perf block iff its anchor field is present
+            // (phase fields default to 0.0 so the format can grow phases).
+            let perf = match obj.opt("perf_wall_s", FlatObject::f64)? {
+                Some(wall_s) => {
+                    let mut phase_s = [0.0; PHASE_COUNT];
+                    for phase in Phase::ALL {
+                        let key = format!("perf_{}_s", phase.name());
+                        phase_s[phase as usize] = obj.opt(&key, FlatObject::f64)?.unwrap_or(0.0);
+                    }
+                    Some(PerfSummary {
+                        wall_s,
+                        rounds: obj.opt("perf_rounds", FlatObject::u64)?.unwrap_or(0),
+                        computed: obj.opt("perf_computed", FlatObject::u64)?.unwrap_or(0),
+                        phase_s,
+                    })
+                }
+                None => None,
+            };
+            Ok(ScenarioRecord {
+                id: obj.str("id")?.to_string(),
+                family: obj.str("family")?.to_string(),
+                controller: obj.str("controller")?.to_string(),
+                scheduler: obj.opt("scheduler", FlatObject::str)?.unwrap_or("fsync").to_string(),
+                n_requested: obj.u64("n_requested")? as usize,
+                seed: obj.u64("seed")?,
+                n: obj.u64("n")? as usize,
+                rounds: obj.u64("rounds")?,
+                merges: obj.u64("merges")? as usize,
+                activations: obj.opt("activations", FlatObject::u64)?.unwrap_or(0),
+                gathered: obj.bool("gathered")?,
+                connected: obj.bool("connected")?,
+                panicked: obj.bool("panicked")?,
+                secs: obj.opt("secs", FlatObject::f64)?.unwrap_or(0.0),
+                perf,
+            })
         };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            map.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("missing integer field {key:?}"))
-        };
-        let bool_field = |key: &str| -> Result<bool, String> {
-            map.get(key)
-                .and_then(|v| v.as_bool())
-                .ok_or_else(|| format!("missing bool field {key:?}"))
-        };
-        let f64_field = |key: &str| map.get(key).and_then(|v| v.as_f64());
-        // A record carries a perf block iff its anchor field is present
-        // (phase fields default to 0.0 so the format can grow phases).
-        let perf = f64_field("perf_wall_s").map(|wall_s| {
-            let mut phase_s = [0.0; PHASE_COUNT];
-            for phase in Phase::ALL {
-                phase_s[phase as usize] =
-                    f64_field(&format!("perf_{}_s", phase.name())).unwrap_or(0.0);
-            }
-            PerfSummary {
-                wall_s,
-                rounds: map.get("perf_rounds").and_then(|v| v.as_u64()).unwrap_or(0),
-                computed: map.get("perf_computed").and_then(|v| v.as_u64()).unwrap_or(0),
-                phase_s,
-            }
-        });
-        Ok(ScenarioRecord {
-            id: str_field("id")?,
-            family: str_field("family")?,
-            controller: str_field("controller")?,
-            // Written before the scheduler axis existed? FSYNC, 0 work
-            // recorded — old result files must keep resuming.
-            scheduler: str_field("scheduler").unwrap_or_else(|_| "fsync".to_string()),
-            n_requested: u64_field("n_requested")? as usize,
-            seed: u64_field("seed")?,
-            n: u64_field("n")? as usize,
-            rounds: u64_field("rounds")?,
-            merges: u64_field("merges")? as usize,
-            activations: u64_field("activations").unwrap_or(0),
-            gathered: bool_field("gathered")?,
-            connected: bool_field("connected")?,
-            panicked: bool_field("panicked")?,
-            secs: f64_field("secs").unwrap_or(0.0),
-            perf,
-        })
+        record().map_err(|e| format!("scenario record: {e}"))
     }
 }
 

@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -48,7 +48,7 @@ use crate::executor::{execute_jobs_observed, JobEvent};
 use crate::progress::finished_event;
 use crate::record::ScenarioRecord;
 use crate::shard::{ShardManifest, ShardSpec};
-use crate::sink::write_manifest;
+use crate::sink::write_merged;
 use crate::spec::{coverage_xor, Scenario};
 
 /// How long the accept loop sleeps between polls, and how long a
@@ -492,25 +492,11 @@ fn finalize_job(shared: &Shared, state: &mut ServerState, job_id: u64) {
         if job.results.len() != total || got != expected {
             return Err("coverage digest mismatch in folded results".into());
         }
-        // ID-sorted lines, exactly what `campaign merge` emits.
-        let mut sorted: Vec<(&str, &str)> = job
-            .results
-            .iter()
-            .map(|(i, line)| (job.scenario_ids[*i].as_str(), line.as_str()))
-            .collect();
-        sorted.sort();
-        let file = File::create(&job.out).map_err(|e| format!("creating output: {e}"))?;
-        let mut out = BufWriter::new(file);
-        for (_, line) in sorted {
-            out.write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .map_err(|e| format!("writing output: {e}"))?;
-        }
-        out.flush().map_err(|e| format!("flushing output: {e}"))?;
+        // Every line was canonicalized on ingest; write them as a merge does.
+        let lines =
+            job.results.iter().map(|(i, line)| (job.scenario_ids[*i].as_str(), line.as_str()));
         let spec = spec_from_fields(&job.spec)?;
-        let manifest = ShardManifest::for_shard(&spec, ShardSpec::FULL).full_cover();
-        write_manifest(&job.out, &manifest).map_err(|e| format!("writing manifest: {e}"))?;
-        Ok(())
+        write_merged(&job.out, lines, &ShardManifest::for_shard(&spec, ShardSpec::FULL))
     })();
     let now = shared.clock.now_ms();
     let secs = now.saturating_sub(job.submitted_ms) as f64 / 1000.0;

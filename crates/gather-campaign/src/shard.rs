@@ -10,9 +10,13 @@
 //! of the scenario IDs the shard owns, and a completion marker. The
 //! `campaign merge` subcommand ([`crate::merge`]) uses the manifests to
 //! *prove* a set of shard outputs covers the full spec exactly once
-//! before emitting a merged result file.
+//! before emitting a merged result file. [`ShardManifest::read`] and
+//! [`ShardManifest::write`] do every manifest's file I/O, at
+//! [`crate::sink::manifest_path`] or
+//! [`crate::trace_ops::trace_manifest_path`].
 
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use gather_analysis::{parse_flat_json, JsonObjWriter};
@@ -79,8 +83,8 @@ impl fmt::Display for ShardSpec {
     }
 }
 
-/// The sidecar proof written next to each shard's result JSONL
-/// ([`crate::sink::write_manifest`] puts it at `<out>.manifest.json`).
+/// The sidecar proof written next to each shard's result JSONL (at
+/// [`crate::sink::manifest_path`], `<out>.manifest.json`).
 /// The `name` field is recorded for humans only; merge compatibility is
 /// decided by the digests (see [`ShardManifest::mismatch_against`]).
 ///
@@ -209,45 +213,57 @@ impl ShardManifest {
             .finish()
     }
 
-    /// Parse a manifest. Older manifests also carry a `"strategy"`
-    /// field (always `hash` in practice), which is ignored.
+    /// Parse a manifest; a missing or mistyped field is an error naming
+    /// it. Older manifests also carry a `"strategy"` field (always
+    /// `hash` in practice), which is ignored.
     pub fn from_json(text: &str) -> Result<ShardManifest, String> {
-        let map = parse_flat_json(text.trim())?;
-        let str_field = |key: &str| -> Result<&str, String> {
-            map.get(key)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("manifest is missing string field {key:?}"))
+        let obj = parse_flat_json(text.trim())?;
+        let manifest = || -> Result<ShardManifest, String> {
+            if obj.str("kind")? != "shard-manifest" {
+                return Err("not a shard manifest (kind mismatch)".into());
+            }
+            let shard_index = u32::try_from(obj.u64("shard_index")?)
+                .map_err(|_| "shard_index out of range".to_string())?;
+            let shard_count = u32::try_from(obj.u64("shard_count")?)
+                .map_err(|_| "shard_count out of range".to_string())?;
+            if shard_count == 0 || shard_index >= shard_count {
+                return Err(format!("shard {shard_index}/{shard_count} is not a valid slice"));
+            }
+            Ok(ShardManifest {
+                name: obj.str("name")?.to_string(),
+                shard_index,
+                shard_count,
+                spec_digest: obj.u64("spec_digest")?,
+                spec_len: obj.u64("spec_len")? as usize,
+                spec_coverage: obj.u64("spec_coverage")?,
+                shard_len: obj.u64("shard_len")? as usize,
+                shard_coverage: obj.u64("shard_coverage")?,
+                complete: obj.bool("complete")?,
+            })
         };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            map.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("manifest is missing integer field {key:?}"))
+        manifest().map_err(|e| format!("shard manifest: {e}"))
+    }
+
+    /// Write (or overwrite) the manifest file at `path`: its one JSON
+    /// line, newline-terminated. A run writes it once with `complete:
+    /// false` when it starts and again with `complete: true` after its
+    /// last record or trace is on disk, so a manifest claiming
+    /// completion always describes a fully written output.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        let mut text = self.to_json();
+        text.push('\n');
+        std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
+    }
+
+    /// Read the manifest file at `path`; `Ok(None)` when there is none
+    /// (outputs written before the shard subsystem have no manifest).
+    pub fn read(path: &Path) -> Result<Option<ShardManifest>, String> {
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("reading {}: {e}", path.display())),
         };
-        if str_field("kind")? != "shard-manifest" {
-            return Err("not a shard manifest (kind mismatch)".into());
-        }
-        let shard_index = u32::try_from(u64_field("shard_index")?)
-            .map_err(|_| "shard_index out of range".to_string())?;
-        let shard_count = u32::try_from(u64_field("shard_count")?)
-            .map_err(|_| "shard_count out of range".to_string())?;
-        if shard_count == 0 || shard_index >= shard_count {
-            return Err(format!("shard {shard_index}/{shard_count} is not a valid slice"));
-        }
-        let complete = map
-            .get("complete")
-            .and_then(|v| v.as_bool())
-            .ok_or("manifest is missing bool field \"complete\"")?;
-        Ok(ShardManifest {
-            name: str_field("name")?.to_string(),
-            shard_index,
-            shard_count,
-            spec_digest: u64_field("spec_digest")?,
-            spec_len: u64_field("spec_len")? as usize,
-            spec_coverage: u64_field("spec_coverage")?,
-            shard_len: u64_field("shard_len")? as usize,
-            shard_coverage: u64_field("shard_coverage")?,
-            complete,
-        })
+        Self::from_json(&text).map(Some).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Do two manifests describe shards of the same partitioned spec?

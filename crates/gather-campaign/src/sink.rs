@@ -5,6 +5,10 @@
 //! campaign loses at most the line being written; on resume, every line
 //! that parses is treated as completed and a truncated trailing line is
 //! discarded.
+//!
+//! A result file's shard manifest lives at [`manifest_path`]. A merged
+//! result set, from `campaign merge` or a finished service job, is
+//! written in one piece by [`write_merged`].
 
 use std::collections::HashSet;
 use std::fs::File;
@@ -91,26 +95,29 @@ pub fn manifest_path(out: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Write (or overwrite) the manifest next to `out`. Called once with
-/// `complete: false` when a shard run starts and again with
-/// `complete: true` after its last record is flushed, so a manifest
-/// claiming completion always describes a fully-written result file.
-pub fn write_manifest(out: &Path, manifest: &ShardManifest) -> io::Result<()> {
-    let mut text = manifest.to_json();
-    text.push('\n');
-    std::fs::write(manifest_path(out), text)
-}
-
-/// Read the manifest next to `out`; `Ok(None)` when there is none
-/// (result files predating the shard subsystem have no sidecar).
-pub fn read_manifest(out: &Path) -> Result<Option<ShardManifest>, String> {
-    let path = manifest_path(out);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("reading {}: {e}", path.display())),
+/// Write a merged result set to `out`: the line of every `(scenario
+/// ID, record line)` pair in `lines`, sorted by scenario ID, then the
+/// manifest of a complete `0/1` shard of `spec_manifest`'s spec beside
+/// it, so the file verifies exactly like an unsharded run's would.
+/// `campaign merge` and the service's finished jobs both write through
+/// here, so the same records give the same bytes.
+pub fn write_merged<'a>(
+    out: &Path,
+    lines: impl IntoIterator<Item = (&'a str, &'a str)>,
+    spec_manifest: &ShardManifest,
+) -> Result<(), String> {
+    let mut lines: Vec<(&str, &str)> = lines.into_iter().collect();
+    lines.sort_unstable();
+    let write = || -> io::Result<()> {
+        let mut file = BufWriter::new(File::create(out)?);
+        for (_, line) in lines {
+            file.write_all(line.as_bytes())?;
+            file.write_all(b"\n")?;
+        }
+        file.flush()
     };
-    ShardManifest::from_json(&text).map(Some).map_err(|e| format!("{}: {e}", path.display()))
+    write().map_err(|e| format!("writing {}: {e}", out.display()))?;
+    spec_manifest.full_cover().write(&manifest_path(out))
 }
 
 #[cfg(test)]
@@ -204,23 +211,24 @@ mod tests {
         use crate::spec::CampaignSpec;
 
         let out = tmp("manifest.jsonl");
+        let path = manifest_path(&out);
         assert_eq!(
-            manifest_path(&out).file_name().unwrap().to_string_lossy(),
+            path.file_name().unwrap().to_string_lossy(),
             format!("{}.manifest.json", out.file_name().unwrap().to_string_lossy()),
         );
-        assert_eq!(read_manifest(&out).unwrap(), None, "absent sidecar reads as None");
+        assert_eq!(ShardManifest::read(&path).unwrap(), None, "absent sidecar reads as None");
 
         let spec = CampaignSpec::standard();
         let mut m = ShardManifest::for_shard(&spec, ShardSpec { index: 1, count: 4 });
-        write_manifest(&out, &m).unwrap();
-        assert_eq!(read_manifest(&out).unwrap(), Some(m.clone()));
+        m.write(&path).unwrap();
+        assert_eq!(ShardManifest::read(&path).unwrap(), Some(m.clone()));
         // The completion flip overwrites in place.
         m.complete = true;
-        write_manifest(&out, &m).unwrap();
-        assert_eq!(read_manifest(&out).unwrap(), Some(m));
+        m.write(&path).unwrap();
+        assert_eq!(ShardManifest::read(&path).unwrap(), Some(m));
 
-        std::fs::write(manifest_path(&out), "not json").unwrap();
-        assert!(read_manifest(&out).is_err(), "corrupt manifest must be loud");
-        std::fs::remove_file(manifest_path(&out)).unwrap();
+        std::fs::write(&path, "not json").unwrap();
+        assert!(ShardManifest::read(&path).is_err(), "corrupt manifest must be loud");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -45,33 +45,10 @@ pub fn list_trace_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// copying or archiving the directory keeps the coverage proof with the
 /// traces it describes. The name has no `.gtrc` extension, so
 /// [`list_trace_files`] and [`clean_trace_dir`] never confuse it for a
-/// trace.
+/// trace. Like the result file's, it is written when the recording
+/// starts and again, complete, once the last trace is renamed into place.
 pub fn trace_manifest_path(dir: &Path) -> PathBuf {
     dir.join("shard.manifest.json")
-}
-
-/// Write (or overwrite) the trace-set manifest for `dir`. Same protocol
-/// as the result-file sidecar: once with `complete: false` when the
-/// recording starts, again with `complete: true` after the last trace
-/// is renamed into place.
-pub fn write_trace_manifest(dir: &Path, manifest: &crate::shard::ShardManifest) -> io::Result<()> {
-    let mut text = manifest.to_json();
-    text.push('\n');
-    fs::write(trace_manifest_path(dir), text)
-}
-
-/// Read the trace-set manifest of `dir`; `Ok(None)` when there is none
-/// (trace sets recorded before the sharded-trace subsystem).
-pub fn read_trace_manifest(dir: &Path) -> Result<Option<crate::shard::ShardManifest>, String> {
-    let path = trace_manifest_path(dir);
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("reading {}: {e}", path.display())),
-    };
-    crate::shard::ShardManifest::from_json(&text)
-        .map(Some)
-        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// A `.gtrc` being written by a running engine: rounds stream from the
@@ -401,7 +378,7 @@ pub fn diff_trace_dirs(a: &Path, b: &Path) -> io::Result<Vec<DiffReport>> {
 /// longer mentions them, and `replay`/`diff` would treat the stale
 /// files as part of the set. (`.gtrc.tmp` files are the torn leftovers
 /// of a panicking controller — the executor's panic isolation unwinds
-/// straight past [`TraceFile::finish`]'s rename.) Returns how many
+/// straight past `TraceFile::finish`'s rename.) Returns how many
 /// files were removed.
 pub fn clean_trace_dir(dir: &Path) -> io::Result<usize> {
     let mut removed = 0usize;

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use gather_campaign::cli::{ServeArgs, SubmitArgs, WorkArgs};
 use gather_campaign::{
-    read_manifest, serve, submit, work, work_on, CampaignSpec, ControllerKind, Family,
-    SchedulerKind,
+    manifest_path, serve, submit, work, work_on, CampaignSpec, ControllerKind, Family,
+    SchedulerKind, ShardManifest,
 };
 use gather_obs::Message;
 use gather_serve::{CacheKey, Conn, ResultCache};
@@ -111,7 +111,8 @@ fn loopback_service_run_is_byte_identical_and_second_submit_is_all_cache() {
     assert_eq!(first.executed, total);
     assert_eq!(first.panicked, 0);
     assert_eq!(std::fs::read_to_string(&out1).unwrap(), expected);
-    let manifest = read_manifest(&out1).unwrap().expect("service writes a manifest");
+    let manifest =
+        ShardManifest::read(&manifest_path(&out1)).unwrap().expect("service writes a manifest");
     assert!(manifest.complete);
 
     // Same spec again: served entirely from the cache, byte-identical,

@@ -6,10 +6,10 @@
 use std::path::{Path, PathBuf};
 
 use gather_bench::{ControllerKind, SchedulerKind};
+use gather_campaign::trace_ops::trace_manifest_path;
 use gather_campaign::{
-    executor, load_records, merge_shards, merge_trace_dirs, read_manifest, read_trace_manifest,
-    summarize, trace_ops, write_manifest, write_trace_manifest, CampaignSpec, JsonlSink,
-    ReplayStatus, ShardManifest, ShardSpec,
+    executor, load_records, manifest_path, merge_shards, merge_trace_dirs, summarize, trace_ops,
+    CampaignSpec, JsonlSink, ReplayStatus, ShardManifest, ShardSpec,
 };
 use gather_workloads::Family;
 use proptest::prelude::*;
@@ -44,11 +44,11 @@ fn run_shard(spec: &CampaignSpec, shard: ShardSpec, out: &Path) -> ShardManifest
     let pending = executor::select_pending(&jobs, shard, &Default::default());
     let manifest = ShardManifest::for_shard(spec, shard);
     let mut sink = JsonlSink::create(out).unwrap();
-    write_manifest(out, &manifest).unwrap();
+    manifest.write(&manifest_path(out)).unwrap();
     executor::execute_scenarios(&pending, 4, |_d, _t, rec| sink.write(rec).unwrap());
     drop(sink);
     let manifest = ShardManifest { complete: true, ..manifest };
-    write_manifest(out, &manifest).unwrap();
+    manifest.write(&manifest_path(out)).unwrap();
     manifest
 }
 
@@ -104,7 +104,7 @@ fn four_shards_plus_merge_equal_the_unsharded_run() {
 
     // The merged file carries a complete full-cover manifest, so it
     // verifies exactly like an unsharded run's output would.
-    let manifest = read_manifest(&merged).unwrap().unwrap();
+    let manifest = ShardManifest::read(&manifest_path(&merged)).unwrap().unwrap();
     assert!(manifest.complete);
     assert_eq!(manifest.shard(), ShardSpec::FULL);
     assert_eq!(manifest.shard_len, spec.len());
@@ -186,8 +186,8 @@ fn merge_rejects_an_incomplete_shard() {
     let shards = run_all_shards(&spec, 2, &dir);
     // Rewind shard 0's manifest to the not-yet-complete state a crashed
     // run leaves behind.
-    let manifest = read_manifest(&shards[0]).unwrap().unwrap();
-    write_manifest(&shards[0], &ShardManifest { complete: false, ..manifest }).unwrap();
+    let manifest = ShardManifest::read(&manifest_path(&shards[0])).unwrap().unwrap();
+    ShardManifest { complete: false, ..manifest }.write(&manifest_path(&shards[0])).unwrap();
     let err = merge_shards(&shards, &dir.join("merged.jsonl")).unwrap_err();
     assert!(err.contains("completion marker"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -247,7 +247,7 @@ fn killed_shard_resumes_and_merges_clean() {
     let shard1 = dir.join("c.shard1of2.jsonl");
     std::fs::write(&shard1, &content).unwrap();
     let manifest = ShardManifest::for_shard(&spec, shard);
-    write_manifest(&shard1, &manifest).unwrap();
+    manifest.write(&manifest_path(&shard1)).unwrap();
 
     // An un-resumed dead shard must be refused.
     let err = merge_shards(&[shard0.clone(), shard1.clone()], &dir.join("m.jsonl")).unwrap_err();
@@ -260,7 +260,7 @@ fn killed_shard_resumes_and_merges_clean() {
     let mut sink = JsonlSink::append(&shard1).unwrap();
     executor::execute_scenarios(&pending, 4, |_d, _t, rec| sink.write(rec).unwrap());
     drop(sink);
-    write_manifest(&shard1, &ShardManifest { complete: true, ..manifest }).unwrap();
+    ShardManifest { complete: true, ..manifest }.write(&manifest_path(&shard1)).unwrap();
 
     let merged = dir.join("merged.jsonl");
     let report = merge_shards(&[shard0.clone(), shard1], &merged).unwrap();
@@ -339,13 +339,13 @@ fn record_shard_traces(spec: &CampaignSpec, shard: ShardSpec, dir: &Path) -> Sha
     std::fs::create_dir_all(dir).unwrap();
     let pending = executor::select_pending(&spec.expand(), shard, &Default::default());
     let manifest = ShardManifest::for_traced_shard(spec, shard);
-    write_trace_manifest(dir, &manifest).unwrap();
+    manifest.write(&trace_manifest_path(dir)).unwrap();
     for sc in &pending {
         let outcome = sc.execute(Some(dir), false);
         assert!(outcome.error.is_none(), "recording {}: {:?}", sc.id(), outcome.error);
     }
     let manifest = ShardManifest { complete: true, ..manifest };
-    write_trace_manifest(dir, &manifest).unwrap();
+    manifest.write(&trace_manifest_path(dir)).unwrap();
     manifest
 }
 
@@ -390,7 +390,7 @@ fn sharded_trace_record_plus_merge_is_byte_identical_to_unsharded() {
 
     assert_eq!(trace_bytes(&merged), expected, "merged trace set must be byte-identical");
 
-    let manifest = read_trace_manifest(&merged).unwrap().unwrap();
+    let manifest = ShardManifest::read(&trace_manifest_path(&merged)).unwrap().unwrap();
     assert!(manifest.complete);
     assert_eq!(manifest.shard(), ShardSpec::FULL);
     assert_eq!(manifest.shard_len, traced.len());
@@ -428,12 +428,12 @@ fn trace_merge_rejects_broken_shard_sets() {
     assert!(err.contains("missing shard"), "{err}");
 
     // Incomplete recording (crashed mid-run).
-    let manifest = read_trace_manifest(&shards[0]).unwrap().unwrap();
-    write_trace_manifest(&shards[0], &ShardManifest { complete: false, ..manifest.clone() })
-        .unwrap();
+    let path = trace_manifest_path(&shards[0]);
+    let manifest = ShardManifest::read(&path).unwrap().unwrap();
+    ShardManifest { complete: false, ..manifest.clone() }.write(&path).unwrap();
     let err = merge_trace_dirs(&shards, &out).unwrap_err();
     assert!(err.contains("completion marker"), "{err}");
-    write_trace_manifest(&shards[0], &manifest).unwrap();
+    manifest.write(&path).unwrap();
 
     // A lost trace file.
     let victim = trace_ops::list_trace_files(&shards[1]).unwrap().remove(0);

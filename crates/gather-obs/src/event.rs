@@ -1,8 +1,8 @@
 //! The event vocabulary and its wire format (one flat JSON object per
-//! line, see the crate docs for the schema table).
+//! line, see the crate docs for the schema table). Lines decode through
+//! [`gather_analysis::FlatObject`], so an error names the kind and field.
 
-use gather_analysis::{parse_flat_json, JsonObjWriter, JsonScalar};
-use std::collections::BTreeMap;
+use gather_analysis::{parse_flat_json, FlatObject, JsonObjWriter};
 
 /// Schema version stamped into every line as `"v"`. Readers reject
 /// lines from a newer schema instead of misreading them.
@@ -99,72 +99,63 @@ impl Event {
     /// errors: a consumer that cannot understand a line must say so
     /// rather than silently skew its counts.
     pub fn from_json_line(line: &str) -> Result<Event, String> {
-        let map = parse_flat_json(line)?;
-        let version = map
-            .get("v")
-            .and_then(JsonScalar::as_u64)
-            .ok_or_else(|| "event line missing schema version \"v\"".to_string())?;
-        if version > EVENT_VERSION {
-            return Err(format!(
-                "event schema v{version} is newer than this reader (v{EVENT_VERSION})"
-            ));
-        }
-        let kind = map
-            .get("event")
-            .and_then(JsonScalar::as_str)
-            .ok_or_else(|| "event line missing \"event\" kind".to_string())?;
-        let str_field = |key: &str| -> Result<String, String> {
-            field(&map, kind, key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("{kind}.{key} is not a string"))
+        Event::from_flat(&parse_flat_json(line)?)
+    }
+
+    /// Decode a parsed line (see [`Event::from_json_line`]).
+    pub(crate) fn from_flat(obj: &FlatObject) -> Result<Event, String> {
+        let kind = versioned_kind(obj, "event", "event", EVENT_VERSION)?;
+        let event = || -> Result<Option<Event>, String> {
+            Ok(Some(match kind {
+                "job_started" => Event::JobStarted {
+                    job: obj.str("job")?.to_string(),
+                    total: obj.u64("total")? as usize,
+                },
+                "scenario_started" => Event::ScenarioStarted { id: obj.str("id")?.to_string() },
+                "scenario_finished" => {
+                    let status = obj.str("status")?;
+                    Event::ScenarioFinished {
+                        id: obj.str("id")?.to_string(),
+                        status: Status::parse(status)
+                            .ok_or_else(|| format!("unknown scenario status {status:?}"))?,
+                        rounds: obj.u64("rounds")?,
+                        secs: obj.f64("secs")?,
+                        robot_rounds_per_s: obj.f64("robot_rounds_per_s")?,
+                    }
+                }
+                "heartbeat" => Event::Heartbeat {
+                    done: obj.u64("done")? as usize,
+                    total: obj.u64("total")? as usize,
+                    eta_secs: obj.f64("eta_secs")?,
+                },
+                "job_finished" => Event::JobFinished {
+                    done: obj.u64("done")? as usize,
+                    panicked: obj.u64("panicked")? as usize,
+                    secs: obj.f64("secs")?,
+                },
+                _ => return Ok(None),
+            }))
         };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            field(&map, kind, key)?
-                .as_u64()
-                .ok_or_else(|| format!("{kind}.{key} is not an unsigned integer"))
-        };
-        let usize_field = |key: &str| u64_field(key).map(|v| v as usize);
-        let f64_field = |key: &str| -> Result<f64, String> {
-            field(&map, kind, key)?.as_f64().ok_or_else(|| format!("{kind}.{key} is not a number"))
-        };
-        match kind {
-            "job_started" => {
-                Ok(Event::JobStarted { job: str_field("job")?, total: usize_field("total")? })
-            }
-            "scenario_started" => Ok(Event::ScenarioStarted { id: str_field("id")? }),
-            "scenario_finished" => {
-                let status = str_field("status")?;
-                Ok(Event::ScenarioFinished {
-                    id: str_field("id")?,
-                    status: Status::parse(&status)
-                        .ok_or_else(|| format!("unknown scenario status {status:?}"))?,
-                    rounds: u64_field("rounds")?,
-                    secs: f64_field("secs")?,
-                    robot_rounds_per_s: f64_field("robot_rounds_per_s")?,
-                })
-            }
-            "heartbeat" => Ok(Event::Heartbeat {
-                done: usize_field("done")?,
-                total: usize_field("total")?,
-                eta_secs: f64_field("eta_secs")?,
-            }),
-            "job_finished" => Ok(Event::JobFinished {
-                done: usize_field("done")?,
-                panicked: usize_field("panicked")?,
-                secs: f64_field("secs")?,
-            }),
-            other => Err(format!("unknown event kind {other:?}")),
-        }
+        event()
+            .map_err(|e| format!("{kind} event: {e}"))?
+            .ok_or_else(|| format!("unknown event kind {kind:?}"))
     }
 }
 
-fn field<'m>(
-    map: &'m BTreeMap<String, JsonScalar>,
-    kind: &str,
-    key: &str,
-) -> Result<&'m JsonScalar, String> {
-    map.get(key).ok_or_else(|| format!("{kind} event missing field {key:?}"))
+/// The kind of a versioned line (`what`: "event" or "message"): the
+/// string field `kind_key`, once the schema version `"v"` is known to
+/// be at most `current`.
+pub(crate) fn versioned_kind<'a>(
+    obj: &'a FlatObject,
+    what: &str,
+    kind_key: &str,
+    current: u64,
+) -> Result<&'a str, String> {
+    let version = obj.u64("v").map_err(|e| format!("{what} line missing schema version: {e}"))?;
+    if version > current {
+        return Err(format!("{what} schema v{version} is newer than this reader (v{current})"));
+    }
+    obj.str(kind_key).map_err(|e| format!("{what} line has no kind: {e}"))
 }
 
 #[cfg(test)]

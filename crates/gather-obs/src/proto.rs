@@ -1,7 +1,7 @@
 //! The campaign-service request/response vocabulary.
 //!
 //! `campaign serve` speaks flat NDJSON over a local Unix socket. Progress
-//! streaming reuses the v1 [`Event`](crate::Event) vocabulary verbatim;
+//! streaming reuses the v1 [`Event`] vocabulary verbatim;
 //! this module adds the small control-plane layer around it, in the same
 //! wire style: one flat JSON object per line, versioned with `"v"`, the
 //! kind carried in `"msg"` (events use `"event"`, so the two vocabularies
@@ -20,11 +20,14 @@
 //! comma/range syntax spec files use), so a worker can re-expand the
 //! spec deterministically and a lease only has to carry scenario
 //! *indexes* into that expansion.
+//!
+//! Messages decode like events; a [`Frame`] parses its line once and
+//! decodes it in the vocabulary its kind key names.
 
-use gather_analysis::{parse_flat_json, JsonObjWriter, JsonScalar};
+use gather_analysis::{parse_flat_json, FlatObject, JsonObjWriter};
 use std::collections::BTreeMap;
 
-use crate::event::Event;
+use crate::event::{versioned_kind, Event};
 use crate::stream::{validate, StreamSummary};
 
 /// Schema version stamped into every message line as `"v"`. Shared
@@ -132,113 +135,79 @@ impl Message {
     /// errors, exactly as for events: a peer that cannot understand a
     /// line must say so rather than silently drop control traffic.
     pub fn from_json_line(line: &str) -> Result<Message, String> {
-        let map = parse_flat_json(line)?;
-        let version = map
-            .get("v")
-            .and_then(JsonScalar::as_u64)
-            .ok_or_else(|| "message line missing schema version \"v\"".to_string())?;
-        if version > PROTO_VERSION {
-            return Err(format!(
-                "message schema v{version} is newer than this reader (v{PROTO_VERSION})"
-            ));
-        }
-        let kind = map
-            .get("msg")
-            .and_then(JsonScalar::as_str)
-            .ok_or_else(|| "message line missing \"msg\" kind".to_string())?;
-        let str_field = |key: &str| -> Result<String, String> {
-            field(&map, kind, key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("{kind}.{key} is not a string"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            field(&map, kind, key)?
-                .as_u64()
-                .ok_or_else(|| format!("{kind}.{key} is not an unsigned integer"))
-        };
-        let usize_field = |key: &str| u64_field(key).map(|v| v as usize);
-        let f64_field = |key: &str| -> Result<f64, String> {
-            field(&map, kind, key)?.as_f64().ok_or_else(|| format!("{kind}.{key} is not a number"))
-        };
-        let bool_field = |key: &str| -> Result<bool, String> {
-            field(&map, kind, key)?
-                .as_bool()
-                .ok_or_else(|| format!("{kind}.{key} is not a boolean"))
-        };
-        let spec_fields = || -> Result<BTreeMap<String, String>, String> {
+        Message::from_flat(&parse_flat_json(line)?)
+    }
+
+    /// Decode a parsed line (see [`Message::from_json_line`]).
+    fn from_flat(obj: &FlatObject) -> Result<Message, String> {
+        let kind = versioned_kind(obj, "message", "msg", PROTO_VERSION)?;
+        let spec = || -> Result<BTreeMap<String, String>, String> {
             let mut spec = BTreeMap::new();
-            for (key, value) in &map {
+            for key in obj.keys() {
                 if let Some(axis) = key.strip_prefix("spec_") {
-                    let value =
-                        value.as_str().ok_or_else(|| format!("{kind}.{key} is not a string"))?;
-                    spec.insert(axis.to_string(), value.to_string());
+                    spec.insert(axis.to_string(), obj.str(key)?.to_string());
                 }
             }
             Ok(spec)
         };
-        match kind {
-            "submit_job" => Ok(Message::SubmitJob {
-                name: str_field("name")?,
-                out: str_field("out")?,
-                spec: spec_fields()?,
-            }),
-            "job_accepted" => Ok(Message::JobAccepted {
-                job: u64_field("job")?,
-                total: usize_field("total")?,
-                cached: usize_field("cached")?,
-            }),
-            "lease_request" => Ok(Message::LeaseRequest {
-                worker: str_field("worker")?,
-                capacity: usize_field("capacity")?,
-            }),
-            "lease_granted" => Ok(Message::LeaseGranted {
-                job: u64_field("job")?,
-                lease: u64_field("lease")?,
-                indexes: parse_indexes(kind, &str_field("indexes")?)?,
-                expires_in_ms: u64_field("expires_in_ms")?,
-                drained: bool_field("drained")?,
-                spec: spec_fields()?,
-            }),
-            "result_batch" => Ok(Message::ResultBatch {
-                job: u64_field("job")?,
-                lease: u64_field("lease")?,
-                index: usize_field("index")?,
-                record: str_field("record")?,
-                secs: f64_field("secs")?,
-            }),
-            "job_done" => Ok(Message::JobDone {
-                job: u64_field("job")?,
-                total: usize_field("total")?,
-                cached: usize_field("cached")?,
-                executed: usize_field("executed")?,
-                panicked: usize_field("panicked")?,
-                secs: f64_field("secs")?,
-            }),
-            other => Err(format!("unknown message kind {other:?}")),
-        }
+        let message = || -> Result<Option<Message>, String> {
+            Ok(Some(match kind {
+                "submit_job" => Message::SubmitJob {
+                    name: obj.str("name")?.to_string(),
+                    out: obj.str("out")?.to_string(),
+                    spec: spec()?,
+                },
+                "job_accepted" => Message::JobAccepted {
+                    job: obj.u64("job")?,
+                    total: obj.u64("total")? as usize,
+                    cached: obj.u64("cached")? as usize,
+                },
+                "lease_request" => Message::LeaseRequest {
+                    worker: obj.str("worker")?.to_string(),
+                    capacity: obj.u64("capacity")? as usize,
+                },
+                "lease_granted" => Message::LeaseGranted {
+                    job: obj.u64("job")?,
+                    lease: obj.u64("lease")?,
+                    indexes: parse_indexes(obj.str("indexes")?)?,
+                    expires_in_ms: obj.u64("expires_in_ms")?,
+                    drained: obj.bool("drained")?,
+                    spec: spec()?,
+                },
+                "result_batch" => Message::ResultBatch {
+                    job: obj.u64("job")?,
+                    lease: obj.u64("lease")?,
+                    index: obj.u64("index")? as usize,
+                    record: obj.str("record")?.to_string(),
+                    secs: obj.f64("secs")?,
+                },
+                "job_done" => Message::JobDone {
+                    job: obj.u64("job")?,
+                    total: obj.u64("total")? as usize,
+                    cached: obj.u64("cached")? as usize,
+                    executed: obj.u64("executed")? as usize,
+                    panicked: obj.u64("panicked")? as usize,
+                    secs: obj.f64("secs")?,
+                },
+                _ => return Ok(None),
+            }))
+        };
+        message()
+            .map_err(|e| format!("{kind} message: {e}"))?
+            .ok_or_else(|| format!("unknown message kind {kind:?}"))
     }
 }
 
-fn parse_indexes(kind: &str, joined: &str) -> Result<Vec<usize>, String> {
+fn parse_indexes(joined: &str) -> Result<Vec<usize>, String> {
     if joined.is_empty() {
         return Ok(Vec::new());
     }
     joined
         .split(',')
         .map(|tok| {
-            tok.parse::<usize>()
-                .map_err(|_| format!("{kind}.indexes has a non-numeric entry {tok:?}"))
+            tok.parse::<usize>().map_err(|_| format!("indexes has a non-numeric entry {tok:?}"))
         })
         .collect()
-}
-
-fn field<'m>(
-    map: &'m BTreeMap<String, JsonScalar>,
-    kind: &str,
-    key: &str,
-) -> Result<&'m JsonScalar, String> {
-    map.get(key).ok_or_else(|| format!("{kind} message missing field {key:?}"))
 }
 
 /// One line of a service connection: either a progress [`Event`] or a
@@ -260,10 +229,10 @@ impl Frame {
     /// Parse one line of mixed event/message traffic. A line carrying
     /// both (or neither) kind key is malformed.
     pub fn from_json_line(line: &str) -> Result<Frame, String> {
-        let map = parse_flat_json(line)?;
-        match (map.contains_key("event"), map.contains_key("msg")) {
-            (true, false) => Event::from_json_line(line).map(Frame::Event),
-            (false, true) => Message::from_json_line(line).map(Frame::Message),
+        let obj = parse_flat_json(line)?;
+        match (obj.contains_key("event"), obj.contains_key("msg")) {
+            (true, false) => Event::from_flat(&obj).map(Frame::Event),
+            (false, true) => Message::from_flat(&obj).map(Frame::Message),
             (true, true) => Err("frame carries both \"event\" and \"msg\" kinds".into()),
             (false, false) => Err("frame carries neither \"event\" nor \"msg\" kind".into()),
         }

@@ -15,7 +15,7 @@
 //!   *moving* robot, not per robot.
 //! * [`Playback`] — re-derives the swarm evolution from a record
 //!   stream alone (no controller needed), using the engine's own
-//!   [`Swarm`] merge semantics, and verifies every round's population
+//!   [`Swarm`](grid_engine::Swarm) merge semantics, and verifies every round's population
 //!   and position digest.
 //! * [`diff_rounds`] / [`first_divergent_robot`] — structural
 //!   comparison of two record streams, localising the first divergence

@@ -8,7 +8,7 @@
 //! but memory is O(bounding-box area) — a sparse two-cluster swarm 10⁵
 //! cells apart would demand ~10¹⁰ cells before the first round runs —
 //! and every escape past the rectangle's edge is a stop-the-world full
-//! copy ([`OccupancyGrid::grow_to_include`]). [`Swarm`](crate::Swarm)
+//! copy (`OccupancyGrid::grow_to_include`). [`Swarm`](crate::Swarm)
 //! therefore uses [`crate::tile::TileIndex`]; the dense grid stays as
 //! the independent oracle for the tiled-vs-dense equivalence proptests
 //! and *refuses* (loud panic, see [`DENSE_CELL_LIMIT`]) rather than

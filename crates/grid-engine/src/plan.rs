@@ -28,7 +28,7 @@
 //! evaluated no plan, since [`Controller::needs_plan`] reads its state
 //! alone. When no robot evaluated a plan this round, every lookup
 //! answers `None` and charges `|d|` without probing. Phase 2 writes each
-//! decision's reach to a per-round buffer ([`PlanTable::reach`]) for the
+//! decision's reach to a per-round buffer (`PlanTable::reach`) for the
 //! quiet set.
 //!
 //! The table is engine-owned and costs 4 bytes per robot (a `u32` entry

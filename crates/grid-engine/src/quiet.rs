@@ -53,22 +53,26 @@
 //! dropped, when those probes for all changed cells would cost more than
 //! computing every robot once.
 //!
-//! Which robots to compute: a round that activates a subset filters its
-//! activation list by the class bits. An all-active round reads its
-//! class's *awake bitset* instead — one bit per handle, set while the
-//! robot is not quiet in the class — whose set bits, in handle order,
-//! are the robots to compute in slot order (handles ascend with slots).
-//! That costs O(n/64 + computed); a merged-away handle's bit is cleared
-//! when the walk first meets it. A class's bitset is built on its first
-//! all-active round, so subset schedulers never allocate one.
+//! Which robots to compute: a round whose class has no quiet robot (a
+//! fresh set's first round of the class, or after every bit dropped)
+//! computes every activated robot and lists none. Otherwise a round
+//! that activates a subset filters its activation list by the class
+//! bits, and an all-active round reads its class's *awake bitset* —
+//! one bit per handle, set while the robot is not quiet in the class —
+//! whose set bits, in handle order, are the robots to compute in slot
+//! order (handles ascend with slots). That costs O(n/64 + computed); a
+//! merged-away handle's bit is cleared when the walk first meets it. A
+//! class's bitset is built on its first all-active round, so subset
+//! schedulers never allocate one.
 //!
 //! Storage per stable handle (so merges never move an entry): the class
 //! bits and the reach (a byte each) and the handle's position in its
 //! reach list (4 bytes), allocated zeroed on the first round of a
 //! controller that declares classes, so a round touches only the entries
 //! of the robots it records or wakes; plus one awake bit per handle per
-//! class run all-active, the reach lists, and the round's changed-cell
-//! list. The engine keeps the list of robots to compute.
+//! class run all-active, the reach lists, a count of quiet robots per
+//! class, and the round's changed-cell list. The engine keeps the list
+//! of robots to compute.
 
 use crate::geom::{Point, V2};
 use crate::swarm::{Action, RobotState, Swarm};
@@ -130,6 +134,8 @@ pub(crate) struct QuietSet {
     /// `lists[s]`: the quiet handles a change wakes from at most `s`
     /// cells away ([`QuietSet::span`]), in no order.
     lists: Vec<Vec<u32>>,
+    /// Per round class: how many handles are quiet in it.
+    quiet: [usize; CLASSES],
     /// Per round class, from its first all-active round on: bit `h` set
     /// ⇔ handle `h` is not quiet in the class (or merged away and not yet
     /// met by [`QuietSet::select`]).
@@ -152,6 +158,7 @@ impl QuietSet {
             reach: Vec::new(),
             at: Vec::new(),
             lists: vec![Vec::new(); ball + 1],
+            quiet: [0; CLASSES],
             awake: Default::default(),
             version: 0,
             changed: Vec::new(),
@@ -161,7 +168,8 @@ impl QuietSet {
     /// Fill `out` with the robots to compute in `class`, in slot order:
     /// those of `active` that are not quiet in it, or, when `active` is
     /// `None` (every robot is activated), every robot not quiet in it.
-    /// Returns whether any activated robot was left out.
+    /// Returns whether any activated robot was left out; when no robot
+    /// is quiet in `class`, returns `false` without touching `out`.
     pub(crate) fn select<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
@@ -175,8 +183,12 @@ impl QuietSet {
             self.forget(swarm.handle_count());
         }
         let bit = 1u8 << class;
-        out.clear();
+        let none_quiet = self.quiet[usize::from(class)] == 0;
         if let Some(active) = active {
+            if none_quiet {
+                return false;
+            }
+            out.clear();
             let handles = swarm.handles();
             let bits = &self.bits;
             out.extend(active.iter().copied().filter(|&i| bits[handles[i] as usize] & bit == 0));
@@ -196,6 +208,10 @@ impl QuietSet {
             }
             awake
         });
+        if none_quiet {
+            return false;
+        }
+        out.clear();
         for (w, word) in awake.iter_mut().enumerate() {
             let mut rest = *word;
             while rest != 0 {
@@ -335,6 +351,7 @@ impl QuietSet {
         self.lists[span].push(h as u32);
         self.reach[h] = reach;
         self.bits[h] = bits | 1 << class;
+        self.quiet[usize::from(class)] += usize::from(bits & 1 << class == 0);
         if let Some(awake) = &mut self.awake[usize::from(class)] {
             awake[h / 64] &= !(1 << (h % 64));
         }
@@ -346,6 +363,11 @@ impl QuietSet {
         if bits != 0 {
             self.unlist(h);
             set_awake(&mut self.awake, h, bits);
+            let mut rest = bits;
+            while rest != 0 {
+                self.quiet[rest.trailing_zeros() as usize] -= 1;
+                rest &= rest - 1;
+            }
         }
     }
 
@@ -358,6 +380,7 @@ impl QuietSet {
             }
             list.clear();
         }
+        self.quiet = [0; CLASSES];
     }
 
     /// Take quiet handle `h` out of its reach list.
@@ -717,13 +740,18 @@ mod tests {
         (0..=ball).filter(|&d| reach_byte(d) <= reach).max().unwrap_or(-1)
     }
 
-    /// The lists, the per-handle entries and the awake bitsets agree:
-    /// a handle is in exactly the list of its span, at its position,
-    /// while it has bits, and every bitset marks exactly the live
-    /// handles not quiet in its class.
+    /// The lists, the per-handle entries, the per-class counts and the
+    /// awake bitsets agree: a handle is in exactly the list of its span,
+    /// at its position, while it has bits, each class counts the handles
+    /// with its bit, and every bitset marks exactly the live handles not
+    /// quiet in its class.
     fn assert_consistent(q: &QuietSet, swarm: &Swarm<()>) {
         let listed: usize = q.lists.iter().map(Vec::len).sum();
         assert_eq!(listed, q.bits.iter().filter(|&&b| b != 0).count(), "listed ≠ quiet");
+        for (class, &count) in q.quiet.iter().enumerate() {
+            let bits = q.bits.iter().filter(|&&b| b & 1 << class != 0).count();
+            assert_eq!(count, bits, "class {class} counts {count} quiet handles");
+        }
         for (span, list) in q.lists.iter().enumerate() {
             for (at, &h) in list.iter().enumerate() {
                 let h = h as usize;
@@ -762,8 +790,7 @@ mod tests {
         let mut out = Vec::new();
         // Classes 0 and 1 get bitsets; class 2 never runs all-active.
         for class in [0, 1] {
-            q.select(&swarm, None, class, &mut out);
-            assert_eq!(out, (0..n).collect::<Vec<_>>(), "a fresh set computes everyone");
+            assert!(!q.select(&swarm, None, class, &mut out), "a fresh set computes everyone");
         }
         let (mut bits, mut reach) = (vec![0u8; n], vec![0u8; n]);
         let mut radii = std::collections::BTreeSet::new();

@@ -454,7 +454,7 @@ impl<S: RobotState> Swarm<S> {
     }
 
     /// The paper's goal predicate: all robots within a 2×2 area. O(1):
-    /// see [`gathered_check`].
+    /// see `gathered_check`.
     pub fn is_gathered(&self) -> bool {
         gathered_check(self.len(), || {
             Bounds::of(self.positions().iter().copied()).expect("non-empty swarm")

@@ -1,10 +1,11 @@
-//! Minimal, dependency-free stand-in for the subset of the `proptest`
-//! 1.x API this workspace's property tests use. The build runs with no
-//! network and no registry cache, so the real crate cannot be fetched.
+//! Minimal stand-in for the subset of the `proptest` 1.x API this
+//! workspace's property tests use. The build runs with no network and
+//! no registry cache, so the real crate cannot be fetched.
 //!
 //! Differences from the real crate: inputs are generated from a
 //! deterministic per-case seed (so every CI run exercises the same
-//! cases), and failing cases are reported but *not shrunk*. The
+//! cases) by the workspace's `rand` stand-in, whose generator and range
+//! sampling it shares, and failing cases are reported but *not shrunk*. The
 //! `Strategy` combinators (`prop_map`, `prop_flat_map`), range / tuple /
 //! collection strategies, and the `proptest!` / `prop_assert*` macros
 //! keep their real signatures so the test files compile unchanged.
@@ -13,41 +14,20 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
-/// Deterministic per-case RNG (xoshiro256++ seeded via SplitMix64).
-pub struct TestRng {
-    s: [u64; 4],
-}
+use rand::rngs::StdRng;
+use rand::{RngCore, SampleRange, SeedableRng};
+
+/// Deterministic per-case RNG: the `rand` stand-in's xoshiro256++,
+/// seeded from the case number.
+pub struct TestRng(StdRng);
 
 impl TestRng {
     pub fn for_case(case: u32) -> Self {
-        let mut state = 0xA076_1D64_78BD_642Fu64 ^ ((case as u64) << 17);
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        TestRng { s: [next(), next(), next(), next()] }
+        TestRng(StdRng::seed_from_u64(0xA076_1D64_78BD_642F ^ (u64::from(case) << 17)))
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
-
-    /// Uniform draw from `[0, n)`. Panics when `n == 0`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "empty choice");
-        self.next_u64() % n
+        self.0.next_u64()
     }
 }
 
@@ -143,31 +123,25 @@ impl<S: Strategy, S2: Strategy, F: Fn(S::Value) -> S2> Strategy for FlatMap<S, F
     }
 }
 
-macro_rules! impl_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                assert!(self.start < self.end, "empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
-            }
-        }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range");
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (lo as i128 + v as i128) as $t
-            }
-        }
-    )*};
+impl<T> Strategy for Range<T>
+where
+    Range<T>: SampleRange<T> + Clone,
+{
+    type Value = T;
+    fn generate(&self, rng: &mut TestRng) -> T {
+        self.clone().sample_single(&mut rng.0)
+    }
 }
 
-impl_range_strategy!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
+impl<T> Strategy for RangeInclusive<T>
+where
+    RangeInclusive<T>: SampleRange<T> + Clone,
+{
+    type Value = T;
+    fn generate(&self, rng: &mut TestRng) -> T {
+        self.clone().sample_single(&mut rng.0)
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+))*) => {$(
@@ -251,7 +225,7 @@ pub struct SizeRange {
 
 impl SizeRange {
     fn sample(self, rng: &mut TestRng) -> usize {
-        self.lo + rng.below((self.hi_inclusive - self.lo + 1) as u64) as usize
+        (self.lo..=self.hi_inclusive).sample_single(&mut rng.0)
     }
 }
 
@@ -440,6 +414,32 @@ mod tests {
             &mut rng,
         );
         assert!(!s.is_empty() && s.len() < 40);
+    }
+
+    /// Every property test draws its inputs from these streams, so they
+    /// must not move: the first two words of a few cases and one range
+    /// sample per integer type.
+    #[test]
+    fn case_streams_are_pinned() {
+        let words = |case| {
+            let mut rng = crate::TestRng::for_case(case);
+            [rng.next_u64(), rng.next_u64()]
+        };
+        assert_eq!(words(0), [0xfaeb_899a_b878_3dd9, 0x2ecc_ca6a_f570_c82c]);
+        assert_eq!(words(1), [0x544f_a1be_2562_3f57, 0x67ee_8126_ad9d_e2eb]);
+        assert_eq!(words(2), [0x7792_e412_d7f4_a7a1, 0xdbe2_baed_7ee8_fe9c]);
+        assert_eq!(words(255), [0x8ecb_9d20_8369_9dd2, 0xc709_ce94_36d4_d467]);
+        let mut rng = crate::TestRng::for_case(9);
+        assert_eq!((-100i8..100).generate(&mut rng), 28);
+        assert_eq!((-30_000i16..=30_000).generate(&mut rng), 4722);
+        assert_eq!((-5i32..5).generate(&mut rng), -2);
+        assert_eq!((i64::MIN..=i64::MAX).generate(&mut rng), 8_966_338_089_509_756_017);
+        assert_eq!((1u8..=200).generate(&mut rng), 128);
+        assert_eq!((0u16..60_000).generate(&mut rng), 59_003);
+        assert_eq!((7u32..1_000_000).generate(&mut rng), 73_386);
+        assert_eq!((0u64..=u64::MAX).generate(&mut rng), 1_467_076_086_096_864_175);
+        assert_eq!((3usize..9).generate(&mut rng), 3);
+        assert_eq!((-1_000isize..=-10).generate(&mut rng), -829);
     }
 
     #[test]
