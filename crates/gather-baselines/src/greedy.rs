@@ -124,7 +124,7 @@ impl AsyncGreedy {
                     continue;
                 };
                 let hop = Action { step: dst - pos, state: () };
-                let out = self.swarm.apply_sparse(&[i], vec![hop], None);
+                let out = self.swarm.apply_sparse(&[i], &mut vec![hop], None);
                 self.merged += out.merged;
                 debug_assert!(is_connected(&self.swarm));
                 if self.swarm.is_gathered() {

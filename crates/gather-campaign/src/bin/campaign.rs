@@ -409,12 +409,13 @@ fn smoke(args: &SmokeArgs) -> Result<(), String> {
     eprintln!(
         "smoke ok: {} robots x {} rounds replayed digest-clean, traces byte-identical \
          across thread counts ({} occupied tiles over a {}-cell bounding box, \
-         {:.3e} activations/s of round time)",
+         {:.3e} activations/s of round time, {} robots computed at both thread counts)",
         report.robots,
         report.rounds,
         report.occupied_tiles,
         report.bounding_cells,
         report.activations_per_s,
+        report.computed,
     );
     Ok(())
 }

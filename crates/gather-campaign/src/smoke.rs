@@ -78,35 +78,45 @@ pub struct SmokeReport {
     /// ([`grid_engine::RoundProfile::wall_ns`]), so the engine build and
     /// the final connectivity check do not count.
     pub activations_per_s: f64,
+    /// Robots the engine computed over the recorded rounds
+    /// ([`grid_engine::RoundProfile::computed`]): the activations less
+    /// those the quiet set skipped. The same at both thread counts, or
+    /// the smoke fails: a robot woken by mistake computes again and
+    /// decides the same, which no trace shows.
+    pub computed: u64,
 }
 
 /// Record the smoke's run of the paper controller on `points` (round
 /// budget `args.rounds`) on `threads` engine threads into a trace file,
-/// returning its measurement and the seconds its rounds took, summed
-/// from the engine's per-round profiles (profiling never perturbs the
-/// rounds, so the trace is the same with or without it). Streams
-/// through [`TraceFile`], like `campaign record`.
+/// returning its measurement, the seconds its rounds took and the
+/// robots they computed, both summed from the engine's per-round
+/// profiles (profiling never perturbs the rounds, so the trace is the
+/// same with or without it). Streams through [`TraceFile`], like
+/// `campaign record`.
 fn record_bounded(
     args: &SmokeArgs,
     points: &[grid_engine::Point],
     header: &TraceHeader,
     threads: usize,
     path: &Path,
-) -> Result<(Measurement, f64), String> {
+) -> Result<(Measurement, f64, u64), String> {
     let trace = TraceFile::with_header(path.to_path_buf(), header)
         .map_err(|e| format!("creating {}: {e}", path.display()))?;
-    let round_ns = Rc::new(Cell::new(0u64));
-    let sum = Rc::clone(&round_ns);
+    let (round_ns, computed) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
+    let (ns_sum, computed_sum) = (Rc::clone(&round_ns), Rc::clone(&computed));
     let run = RunSpec::new(ControllerKind::Paper, points)
         .scheduler(args.scheduler)
         .seed(args.seed)
         .budget(args.rounds)
         .threads(threads)
         .observer(trace.observer())
-        .profiler(Box::new(move |p| sum.set(sum.get() + p.wall_ns)));
+        .profiler(Box::new(move |p| {
+            ns_sum.set(ns_sum.get() + p.wall_ns);
+            computed_sum.set(computed_sum.get() + p.computed);
+        }));
     let measurement = run.run();
     trace.finish().map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((measurement, round_ns.get() as f64 * 1e-9))
+    Ok((measurement, round_ns.get() as f64 * 1e-9, computed.get()))
 }
 
 /// Run the smoke: record at both thread counts, replay recording A
@@ -141,20 +151,25 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
     let sched = args.scheduler;
     let path_a = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_a));
     let path_b = args.dir.join(format!("smoke-{sched}-t{}.gtrc", args.threads_b));
-    let (run, secs_a) = record_bounded(args, &points, &header, args.threads_a, &path_a)?;
-    let (_, secs_b) = record_bounded(args, &points, &header, args.threads_b, &path_b)?;
+    let (run, secs_a, computed_a) =
+        record_bounded(args, &points, &header, args.threads_a, &path_a)?;
+    let (_, secs_b, computed_b) = record_bounded(args, &points, &header, args.threads_b, &path_b)?;
     let tput_a = run.activations as f64 / secs_a.max(f64::EPSILON);
     let tput_b = run.activations as f64 / secs_b.max(f64::EPSILON);
+    let (a, b) = (args.threads_a, args.threads_b);
     eprintln!(
-        "recorded {} rounds x {} robots: {:.3e} activations/s of round time ({} threads), \
-         {:.3e} ({} threads)",
+        "recorded {} rounds x {} robots: {tput_a:.3e} activations/s of round time ({a} threads), \
+         {tput_b:.3e} ({b} threads); computed {computed_a} robots ({a} threads), {computed_b} \
+         ({b} threads)",
         run.rounds,
         points.len(),
-        tput_a,
-        args.threads_a,
-        tput_b,
-        args.threads_b,
     );
+    // The quiet set's work must not depend on the thread count either.
+    if computed_a != computed_b {
+        return Err(format!(
+            "thread counts {a} and {b} computed {computed_a} and {computed_b} robots"
+        ));
+    }
 
     // Replay: re-derive the evolution from recording A's moves alone
     // and verify every round's population and digest.
@@ -207,6 +222,7 @@ pub fn run_smoke(args: &SmokeArgs) -> Result<SmokeReport, String> {
         bounding_cells: bounds.width() as u128 * bounds.height() as u128,
         activations: run.activations,
         activations_per_s: tput_a.max(tput_b),
+        computed: computed_a,
     })
 }
 
@@ -262,6 +278,13 @@ mod tests {
             let report =
                 run_smoke(&args).unwrap_or_else(|e| panic!("{scheduler} smoke failed: {e}"));
             assert_eq!(report.rounds, 4, "{scheduler}");
+            // Equal at both thread counts, or the smoke failed above.
+            assert!(
+                (1..=report.activations).contains(&report.computed),
+                "{scheduler}: computed {} of {} activations",
+                report.computed,
+                report.activations
+            );
             if scheduler == (SchedulerKind::RoundRobin { k: 4 }) {
                 assert_eq!(report.activations, 16, "rr4 computes 4 robots a round");
             }

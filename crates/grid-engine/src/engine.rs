@@ -7,7 +7,7 @@ use crate::connectivity::is_connected;
 use crate::geom::{Bounds, V2};
 use crate::metrics::{Metrics, RoundStats};
 use crate::observe::{BoxedRoundObserver, PendingMove, RobotMove, RoundRecord};
-use crate::plan::{PlanTable, Plans};
+use crate::plan::{CommitList, PlanTable, Plans};
 use crate::profile::{timed, BoxedProfileSink, Phase, RoundProfile};
 use crate::quiet::QuietSet;
 use crate::scheduler::{async_delay, Activation, Scheduler};
@@ -195,7 +195,7 @@ pub struct Engine<C: Controller> {
     metrics: Metrics,
     observer: Option<BoxedRoundObserver>,
     profiler: Option<BoxedProfileSink>,
-    plans: PlanTable<C::Plan>,
+    plans: PlanTable<C::Plan, C::State>,
     /// Which robots are quiet; `None` until a round with a class.
     pub(crate) quiet: Option<QuietSet>,
     /// `0, 1, 2, …`: the activation list of a round that activates
@@ -205,12 +205,16 @@ pub struct Engine<C: Controller> {
     /// The round's robots to compute when the quiet set leaves some out.
     selected: Vec<usize>,
     /// The round's commit list: the robots whose actions change them,
-    /// in slot order. Sized for the whole swarm at construction, like
-    /// `all_slots`: grown round by round instead, the buffer left the
-    /// heap so that glibc trimmed it when the engine was dropped, and
-    /// the next swarm's set-up in gatherbench scale-fsync took up to
-    /// twice the page faults.
-    commit: Vec<usize>,
+    /// in slot order, and their actions. The compute map fills it (its
+    /// chunk 0 writes here directly), an ASYNC round joins the landed
+    /// moves in, and the apply drains the actions. Both buffers start
+    /// empty and keep their capacity across rounds, so once they have
+    /// grown to the largest commit list a round allocates nothing for
+    /// them. Sizing them for the swarm at construction, which kept glibc
+    /// from trimming the slot buffer while every round also allocated a
+    /// per-robot action vector, buys nothing now that no round does
+    /// (README, "The compute map returns only the commit list").
+    commit: CommitList<C::State>,
 }
 
 impl<C: Controller> std::fmt::Debug for Engine<C> {
@@ -230,7 +234,7 @@ impl<C: Controller> Engine<C> {
         let metrics = Metrics::new(config.keep_history);
         Engine {
             all_slots: (0..swarm.len()).collect(),
-            commit: Vec::with_capacity(swarm.len()),
+            commit: CommitList::default(),
             swarm,
             controller,
             config,
@@ -363,9 +367,10 @@ impl<C: Controller> Engine<C> {
 
     /// The round itself, for every scheduler: activate, compute the
     /// activated robots that are not quiet in the round's class
-    /// ([`crate::quiet`]), then commit the actions that change their
-    /// robot ([`Action::changes`]); a skipped robot's "stay, keep state"
-    /// changes nothing. [`Scheduler::Async`] differs in two places: the
+    /// ([`crate::quiet`]), whose map returns only the actions that
+    /// change their robot ([`Action::changes`]), then commit those; a
+    /// skipped robot's "stay, keep state" changes nothing.
+    /// [`Scheduler::Async`] differs in two places: the
     /// round lands the looks falling due ([`Swarm::land`]) and activates
     /// the robots not in flight (they *look*), and each look, quiet or
     /// computed, draws a seeded delay `d ∈ 0..=staleness` after compute —
@@ -428,80 +433,72 @@ impl<C: Controller> Engine<C> {
         };
         let (computed_slots, listed) =
             if skips { (&self.selected[..], Some(&self.selected[..])) } else { (active, subset) };
-        let mut actions = timed(prof, Phase::Compute, || {
-            self.plans.compute(&self.swarm, &self.controller, listed, ctx, self.config.threads)
+        timed(prof, Phase::Compute, || {
+            let (swarm, controller, threads) = (&self.swarm, &self.controller, self.config.threads);
+            self.plans.compute(swarm, controller, listed, ctx, threads, &mut self.commit)
         });
         if let Some(p) = prof.as_deref_mut() {
             p.computed = computed_slots.len() as u64;
         }
         if let Some((class, quiet)) = &mut quiet {
             timed(prof, Phase::ActiveList, || {
-                let reach = self.plans.reach();
-                quiet.record(&self.swarm, computed_slots, &actions, reach, *class)
+                quiet.record(&self.swarm, computed_slots, self.plans.decided(), *class)
             });
         }
-        // The commit list: the computed actions that change their robot,
-        // with the landed ones under ASYNC.
+        // Under ASYNC the commit list takes the landed moves, and a
+        // computed look's action only when its delay is 0.
         let mut pending: Vec<PendingMove> = Vec::new();
-        match asynchronous {
-            None => timed(prof, Phase::Activate, || {
-                let (states, mut slots) = (self.swarm.states(), computed_slots.iter());
-                self.commit.clear();
-                actions.retain(|action| {
-                    let i = *slots.next().expect("one slot per computed action");
-                    let changes = action.changes(&states[i]);
-                    self.commit.extend(changes.then_some(i));
-                    changes
-                });
-            }),
-            Some((seed, staleness)) => {
-                (self.commit, actions) = timed(prof, Phase::Activate, || {
-                    // Every look draws its delay. The computed looks are a
-                    // slot-sorted sublist of the looks; the others are
-                    // quiet, and their action is "stay, keep state".
-                    let mut commit = landed;
-                    let mut computed = computed_slots.iter().copied().zip(actions).peekable();
-                    for &i in active {
-                        let action = computed.next_if(|&(j, _)| j == i).map(|(_, action)| action);
-                        let action = action.filter(|a| a.changes(&self.swarm.states()[i]));
-                        let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
-                        if d == 0 {
-                            commit.extend(action.map(|action| (i, action)));
-                            continue;
-                        }
-                        if tracing {
-                            // Pending records keep the zero step: a robot
-                            // that decided to stay is still in flight.
-                            let step = action.as_ref().map_or(V2::ZERO, |a| a.step);
-                            let step = self.swarm.orients()[i].apply(step);
-                            pending.push(PendingMove {
-                                robot: i as u32,
-                                dx: step.x as i8,
-                                dy: step.y as i8,
-                                delay: d as u32,
-                            });
-                        }
-                        self.swarm.park(i, ctx.round + d, action);
+        if let Some((seed, staleness)) = asynchronous {
+            timed(prof, Phase::Activate, || {
+                // Every look draws its delay. The computed looks whose
+                // actions change their robot are a slot-sorted sublist of
+                // the looks; every other look's action is "stay, keep
+                // state".
+                let CommitList { slots, actions } = &mut self.commit;
+                let mut commit = landed;
+                let mut computed = slots.drain(..).zip(actions.drain(..)).peekable();
+                for &i in active {
+                    let action = computed.next_if(|&(j, _)| j == i).map(|(_, action)| action);
+                    let d = async_delay(seed, staleness, ctx.round, self.swarm.handles()[i]);
+                    if d == 0 {
+                        commit.extend(action.map(|action| (i, action)));
+                        continue;
                     }
-                    // A landed robot was in flight, so it did not look: the
-                    // slots are distinct. Both parts are slot-sorted, and
-                    // the stable sort merges two sorted runs in linear time.
-                    commit.sort_by_key(|&(slot, _)| slot);
-                    commit.into_iter().unzip()
-                });
-            }
+                    if tracing {
+                        // Pending records keep the zero step: a robot
+                        // that decided to stay is still in flight.
+                        let step = action.as_ref().map_or(V2::ZERO, |a| a.step);
+                        let step = self.swarm.orients()[i].apply(step);
+                        pending.push(PendingMove {
+                            robot: i as u32,
+                            dx: step.x as i8,
+                            dy: step.y as i8,
+                            delay: d as u32,
+                        });
+                    }
+                    self.swarm.park(i, ctx.round + d, action);
+                }
+                drop(computed);
+                // A landed robot was in flight, so it did not look: the
+                // slots are distinct. Both parts are slot-sorted, and
+                // the stable sort merges two sorted runs in linear time.
+                commit.sort_by_key(|&(slot, _)| slot);
+                slots.extend(commit.iter().map(|&(slot, _)| slot));
+                actions.extend(commit.into_iter().map(|(_, action)| action));
+            });
         }
+        let CommitList { slots, actions } = &mut self.commit;
         if let Some((_, quiet)) = &mut quiet {
-            timed(prof, Phase::ActiveList, || quiet.note(&self.swarm, &self.commit, &actions));
+            timed(prof, Phase::ActiveList, || quiet.note(&self.swarm, slots, actions));
         }
         let moves = if tracing {
             timed(prof, Phase::Observe, || {
-                world_moves(&self.swarm, self.commit.iter().copied().zip(actions.iter()))
+                world_moves(&self.swarm, slots.iter().copied().zip(actions.iter()))
             })
         } else {
             Vec::new()
         };
-        let outcome = self.swarm.apply_sparse(&self.commit, actions, prof.as_deref_mut());
+        let outcome = self.swarm.apply_sparse(slots, actions, prof.as_deref_mut());
         if let Some((_, quiet)) = quiet {
             timed(prof, Phase::ActiveList, || quiet.invalidate(&self.swarm));
         }

@@ -1,18 +1,30 @@
-//! Data-parallel execution of the FSYNC compute step.
+//! Data-parallel execution of the compute step.
 //!
 //! One round of the simulation is a textbook parallel map: every robot's
 //! decision is a pure function of the immutable snapshot, so the compute
-//! step partitions the robot array into chunks and evaluates them on
-//! scoped threads (the rayon pattern from the domain guide, hand-rolled
-//! so the workspace keeps its minimal dependency footprint). Results are
-//! written back in index order, so the outcome is bit-identical to the
-//! sequential execution regardless of thread count — a property the
-//! determinism tests rely on.
+//! step partitions its list of robots into contiguous chunks and
+//! evaluates them on scoped threads (the rayon pattern from the domain
+//! guide, hand-rolled so the workspace keeps its minimal dependency
+//! footprint). [`for_each_chunk`] is the one primitive both compute
+//! phases ([`crate::plan`]) run on. Chunk 0 runs on the calling thread;
+//! each chunk writes into an output buffer ([`ChunkBuf`]) its caller
+//! keeps across rounds, so a call allocates nothing once the buffers
+//! have grown, and a map below [`PARALLEL_THRESHOLD`] items — every
+//! round of a small swarm — runs inline into the first buffer alone.
+//! Before a split map the calling thread gives every chunk's buffer room
+//! for one output per item, so workers only write into memory the
+//! calling thread allocated. Each phase keeps only what it needs of a
+//! robot (a plan index entry, or a robot whose action changes it), not a
+//! per-robot output vector, and the caller joins the buffers in chunk
+//! order, so the outcome is bit-identical to the sequential execution
+//! regardless of thread count — a property the determinism tests rely
+//! on.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// Below this many items the spawn overhead dominates, so
-/// [`parallel_map`] runs on the calling thread.
+/// [`for_each_chunk`] runs on the calling thread.
 pub const PARALLEL_THRESHOLD: usize = 1024;
 
 /// Resolve a thread-count request: `0` means "use available parallelism".
@@ -32,50 +44,100 @@ pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
     (0..chunks).map(|c| (c * n / chunks, (c + 1) * n / chunks)).collect()
 }
 
-/// Evaluate `f(0..n)` and collect results in index order, splitting the
-/// range over `threads` scoped threads when worthwhile.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// A chunk's output buffer for [`for_each_chunk`].
+pub trait ChunkBuf: Default + Send {
+    /// Empty the buffer, keeping its allocation, and make room for
+    /// `items` outputs.
+    fn reset(&mut self, items: usize);
+}
+
+impl<T: Send> ChunkBuf for Vec<T> {
+    fn reset(&mut self, items: usize) {
+        self.clear();
+        self.reserve(items);
+    }
+}
+
+/// Run `f` over `0..n` split into contiguous chunks, in ascending order:
+/// one chunk below [`PARALLEL_THRESHOLD`] items or on one thread, else
+/// [`chunk_bounds`]`(n, threads)`. Chunk 0 runs on the calling thread
+/// and writes into `first`; chunk `c ≥ 1` runs on a scoped thread and
+/// writes into `rest[c - 1]`, which grows to the chunk count and keeps
+/// its buffers (and their capacity) for the next call. The calling
+/// thread resets every buffer the call uses before any chunk runs: the
+/// inline chunk's with no room reserved, since it grows where the caller
+/// runs anyway, and a split map's with room for one output per item of
+/// its chunk, so a worker never grows a buffer. Returns the chunk count;
+/// the caller joins `rest[..count - 1]` after `first`, in order. A
+/// dispatch never uses more than `threads` threads in all.
+pub fn for_each_chunk<B, F>(
+    n: usize,
+    threads: usize,
+    first: &mut B,
+    rest: &mut Vec<B>,
+    f: F,
+) -> usize
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    B: ChunkBuf,
+    F: Fn(Range<usize>, &mut B) + Sync,
 {
     let threads = resolve_threads(threads);
     if threads <= 1 || n < PARALLEL_THRESHOLD {
-        return (0..n).map(f).collect();
+        first.reset(0);
+        f(0..n, first);
+        return 1;
     }
     let bounds = chunk_bounds(n, threads);
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
+    if rest.len() < bounds.len() - 1 {
+        rest.resize_with(bounds.len() - 1, B::default);
+    }
+    let outs = std::iter::once(&mut *first).chain(rest.iter_mut());
+    for (&(lo, hi), out) in bounds.iter().zip(outs) {
+        out.reset(hi - lo);
+    }
     std::thread::scope(|scope| {
-        // Spawn workers for every chunk but the first; the first chunk
-        // runs on the calling thread, so a dispatch never creates more
-        // threads than it has concurrent work for (and a single-chunk
-        // dispatch spawns none at all).
-        let mut handles = Vec::with_capacity(bounds.len().saturating_sub(1));
-        for &(lo, hi) in &bounds[1..] {
+        for (&(lo, hi), out) in bounds[1..].iter().zip(rest.iter_mut()) {
             let f = &f;
-            handles.push(scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()));
+            scope.spawn(move || f(lo..hi, out));
         }
         let (lo, hi) = bounds[0];
-        out.push((lo..hi).map(&f).collect::<Vec<T>>());
-        for h in handles {
-            out.push(h.join().expect("compute worker panicked"));
-        }
+        f(lo..hi, first);
     });
-    let mut flat = Vec::with_capacity(n);
-    for chunk in out {
-        flat.extend(chunk);
-    }
-    flat
+    bounds.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `f(0..n)` in index order through [`for_each_chunk`]: each chunk
+    /// appends its outputs to its buffer, and the buffers join in chunk
+    /// order.
+    fn chunked_map<T: Send>(
+        n: usize,
+        threads: usize,
+        f: impl Fn(usize) -> T + Sync,
+        first: &mut Vec<T>,
+        rest: &mut Vec<Vec<T>>,
+    ) -> Vec<T> {
+        let chunks = for_each_chunk(n, threads, first, rest, |range, out: &mut Vec<T>| {
+            out.extend(range.map(&f));
+        });
+        let mut joined = std::mem::take(first);
+        for chunk in &mut rest[..chunks - 1] {
+            joined.append(chunk);
+        }
+        joined
+    }
+
+    fn map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        chunked_map(n, threads, f, &mut Vec::new(), &mut Vec::new())
+    }
+
     #[test]
     fn matches_sequential_small() {
         let seq: Vec<usize> = (0..100).map(|i| i * i).collect();
-        assert_eq!(parallel_map(100, 4, |i| i * i), seq);
+        assert_eq!(map(100, 4, |i| i * i), seq);
     }
 
     #[test]
@@ -84,7 +146,7 @@ mod tests {
         let seq: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(2654435761)).collect();
         for threads in [1, 2, 3, 8] {
             assert_eq!(
-                parallel_map(n, threads, |i| (i as u64).wrapping_mul(2654435761)),
+                map(n, threads, |i| (i as u64).wrapping_mul(2654435761)),
                 seq,
                 "threads = {threads}"
             );
@@ -93,8 +155,36 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let out: Vec<u8> = parallel_map(0, 8, |_| 0u8);
-        assert!(out.is_empty());
+        let (mut first, mut rest) = (vec![7u8], Vec::new());
+        let chunks = for_each_chunk(0, 8, &mut first, &mut rest, |range, out: &mut Vec<u8>| {
+            out.extend(range.map(|_| 0u8));
+        });
+        assert_eq!(chunks, 1, "an empty map is one inline chunk");
+        assert!(first.is_empty() && rest.is_empty());
+    }
+
+    /// A split map's buffers arrive empty with room for their chunk, they
+    /// outlive a call with their capacity, and a later call over fewer
+    /// chunks leaves the surplus buffers as they were.
+    #[test]
+    fn buffers_persist_across_calls() {
+        let (mut first, mut rest) = (Vec::new(), Vec::new());
+        let n = 4 * PARALLEL_THRESHOLD;
+        let seq: Vec<usize> = (0..n).collect();
+        let fill = |range: Range<usize>, out: &mut Vec<usize>| {
+            assert!(out.is_empty() && out.capacity() >= range.len(), "a worker grew its buffer");
+            out.extend(range);
+        };
+        assert_eq!(for_each_chunk(n, 4, &mut first, &mut rest, fill), 4);
+        assert_eq!(rest.len(), 3);
+        let held: Vec<*const usize> = rest.iter().map(|b| b.as_ptr()).collect();
+        let joined: Vec<usize> = first.iter().chain(rest.iter().flatten()).copied().collect();
+        assert_eq!(joined, seq);
+        assert_eq!(for_each_chunk(n / 2, 2, &mut first, &mut rest, fill), 2);
+        assert_eq!(rest.len(), 3, "surplus buffers are kept");
+        assert_eq!(rest[0].as_ptr(), held[0], "a buffer that fits is written in place");
+        assert_eq!(rest[1..].iter().map(|b| b.as_ptr()).collect::<Vec<_>>(), held[1..]);
+        assert_eq!(first.len() + rest[0].len(), n / 2);
     }
 
     #[test]
@@ -143,10 +233,16 @@ mod tests {
         let caller = std::thread::current().id();
         let threads_used = |n: usize, threads: usize| {
             let ids = Mutex::<HashSet<ThreadId>>::default();
-            parallel_map(n, threads, |i| {
-                ids.lock().expect("tracker poisoned").insert(std::thread::current().id());
-                i
+            let (mut first, mut rest) = (Vec::new(), Vec::new());
+            let chunks = for_each_chunk(n, threads, &mut first, &mut rest, |range, out| {
+                let id = std::thread::current().id();
+                ids.lock().expect("tracker poisoned").insert(id);
+                if range.start == 0 {
+                    out.push(id);
+                }
             });
+            assert_eq!(first, vec![caller], "chunk 0 must run on the caller");
+            assert_eq!(chunks, if n < PARALLEL_THRESHOLD { 1 } else { threads });
             ids.into_inner().expect("tracker poisoned")
         };
         assert_eq!(
@@ -160,17 +256,24 @@ mod tests {
     }
 
     /// Determinism across thread counts, pinned at a size just above the
-    /// parallel threshold where the old chunking under-used threads.
+    /// parallel threshold where the old chunking under-used threads. The
+    /// buffers carry over from one thread count to the next, as the
+    /// engine's do from round to round.
     #[test]
     fn determinism_across_thread_counts() {
         let n = PARALLEL_THRESHOLD + 7;
         let seq: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E3779B9)).collect();
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(
-                parallel_map(n, threads, |i| (i as u64).wrapping_mul(0x9E3779B9)),
-                seq,
-                "threads = {threads}"
+        let (mut first, mut rest) = (Vec::new(), Vec::new());
+        for threads in [1usize, 8, 2, 3] {
+            let out = chunked_map(
+                n,
+                threads,
+                |i| (i as u64).wrapping_mul(0x9E3779B9),
+                &mut first,
+                &mut rest,
             );
+            assert_eq!(out, seq, "threads = {threads}");
+            first = out;
         }
     }
 }

@@ -28,23 +28,39 @@
 //! evaluated no plan, since [`Controller::needs_plan`] reads its state
 //! alone. When no robot evaluated a plan this round, every lookup
 //! answers `None` and charges `|d|` without probing. Phase 2 writes each
-//! decision's reach to a per-round buffer (`PlanTable::reach`) for the
-//! quiet set.
+//! decision's reach, and whether its action changes its robot
+//! ([`Action::changes`]), to a per-round buffer (`PlanTable::decided`)
+//! for the quiet set.
+//!
+//! Both phases run on [`for_each_chunk`], and neither collects a
+//! per-robot output vector. A phase-1 chunk returns one `u32` index
+//! entry per robot it evaluated and only the plans that came out
+//! non-empty, which the join shifts by the plans of earlier chunks; a
+//! phase-2 chunk returns only the slots and actions of the robots whose
+//! action changes them, so the joined chunks are the round's commit
+//! list. Chunk 0 writes into the round's own plan list and commit list,
+//! the other chunks into buffers the table keeps across rounds, so a
+//! round that computes fewer than
+//! [`PARALLEL_THRESHOLD`](crate::parallel::PARALLEL_THRESHOLD) robots moves
+//! no output between buffers and, once the buffers have grown, allocates
+//! nothing but the boxes of its non-empty plans. A split round's chunk
+//! buffers have room for their whole chunk, reserved by the calling
+//! thread; workers touch only the entries they write.
 //!
 //! The table is engine-owned and costs 4 bytes per robot (a `u32` entry
 //! per slot: an index into the round's compact list of non-empty plans,
 //! which are boxed, or the reach of an empty plan), plus a 4-byte
-//! work-list entry per robot phase 1 visits and a reach byte per robot
-//! phase 2 computes. Every entry is reset once phase 2 ends, so a round
-//! touches only the entries it set — no per-round O(n) allocation or
-//! clear.
+//! work-list entry and a 4-byte chunk entry per robot phase 1 visits and
+//! 2 bytes (the reach and the change flag) per robot phase 2 computes.
+//! Every entry is reset once phase 2 ends, so a round touches only the
+//! entries it set — no per-round O(n) allocation or clear.
 
 use crate::engine::{Controller, RoundCtx};
 use crate::geom::{D4, V2};
-use crate::parallel::parallel_map;
+use crate::parallel::{for_each_chunk, ChunkBuf};
 use crate::swarm::{Action, RobotState, Swarm};
 use crate::view::{reach_byte, View};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// `index` entry of a robot that evaluated no plan this round. Zero, so a
 /// fresh table is a zeroed allocation whose pages the OS maps only once a
@@ -59,81 +75,161 @@ const EMPTY_PLAN: u32 = 1 << 31;
 /// `index` entry of a robot already queued for phase 1 this round.
 const QUEUED: u32 = u32::MAX;
 
-/// Engine-owned storage of one round's plans.
-pub(crate) struct PlanTable<P> {
-    /// Per dense slot: 1 + position of the robot's plan in `plans`,
-    /// [`EMPTY_PLAN`] with its reach, or [`NO_PLAN`]. All entries are
-    /// [`NO_PLAN`] between rounds; sized lazily, on the first robot that
-    /// passes the pre-check.
-    index: Vec<u32>,
-    /// The round's non-empty plans with the reach of their views.
-    plans: Vec<(Box<P>, u8)>,
-    /// The robots phase 1 evaluates (capacity reused across rounds).
-    needed: Vec<u32>,
-    /// Per robot phase 2 computed, in compute order: its decision's
-    /// reach (capacity reused across rounds).
-    reach: Vec<AtomicU8>,
+/// A commit list: the slots of the robots whose actions change them
+/// ([`Action::changes`]), ascending, and those actions, index-parallel.
+/// The engine keeps the round's list; phase 2 fills it.
+#[derive(Default)]
+pub(crate) struct CommitList<S> {
+    pub(crate) slots: Vec<usize>,
+    pub(crate) actions: Vec<Action<S>>,
 }
 
-impl<P> Default for PlanTable<P> {
-    fn default() -> Self {
-        PlanTable { index: Vec::new(), plans: Vec::new(), needed: Vec::new(), reach: Vec::new() }
+impl<S: RobotState> ChunkBuf for CommitList<S> {
+    fn reset(&mut self, items: usize) {
+        self.slots.reset(items);
+        self.actions.reset(items);
     }
 }
 
-impl<P: Send + Sync> PlanTable<P> {
-    /// One round's compute step: phase 1 fills the table, phase 2 maps
-    /// every robot to compute (`active`, or every robot when `None`) to
-    /// its action, in slot order. Bit-identical across thread counts.
-    pub(crate) fn compute<C: Controller<Plan = P>>(
+/// One phase-1 chunk's output: an `index` entry per robot it evaluated,
+/// in work-list order, whose plan positions count from 1 within the
+/// chunk's own non-empty plans.
+struct PlanChunk<P> {
+    entries: Vec<u32>,
+    plans: Vec<(Box<P>, u8)>,
+}
+
+impl<P> Default for PlanChunk<P> {
+    fn default() -> Self {
+        PlanChunk { entries: Vec::new(), plans: Vec::new() }
+    }
+}
+
+impl<P: Send + Sync> ChunkBuf for PlanChunk<P> {
+    fn reset(&mut self, items: usize) {
+        self.entries.reset(items);
+        self.plans.reset(items);
+    }
+}
+
+/// What phase 2 keeps of one computed robot's decision: how far its view
+/// read and whether its action changes the robot. Atomic so the compute
+/// map's chunks can write their own entries through a shared slice.
+#[derive(Default)]
+pub(crate) struct Decided {
+    reach: AtomicU8,
+    changes: AtomicBool,
+}
+
+impl Decided {
+    /// The decision's reach byte ([`reach_byte`]).
+    pub(crate) fn reach(&self) -> u8 {
+        self.reach.load(Ordering::Relaxed)
+    }
+
+    /// Does the decision's action change its robot?
+    pub(crate) fn changes(&self) -> bool {
+        self.changes.load(Ordering::Relaxed)
+    }
+}
+
+/// Engine-owned storage of one round's plans and decisions, and the
+/// compute map's chunk buffers.
+pub(crate) struct PlanTable<P, S> {
+    /// Per dense slot: 1 + position of the robot's plan in the round's
+    /// plan list, [`EMPTY_PLAN`] with its reach, or [`NO_PLAN`]. All
+    /// entries are [`NO_PLAN`] between rounds; sized lazily, on the first
+    /// robot that passes the pre-check.
+    index: Vec<u32>,
+    /// Phase 1's chunk 0; once the chunks are joined, its `plans` are the
+    /// round's non-empty plans with the reach of their views.
+    evaluated: PlanChunk<P>,
+    /// Phase 1's other chunks (kept across rounds).
+    plan_chunks: Vec<PlanChunk<P>>,
+    /// Phase 2's chunks after chunk 0, which writes into the engine's
+    /// commit list (kept across rounds).
+    commit_chunks: Vec<CommitList<S>>,
+    /// The robots phase 1 evaluates (capacity reused across rounds).
+    needed: Vec<u32>,
+    /// Per robot phase 2 computed, in compute order (capacity reused
+    /// across rounds).
+    decided: Vec<Decided>,
+}
+
+impl<P, S> Default for PlanTable<P, S> {
+    fn default() -> Self {
+        PlanTable {
+            index: Vec::new(),
+            evaluated: PlanChunk::default(),
+            plan_chunks: Vec::new(),
+            commit_chunks: Vec::new(),
+            needed: Vec::new(),
+            decided: Vec::new(),
+        }
+    }
+}
+
+impl<P: Send + Sync, S: RobotState> PlanTable<P, S> {
+    /// One round's compute step: phase 1 fills the table, phase 2
+    /// computes every robot to compute (`active`, or every robot when
+    /// `None`) and fills `commit` with the robots whose action changes
+    /// them, in slot order. Bit-identical across thread counts.
+    pub(crate) fn compute<C: Controller<Plan = P, State = S>>(
         &mut self,
-        swarm: &Swarm<C::State>,
+        swarm: &Swarm<S>,
         controller: &C,
         active: Option<&[usize]>,
         ctx: RoundCtx,
         threads: usize,
-    ) -> Vec<Action<C::State>> {
+        commit: &mut CommitList<S>,
+    ) {
         let radius = controller.radius();
         self.evaluate(swarm, controller, active, ctx, radius, threads);
         let computed = active.map_or(swarm.len(), <[usize]>::len);
-        self.reach.resize_with(computed, AtomicU8::default);
+        self.decided.resize_with(computed, Decided::default);
         // An empty index tells every lookup that no plan was evaluated.
         let index = if self.needed.is_empty() { &[][..] } else { &self.index[..] };
-        let (plans, reach) = (&self.plans[..], &self.reach[..]);
-        // Reaches go to the table's buffer, not out with the actions:
-        // pairing them with the actions and unzipping cost more than
-        // these stores.
-        let decide = |k: usize, i: usize| {
-            let view = View::new(swarm, i, radius);
-            let plans = Plans { view: &view, index, plans };
-            let action = controller.decide_with_plans(&view, ctx, &plans);
-            reach[k].store(reach_byte(view.reach()), Ordering::Relaxed);
-            action
-        };
-        let actions = match active {
-            None => parallel_map(computed, threads, |i| decide(i, i)),
-            Some(active) => parallel_map(computed, threads, |k| decide(k, active[k])),
-        };
+        let (plans, decided, states) =
+            (&self.evaluated.plans[..], &self.decided[..], swarm.states());
+        let chunks =
+            for_each_chunk(computed, threads, commit, &mut self.commit_chunks, |range, out| {
+                for k in range {
+                    let i = active.map_or(k, |active| active[k]);
+                    let view = View::new(swarm, i, radius);
+                    let plans = Plans { view: &view, index, plans };
+                    let action = controller.decide_with_plans(&view, ctx, &plans);
+                    let changes = action.changes(&states[i]);
+                    decided[k].reach.store(reach_byte(view.reach()), Ordering::Relaxed);
+                    decided[k].changes.store(changes, Ordering::Relaxed);
+                    if changes {
+                        out.slots.push(i);
+                        out.actions.push(action);
+                    }
+                }
+            });
+        for chunk in &mut self.commit_chunks[..chunks - 1] {
+            commit.slots.append(&mut chunk.slots);
+            commit.actions.append(&mut chunk.actions);
+        }
         for &slot in &self.needed {
             self.index[slot as usize] = NO_PLAN;
         }
-        self.plans.clear();
-        actions
+        self.evaluated.plans.clear();
     }
 
-    /// The reach of each decision of the last [`PlanTable::compute`], in
-    /// the order of its actions. The compute map's threads are joined by
-    /// then, so relaxed loads see every store.
-    pub(crate) fn reach(&self) -> &[AtomicU8] {
-        &self.reach
+    /// The reach and change flag of each decision of the last
+    /// [`PlanTable::compute`], in compute order. The compute map's
+    /// threads are joined by then, so relaxed loads see every store.
+    pub(crate) fn decided(&self) -> &[Decided] {
+        &self.decided
     }
 
     /// Phase 1: queue every robot an activated robot can read that
     /// passes the pre-check, evaluate their plans in parallel, and index
     /// them with their reach.
-    fn evaluate<C: Controller<Plan = P>>(
+    fn evaluate<C: Controller<Plan = P, State = S>>(
         &mut self,
-        swarm: &Swarm<C::State>,
+        swarm: &Swarm<S>,
         controller: &C,
         active: Option<&[usize]>,
         ctx: RoundCtx,
@@ -167,21 +263,34 @@ impl<P: Send + Sync> PlanTable<P> {
             return;
         }
         self.reserve(n);
-        let needed = &self.needed;
+        let PlanTable { index, evaluated, plan_chunks, needed, .. } = self;
         assert!(needed.len() < EMPTY_PLAN as usize, "plan positions must stay below the flag");
-        let evaluated: Vec<(Option<Box<P>>, u8)> = parallel_map(needed.len(), threads, |k| {
-            let view = View::new(swarm, needed[k] as usize, radius);
-            let plan = controller.plan(&view, ctx).map(Box::new);
-            (plan, reach_byte(view.reach()))
+        let chunks = for_each_chunk(needed.len(), threads, evaluated, plan_chunks, |range, out| {
+            for &slot in &needed[range] {
+                let view = View::new(swarm, slot as usize, radius);
+                let plan = controller.plan(&view, ctx);
+                let reach = reach_byte(view.reach());
+                out.entries.push(match plan {
+                    Some(plan) => {
+                        out.plans.push((Box::new(plan), reach));
+                        out.plans.len() as u32
+                    }
+                    None => EMPTY_PLAN | u32::from(reach),
+                });
+            }
         });
-        for (&slot, (plan, reach)) in needed.iter().zip(evaluated) {
-            self.index[slot as usize] = match plan {
-                Some(plan) => {
-                    self.plans.push((plan, reach));
-                    self.plans.len() as u32
-                }
-                None => EMPTY_PLAN | u32::from(reach),
-            };
+        // Join in chunk order: a chunk's plan positions move up by the
+        // plans of the chunks before it.
+        let mut slots = needed.iter().map(|&slot| slot as usize);
+        for (&entry, slot) in evaluated.entries.iter().zip(slots.by_ref()) {
+            index[slot] = entry;
+        }
+        for chunk in &mut plan_chunks[..chunks - 1] {
+            let shift = evaluated.plans.len() as u32;
+            for (&entry, slot) in chunk.entries.iter().zip(slots.by_ref()) {
+                index[slot] = if entry & EMPTY_PLAN == 0 { entry + shift } else { entry };
+            }
+            evaluated.plans.append(&mut chunk.plans);
         }
     }
 

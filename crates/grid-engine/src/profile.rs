@@ -20,13 +20,17 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Scheduler activation-set construction and the round's commit
-    /// list (the computed actions that change their robot). Under ASYNC
-    /// it also covers landing the looks that fall due
-    /// ([`crate::Swarm::land`]) and drawing each look's delay and
-    /// parking it ([`crate::Swarm::park`]).
+    /// Scheduler activation-set construction. Under FSYNC, SSYNC,
+    /// round-robin and crash that is all: the compute map returns the
+    /// round's commit list (the computed actions that change their
+    /// robot) itself, so on FSYNC workloads the phase reads about 0.
+    /// Under ASYNC it also covers landing the looks that fall due
+    /// ([`crate::Swarm::land`]), drawing each look's delay and parking
+    /// it ([`crate::Swarm::park`]), and joining the landed and delay-0
+    /// actions into the commit list.
     Activate = 0,
-    /// The look/compute parallel map (controller decisions).
+    /// The look/compute parallel map (controller decisions), which also
+    /// keeps only the actions that change their robot.
     Compute = 1,
     /// Target-cell computation, move counting and mover stamping in
     /// the round-apply.

@@ -9,10 +9,10 @@
 //! it again would return the same action, and applying "stay, keep
 //! state" is the same as leaving the robot inactive. So each round
 //! computes only the activated robots that are not quiet in the round's
-//! class, through the plan table ([`crate::plan`]) with their list, and
-//! commits only the actions that change their robot
-//! ([`Action::changes`]) through [`Swarm::apply_sparse`]; a skipped
-//! robot commits nothing. Under ASYNC the activated robots are the
+//! class, through the plan table ([`crate::plan`]) with their list,
+//! whose compute map returns only the actions that change their robot
+//! ([`Action::changes`]), and commits those through
+//! [`Swarm::apply_sparse`]; a skipped robot commits nothing. Under ASYNC the activated robots are the
 //! looks: a quiet look still draws its delay and goes in flight, with
 //! "stay, keep state" as its action, which the swarm parks without an
 //! action ([`Swarm::park`]) and no round commits. Positions, states,
@@ -75,8 +75,8 @@
 //! of robots to compute.
 
 use crate::geom::{Point, V2};
+use crate::plan::Decided;
 use crate::swarm::{Action, RobotState, Swarm};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Marking probes worth one robot's compute. Marking costs, per changed
 /// cell, a scan of its ball out to the scan radius
@@ -226,25 +226,24 @@ impl QuietSet {
         out.len() < swarm.len()
     }
 
-    /// After compute: `computed[k]` chose `actions[k]` in `class`,
-    /// reading as far as `reach[k]`. A robot whose action changes
-    /// nothing ([`Action::changes`]) becomes quiet in `class`; any other
-    /// loses all its bits.
+    /// After compute: `computed[k]` decided `decided[k]` in `class`. A
+    /// robot whose action changes nothing ([`Action::changes`]) becomes
+    /// quiet in `class` with the decision's reach; any other loses all
+    /// its bits.
     pub(crate) fn record<S: RobotState>(
         &mut self,
         swarm: &Swarm<S>,
         computed: &[usize],
-        actions: &[Action<S>],
-        reach: &[AtomicU8],
+        decided: &[Decided],
         class: u8,
     ) {
-        let (handles, states) = (swarm.handles(), swarm.states());
-        for ((&i, action), reach) in computed.iter().zip(actions).zip(reach) {
+        let handles = swarm.handles();
+        for (&i, decision) in computed.iter().zip(decided) {
             let h = handles[i] as usize;
-            if action.changes(&states[i]) {
+            if decision.changes() {
                 self.wake(h);
             } else {
-                self.hush(h, class, reach.load(Ordering::Relaxed));
+                self.hush(h, class, decision.reach());
             }
         }
     }
@@ -556,11 +555,15 @@ mod tests {
     }
 
     fn engine(rim: Rim, scheduler: Scheduler, threads: usize) -> Engine<Rim> {
-        // A 40 % random fill of a 60×60 box (about 1440 robots, above
-        // the parallel threshold) with one walker in 64 and read depths
-        // spread over 0..=RADIUS.
-        let pts: Vec<Point> = (0..3600)
-            .map(|i| Point::new(i % 60, i / 60))
+        // About 1440 robots, above the parallel threshold.
+        engine_on(60, rim, scheduler, threads)
+    }
+
+    /// A 40 % random fill of a `side`×`side` box with one walker in 64
+    /// and read depths spread over 0..=RADIUS.
+    fn engine_on(side: i32, rim: Rim, scheduler: Scheduler, threads: usize) -> Engine<Rim> {
+        let pts: Vec<Point> = (0..side * side)
+            .map(|i| Point::new(i % side, i / side))
             .filter(|p| splitmix64(0x5eed ^ ((p.x as u64) << 8 | p.y as u64)) % 100 < 40)
             .collect();
         let mut e = Engine::from_positions(
@@ -848,6 +851,40 @@ mod tests {
         assert!(woken_total > 400, "changes woke only {woken_total} robots");
         assert!(radii.len() >= 3, "the scan radius only took the values {radii:?}");
         assert!(radii.contains(&(BALL as usize)), "never scanned the whole ball: {radii:?}");
+    }
+
+    /// The compute map splits a quiet selection, not only the identity
+    /// list of a round that computes everyone: on a 120×120 box, rounds
+    /// 2 to 13 and 15 of FSYNC select at least `PARALLEL_THRESHOLD`
+    /// robots yet leave some out, and over 2, 3 and 8 threads every
+    /// round decides what computing every robot on one thread decides.
+    #[test]
+    fn parallel_subset_selections_equal_full_recomputation() {
+        use crate::parallel::PARALLEL_THRESHOLD;
+        const ROUNDS: usize = 16;
+        let rim = |classes| Rim { classes, by_depth: false };
+        let mut full = engine_on(120, rim(false), Scheduler::Fsync, 1);
+        let reference: Vec<_> = (0..ROUNDS)
+            .map(|_| {
+                let stats = full.step();
+                (stats, full.swarm.positions().to_vec(), full.swarm.states().to_vec())
+            })
+            .collect();
+        for threads in [2, 3, 8] {
+            let mut quiet = engine_on(120, rim(true), Scheduler::Fsync, threads);
+            let computed = count_computed(&mut quiet);
+            let mut split_subsets = 0;
+            for (round, (stats, positions, states)) in reference.iter().enumerate() {
+                let (n, before) = (quiet.swarm.len() as u64, computed.get());
+                let at = format!("threads {threads} round {round}");
+                assert_eq!(&quiet.step(), stats, "{at}");
+                assert_eq!(quiet.swarm.positions(), &positions[..], "{at}");
+                assert_eq!(quiet.swarm.states(), &states[..], "{at}");
+                let selected = computed.get() - before;
+                split_subsets += usize::from((PARALLEL_THRESHOLD as u64..n).contains(&selected));
+            }
+            assert_eq!(split_subsets, 13, "threads {threads}: rounds splitting a strict subset");
+        }
     }
 
     /// An all-active round and a subset round that activates every robot

@@ -606,7 +606,9 @@ impl<S: RobotState> Swarm<S> {
     /// [`crate::scheduler::Activation::Subset`] contract; the engine
     /// passes its round's commit list, the robots whose actions change
     /// them) and `actions` their chosen actions, index-parallel to
-    /// `active`. Inactive robots keep position and state; they
+    /// `active`. The apply drains `actions`, leaving the buffer empty
+    /// with its capacity, so the engine reuses one action buffer every
+    /// round. Inactive robots keep position and state; they
     /// participate in merges only as stationary incumbents, which this
     /// path discovers by probing the occupancy index at each mover's
     /// target instead of scanning the population. Bit-identical
@@ -621,7 +623,7 @@ impl<S: RobotState> Swarm<S> {
     pub fn apply_sparse(
         &mut self,
         active: &[usize],
-        actions: Vec<Action<S>>,
+        actions: &mut Vec<Action<S>>,
         mut prof: Option<&mut RoundProfile>,
     ) -> ApplyOutcome {
         assert_eq!(actions.len(), active.len());
@@ -637,7 +639,7 @@ impl<S: RobotState> Swarm<S> {
             let (positions, orients) = (&positions[f..], &orients[f..]);
             scratch.targets.clear();
             let mut moved = 0usize;
-            for (&i, action) in active.iter().zip(&actions) {
+            for (&i, action) in active.iter().zip(actions.iter()) {
                 debug_assert!(action.step.is_step(), "illegal step {:?}", action.step);
                 let target = positions[i] + orients[i].apply(action.step);
                 scratch.targets.push(target);
@@ -732,7 +734,7 @@ impl<S: RobotState> Swarm<S> {
         timed(&mut prof, Phase::Compact, || {
             let Swarm { positions, states, scratch, .. } = &mut *self;
             let (positions, states) = (&mut positions[f..], &mut states[f..]);
-            for ((ki, &i), action) in active.iter().enumerate().zip(actions) {
+            for ((ki, &i), action) in active.iter().enumerate().zip(actions.drain(..)) {
                 if scratch.loser_stamp[i] == epoch {
                     continue;
                 }
@@ -973,7 +975,7 @@ mod tests {
         let mut dense: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
         let out_dense = dense.apply(acts());
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        assert_eq!(sparse.apply_sparse(&all, acts(), None), out_dense);
+        assert_eq!(sparse.apply_sparse(&all, &mut acts(), None), out_dense);
         assert_matches_dense(&sparse, &dense);
     }
 
@@ -1011,7 +1013,7 @@ mod tests {
         let out_dense = dense.apply_partial(all);
         assert_eq!(out_dense, ApplyOutcome { merged: 2, moved: 3 });
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        assert_eq!(sparse.apply_sparse(&active, acts(), None), out_dense);
+        assert_eq!(sparse.apply_sparse(&active, &mut acts(), None), out_dense);
         assert_matches_dense(&sparse, &dense);
     }
 
@@ -1032,8 +1034,8 @@ mod tests {
             }
             let a = (round as usize) % (n - 1);
             let active = vec![a, a + 1];
-            let acts = active.iter().map(|_| Action { step: V2::E, state: () }).collect();
-            merged_total += s.apply_sparse(&active, acts, None).merged;
+            let mut acts = active.iter().map(|_| Action { step: V2::E, state: () }).collect();
+            merged_total += s.apply_sparse(&active, &mut acts, None).merged;
             for (i, &p) in s.positions().iter().enumerate() {
                 assert_eq!(s.robot_at(p), Some(i), "round {round}");
             }
@@ -1047,7 +1049,7 @@ mod tests {
     fn sparse_empty_activation_is_identity() {
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         let before = s.position_digest();
-        let out = s.apply_sparse(&[], Vec::new(), None);
+        let out = s.apply_sparse(&[], &mut Vec::new(), None);
         assert_eq!(out, ApplyOutcome::default());
         assert_eq!(s.position_digest(), before);
     }
@@ -1157,7 +1159,7 @@ mod tests {
         // handle, so it must still resolve to robot 3's new slot.
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
         s.park(3, 5, Some(Action { step: V2::W, state: () }));
-        let out = s.apply_sparse(&[0], vec![Action { step: V2::E, state: () }], None);
+        let out = s.apply_sparse(&[0], &mut vec![Action { step: V2::E, state: () }], None);
         assert_eq!(out.merged, 1);
         assert_eq!(s.len(), 3);
         let slot3 = s.robot_at(Point::new(3, 0)).expect("robot 3 still present");
@@ -1191,7 +1193,7 @@ mod tests {
         let out_dense = dense.apply(acts());
         assert_eq!(out_dense.merged, 1000);
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        assert_eq!(sparse.apply_sparse(&all, acts(), None), out_dense);
+        assert_eq!(sparse.apply_sparse(&all, &mut acts(), None), out_dense);
         assert_matches_dense(&sparse, &dense);
     }
 
@@ -1249,8 +1251,8 @@ mod tests {
         let kept = |&(h, _): &(u32, Point)| !gone.contains(&h);
         let at_before: Vec<u32> =
             model.iter().filter(|e| kept(e)).map(|&(h, _)| sparse.slot_of[h as usize]).collect();
-        let actions = moves.into_iter().map(|(_, action)| action).collect();
-        let outcome = sparse.apply_sparse(&active, actions, None);
+        let mut actions = moves.into_iter().map(|(_, action)| action).collect();
+        let outcome = sparse.apply_sparse(&active, &mut actions, None);
         assert_eq!(outcome, dense.apply_partial(all), "{pattern:?}");
         assert_eq!(outcome.merged, gone.len(), "{pattern:?}");
         model.retain(kept);

@@ -131,8 +131,8 @@ proptest! {
         let mut reference: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
         let ref_out = reference.apply_partial(scatter(reference.len(), &round));
         let mut sparse: Swarm<()> = Swarm::new(&pts, OrientationMode::Scrambled(seed));
-        let (active, actions): (Vec<usize>, Vec<Action<()>>) = round.into_iter().unzip();
-        let out = sparse.apply_sparse(&active, actions, None);
+        let (active, mut actions): (Vec<usize>, Vec<Action<()>>) = round.into_iter().unzip();
+        let out = sparse.apply_sparse(&active, &mut actions, None);
         prop_assert_eq!(out, ref_out, "outcome");
         prop_assert_eq!(sparse.position_digest(), reference.position_digest(), "digest");
         prop_assert_eq!(sparse.positions(), reference.positions(), "positions");
@@ -170,9 +170,9 @@ proptest! {
         for round in 0..8u64 {
             let plan = round_plan(round, dense.len());
             let dense_out = dense.apply_partial(scatter(dense.len(), &plan));
-            let (active, actions): (Vec<usize>, Vec<Action<()>>) =
+            let (active, mut actions): (Vec<usize>, Vec<Action<()>>) =
                 round_plan(round, sparse.len()).into_iter().unzip();
-            let out = sparse.apply_sparse(&active, actions, None);
+            let out = sparse.apply_sparse(&active, &mut actions, None);
             prop_assert_eq!(
                 (out, sparse.position_digest()),
                 (dense_out, dense.position_digest()),
@@ -316,9 +316,9 @@ fn large_swarm_apply_threads_is_bit_identical() {
     for round in 0..6u64 {
         let dense_out =
             dense.apply_partial(scatter(dense.len(), &round_actions(round, dense.len())));
-        let (active, actions): (Vec<usize>, Vec<Action<()>>) =
+        let (active, mut actions): (Vec<usize>, Vec<Action<()>>) =
             round_actions(round, sparse.len()).into_iter().unzip();
-        let out = sparse.apply_sparse(&active, actions, None);
+        let out = sparse.apply_sparse(&active, &mut actions, None);
         assert_eq!(out, dense_out, "round {round}");
         assert_eq!(sparse.position_digest(), dense.position_digest(), "round {round}");
         merged += out.merged;
