@@ -41,6 +41,13 @@
 //! new swarm version and drop every bit. Parking and landing ASYNC looks
 //! draw no version: whether a robot is in flight is part of no view.
 //!
+//! A round whose commit list is empty (every robot it computed stays and
+//! keeps its state, as in most rounds of a partial scheduler on a
+//! settled swarm) touches nothing: the apply returns before drawing a
+//! version, and invalidation, finding no changed cell, only records that
+//! unchanged version. Nothing changed, so no robot had a bit to lose and
+//! the quiet set stays as a full invalidation would have left it.
+//!
 //! Most quiet robots read only a few cells, so scanning the whole ball
 //! around every changed cell would mostly visit robots too far away to
 //! care. The quiet robots are kept in one *reach list* per reach
@@ -96,17 +103,19 @@ use crate::swarm::{Action, RobotState, Swarm};
 /// n = 512 hollow square, and one traced decide reads 530 ns
 /// (`core.decide_ns`, median of three gatherbench runs; 551 ns before).
 ///
-/// The scan now reads one occupancy word per tile row segment and a
-/// handle per robot found, so `ball_cells` over-counts its work: timed
-/// through `View::for_each_within` at radius 20 over every robot of
-/// n = 4096 start swarms (2-core Xeon, best of 5), a ball costs 0.5 ns
-/// per cell on a line, 0.8 on clusters, 1.2 on a square and 1.7 on a
-/// random blob (0.9, 1.5, 1.9 and 2.6 ns with the chunked cell scan it
-/// replaced). GoToCenter, which reads its whole view, decides in
-/// 0.45–1.1 µs on the n = 256 start swarms of the weak-sync cut (mean
-/// 0.78 µs; 1.1–5.4 µs, mean 2.7 µs before). The value and the model
-/// stay as they were, so marking drops every bit in exactly the rounds
-/// it did and the engine computes the same robots.
+/// The scan reads one occupancy word per tile row segment and a handle
+/// per robot found, and skips the rows that no tile of a band occupies
+/// (the tiles' row summaries), so `ball_cells` over-counts its work,
+/// most where rows are empty. Timed through `View::for_each_within` at
+/// radius 20 over every robot of n = 4096 start swarms (2-core Xeon,
+/// best of six alternating runs of best of 5), a ball costs 0.12 ns per
+/// cell on a line, 0.48 on clusters, 1.30 on a square and 1.75 on a
+/// random blob, against 0.32, 0.50, 1.25 and 1.65 ns for the walk over
+/// every row it replaced. GoToCenter, which reads its whole view,
+/// decides in 91–461 ns on the n = 256 start swarms of the weak-sync
+/// cut (mean 309 ns; 246–585 ns, mean 414 ns, walking every row). The
+/// value and the model stay as they were, so marking drops every bit in
+/// exactly the rounds it did and the engine computes the same robots.
 const PROBES_PER_COMPUTE: usize = 200;
 
 /// Round classes ([`crate::Controller::round_class`] is below 8).
@@ -272,9 +281,13 @@ impl QuietSet {
 
     /// After the apply: every robot within its reach of a changed cell
     /// loses all its bits. When marking would cost more than computing
-    /// everyone once, every bit goes instead.
+    /// everyone once, every bit goes instead. A round without a changed
+    /// cell only records the swarm's version.
     pub(crate) fn invalidate<S: RobotState>(&mut self, swarm: &Swarm<S>) {
         self.version = swarm.version();
+        if self.changed.is_empty() {
+            return;
+        }
         let (scan, probes, quiet) = self.scan_radius();
         if quiet == 0 {
             return;
@@ -851,6 +864,91 @@ mod tests {
         assert!(woken_total > 400, "changes woke only {woken_total} robots");
         assert!(radii.len() >= 3, "the scan radius only took the values {radii:?}");
         assert!(radii.contains(&(BALL as usize)), "never scanned the whole ball: {radii:?}");
+    }
+
+    /// Every field of the set that a round's apply and invalidation can
+    /// touch, for comparing the set across a round.
+    fn snapshot(q: &QuietSet) -> impl PartialEq + std::fmt::Debug {
+        (q.bits.clone(), q.reach.clone(), q.lists.clone(), q.quiet, q.awake.clone(), q.version)
+    }
+
+    /// A round that commits nothing touches nothing: with an empty commit
+    /// list, noting, applying and invalidating leave the swarm's version,
+    /// positions and states and every quiet bit, reach and list as they
+    /// were, also once a class's awake bitset exists.
+    #[test]
+    fn an_empty_commit_list_leaves_the_swarm_and_the_quiet_set_alone() {
+        for scheduler in [Scheduler::RoundRobin { k: 40 }, Scheduler::Fsync] {
+            let mut e = engine_on(30, Rim { classes: true, by_depth: true }, scheduler, 1);
+            for _ in 0..12 {
+                e.step().expect("unchecked steps cannot fail");
+            }
+            let quiet = e.quiet.as_mut().expect("Rim declares classes");
+            assert!(quiet.quiet.iter().sum::<usize>() > 0, "{scheduler:?}: nobody is quiet");
+            let (version, before) = (e.swarm.version(), snapshot(quiet));
+            let (positions, states) = (e.swarm.positions().to_vec(), e.swarm.states().to_vec());
+            for _ in 0..3 {
+                quiet.note(&e.swarm, &[], &[]);
+                let outcome = e.swarm.apply_sparse(&[], &mut Vec::new(), None);
+                quiet.invalidate(&e.swarm);
+                assert_eq!(outcome, crate::swarm::ApplyOutcome::default(), "{scheduler:?}");
+                assert_eq!(e.swarm.version(), version, "{scheduler:?}: drew a version");
+                assert_eq!(e.swarm.positions(), &positions[..], "{scheduler:?}");
+                assert_eq!(e.swarm.states(), &states[..], "{scheduler:?}");
+                assert_eq!(snapshot(quiet), before, "{scheduler:?}: the quiet set changed");
+            }
+        }
+    }
+
+    /// Under partial schedulers most rounds of a settled swarm commit
+    /// nothing. Across those idle rounds the quiet engine decides what
+    /// computing every activated robot decides, its swarm keeps its
+    /// version, and no robot loses a quiet bit; it still skips robots.
+    #[test]
+    fn idle_rounds_equal_full_recomputation() {
+        let n0 = engine_on(16, Rim { classes: false, by_depth: false }, Scheduler::Fsync, 1)
+            .swarm
+            .len() as u32;
+        for scheduler in [
+            Scheduler::RoundRobin { k: 3 },
+            Scheduler::RoundRobin { k: 16 },
+            Scheduler::Ssync { seed: 9, p: 5 },
+            Scheduler::Crash { seed: 9, f: n0 / 2, n0 },
+        ] {
+            for by_depth in [false, true] {
+                let make = |classes| engine_on(16, Rim { classes, by_depth }, scheduler, 1);
+                let (mut quiet, mut full) = (make(true), make(false));
+                let computed = count_computed(&mut quiet);
+                let (mut idle, mut activated) = (0, 0);
+                let at = format!("{scheduler:?} by depth {by_depth}");
+                for round in 0..400 {
+                    let version = quiet.swarm.version();
+                    let positions = quiet.swarm.positions().to_vec();
+                    let states = quiet.swarm.states().to_vec();
+                    let bits = quiet.quiet.as_ref().map(|q| q.bits.clone());
+                    let stats = quiet.step();
+                    assert_eq!(stats, full.step(), "{at} round {round}");
+                    assert_eq!(
+                        quiet.swarm.positions(),
+                        full.swarm.positions(),
+                        "{at} round {round}"
+                    );
+                    assert_eq!(quiet.swarm.states(), full.swarm.states(), "{at} round {round}");
+                    activated += stats.expect("unchecked steps cannot fail").activated;
+                    if quiet.swarm.positions() != positions || quiet.swarm.states() != states {
+                        continue;
+                    }
+                    idle += 1;
+                    assert_eq!(quiet.swarm.version(), version, "{at} round {round}: a version");
+                    let now = &quiet.quiet.as_ref().expect("Rim declares classes").bits;
+                    for (h, (&was, &is)) in bits.iter().flatten().zip(now).enumerate() {
+                        assert_eq!(was & !is, 0, "{at} round {round}: handle {h} woke");
+                    }
+                }
+                assert!(idle >= 200, "{at}: only {idle} of 400 rounds were idle");
+                assert!(computed.get() < activated as u64, "{at}: no robot was skipped");
+            }
+        }
     }
 
     /// The compute map splits a quiet selection, not only the identity

@@ -338,9 +338,10 @@ impl<S: RobotState> Swarm<S> {
     /// every method that mutates positions, states or orientations
     /// (`states_mut`, `orients_mut`, the applies) draws a fresh one.
     /// `park` and `land` do not: whether a robot is in flight is part of
-    /// no view. Clones keep the stamp, so equal versions mean unchanged
-    /// robots; the quiet set, its only reader, uses this to notice edits
-    /// made between the engine's steps.
+    /// no view. Nor does [`Swarm::apply_sparse`] with an empty commit
+    /// list, which changes nothing. Clones keep the stamp, so equal
+    /// versions mean unchanged robots; the quiet set, its only reader,
+    /// uses this to notice edits made between the engine's steps.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
@@ -614,7 +615,9 @@ impl<S: RobotState> Swarm<S> {
     /// target instead of scanning the population. Bit-identical
     /// to routing the same round through [`Swarm::apply_partial`] with a
     /// scattered `Option` vector — the sparse/dense equivalence
-    /// proptests pin exactly this.
+    /// proptests pin exactly this. An empty list returns at once: the
+    /// swarm, its version (`Swarm::version`) and its round scratch stay
+    /// untouched, so a round that commits nothing costs nothing here.
     ///
     /// Runs on the calling thread. When `prof` is given, the apply's
     /// sub-phases (targets, merge detect, occupancy, compaction) are
@@ -627,6 +630,9 @@ impl<S: RobotState> Swarm<S> {
         mut prof: Option<&mut RoundProfile>,
     ) -> ApplyOutcome {
         assert_eq!(actions.len(), active.len());
+        if active.is_empty() {
+            return ApplyOutcome::default();
+        }
         self.version = fresh_version();
         let epoch = self.scratch.next_epoch(self.slot_of.len());
         debug_assert!(active.iter().all(|&i| i < self.len()), "active index out of range");
@@ -1132,6 +1138,23 @@ mod tests {
         s.park(4, 3, None);
         assert!(s.is_in_flight(4), "a landed robot looks and flies again");
         assert_eq!(s.version(), version, "parking or landing drew a version");
+    }
+
+    /// An empty commit list returns at once: no version, no position and
+    /// no cell changes. The next non-empty list draws a version as before.
+    #[test]
+    fn an_empty_commit_list_touches_nothing() {
+        let mut s: Swarm<()> = Swarm::new(&line(5), OrientationMode::Aligned);
+        let (version, positions) = (s.version(), s.positions().to_vec());
+        for _ in 0..3 {
+            assert_eq!(s.apply_sparse(&[], &mut Vec::new(), None), ApplyOutcome::default());
+            assert_eq!(s.version(), version, "an empty commit list drew a version");
+            assert_eq!(s.positions(), positions);
+            assert!(positions.iter().enumerate().all(|(i, &p)| s.robot_at(p) == Some(i)));
+        }
+        let outcome = s.apply_sparse(&[2], &mut vec![Action { step: V2::N, state: () }], None);
+        assert_eq!(outcome, ApplyOutcome { merged: 0, moved: 1 });
+        assert_ne!(s.version(), version, "a committed move drew no version");
     }
 
     /// A look lands at the first `land` at or after its due round. Late

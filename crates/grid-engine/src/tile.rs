@@ -21,16 +21,19 @@
 //!   keeps the tiled index competitive with the dense grid on the hot
 //!   look path.
 //! * Each tile also keeps one 64-bit *row word* per row, bit `x` set
-//!   while cell `x` of the row holds a robot, in the same allocation as
-//!   its cells; [`TileIndex::set`] and [`TileIndex::clear`] keep the two
-//!   in step. A window's ball walk reads, for each world row of an L1
-//!   ball, one masked word per tile the row crosses, and visits only its
-//!   set bits: the quiet set's invalidation and `View::for_each_within`
-//!   read a handle per set bit (`TileWindow::for_each_in_ball`), and
-//!   GoToCenter's look takes the ball's robot count and offset sum from
-//!   the words alone (`TileWindow::count_and_sum_in_ball`). The
-//!   connectivity flood and a tile's extents read the words too, never
-//!   the 16 KiB of cells.
+//!   while cell `x` of the row holds a robot, and one *row summary*,
+//!   bit `y` set while row `y` is empty, in the same allocation as its
+//!   cells; [`TileIndex::set`] and [`TileIndex::clear`] keep the three
+//!   in step, touching the summary only when a row turns empty or stops
+//!   being so. A window's ball walk goes one tile row (a *band*) at a
+//!   time: it ORs the summaries of the band's tiles the ball crosses,
+//!   visits only the world rows some of them occupy, and reads for each
+//!   one masked word per tile the row crosses and only its set bits. The
+//!   quiet set's invalidation and `View::for_each_within` read a handle
+//!   per set bit (`TileWindow::for_each_in_ball`), and GoToCenter's look
+//!   takes the ball's robot count and offset sum from the words alone
+//!   (`TileWindow::count_and_sum_in_ball`). The connectivity flood and a
+//!   tile's extents read the words too, never the 16 KiB of cells.
 
 use crate::fxhash::FxHashMap;
 use crate::geom::{Bounds, Point, V2};
@@ -77,21 +80,28 @@ pub struct Tile {
     occupied: u32,
 }
 
-/// A tile's one allocation: the handles, and per row a *vacancy word*
-/// whose bit `x` is set exactly when cell `x` of the row is empty. Empty
-/// reads all ones in both ([`EMPTY`] for a handle), so a new tile is one
-/// fill of ones, written in place; a row's occupancy word is its vacancy
-/// word inverted.
+/// A tile's one allocation: the handles, per row a *vacancy word* whose
+/// bit `x` is set exactly when cell `x` of the row is empty, and the
+/// *row summary*, whose bit `y` is set exactly when row `y` is empty.
+/// Empty reads all ones in all three ([`EMPTY`] for a handle), so a new
+/// tile is one fill of ones, written in place; a row's occupancy word is
+/// its vacancy word inverted, and the tile's occupied rows its summary
+/// inverted.
 #[derive(Clone)]
 struct Cells {
     ids: [u32; TILE_CELLS],
     vacant: [u64; TILE_ROWS],
+    empty_rows: u64,
 }
 
 impl Tile {
     fn new() -> Tile {
         Tile {
-            cells: Box::new(Cells { ids: [EMPTY; TILE_CELLS], vacant: [u64::MAX; TILE_ROWS] }),
+            cells: Box::new(Cells {
+                ids: [EMPTY; TILE_CELLS],
+                vacant: [u64::MAX; TILE_ROWS],
+                empty_rows: u64::MAX,
+            }),
             occupied: 0,
         }
     }
@@ -115,12 +125,21 @@ impl Tile {
         !self.cells.vacant[y]
     }
 
+    /// The tile's occupied rows: bit `y` is set ⇔ row `y` holds a robot.
+    #[inline]
+    fn rows(&self) -> u64 {
+        !self.cells.empty_rows
+    }
+
     /// Exact bounds of the occupied cells, in tile-local offsets, from
-    /// the row words; only called for the boundary tiles of a bounds
-    /// query, never per robot.
+    /// the row summary and words; only called for the boundary tiles of
+    /// a bounds query, never per robot.
     fn local_extents(&self) -> Option<(i32, i32, i32, i32)> {
-        let y0 = (0..TILE_ROWS).find(|&y| self.row(y) != 0)?;
-        let y1 = (0..TILE_ROWS).rfind(|&y| self.row(y) != 0)?;
+        let rows = self.rows();
+        if rows == 0 {
+            return None;
+        }
+        let (y0, y1) = (rows.trailing_zeros() as usize, 63 - rows.leading_zeros() as usize);
         let all = (y0..=y1).fold(0, |all, y| all | self.row(y));
         let (x0, x1) = (all.trailing_zeros(), 63 - all.leading_zeros());
         Some((x0 as i32, x1 as i32, y0 as i32, y1 as i32))
@@ -158,7 +177,11 @@ impl TileIndex {
         let i = Tile::idx(p);
         let old = std::mem::replace(&mut tile.cells.ids[i], id);
         if old == EMPTY {
-            tile.cells.vacant[i >> TILE_BITS] &= !(1 << (i & (TILE_ROWS - 1)));
+            let (y, cells) = (i >> TILE_BITS, &mut *tile.cells);
+            if cells.vacant[y] == u64::MAX {
+                cells.empty_rows &= !(1 << y);
+            }
+            cells.vacant[y] &= !(1 << (i & (TILE_ROWS - 1)));
             tile.occupied += 1;
             None
         } else {
@@ -176,7 +199,11 @@ impl TileIndex {
         if old == EMPTY {
             return None;
         }
-        tile.cells.vacant[i >> TILE_BITS] |= 1 << (i & (TILE_ROWS - 1));
+        let (y, cells) = (i >> TILE_BITS, &mut *tile.cells);
+        cells.vacant[y] |= 1 << (i & (TILE_ROWS - 1));
+        if cells.vacant[y] == u64::MAX {
+            cells.empty_rows |= 1 << y;
+        }
         tile.occupied -= 1;
         if tile.occupied == 0 {
             self.tiles.remove(&key);
@@ -374,21 +401,60 @@ impl TileWindow<'_> {
     /// ascending `y`, each row's segments by ascending `x`: `x` is the
     /// first column of `tile`, and bit `b` of `bits` is set exactly when
     /// cell `(x + b, y)` is occupied and within the ball.
+    ///
+    /// The walk goes one band (tile row) at a time. It ORs the row
+    /// summaries of the band's tiles that the ball's widest row in the
+    /// band crosses, which every other row of the band stays within, and
+    /// reads the words of only the ball's rows that some of those tiles
+    /// occupy, so a ball over mostly empty rows costs a few summary reads.
     #[inline]
     fn for_each_ball_word(&self, center: Point, r: i32, mut f: impl FnMut(&Tile, i32, i32, u64)) {
-        for dy in -r..=r {
-            let (y, w) = (center.y + dy, r - dy.abs());
-            let (x0, x1) = (center.x - w, center.x + w);
-            let (ky, row) = (y >> TILE_BITS, (y & (TILE_SIZE - 1)) as usize);
-            for kx in x0 >> TILE_BITS..=x1 >> TILE_BITS {
-                let Some(tile) = self.tile(TileKey { x: kx, y: ky }) else { continue };
-                let x = kx << TILE_BITS;
-                // Bits `lo..=hi` of the row word lie in the ball; both
-                // shifts stay below 64 even for a whole-tile segment.
-                let (lo, hi) = ((x0.max(x) - x) as u32, (x1.min(x + TILE_SIZE - 1) - x) as u32);
-                let bits = tile.row(row) & (u64::MAX << lo) & (u64::MAX >> (63 - hi));
-                if bits != 0 {
-                    f(tile, y, x, bits);
+        if r < 0 {
+            return;
+        }
+        let (y0, y1) = (center.y - r, center.y + r);
+        for ky in y0 >> TILE_BITS..=y1 >> TILE_BITS {
+            let top = ky << TILE_BITS;
+            let (lo, hi) = (y0.max(top), y1.min(top + TILE_SIZE - 1));
+            let w = r - (center.y.clamp(lo, hi) - center.y).abs();
+            let (kx0, kx1) = ((center.x - w) >> TILE_BITS, (center.x + w) >> TILE_BITS);
+            // The band's tiles, west to east, looked up once when they fit
+            // the window's width (every shipped radius), else per row.
+            let pinned = kx1 - kx0 < WINDOW_EDGE as i32;
+            let mut band = [None; WINDOW_EDGE];
+            if pinned {
+                for (tile, kx) in band.iter_mut().zip(kx0..=kx1) {
+                    *tile = self.tile(TileKey { x: kx, y: ky });
+                }
+            }
+            let tile_at = |kx: i32| {
+                if pinned {
+                    band[(kx - kx0) as usize]
+                } else {
+                    self.tile(TileKey { x: kx, y: ky })
+                }
+            };
+            let occupied = (kx0..=kx1).filter_map(tile_at).fold(0, |rows, tile| rows | tile.rows());
+            // Rows `lo..=hi` of the band lie in the ball; as below, both
+            // shifts stay below 64 even for a whole band.
+            let mut rows =
+                occupied & (u64::MAX << (lo - top) as u32) & (u64::MAX >> (63 - (hi - top)) as u32);
+            while rows != 0 {
+                let row = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                let y = top + row as i32;
+                let w = r - (y - center.y).abs();
+                let (x0, x1) = (center.x - w, center.x + w);
+                for kx in x0 >> TILE_BITS..=x1 >> TILE_BITS {
+                    let Some(tile) = tile_at(kx) else { continue };
+                    let x = kx << TILE_BITS;
+                    // Bits `lo..=hi` of the row word lie in the ball; both
+                    // shifts stay below 64 even for a whole-tile segment.
+                    let (lo, hi) = ((x0.max(x) - x) as u32, (x1.min(x + TILE_SIZE - 1) - x) as u32);
+                    let bits = tile.row(row) & (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+                    if bits != 0 {
+                        f(tile, y, x, bits);
+                    }
                 }
             }
         }
@@ -419,8 +485,9 @@ mod tests {
         assert_eq!(idx.tile_count(), 3, "emptied tile is dropped");
     }
 
-    /// Every live tile's row words equal its cells' occupancy, and the
-    /// live tiles are those holding a robot.
+    /// Every live tile's row words equal its cells' occupancy, its row
+    /// summary marks exactly the rows whose vacancy word is all ones, and
+    /// the live tiles are those holding a robot.
     fn assert_rows_match_cells(idx: &TileIndex, at: &str) {
         for (key, tile) in idx.sorted_tiles() {
             for y in 0..TILE_ROWS {
@@ -428,6 +495,10 @@ mod tests {
                 let want = cells.iter().rev().fold(0u64, |w, &id| w << 1 | u64::from(id != EMPTY));
                 assert_eq!(tile.row(y), want, "{at}: tile {key:?} row {y}");
             }
+            let empty = (0..TILE_ROWS)
+                .rev()
+                .fold(0u64, |w, y| w << 1 | u64::from(tile.cells.vacant[y] == u64::MAX));
+            assert_eq!(tile.cells.empty_rows, empty, "{at}: tile {key:?} row summary");
             let live: u32 = (0..TILE_ROWS).map(|y| tile.row(y).count_ones()).sum();
             assert_eq!(tile.occupied, live, "{at}: tile {key:?}");
         }
@@ -445,11 +516,28 @@ mod tests {
         assert_eq!(idx.clear(p), Some(2));
         assert_eq!(idx.tile_count(), 0, "the tile emptied");
         idx.set(Point::new(-64, -1), 3);
+        assert_rows_match_cells(&idx, "recreated");
         let tiles = idx.sorted_tiles();
         assert_eq!(tiles.len(), 1);
         assert_eq!(tiles[0].0, TileKey::of(p));
         let rows: Vec<u64> = (0..TILE_ROWS).map(|y| tiles[0].1.row(y)).collect();
         assert_eq!(rows, [vec![0; TILE_ROWS - 1], vec![1]].concat(), "a stale bit survived");
+        // A row keeps its summary bit clear until its last robot leaves,
+        // and another row of the tile keeps the tile alive meanwhile.
+        let mut idx = TileIndex::new();
+        let (a, b, c) = (Point::new(-5, -3), Point::new(-60, -3), Point::new(-5, -40));
+        for (id, p) in [a, b, c].into_iter().enumerate() {
+            idx.set(p, id as u32);
+        }
+        let rows = |idx: &TileIndex| idx.sorted_tiles()[0].1.rows();
+        assert_eq!(rows(&idx), 1 << 61 | 1 << 24);
+        idx.clear(a);
+        assert_eq!(rows(&idx), 1 << 61 | 1 << 24, "row 61 still holds a robot");
+        idx.clear(b);
+        assert_eq!(rows(&idx), 1 << 24, "row 61 emptied");
+        idx.set(a, 7);
+        assert_eq!(rows(&idx), 1 << 61 | 1 << 24, "row 61 refilled");
+        assert_rows_match_cells(&idx, "one tile, three rows");
         // Random sets, overwrites and clears over a box of sixteen tiles
         // around the origin, against a model of the occupied cells.
         let mut idx = TileIndex::new();
@@ -539,10 +627,18 @@ mod tests {
         // A 5-cell stripe, lone cells one in 9 (every chunk position holds
         // the only robot of some chunk), and a solid block (every position
         // of a chunk occupied), each over a box spanning negative tiles.
-        let patterns: [fn(i32, i32) -> bool; 3] = [
+        // Then sparse rows, where a ball mostly crosses empty ones: one row
+        // in 37; tiles west of x = 0 holding only rows 0 mod 4 and tiles
+        // east of it only rows 2 mod 4, so the two tiles a band crosses
+        // occupy different rows; and robots only west of x = 0 in the
+        // band of rows 0..64, so the band's other tile is missing.
+        let patterns: [fn(i32, i32) -> bool; 6] = [
             |x, y| (x * 7 + y * 13).rem_euclid(5) == 0,
             |x, y| (x - 2 * y).rem_euclid(9) == 0,
             |_, _| true,
+            |x, y| (y + 11).rem_euclid(37) == 0 && x.rem_euclid(3) != 1,
+            |x, y| y.rem_euclid(4) == if x < 0 { 0 } else { 2 } && (x + y).rem_euclid(5) < 3,
+            |x, y| x < 0 && (0..64).contains(&y) && (x * 5 + y).rem_euclid(7) == 0,
         ];
         for (k, occupied) in patterns.into_iter().enumerate() {
             let mut idx = TileIndex::new();
@@ -584,10 +680,10 @@ mod tests {
                         idx.window(center, pin).for_each_in_ball(center, r, |p, id| {
                             scanned.push((p, id));
                         });
-                        assert_eq!(
-                            scanned, probed,
-                            "pattern {k} center {center:?} r {r} pin {pin}"
-                        );
+                        let at = format!("pattern {k} center {center:?} r {r} pin {pin}");
+                        assert_eq!(scanned, probed, "{at}");
+                        let scanline = |(p, _): &(Point, u32)| (p.y, p.x);
+                        assert!(scanned.is_sorted_by_key(scanline), "{at}: out of scanline order");
                     }
                 }
             }

@@ -239,31 +239,49 @@ mod tests {
 
     #[test]
     fn ball_scan_equals_per_cell_probes_in_every_frame() {
-        // A 50×50 box at 30 % fill around the origin spans four tiles.
-        const RADIUS: i32 = 20;
-        let observers = [Point::new(0, 0), Point::new(-1, 7), Point::new(12, -13)];
-        let pts: Vec<Point> = (0..2500)
-            .map(|i| Point::new(i % 50 - 25, i / 50 - 25))
-            .filter(|p| {
-                observers.contains(p)
-                    || crate::splitmix64(((p.x as u64) << 32) ^ p.y as u32 as u64) % 10 < 3
-            })
-            .collect();
-        let mut s: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
-        for orient in D4::all() {
-            s.orients_mut().iter_mut().for_each(|o| *o = orient);
-            for &at in &observers {
-                let id = s.positions().iter().position(|&p| p == at).expect("observer placed");
-                let v = View::new(&s, id, RADIUS);
-                for r in [0, 3, RADIUS] {
-                    let probed = probed_within(&v, r);
-                    assert_eq!(within(&v, r), probed, "{orient:?} at {at:?} r {r}");
-                    // The count and sum, on a fresh view: it charges `r`.
-                    let fresh = View::new(&s, id, RADIUS);
-                    let fold = (probed.len() as i32, probed.iter().fold(V2::ZERO, |a, &b| a + b));
-                    let got = fresh.count_and_sum_within(r);
-                    assert_eq!(got, fold, "{orient:?} at {at:?} r {r}: count and sum");
-                    assert_eq!(fresh.reach(), r, "{orient:?} at {at:?} r {r}: reach");
+        let observers =
+            [Point::new(0, 0), Point::new(-1, 7), Point::new(12, -13), Point::new(32, 0)];
+        let draw = |p: Point| crate::splitmix64(((p.x as u64) << 32) ^ p.y as u32 as u64) % 10;
+        // A 50×50 box at 30 % fill around the origin spans four tiles, seen
+        // at radius 20. Then two sparse 100×100 boxes, seen at radius 40:
+        // one row in 23 at 30 % fill, so balls cross mostly empty rows; and
+        // robots only east of x = 0 in the band of rows -64..0, so that
+        // band's west tile is missing while the band above holds both.
+        // From (32, 0), balls of radius 32 and 40 cover a whole tile row.
+        let keeps: [fn(Point) -> bool; 3] =
+            [|_| true, |p| (p.y + 4).rem_euclid(23) == 0, |p| p.x >= 0 || p.y >= 0];
+        for (k, keep) in keeps.into_iter().enumerate() {
+            let (side, radius) = if k == 0 { (50, 20) } else { (100, 40) };
+            let mut pts: Vec<Point> = (0..side * side)
+                .map(|i| Point::new(i % side - side / 2, i / side - side / 2))
+                .filter(|&p| !observers.contains(&p) && keep(p) && draw(p) < 3)
+                .collect();
+            pts.extend(observers);
+            let mut s: Swarm<()> = Swarm::new(&pts, OrientationMode::Aligned);
+            for orient in D4::all() {
+                s.orients_mut().iter_mut().for_each(|o| *o = orient);
+                for &at in &observers {
+                    let id = s.positions().iter().position(|&p| p == at).expect("observer placed");
+                    let v = View::new(&s, id, radius);
+                    for r in [0, 3, 20, 32, 40].into_iter().filter(|&r| r <= radius) {
+                        let at = format!("swarm {k} {orient:?} at {at:?} r {r}");
+                        let probed = probed_within(&v, r);
+                        // Unsorted, the offsets come in world scanline order.
+                        let mut scanned = Vec::new();
+                        v.for_each_within(r, |v| scanned.push(v));
+                        let world = |v: &V2| orient.apply(*v);
+                        assert!(
+                            scanned.is_sorted_by_key(|v| (world(v).y, world(v).x)),
+                            "{at}: out of world scanline order"
+                        );
+                        assert_eq!(within(&v, r), probed, "{at}");
+                        // The count and sum, on a fresh view: it charges `r`.
+                        let fresh = View::new(&s, id, radius);
+                        let fold =
+                            (probed.len() as i32, probed.iter().fold(V2::ZERO, |a, &b| a + b));
+                        assert_eq!(fresh.count_and_sum_within(r), fold, "{at}: count and sum");
+                        assert_eq!(fresh.reach(), r, "{at}: reach");
+                    }
                 }
             }
         }
