@@ -108,12 +108,12 @@ use crate::swarm::{Action, RobotState, Swarm};
 /// (the tiles' row summaries), so `ball_cells` over-counts its work,
 /// most where rows are empty. Timed through `View::for_each_within` at
 /// radius 20 over every robot of n = 4096 start swarms (2-core Xeon,
-/// best of six alternating runs of best of 5), a ball costs 0.12 ns per
-/// cell on a line, 0.48 on clusters, 1.30 on a square and 1.75 on a
-/// random blob, against 0.32, 0.50, 1.25 and 1.65 ns for the walk over
+/// best of twelve alternating runs of best of 5), a ball costs 0.11 ns
+/// per cell on a line, 0.53 on clusters, 1.36 on a square and 1.85 on a
+/// random blob, against 0.35, 0.53, 1.30 and 1.78 ns for the walk over
 /// every row it replaced. GoToCenter, which reads its whole view,
-/// decides in 91–461 ns on the n = 256 start swarms of the weak-sync
-/// cut (mean 309 ns; 246–585 ns, mean 414 ns, walking every row). The
+/// decides in 90–514 ns on the n = 256 start swarms of the weak-sync
+/// cut (mean 331 ns; 267–613 ns, mean 443 ns, walking every row). The
 /// value and the model stay as they were, so marking drops every bit in
 /// exactly the rounds it did and the engine computes the same robots.
 const PROBES_PER_COMPUTE: usize = 200;

@@ -1054,10 +1054,14 @@ mod tests {
     #[test]
     fn sparse_empty_activation_is_identity() {
         let mut s: Swarm<()> = Swarm::new(&line(4), OrientationMode::Aligned);
-        let before = s.position_digest();
+        let (before, version) = (s.position_digest(), s.version());
         let out = s.apply_sparse(&[], &mut Vec::new(), None);
         assert_eq!(out, ApplyOutcome::default());
         assert_eq!(s.position_digest(), before);
+        assert_eq!(s.version(), version, "an empty commit list drew a version");
+        let outcome = s.apply_sparse(&[2], &mut vec![Action { step: V2::N, state: () }], None);
+        assert_eq!(outcome, ApplyOutcome { merged: 0, moved: 1 });
+        assert_ne!(s.version(), version, "a committed move drew no version");
     }
 
     #[test]
@@ -1138,23 +1142,6 @@ mod tests {
         s.park(4, 3, None);
         assert!(s.is_in_flight(4), "a landed robot looks and flies again");
         assert_eq!(s.version(), version, "parking or landing drew a version");
-    }
-
-    /// An empty commit list returns at once: no version, no position and
-    /// no cell changes. The next non-empty list draws a version as before.
-    #[test]
-    fn an_empty_commit_list_touches_nothing() {
-        let mut s: Swarm<()> = Swarm::new(&line(5), OrientationMode::Aligned);
-        let (version, positions) = (s.version(), s.positions().to_vec());
-        for _ in 0..3 {
-            assert_eq!(s.apply_sparse(&[], &mut Vec::new(), None), ApplyOutcome::default());
-            assert_eq!(s.version(), version, "an empty commit list drew a version");
-            assert_eq!(s.positions(), positions);
-            assert!(positions.iter().enumerate().all(|(i, &p)| s.robot_at(p) == Some(i)));
-        }
-        let outcome = s.apply_sparse(&[2], &mut vec![Action { step: V2::N, state: () }], None);
-        assert_eq!(outcome, ApplyOutcome { merged: 0, moved: 1 });
-        assert_ne!(s.version(), version, "a committed move drew no version");
     }
 
     /// A look lands at the first `land` at or after its due round. Late

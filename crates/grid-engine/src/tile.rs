@@ -25,13 +25,14 @@
 //!   bit `y` set while row `y` is empty, in the same allocation as its
 //!   cells; [`TileIndex::set`] and [`TileIndex::clear`] keep the three
 //!   in step, touching the summary only when a row turns empty or stops
-//!   being so. A window's ball walk goes one tile row (a *band*) at a
-//!   time: it ORs the summaries of the band's tiles the ball crosses,
-//!   visits only the world rows some of them occupy, and reads for each
-//!   one masked word per tile the row crosses and only its set bits. The
-//!   quiet set's invalidation and `View::for_each_within` read a handle
-//!   per set bit (`TileWindow::for_each_in_ball`), and GoToCenter's look
-//!   takes the ball's robot count and offset sum from the words alone
+//!   being so, and drop a tile once its summary reads all ones. A
+//!   window's ball walk goes one tile row (a *band*) at a time: it ORs
+//!   the summaries of the band's tiles the ball crosses, visits only the
+//!   world rows some of them occupy, and reads for each one masked word
+//!   per tile the row crosses and only its set bits. The quiet set's
+//!   invalidation and `View::for_each_within` read a handle per set bit
+//!   (`TileWindow::for_each_in_ball`), and GoToCenter's look takes the
+//!   ball's robot count and offset sum from the words alone
 //!   (`TileWindow::count_and_sum_in_ball`). The connectivity flood and a
 //!   tile's extents read the words too, never the 16 KiB of cells.
 
@@ -66,18 +67,19 @@ impl TileKey {
 /// Rows per tile, each with one occupancy word.
 pub(crate) const TILE_ROWS: usize = TILE_SIZE as usize;
 
-/// One dense 64×64 tile plus its live-cell count (so empty tiles can be
-/// dropped, keeping both memory and the tile-key extremes honest).
 impl std::fmt::Debug for Tile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tile").field("occupied", &self.occupied).finish_non_exhaustive()
+        let rows = self.rows().count_ones();
+        f.debug_struct("Tile").field("occupied_rows", &rows).finish_non_exhaustive()
     }
 }
 
+/// One dense 64×64 tile. It holds a robot exactly when its row summary
+/// has a clear bit, so an emptied tile is dropped, keeping both memory
+/// and the tile-key extremes honest.
 #[derive(Clone)]
 pub struct Tile {
     cells: Box<Cells>,
-    occupied: u32,
 }
 
 /// A tile's one allocation: the handles, per row a *vacancy word* whose
@@ -102,7 +104,6 @@ impl Tile {
                 vacant: [u64::MAX; TILE_ROWS],
                 empty_rows: u64::MAX,
             }),
-            occupied: 0,
         }
     }
 
@@ -182,7 +183,6 @@ impl TileIndex {
                 cells.empty_rows &= !(1 << y);
             }
             cells.vacant[y] &= !(1 << (i & (TILE_ROWS - 1)));
-            tile.occupied += 1;
             None
         } else {
             Some(old)
@@ -203,10 +203,9 @@ impl TileIndex {
         cells.vacant[y] |= 1 << (i & (TILE_ROWS - 1));
         if cells.vacant[y] == u64::MAX {
             cells.empty_rows |= 1 << y;
-        }
-        tile.occupied -= 1;
-        if tile.occupied == 0 {
-            self.tiles.remove(&key);
+            if cells.empty_rows == u64::MAX {
+                self.tiles.remove(&key);
+            }
         }
         Some(old)
     }
@@ -407,6 +406,8 @@ impl TileWindow<'_> {
     /// band crosses, which every other row of the band stays within, and
     /// reads the words of only the ball's rows that some of those tiles
     /// occupy, so a ball over mostly empty rows costs a few summary reads.
+    /// Tiles come from `TileWindow::tile`, an array read inside the
+    /// pinned block.
     #[inline]
     fn for_each_ball_word(&self, center: Point, r: i32, mut f: impl FnMut(&Tile, i32, i32, u64)) {
         if r < 0 {
@@ -418,23 +419,9 @@ impl TileWindow<'_> {
             let (lo, hi) = (y0.max(top), y1.min(top + TILE_SIZE - 1));
             let w = r - (center.y.clamp(lo, hi) - center.y).abs();
             let (kx0, kx1) = ((center.x - w) >> TILE_BITS, (center.x + w) >> TILE_BITS);
-            // The band's tiles, west to east, looked up once when they fit
-            // the window's width (every shipped radius), else per row.
-            let pinned = kx1 - kx0 < WINDOW_EDGE as i32;
-            let mut band = [None; WINDOW_EDGE];
-            if pinned {
-                for (tile, kx) in band.iter_mut().zip(kx0..=kx1) {
-                    *tile = self.tile(TileKey { x: kx, y: ky });
-                }
-            }
-            let tile_at = |kx: i32| {
-                if pinned {
-                    band[(kx - kx0) as usize]
-                } else {
-                    self.tile(TileKey { x: kx, y: ky })
-                }
-            };
-            let occupied = (kx0..=kx1).filter_map(tile_at).fold(0, |rows, tile| rows | tile.rows());
+            let occupied = (kx0..=kx1)
+                .filter_map(|kx| self.tile(TileKey { x: kx, y: ky }))
+                .fold(0, |rows, tile| rows | tile.rows());
             // Rows `lo..=hi` of the band lie in the ball; as below, both
             // shifts stay below 64 even for a whole band.
             let mut rows =
@@ -446,7 +433,7 @@ impl TileWindow<'_> {
                 let w = r - (y - center.y).abs();
                 let (x0, x1) = (center.x - w, center.x + w);
                 for kx in x0 >> TILE_BITS..=x1 >> TILE_BITS {
-                    let Some(tile) = tile_at(kx) else { continue };
+                    let Some(tile) = self.tile(TileKey { x: kx, y: ky }) else { continue };
                     let x = kx << TILE_BITS;
                     // Bits `lo..=hi` of the row word lie in the ball; both
                     // shifts stay below 64 even for a whole-tile segment.
@@ -487,7 +474,7 @@ mod tests {
 
     /// Every live tile's row words equal its cells' occupancy, its row
     /// summary marks exactly the rows whose vacancy word is all ones, and
-    /// the live tiles are those holding a robot.
+    /// no live tile is empty.
     fn assert_rows_match_cells(idx: &TileIndex, at: &str) {
         for (key, tile) in idx.sorted_tiles() {
             for y in 0..TILE_ROWS {
@@ -499,8 +486,7 @@ mod tests {
                 .rev()
                 .fold(0u64, |w, y| w << 1 | u64::from(tile.cells.vacant[y] == u64::MAX));
             assert_eq!(tile.cells.empty_rows, empty, "{at}: tile {key:?} row summary");
-            let live: u32 = (0..TILE_ROWS).map(|y| tile.row(y).count_ones()).sum();
-            assert_eq!(tile.occupied, live, "{at}: tile {key:?}");
+            assert_ne!(empty, u64::MAX, "{at}: tile {key:?} is live but empty");
         }
     }
 
